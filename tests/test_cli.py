@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -202,3 +203,120 @@ class TestErrorHandling:
         assert out.returncode == 2
         assert out.stderr.count("\n") == 1
         assert "code=2" in out.stderr
+
+
+def _golden_sequence(n=4000):
+    """A 3-symbol sequence from a fixed linear congruential generator, with
+    memory: "a" is never followed by "a"."""
+    x, prev, out = 7, "b", []
+    for _ in range(n):
+        x = (1103515245 * x + 12345) % 2**31
+        choices = "bc" if prev == "a" else "abc"
+        prev = choices[(x >> 16) % len(choices)]
+        out.append(prev)
+    return "".join(out)
+
+
+#: Golden runs: name -> argv.  {seq} and {fake} are files the test writes.
+GOLDEN = {
+    **{f"fig{fig}": ["reproduce", "--figure", str(fig), "--density-points", "8"]
+       for fig in range(2, 11)},
+    "sample_entropy": ["entropy", "--source", "even", "--mode", "sample",
+                       "--seed", "11", "--n-start", "500", "--n-stop", "2000",
+                       "--n-step", "500", "--k-max", "3"],
+    "sample_compare": ["compare", "--source", "sns", "--mode", "sample",
+                       "--seed", "5", "--n-start", "300", "--n-stop", "1500",
+                       "--n-step", "300", "--k-max", "3"],
+    "sample_infer": ["infer", "--source", "golden_mean", "--mode", "sample",
+                     "--seed", "3", "--n-start", "200", "--n-stop", "600",
+                     "--n-step", "200", "--k-max", "2", "--density-points", "8"],
+    "file_compare": ["compare", "--input", "{seq}", "--n-start", "1000",
+                     "--n-stop", "4000", "--n-step", "1000", "--k-max", "4"],
+    "file_entropy": ["entropy", "--input", "{seq}", "--n-start", "1000",
+                     "--n-stop", "4000", "--n-step", "1500", "--k-max", "3"],
+    "fake_counts_json": ["infer", "--source", "golden_mean", "--n-start", "100",
+                         "--n-stop", "300", "--n-step", "100", "--k-min", "2",
+                         "--k-max", "2", "--fake-counts", "{fake}", "--format",
+                         "json", "--density-points", "8"],
+}
+
+
+#: sha256 of every output file of each golden run, by path relative to
+#: --out.  Recorded before the CLI resolved its data once per invocation;
+#: every change since must reproduce them byte for byte, at any --jobs.
+GOLDEN_DIGESTS = {
+    "fake_counts_json": {
+        "infer_density.csv": "f85116709d91a957d8d56e652d6bd8b32b0f9eaf40a618cab56c770eb1978501",
+        "infer_density.json": "565a7bc973a842f5542bfa8a3f684686efac52f5df5b4eb5040d3dd6f789de3a",
+        "infer_summary.csv": "f1774c2c822783fc26d1ed3f6bd19bc385033e25dcc325f8a99e94c3bc25089e",
+        "infer_summary.json": "eb6707a2427bf8dabb5e50985dfd8b2d97ef5a32d9226ee9ed68cce4a50a12ac",
+    },
+    "fig10": {
+        "fig10/entropy.csv": "f8ba239756f0d6fd2d112bed65c552c42d500700db003c8fae862068eba3aa70",
+    },
+    "fig2": {
+        "fig2/infer_density.csv": "01551f9e751c5a890b75dced8a981532121338ba609beabb46b32a96f1a11b53",
+        "fig2/infer_summary.csv": "e92cf1dad96ddb99d8115e4af05d574a840f680d8396493a41c011d135868355",
+    },
+    "fig3": {
+        "fig3/compare.csv": "4dbe0e7939dfa76f8a72feb624474d71f2aea17c2a896d8a50d3d58c58fb86ca",
+    },
+    "fig4": {
+        "fig4/entropy.csv": "993a2b2331edd680ea346701bb5a9b72b8f7d543d54af588b398f7ddd53c87dd",
+    },
+    "fig5": {
+        "fig5/infer_density.csv": "1128ae94eb90a7a7c1ca4c05667c8896e9d35870ae5315427cbe4d450b0482f9",
+        "fig5/infer_summary.csv": "cde6a3e5d2f64279cda0d1c9a4a096a04eb9f0244b9a5c88d3c2b6e83b601184",
+    },
+    "fig6": {
+        "fig6/compare.csv": "a255687e9708d23b672121de858108655b9f97c25821dd5e23cf2a8ddf8c43b0",
+    },
+    "fig7": {
+        "fig7/entropy.csv": "7e96ba16231d0fe9c646ea27ca9925db94dcf0be7d06ddb3f25af5f6a0ff660f",
+    },
+    "fig8": {
+        "fig8/infer_density.csv": "7eda1287a6c49093dc2c621c650c5d0a825bc88966940272721d9e017993cab9",
+        "fig8/infer_summary.csv": "976174b2c5cde41c359582ac5f63d5eec4fac248d3fe0a0411271e2ff049eda8",
+    },
+    "fig9": {
+        "fig9/compare.csv": "b382c09d9fd2528bf190b1ba273e598ede1a5553a53bd5bfc874abce6b18469a",
+    },
+    "file_compare": {
+        "compare.csv": "0c5c28ea26ff61db259eea3789dcba3d04c21dd75fc9d58252d79a403dc979ad",
+    },
+    "file_entropy": {
+        "entropy.csv": "7585c51133461993235b5866ecdb4e89f7a0e596edb5f21a8dd2a0155a5026d3",
+    },
+    "sample_compare": {
+        "compare.csv": "81928abd3b196910c8570cb7aec56067b2b2af5dffd4878150dfb7206cb0a816",
+    },
+    "sample_entropy": {
+        "entropy.csv": "ec634c40b3b940a728dc1b708f5f239a20db8ae0db764b582e8a324fec093480",
+    },
+    "sample_infer": {
+        "infer_density.csv": "3048b1596941f09c34566e49f7b5595fa7c5abcdf5ecb3f25e3b76938eadcb34",
+        "infer_summary.csv": "d565fb4c4f672252828eae58cb575c66d2834032c51697b491031968286eaf23",
+    },
+}
+
+
+def _digests(out):
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _run_golden(name, jobs, tmp_path):
+    seq, fake = tmp_path / "seq.txt", tmp_path / "fake.csv"
+    seq.write_text(_golden_sequence() + "\n")
+    fake.write_text("word,symbol,count\n01,1,3\n10,0,2\n11,1,0.5\n")
+    argv = [a.format(seq=seq, fake=fake) for a in GOLDEN[name]]
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--jobs", str(jobs), "--out", str(out)]) == 0
+    return _digests(out)
+
+
+class TestGolden:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_outputs_match_recorded_digests(self, name, jobs, tmp_path):
+        assert _run_golden(name, jobs, tmp_path) == GOLDEN_DIGESTS[name]
