@@ -9,29 +9,23 @@ digit formatting so outputs are diff-able goldens.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
 import json
 import math
 import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import comparison, entropy, inference, processes
-from .core import (
-    Alphabet,
-    CountTable,
-    WordIndex,
-    count_words,
-    hyper_from_fake_counts,
-    read_sequence,
-    uniform_hyper,
-    word_string,
-    write_sequence,
-)
+from .core import (Alphabet, CountTable, HyperTable, SymbolSequence, WordIndex,
+                   check_table_size, count_words, encode_word, hyper_from_fake_counts,
+                   read_sequence, uniform_hyper, word_string, write_sequence)
 from .special import NumericDomainError
 
 EXIT_BAD_CONFIG = 2
@@ -55,7 +49,6 @@ class ExperimentConfig:
     n_grid: tuple[int, ...]
     alpha: float
     fake_counts_path: str | None
-    prior: str  # "uniform" or "penalty"
     confidence: float
     seed: int | None
     out_dir: Path
@@ -101,125 +94,135 @@ def _resolve_hmm(cfg: ExperimentConfig) -> processes.LabeledHMM:
     raise ConfigError(f"unknown source {cfg.source!r}")
 
 
-def _hyper_for(cfg: ExperimentConfig, k: int, alphabet: Alphabet):
-    if cfg.fake_counts_path is not None:
-        fake = _read_fake_counts(cfg.fake_counts_path, k, alphabet)
-        return hyper_from_fake_counts(fake)
-    return uniform_hyper(k, alphabet, cfg.alpha)
-
-
-def _read_fake_counts(path: str, k: int, alphabet: Alphabet) -> CountTable:
-    """CSV with columns word,symbol,count; unlisted entries default to 0."""
-    import csv as _csv
-
-    from .core import encode_word
-
+def _read_fake_counts(path: str, k: int, alphabet: Alphabet) -> HyperTable:
+    """Prior from a CSV with columns word,symbol,count; unlisted entries
+    default to 0, and every hyperparameter is its fake count + 1."""
+    check_table_size(alphabet, k)
     table = np.zeros((alphabet.size**k, alphabet.size))
     with open(path, "r", encoding="utf-8") as fh:
-        for row in _csv.DictReader(fh):
+        for row in csv.DictReader(fh):
             word = row["word"].strip()
             if len(word) != k:
                 raise ConfigError(f"fake-count word {word!r} is not length {k}")
             w = encode_word([alphabet.index(c) for c in word], alphabet)
             table[w.code, alphabet.index(row["symbol"].strip())] = float(row["count"])
-    return CountTable(k, alphabet, table)
+    return hyper_from_fake_counts(CountTable(k, alphabet, table))
 
 
-def _counts_provider(cfg: ExperimentConfig):
-    """Return (alphabet, counts_fn, truth) where counts_fn(N, k) -> CountTable.
+@dataclass(frozen=True)
+class _Sweep:
+    """One invocation's data and each order's invariants, resolved once.
+    `approxes` and `truth` are what entropy compares against, when the data
+    come from a source."""
 
-    truth is the builtin LabeledHMM when exact reference values are
-    available, else None.
-    """
+    alphabet: Alphabet
+    seq: SymbolSequence | None  # file or sample mode: counts come from its prefixes
+    hypers: dict[int, HyperTable]
+    joints: dict[int, np.ndarray]  # average mode: p(word, symbol), shape (A**k, A)
+    approxes: dict[int, processes.MarkovApproximation]
+    truth: float | None
+
+    def points(self, N: int):
+        """(k, counts, hyper) for each order at data size N."""
+        prefix = None if self.seq is None else SymbolSequence(self.alphabet, self.seq.data[:N])
+        for k, hyper in self.hypers.items():
+            if prefix is not None:
+                counts = count_words(prefix, k)
+            elif N > k:  # the exact average counts, as processes.average_counts
+                counts = CountTable(k, self.alphabet, (N - k) * self.joints[k])
+            else:
+                raise ValueError(f"data size N={N} must exceed order k={k}")
+            yield k, counts, hyper
+
+
+def _resolve(cfg: ExperimentConfig, with_truth: bool = False) -> _Sweep:
+    """Read the input, sample max(N) symbols or build the source, then each
+    order's invariants; `with_truth` adds what entropy compares against."""
+    hmm = seq = None
     if cfg.input_path is not None:
         seq = read_sequence(cfg.input_path, column=cfg.csv_column)
-
-        def from_file(N, k):
-            if N > len(seq):
-                raise ConfigError(f"requested N={N} but input has {len(seq)} symbols")
-            from .core import SymbolSequence
-
-            return count_words(SymbolSequence(seq.alphabet, seq.data[:N]), k)
-
-        return seq.alphabet, from_file, None
-
-    hmm = _resolve_hmm(cfg)
-    if cfg.mode == "sample":
-        if cfg.seed is None:
-            raise ConfigError("sample mode requires --seed")
-        full = processes.sample_sequence(hmm, max(cfg.n_grid), cfg.seed)
-
-        def from_sample(N, k):
-            from .core import SymbolSequence
-
-            return count_words(SymbolSequence(full.alphabet, full.data[:N]), k)
-
-        return hmm.alphabet, from_sample, hmm
-
-    return hmm.alphabet, (lambda N, k: processes.average_counts(hmm, N, k)), hmm
-
-
-def _grid_map(fn, points, jobs: int):
-    if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, points, chunksize=max(1, len(points) // (4 * jobs))))
-    return [fn(p) for p in points]
+        if max(cfg.n_grid) > len(seq):
+            raise ConfigError(f"requested N={max(cfg.n_grid)} but input has {len(seq)} symbols")
+    else:
+        hmm = _resolve_hmm(cfg)
+        if cfg.mode == "sample":
+            if cfg.seed is None:
+                raise ConfigError("sample mode requires --seed")
+            seq = processes.sample_sequence(hmm, max(cfg.n_grid), cfg.seed)
+    alphabet = hmm.alphabet if seq is None else seq.alphabet
+    orders = range(cfg.k_min, cfg.k_max + 1)
+    hypers = {k: uniform_hyper(k, alphabet, cfg.alpha) if cfg.fake_counts_path is None
+              else _read_fake_counts(cfg.fake_counts_path, k, alphabet) for k in orders}
+    joints = {} if seq is not None else {
+        k: processes.word_distribution(hmm, k + 1).reshape(alphabet.size**k, alphabet.size)
+        for k in orders}
+    approxes, truth = {}, None
+    if with_truth and hmm is not None:
+        approxes = {k: processes.markov_approximation(hmm, k) for k in orders}
+        if hmm.is_unifilar():
+            truth = processes.true_entropy_rate(hmm)
+        elif hmm.name == "sns":
+            truth = processes.SNS_ENTROPY_RATE
+    return _Sweep(alphabet, seq, hypers, joints, approxes, truth)
 
 
-# Module-level workers so ProcessPoolExecutor can pickle them.
-
-def _evidence_point(args):
-    cfg, N = args
-    alphabet, counts_fn, _ = _counts_provider(cfg)
-    out = {}
-    for k in range(cfg.k_min, cfg.k_max + 1):
-        counts = counts_fn(N, k)
-        out[k] = inference.log_evidence(counts, _hyper_for(cfg, k, alphabet))
-    return N, out
+#: The sweep a pool worker's points read, set once by the pool initializer.
+_worker_sweep: _Sweep | None = None
 
 
-def _entropy_point(args):
-    cfg, N = args
-    alphabet, counts_fn, hmm = _counts_provider(cfg)
+def _init_worker(sweep: _Sweep) -> None:
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _in_worker(point, N):
+    return point(_worker_sweep, N)
+
+
+def _grid_map(point, sweep: _Sweep, cfg: ExperimentConfig):
+    """Yield point(sweep, N) for each N of the grid, in grid order.  Points
+    are module-level functions so that ProcessPoolExecutor can pickle them."""
+    grid, jobs = cfg.n_grid, cfg.jobs
+    if jobs > 1 and len(grid) > 1:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(sweep,)) as pool:
+            yield from pool.map(functools.partial(_in_worker, point), grid,
+                                chunksize=max(1, len(grid) // (4 * jobs)))
+    else:
+        for N in grid:
+            yield point(sweep, N)
+
+
+def _evidence_point(sweep: _Sweep, N: int) -> dict:
+    return {k: inference.log_evidence(counts, hyper) for k, counts, hyper in sweep.points(N)}
+
+
+def _entropy_point(sweep: _Sweep, N: int) -> list[dict]:
     rows = []
-    for k in range(cfg.k_min, cfg.k_max + 1):
-        counts = counts_fn(N, k)
-        hyper = _hyper_for(cfg, k, alphabet)
+    for k, counts, hyper in sweep.points(N):
         q = entropy.q_from(counts, hyper)
         kl_bits = None
-        truth = None
-        if hmm is not None:
-            approx = processes.markov_approximation(hmm, k)
+        if k in sweep.approxes:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", entropy.SupportWarning)
-                kl_bits = entropy.kl_of(q, approx.cond_probs)
-            if hmm.is_unifilar():
-                truth = processes.true_entropy_rate(hmm)
-            elif hmm.name == "sns":
-                truth = processes.SNS_ENTROPY_RATE
+                kl_bits = entropy.kl_of(q, sweep.approxes[k].cond_probs)
         rows.append(
-            {
-                "N": N,
-                "k": k,
-                "beta_k": q.beta,
-                "energy_mean_bits": entropy.expected_energy(q),
-                "energy_var": entropy.energy_variance(q),
-                "hmu_Q_bits": entropy.hmu_of(q),
-                "kl_bits_if_truth_known": kl_bits,
-                "asymptotic_bits": entropy.asymptotic_energy(q),
-                "truth_bits": truth,
-            }
+            {"N": N, "k": k, "beta_k": q.beta,
+             "energy_mean_bits": entropy.expected_energy(q),
+             "energy_var": entropy.energy_variance(q),
+             "hmu_Q_bits": entropy.hmu_of(q), "kl_bits_if_truth_known": kl_bits,
+             "asymptotic_bits": entropy.asymptotic_energy(q),
+             "truth_bits": sweep.truth}
         )
     return rows
 
 
 def cmd_infer(cfg: ExperimentConfig) -> None:
-    alphabet, counts_fn, _ = _counts_provider(cfg)
+    sweep = _resolve(cfg)
+    alphabet = sweep.alphabet
     summary, density = [], []
     for N in cfg.n_grid:
-        for k in range(cfg.k_min, cfg.k_max + 1):
-            counts = counts_fn(N, k)
-            hyper = _hyper_for(cfg, k, alphabet)
+        for k, counts, hyper in sweep.points(N):
             for row in inference.summary_rows(counts, hyper, cfg.confidence):
                 summary.append({"N": N, "k": k, **row})
             post = inference.posterior(counts, hyper)
@@ -242,15 +245,14 @@ def cmd_infer(cfg: ExperimentConfig) -> None:
 
 
 def cmd_compare(cfg: ExperimentConfig) -> None:
-    results = _grid_map(_evidence_point, [(cfg, N) for N in cfg.n_grid], cfg.jobs)
-    alphabet, _, _ = _counts_provider(cfg)
+    sweep = _resolve(cfg)
     rows = []
-    for N, evidences in sorted(results, key=lambda item: item[0]):
+    for N, evidences in zip(cfg.n_grid, _grid_map(_evidence_point, sweep, cfg)):
         uni = comparison.compare_uniform(evidences)
-        pen = comparison.compare_penalized(evidences, alphabet.size)
-        for k in sorted(evidences):
+        pen = comparison.compare_penalized(evidences, sweep.alphabet.size)
+        for k, log_evidence in evidences.items():
             rows.append(
-                {"N": N, "k": k, "log_evidence_nats": evidences[k],
+                {"N": N, "k": k, "log_evidence_nats": log_evidence,
                  "prob_uniform": uni.probability(k),
                  "prob_penalized": pen.probability(k)}
             )
@@ -260,8 +262,8 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
 
 
 def cmd_entropy(cfg: ExperimentConfig) -> None:
-    chunks = _grid_map(_entropy_point, [(cfg, N) for N in cfg.n_grid], cfg.jobs)
-    rows = sorted((r for chunk in chunks for r in chunk), key=lambda r: (r["N"], r["k"]))
+    sweep = _resolve(cfg, with_truth=True)
+    rows = [row for chunk in _grid_map(_entropy_point, sweep, cfg) for row in chunk]
     _write_rows(cfg.out_dir / "entropy.csv",
                 ["N", "k", "beta_k", "energy_mean_bits", "energy_var",
                  "hmu_Q_bits", "kl_bits_if_truth_known", "asymptotic_bits",
@@ -275,6 +277,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> None:
     seq = processes.sample_sequence(hmm, max(cfg.n_grid), cfg.seed)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_sequence(cfg.out_dir / "sequence.txt", seq)
+
+
+_COMMANDS = {"infer": cmd_infer, "compare": cmd_compare, "entropy": cmd_entropy,
+             "simulate": cmd_simulate}
 
 
 def _log_grid(start: int, stop: int, points: int) -> tuple[int, ...]:
@@ -303,15 +309,12 @@ def cmd_reproduce(cfg: ExperimentConfig, figure: int) -> None:
     if figure not in FIGURE_RECIPES:
         raise ConfigError(f"unknown figure id {figure}; known: {sorted(FIGURE_RECIPES)}")
     command, source, recipe = FIGURE_RECIPES[figure]
-    sub = ExperimentConfig(
-        source=source, input_path=None, csv_column=None, mode="average",
+    sub = replace(
+        cfg, source=source, input_path=None, csv_column=None, mode="average",
         k_min=recipe["k"][0], k_max=recipe["k"][1], n_grid=recipe["n_grid"],
-        alpha=cfg.alpha, fake_counts_path=None, prior=cfg.prior,
-        confidence=cfg.confidence, seed=cfg.seed,
-        out_dir=cfg.out_dir / f"fig{figure}", fmt=cfg.fmt, jobs=cfg.jobs,
-        density_points=cfg.density_points,
+        fake_counts_path=None, out_dir=cfg.out_dir / f"fig{figure}",
     )
-    {"infer": cmd_infer, "compare": cmd_compare, "entropy": cmd_entropy}[command](sub)
+    _COMMANDS[command](sub)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -330,7 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-step", type=int, default=5)
         p.add_argument("--alpha", type=float, default=1.0)
         p.add_argument("--fake-counts")
-        p.add_argument("--prior", choices=("uniform", "penalty"), default="uniform")
         p.add_argument("--confidence", type=float, default=0.95)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", default=os.environ.get(OUT_DIR_ENV, "."))
@@ -358,7 +360,7 @@ def _config_from(args) -> ExperimentConfig:
     return ExperimentConfig(
         source=args.source, input_path=args.input, csv_column=args.csv_column,
         mode=args.mode, k_min=args.k_min, k_max=args.k_max, n_grid=n_grid,
-        alpha=args.alpha, fake_counts_path=args.fake_counts, prior=args.prior,
+        alpha=args.alpha, fake_counts_path=args.fake_counts,
         confidence=args.confidence, seed=args.seed, out_dir=Path(args.out),
         fmt=args.format, jobs=max(1, args.jobs),
         density_points=args.density_points,
@@ -369,25 +371,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from(args)
-        if args.command == "infer":
-            cmd_infer(cfg)
-        elif args.command == "compare":
-            cmd_compare(cfg)
-        elif args.command == "entropy":
-            cmd_entropy(cfg)
-        elif args.command == "simulate":
-            cmd_simulate(cfg)
-        elif args.command == "reproduce":
+        if args.command == "reproduce":
             cmd_reproduce(cfg, args.figure)
-    except (ConfigError, FileNotFoundError, KeyError, ValueError) as exc:
-        if isinstance(exc, NumericDomainError):
-            print(f"error code={EXIT_NUMERIC} message={exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        print(f"error code={EXIT_BAD_CONFIG} message={exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
-        print(f"error code={EXIT_NUMERIC} message={exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        else:
+            _COMMANDS[args.command](cfg)
+    except (OSError, KeyError, ValueError, ArithmeticError) as exc:
+        numeric = isinstance(exc, (NumericDomainError, ArithmeticError))
+        code = EXIT_NUMERIC if numeric else EXIT_BAD_CONFIG
+        print(f"error code={code} message={exc}", file=sys.stderr)
+        return code
     return 0
 
 

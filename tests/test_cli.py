@@ -204,6 +204,27 @@ class TestErrorHandling:
         assert out.stderr.count("\n") == 1
         assert "code=2" in out.stderr
 
+    @staticmethod
+    def _run_process(*args):
+        return subprocess.run([sys.executable, "-m", "bayesmc.cli", *args],
+                              capture_output=True, text=True)
+
+    def test_input_is_directory(self, tmp_path):
+        out = self._run_process("infer", "--input", str(tmp_path), "--n-start", "100",
+                                "--out", str(tmp_path / "out"))
+        assert out.returncode == 2
+        assert out.stderr.count("\n") == 1
+        assert out.stderr.startswith("error code=2 ")
+
+    def test_out_is_existing_file(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = self._run_process("entropy", "--source", "golden_mean", "--n-start", "100",
+                                "--jobs", "1", "--out", str(taken))
+        assert out.returncode == 2
+        assert out.stderr.count("\n") == 1
+        assert out.stderr.startswith("error code=2 ")
+
 
 def _golden_sequence(n=4000):
     """A 3-symbol sequence from a fixed linear congruential generator, with
