@@ -9,6 +9,7 @@ digit formatting so outputs are diff-able goldens.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -60,61 +61,56 @@ class ExperimentConfig:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:.12g}"
-    return str(value)
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
-def _write_rows(path: Path, fieldnames: list[str], rows: list[dict], fmt: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(fieldnames)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(f)) for f in fieldnames))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if fmt == "json":
-        mirror = path.with_suffix(".json")
-        serializable = [
-            {f: (None if (isinstance(row.get(f), float) and math.isinf(row[f]))
-                 else row.get(f)) for f in fieldnames}
-            for row in rows
-        ]
-        mirror.write_text(json.dumps(serializable, indent=1) + "\n", encoding="utf-8")
+@contextlib.contextmanager
+def _staged(path: Path, head: str):
+    """An open text file, begun with `head`, that appears at `path` only if the block completes."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            fh.write(head)
+            yield fh
+        part.replace(path)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def _resolve_hmm(cfg: ExperimentConfig) -> processes.LabeledHMM:
     if cfg.source is None:
         raise ConfigError("a --source is required for this mode")
-    builder = processes.BUILTIN_SOURCES.get(cfg.source)
-    if builder is not None:
-        return builder()
+    if cfg.source in processes.BUILTIN_SOURCES:
+        return processes.BUILTIN_SOURCES[cfg.source]()
     if os.path.exists(cfg.source):
         return processes.load_hmm(cfg.source)
     raise ConfigError(f"unknown source {cfg.source!r}")
 
 
-def _read_fake_counts(path: str, k: int, alphabet: Alphabet) -> HyperTable:
-    """Prior from a CSV with columns word,symbol,count; unlisted entries
-    default to 0, and every hyperparameter is its fake count + 1."""
-    check_table_size(alphabet, k)
-    table = np.zeros((alphabet.size**k, alphabet.size))
+def _read_fake_counts(path: str, orders: range, alphabet: Alphabet) -> dict[int, HyperTable]:
+    """Each order's prior from a CSV with columns word,symbol,count, where a
+    word's length is its order; unlisted entries default to 0, and every
+    hyperparameter is its fake count + 1."""
+    check_table_size(alphabet, orders[-1])
+    tables = {k: np.zeros((alphabet.size**k, alphabet.size)) for k in orders}
     with open(path, "r", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             word = row["word"].strip()
-            if len(word) != k:
-                raise ConfigError(f"fake-count word {word!r} is not length {k}")
+            if len(word) not in tables:
+                raise ConfigError(f"fake-count word {word!r} is not of an order in "
+                                  f"{orders[0]}..{orders[-1]}")
             w = encode_word([alphabet.index(c) for c in word], alphabet)
-            table[w.code, alphabet.index(row["symbol"].strip())] = float(row["count"])
-    return hyper_from_fake_counts(CountTable(k, alphabet, table))
+            tables[len(word)][w.code, alphabet.index(row["symbol"].strip())] = float(row["count"])
+    return {k: hyper_from_fake_counts(CountTable(k, alphabet, t)) for k, t in tables.items()}
 
 
 @dataclass(frozen=True)
 class _Sweep:
-    """One invocation's data and each order's invariants, resolved once.
-    `approxes` and `truth` are what entropy compares against, when the data
-    come from a source."""
+    """One invocation's config, data and each order's invariants, resolved
+    once.  `approxes` and `truth` are what entropy compares against, when the
+    data come from a source."""
 
+    cfg: ExperimentConfig
     alphabet: Alphabet
     seq: SymbolSequence | None  # file or sample mode: counts come from its prefixes
     hypers: dict[int, HyperTable]
@@ -151,8 +147,9 @@ def _resolve(cfg: ExperimentConfig, with_truth: bool = False) -> _Sweep:
             seq = processes.sample_sequence(hmm, max(cfg.n_grid), cfg.seed)
     alphabet = hmm.alphabet if seq is None else seq.alphabet
     orders = range(cfg.k_min, cfg.k_max + 1)
-    hypers = {k: uniform_hyper(k, alphabet, cfg.alpha) if cfg.fake_counts_path is None
-              else _read_fake_counts(cfg.fake_counts_path, k, alphabet) for k in orders}
+    hypers = ({k: uniform_hyper(k, alphabet, cfg.alpha) for k in orders}
+              if cfg.fake_counts_path is None
+              else _read_fake_counts(cfg.fake_counts_path, orders, alphabet))
     joints = {} if seq is not None else {
         k: processes.word_distribution(hmm, k + 1).reshape(alphabet.size**k, alphabet.size)
         for k in orders}
@@ -163,7 +160,7 @@ def _resolve(cfg: ExperimentConfig, with_truth: bool = False) -> _Sweep:
             truth = processes.true_entropy_rate(hmm)
         elif hmm.name == "sns":
             truth = processes.SNS_ENTROPY_RATE
-    return _Sweep(alphabet, seq, hypers, joints, approxes, truth)
+    return _Sweep(cfg, alphabet, seq, hypers, joints, approxes, truth)
 
 
 #: The sweep a pool worker's points read, set once by the pool initializer.
@@ -176,29 +173,83 @@ def _init_worker(sweep: _Sweep) -> None:
 
 
 def _in_worker(point, N):
-    return point(_worker_sweep, N)
+    return list(point(_worker_sweep, N))
 
 
-def _grid_map(point, sweep: _Sweep, cfg: ExperimentConfig):
-    """Yield point(sweep, N) for each N of the grid, in grid order.  Points
-    are module-level functions so that ProcessPoolExecutor can pickle them."""
-    grid, jobs = cfg.n_grid, cfg.jobs
+def _grid_map(point, sweep: _Sweep):
+    """Yield the (file name, row) pairs of point(sweep, N) for each N of the
+    grid, in grid order.  Points are module-level generators so that the pool
+    can pickle them; a worker returns each N's rows as one list."""
+    grid, jobs = sweep.cfg.n_grid, sweep.cfg.jobs
     if jobs > 1 and len(grid) > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(sweep,)) as pool:
-            yield from pool.map(functools.partial(_in_worker, point), grid,
-                                chunksize=max(1, len(grid) // (4 * jobs)))
+            for rows in pool.map(functools.partial(_in_worker, point), grid,
+                                 chunksize=max(1, len(grid) // (4 * jobs))):
+                yield from rows
     else:
         for N in grid:
-            yield point(sweep, N)
+            yield from point(sweep, N)
 
 
-def _evidence_point(sweep: _Sweep, N: int) -> dict:
-    return {k: inference.log_evidence(counts, hyper) for k, counts, hyper in sweep.points(N)}
+def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> None:
+    """Write each row of the sweep to its output CSV, and with --format json to
+    the CSV's JSON mirror, as the row arrives.  A mirror reads as
+    json.dumps(rows, indent=1) would, with infinities as null."""
+    out = sweep.cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    with contextlib.ExitStack() as stack:
+        csvs = {name: stack.enter_context(_staged(out / name, ",".join(columns[name]) + "\n"))
+                for name in columns}
+        mirrors = {name: stack.enter_context(_staged((out / name).with_suffix(".json"), "["))
+                   for name in columns if sweep.cfg.fmt == "json"}
+        seps = dict.fromkeys(mirrors, "\n ")
+        for name, row in _grid_map(point, sweep):
+            csvs[name].write(",".join(map(_fmt, row)) + "\n")
+            if name in mirrors:
+                record = {f: None if isinstance(v, float) and math.isinf(v) else v
+                          for f, v in zip(columns[name], row)}
+                mirrors[name].write(seps[name] + json.dumps(record, indent=1).replace("\n", "\n "))
+                seps[name] = ",\n "
+        for fh in mirrors.values():
+            fh.write("\n]\n")
 
 
-def _entropy_point(sweep: _Sweep, N: int) -> list[dict]:
-    rows = []
+def _infer_point(sweep: _Sweep, N: int):
+    for k, counts, hyper in sweep.points(N):
+        for row in inference.summary_rows(counts, hyper, sweep.cfg.confidence):
+            yield "infer_summary.csv", (N, k, *row.values())
+        post = inference.posterior(counts, hyper)
+        for w in range(post.params.shape[0]):
+            word = word_string(WordIndex(k, w), sweep.alphabet)
+            for s, symbol in enumerate(sweep.alphabet.symbols):
+                m = inference.marginal(post, w, s)
+                xs, dens = inference.density_grid(m, sweep.cfg.density_points)
+                for x, d in zip(xs.tolist(), dens.tolist()):
+                    yield "infer_density.csv", (N, k, word, symbol, x, d)
+
+
+def cmd_infer(cfg: ExperimentConfig) -> None:
+    _write_sweep(_resolve(cfg), _infer_point, {
+        "infer_summary.csv": ("N", "k", "word", "symbol", "count", "alpha", "mean",
+                              "variance", "ci_low", "ci_high"),
+        "infer_density.csv": ("N", "k", "word", "symbol", "x", "density")})
+
+
+def _compare_point(sweep: _Sweep, N: int):
+    evidences = {k: inference.log_evidence(counts, hyper) for k, counts, hyper in sweep.points(N)}
+    uni = comparison.compare_uniform(evidences)
+    pen = comparison.compare_penalized(evidences, sweep.alphabet.size)
+    for k, log_evidence in evidences.items():
+        yield "compare.csv", (N, k, log_evidence, uni.probability(k), pen.probability(k))
+
+
+def cmd_compare(cfg: ExperimentConfig) -> None:
+    _write_sweep(_resolve(cfg), _compare_point, {
+        "compare.csv": ("N", "k", "log_evidence_nats", "prob_uniform", "prob_penalized")})
+
+
+def _entropy_point(sweep: _Sweep, N: int):
     for k, counts, hyper in sweep.points(N):
         q = entropy.q_from(counts, hyper)
         kl_bits = None
@@ -206,75 +257,21 @@ def _entropy_point(sweep: _Sweep, N: int) -> list[dict]:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", entropy.SupportWarning)
                 kl_bits = entropy.kl_of(q, sweep.approxes[k].cond_probs)
-        rows.append(
-            {"N": N, "k": k, "beta_k": q.beta,
-             "energy_mean_bits": entropy.expected_energy(q),
-             "energy_var": entropy.energy_variance(q),
-             "hmu_Q_bits": entropy.hmu_of(q), "kl_bits_if_truth_known": kl_bits,
-             "asymptotic_bits": entropy.asymptotic_energy(q),
-             "truth_bits": sweep.truth}
-        )
-    return rows
-
-
-def cmd_infer(cfg: ExperimentConfig) -> None:
-    sweep = _resolve(cfg)
-    alphabet = sweep.alphabet
-    summary, density = [], []
-    for N in cfg.n_grid:
-        for k, counts, hyper in sweep.points(N):
-            for row in inference.summary_rows(counts, hyper, cfg.confidence):
-                summary.append({"N": N, "k": k, **row})
-            post = inference.posterior(counts, hyper)
-            for w in range(post.params.shape[0]):
-                word = word_string(WordIndex(k, w), alphabet)
-                for s in range(alphabet.size):
-                    m = inference.marginal(post, w, s)
-                    xs, dens = inference.density_grid(m, cfg.density_points)
-                    for x, d in zip(xs, dens):
-                        density.append(
-                            {"N": N, "k": k, "word": word,
-                             "symbol": alphabet.symbols[s],
-                             "x": float(x), "density": float(d)}
-                        )
-    _write_rows(cfg.out_dir / "infer_summary.csv",
-                ["N", "k", "word", "symbol", "count", "alpha", "mean",
-                 "variance", "ci_low", "ci_high"], summary, cfg.fmt)
-    _write_rows(cfg.out_dir / "infer_density.csv",
-                ["N", "k", "word", "symbol", "x", "density"], density, cfg.fmt)
-
-
-def cmd_compare(cfg: ExperimentConfig) -> None:
-    sweep = _resolve(cfg)
-    rows = []
-    for N, evidences in zip(cfg.n_grid, _grid_map(_evidence_point, sweep, cfg)):
-        uni = comparison.compare_uniform(evidences)
-        pen = comparison.compare_penalized(evidences, sweep.alphabet.size)
-        for k, log_evidence in evidences.items():
-            rows.append(
-                {"N": N, "k": k, "log_evidence_nats": log_evidence,
-                 "prob_uniform": uni.probability(k),
-                 "prob_penalized": pen.probability(k)}
-            )
-    _write_rows(cfg.out_dir / "compare.csv",
-                ["N", "k", "log_evidence_nats", "prob_uniform", "prob_penalized"],
-                rows, cfg.fmt)
+        yield "entropy.csv", (N, k, q.beta, entropy.expected_energy(q),
+                              entropy.energy_variance(q), entropy.hmu_of(q), kl_bits,
+                              entropy.asymptotic_energy(q), sweep.truth)
 
 
 def cmd_entropy(cfg: ExperimentConfig) -> None:
-    sweep = _resolve(cfg, with_truth=True)
-    rows = [row for chunk in _grid_map(_entropy_point, sweep, cfg) for row in chunk]
-    _write_rows(cfg.out_dir / "entropy.csv",
-                ["N", "k", "beta_k", "energy_mean_bits", "energy_var",
-                 "hmu_Q_bits", "kl_bits_if_truth_known", "asymptotic_bits",
-                 "truth_bits"], rows, cfg.fmt)
+    _write_sweep(_resolve(cfg, with_truth=True), _entropy_point, {
+        "entropy.csv": ("N", "k", "beta_k", "energy_mean_bits", "energy_var", "hmu_Q_bits",
+                        "kl_bits_if_truth_known", "asymptotic_bits", "truth_bits")})
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> None:
     if cfg.seed is None:
         raise ConfigError("simulate requires --seed")
-    hmm = _resolve_hmm(cfg)
-    seq = processes.sample_sequence(hmm, max(cfg.n_grid), cfg.seed)
+    seq = processes.sample_sequence(_resolve_hmm(cfg), max(cfg.n_grid), cfg.seed)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     write_sequence(cfg.out_dir / "sequence.txt", seq)
 
@@ -309,38 +306,42 @@ def cmd_reproduce(cfg: ExperimentConfig, figure: int) -> None:
     if figure not in FIGURE_RECIPES:
         raise ConfigError(f"unknown figure id {figure}; known: {sorted(FIGURE_RECIPES)}")
     command, source, recipe = FIGURE_RECIPES[figure]
-    sub = replace(
-        cfg, source=source, input_path=None, csv_column=None, mode="average",
-        k_min=recipe["k"][0], k_max=recipe["k"][1], n_grid=recipe["n_grid"],
-        fake_counts_path=None, out_dir=cfg.out_dir / f"fig{figure}",
-    )
-    _COMMANDS[command](sub)
+    _COMMANDS[command](replace(cfg, source=source, k_min=recipe["k"][0], k_max=recipe["k"][1],
+                               n_grid=recipe["n_grid"], out_dir=cfg.out_dir / f"fig{figure}"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bayesmc")
+    # Every option's default, read also by the subcommands that do not accept it.
+    parser.set_defaults(source=None, input=None, csv_column=None, mode="average", k_min=1,
+                        k_max=1, n_start=1000, n_stop=None, n_step=5, alpha=1.0,
+                        fake_counts=None, confidence=0.95, seed=None,
+                        out=os.environ.get(OUT_DIR_ENV, "."), format="csv",
+                        jobs=os.cpu_count() or 1, density_points=512)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("infer", "compare", "entropy", "simulate", "reproduce"):
-        p = sub.add_parser(name)
-        p.add_argument("--source", help="builtin source name or path to an hmm JSON file")
-        p.add_argument("--input", help="sequence file (text, or CSV with --csv-column)")
-        p.add_argument("--csv-column")
-        p.add_argument("--mode", choices=("average", "sample"), default="average")
-        p.add_argument("--k-min", type=int, default=1)
-        p.add_argument("--k-max", type=int, default=1)
-        p.add_argument("--n-start", type=int, default=1000)
-        p.add_argument("--n-stop", type=int)
-        p.add_argument("--n-step", type=int, default=5)
-        p.add_argument("--alpha", type=float, default=1.0)
-        p.add_argument("--fake-counts")
-        p.add_argument("--confidence", type=float, default=0.95)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", default=os.environ.get(OUT_DIR_ENV, "."))
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--density-points", type=int, default=512)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         if name == "reproduce":
             p.add_argument("--figure", type=int, required=True)
+        else:
+            p.add_argument("--source", help="builtin source name or path to an hmm JSON file")
+            for flag in ("--n-start", "--n-stop", "--n-step", "--seed"):
+                p.add_argument(flag, type=int)
+        if name in ("infer", "compare", "entropy"):
+            p.add_argument("--input", help="sequence file (text, or CSV with --csv-column)")
+            p.add_argument("--csv-column")
+            p.add_argument("--mode", choices=("average", "sample"))
+            p.add_argument("--k-min", type=int)
+            p.add_argument("--k-max", type=int)
+            p.add_argument("--fake-counts")
+        if name != "simulate":
+            p.add_argument("--alpha", type=float)
+            p.add_argument("--format", choices=("csv", "json"))
+            p.add_argument("--jobs", type=int)
+        if name in ("infer", "reproduce"):
+            p.add_argument("--confidence", type=float)
+            p.add_argument("--density-points", type=int)
+        p.add_argument("--out")
     return parser
 
 
@@ -348,18 +349,16 @@ def _config_from(args) -> ExperimentConfig:
     if args.k_min < 1 or args.k_max < args.k_min:
         raise ConfigError(f"invalid order range [{args.k_min}, {args.k_max}]")
     stop = args.n_stop if args.n_stop is not None else args.n_start
-    if args.n_step < 1 or stop < args.n_start:
+    if args.n_start < 1 or args.n_step < 1 or stop < args.n_start:
         raise ConfigError("invalid N grid")
-    n_grid = tuple(range(args.n_start, stop + 1, args.n_step))
-    if not n_grid:
-        raise ConfigError("empty N grid")
     if not 0.0 < args.confidence < 1.0:
         raise ConfigError("confidence must lie in (0, 1)")
     if args.alpha <= 0:
         raise ConfigError("alpha must be positive")
     return ExperimentConfig(
         source=args.source, input_path=args.input, csv_column=args.csv_column,
-        mode=args.mode, k_min=args.k_min, k_max=args.k_max, n_grid=n_grid,
+        mode=args.mode, k_min=args.k_min, k_max=args.k_max,
+        n_grid=tuple(range(args.n_start, stop + 1, args.n_step)),
         alpha=args.alpha, fake_counts_path=args.fake_counts,
         confidence=args.confidence, seed=args.seed, out_dir=Path(args.out),
         fmt=args.format, jobs=max(1, args.jobs),

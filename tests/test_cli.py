@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,31 @@ class TestInfer:
         rows = read_csv(tmp_path / "infer_summary.csv")
         r = next(r for r in rows if r["word"] == "0" and r["symbol"] == "1")
         assert float(r["alpha"]) == 4.0
+
+    def test_fake_counts_span_orders(self, tmp_path):
+        fake = tmp_path / "fake.csv"
+        fake.write_text("word,symbol,count\n0,1,3\n01,1,3\n")
+        assert run_cli(["infer", "--source", "golden_mean", "--n-start", "100",
+                        "--k-max", "2", "--fake-counts", str(fake), "--out", str(tmp_path),
+                        "--density-points", "4"]) == 0
+        alphas = {(r["k"], r["word"], r["symbol"]): float(r["alpha"])
+                  for r in read_csv(tmp_path / "infer_summary.csv")}
+        assert alphas[("1", "0", "1")] == 4.0 and alphas[("2", "01", "1")] == 4.0
+        assert list(alphas.values()).count(4.0) == 2
+
+    def test_streams_rows_in_bounded_memory(self, tmp_path):
+        # 16,384 density rows: holding them all until the end peaked at
+        # 8.1 MiB; written as they arrive, one (N, k) point's arrays remain.
+        tracemalloc.start()
+        try:
+            assert run_cli(["infer", "--source", "even", "--n-start", "1000", "--k-min", "2",
+                            "--k-max", "2", "--density-points", "2048", "--jobs", "1",
+                            "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(read_csv(tmp_path / "infer_density.csv")) == 16_384
+        assert peak < 2 * 2**20
 
 
 class TestCompare:
@@ -145,8 +171,8 @@ class TestReproduce:
         assert sorted({int(r["N"]) for r in rows}) == [100, 400, 1600, 6400]
 
     def test_compare_bundle(self, tmp_path):
-        assert run_cli(["reproduce", "--figure", "3", "--n-start", "1",
-                        "--jobs", "4", "--out", str(tmp_path)]) == 0
+        assert run_cli(["reproduce", "--figure", "3", "--jobs", "4",
+                        "--out", str(tmp_path)]) == 0
         rows = read_csv(tmp_path / "fig3" / "compare.csv")
         ns = sorted({int(r["N"]) for r in rows})
         assert ns[0] == 100 and ns[-1] == 1000 and ns[1] - ns[0] == 5
@@ -171,6 +197,41 @@ class TestErrorHandling:
     def test_bad_alpha(self, tmp_path):
         assert run_cli(["infer", "--source", "even", "--alpha", "-1",
                         "--out", str(tmp_path)]) == 2
+
+    def test_n_below_one(self, tmp_path):
+        seq = tmp_path / "seq.txt"
+        seq.write_text("01" * 500 + "\n")
+        assert run_cli(["compare", "--input", str(seq), "--n-start", "-400", "--n-stop", "600",
+                        "--n-step", "500", "--k-max", "2", "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_fake_count_word_outside_orders(self, tmp_path):
+        fake = tmp_path / "fake.csv"
+        fake.write_text("word,symbol,count\n011,1,3\n")
+        assert run_cli(["infer", "--source", "golden_mean", "--n-start", "100",
+                        "--k-max", "2", "--fake-counts", str(fake), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "--figure", "3", "--n-start", "1"],
+        ["reproduce", "--figure", "3", "--source", "even"],
+        ["simulate", "--source", "even", "--seed", "1", "--k-max", "2"],
+        ["compare", "--source", "even", "--density-points", "8"],
+        ["entropy", "--source", "even", "--confidence", "0.9"],
+    ])
+    def test_option_not_read_by_subcommand(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--source", "even", "--n-start", "2", "--k-max", "3", "--jobs", "1"],
+        ["infer", "--source", "even", "--n-start", "2", "--n-stop", "3", "--n-step", "1",
+         "--k-max", "3", "--format", "json", "--jobs", "2"],
+    ])
+    def test_failed_sweep_leaves_no_output(self, argv, tmp_path):
+        # Both fail at N = 2, k = 2, after the k = 1 rows were computed.
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_n_exceeds_input(self, tmp_path):
         seq = tmp_path / "seq.txt"
