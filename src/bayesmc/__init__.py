@@ -14,14 +14,11 @@ from .core import (
     CountTable,
     HyperTable,
     SymbolSequence,
-    WordIndex,
     count_words,
-    decode_word,
-    encode_word,
     hyper_from_fake_counts,
     read_sequence,
     uniform_hyper,
-    word_string,
+    word_strings,
 )
 from .entropy import (
     QDistribution,
@@ -32,7 +29,6 @@ from .entropy import (
     expected_energy,
     hmu_of,
     kl_of,
-    neg_log_partition,
     q_from,
     r_from,
     uniform_distribution,

@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import comparison, entropy, inference, processes
-from .core import (Alphabet, CountTable, HyperTable, SymbolSequence, WordIndex,
-                   check_table_size, count_words, encode_word, hyper_from_fake_counts,
-                   read_sequence, uniform_hyper, word_string, write_sequence)
+from .core import (Alphabet, CountTable, HyperTable, SymbolSequence, check_table_size,
+                   count_words, hyper_from_fake_counts, read_sequence, uniform_hyper,
+                   word_strings, write_sequence)
 from .special import NumericDomainError
 
 EXIT_BAD_CONFIG = 2
@@ -37,6 +37,11 @@ OUT_DIR_ENV = "BAYESMC_OUT"
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one error record, as for every other invalid input
+        raise ConfigError(message)
 
 
 @dataclass
@@ -59,9 +64,7 @@ class ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.12g}" if isinstance(value, float) else str(value)
+    return "" if value is None else f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 @contextlib.contextmanager
@@ -91,7 +94,6 @@ def _read_fake_counts(path: str, orders: range, alphabet: Alphabet) -> dict[int,
     """Each order's prior from a CSV with columns word,symbol,count, where a
     word's length is its order; unlisted entries default to 0, and every
     hyperparameter is its fake count + 1."""
-    check_table_size(alphabet, orders[-1])
     tables = {k: np.zeros((alphabet.size**k, alphabet.size)) for k in orders}
     with open(path, "r", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
@@ -99,8 +101,8 @@ def _read_fake_counts(path: str, orders: range, alphabet: Alphabet) -> dict[int,
             if len(word) not in tables:
                 raise ConfigError(f"fake-count word {word!r} is not of an order in "
                                   f"{orders[0]}..{orders[-1]}")
-            w = encode_word([alphabet.index(c) for c in word], alphabet)
-            tables[len(word)][w.code, alphabet.index(row["symbol"].strip())] = float(row["count"])
+            w = np.ravel_multi_index(list(map(alphabet.index, word)), [alphabet.size] * len(word))
+            tables[len(word)][w, alphabet.index(row["symbol"].strip())] = float(row["count"])
     return {k: hyper_from_fake_counts(CountTable(k, alphabet, t)) for k, t in tables.items()}
 
 
@@ -146,6 +148,7 @@ def _resolve(cfg: ExperimentConfig, with_truth: bool = False) -> _Sweep:
                 raise ConfigError("sample mode requires --seed")
             seq = processes.sample_sequence(hmm, max(cfg.n_grid), cfg.seed)
     alphabet = hmm.alphabet if seq is None else seq.alphabet
+    check_table_size(alphabet, cfg.k_max)
     orders = range(cfg.k_min, cfg.k_max + 1)
     hypers = ({k: uniform_hyper(k, alphabet, cfg.alpha) for k in orders}
               if cfg.fake_counts_path is None
@@ -218,14 +221,13 @@ def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> N
 def _infer_point(sweep: _Sweep, N: int):
     for k, counts, hyper in sweep.points(N):
         for row in inference.summary_rows(counts, hyper, sweep.cfg.confidence):
-            yield "infer_summary.csv", (N, k, *row.values())
-        post = inference.posterior(counts, hyper)
-        for w in range(post.params.shape[0]):
-            word = word_string(WordIndex(k, w), sweep.alphabet)
-            for s, symbol in enumerate(sweep.alphabet.symbols):
-                m = inference.marginal(post, w, s)
-                xs, dens = inference.density_grid(m, sweep.cfg.density_points)
-                for x, d in zip(xs.tolist(), dens.tolist()):
+            yield "infer_summary.csv", (N, k, *row)
+        x, dens = inference.density_grid(inference.posterior(counts, hyper),
+                                         sweep.cfg.density_points)
+        xs = x.tolist()
+        for word, word_dens in zip(word_strings(k, sweep.alphabet), dens):
+            for symbol, entry_dens in zip(sweep.alphabet.symbols, word_dens.tolist()):
+                for x, d in zip(xs, entry_dens):
                     yield "infer_density.csv", (N, k, word, symbol, x, d)
 
 
@@ -281,9 +283,8 @@ _COMMANDS = {"infer": cmd_infer, "compare": cmd_compare, "entropy": cmd_entropy,
 
 
 def _log_grid(start: int, stop: int, points: int) -> tuple[int, ...]:
-    return tuple(int(v) for v in np.unique(
-        np.round(np.logspace(math.log10(start), math.log10(stop), points))
-    ))
+    grid = np.logspace(math.log10(start), math.log10(stop), points)
+    return tuple(int(v) for v in np.unique(np.round(grid)))
 
 
 #: Parameter grids for the figure-reproduction bundles.  The order-comparison
@@ -311,10 +312,10 @@ def cmd_reproduce(cfg: ExperimentConfig, figure: int) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bayesmc")
+    parser = _Parser(prog="bayesmc")
     # Every option's default, read also by the subcommands that do not accept it.
     parser.set_defaults(source=None, input=None, csv_column=None, mode="average", k_min=1,
-                        k_max=1, n_start=1000, n_stop=None, n_step=5, alpha=1.0,
+                        k_max=1, n_start=1000, n_stop=None, n_step=5, alpha=None,
                         fake_counts=None, confidence=0.95, seed=None,
                         out=os.environ.get(OUT_DIR_ENV, "."), format="csv",
                         jobs=os.cpu_count() or 1, density_points=512)
@@ -353,22 +354,21 @@ def _config_from(args) -> ExperimentConfig:
         raise ConfigError("invalid N grid")
     if not 0.0 < args.confidence < 1.0:
         raise ConfigError("confidence must lie in (0, 1)")
-    if args.alpha <= 0:
+    if args.alpha is not None and args.fake_counts is not None:
+        raise ConfigError("--alpha and --fake-counts exclude each other")
+    if args.alpha is not None and args.alpha <= 0:
         raise ConfigError("alpha must be positive")
     return ExperimentConfig(
-        source=args.source, input_path=args.input, csv_column=args.csv_column,
-        mode=args.mode, k_min=args.k_min, k_max=args.k_max,
-        n_grid=tuple(range(args.n_start, stop + 1, args.n_step)),
-        alpha=args.alpha, fake_counts_path=args.fake_counts,
-        confidence=args.confidence, seed=args.seed, out_dir=Path(args.out),
-        fmt=args.format, jobs=max(1, args.jobs),
-        density_points=args.density_points,
-    )
+        source=args.source, input_path=args.input, csv_column=args.csv_column, mode=args.mode,
+        k_min=args.k_min, k_max=args.k_max, fake_counts_path=args.fake_counts, seed=args.seed,
+        n_grid=tuple(range(args.n_start, stop + 1, args.n_step)), confidence=args.confidence,
+        alpha=1.0 if args.alpha is None else args.alpha, out_dir=Path(args.out), fmt=args.format,
+        jobs=max(1, args.jobs), density_points=args.density_points)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _config_from(args)
         if args.command == "reproduce":
             cmd_reproduce(cfg, args.figure)

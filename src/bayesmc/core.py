@@ -1,11 +1,11 @@
-"""Alphabets, symbol sequences, word encoding, count tables, and
-Dirichlet hyperparameter tables.
+"""Alphabets, symbol sequences, word strings, count tables, and Dirichlet
+hyperparameter tables.
 
 Words of length k over an alphabet of size A are stored by their base-A
 integer code (earliest symbol most significant), so a table over all
 (word, next symbol) pairs is a dense (A**k, A) array.  Dense storage costs
 A**(k+1) entries; table-building functions refuse orders whose table would
-exceed a configurable cap.
+exceed TABLE_CAP.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 #: Largest dense table (in entries) that table-building functions will allocate.
-DEFAULT_TABLE_CAP = 2**26
+TABLE_CAP = 2**26
 
 
 class TableTooLargeError(ValueError):
-    """Requested order would allocate a table beyond the configured cap."""
+    """Requested order would allocate a table beyond TABLE_CAP."""
 
 
 class InvalidSymbolError(ValueError):
@@ -96,54 +96,22 @@ class SymbolSequence:
         return "".join(self.alphabet.symbols[i] for i in self.data)
 
 
-@dataclass(frozen=True)
-class WordIndex:
-    """A length-`order` word identified by its base-A integer code."""
-
-    order: int
-    code: int
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("order must be nonnegative")
-        if self.code < 0:
-            raise ValueError("code must be nonnegative")
-
-
-def check_table_size(alphabet: Alphabet, k: int, cap: int = DEFAULT_TABLE_CAP) -> None:
-    """Reject orders whose dense (A**k, A) table would exceed `cap` entries."""
-    if alphabet.size ** (k + 1) > cap:
+def check_table_size(alphabet: Alphabet, k: int) -> None:
+    """Reject orders whose dense (A**k, A) table would exceed TABLE_CAP entries."""
+    if alphabet.size ** (k + 1) > TABLE_CAP:
         raise TableTooLargeError(
             f"order k={k} over {alphabet.size} symbols needs "
-            f"{alphabet.size ** (k + 1)} entries (cap {cap})"
+            f"{alphabet.size ** (k + 1)} entries (cap {TABLE_CAP})"
         )
 
 
-def encode_word(symbols, alphabet: Alphabet) -> WordIndex:
-    """Encode a list of symbol indices as a base-A integer, earliest symbol
-    most significant.  Bijective with `decode_word` at fixed length."""
-    code = 0
-    for s in symbols:
-        s = int(s)
-        if not 0 <= s < alphabet.size:
-            raise InvalidSymbolError(f"symbol index {s} out of range")
-        code = code * alphabet.size + s
-    return WordIndex(order=len(symbols), code=code)
-
-
-def decode_word(word: WordIndex, alphabet: Alphabet) -> tuple[int, ...]:
-    if word.code >= alphabet.size**word.order:
-        raise ValueError(f"code {word.code} out of range for k={word.order}")
-    out = []
-    code = word.code
-    for _ in range(word.order):
-        out.append(code % alphabet.size)
-        code //= alphabet.size
-    return tuple(reversed(out))
-
-
-def word_string(word: WordIndex, alphabet: Alphabet) -> str:
-    return "".join(alphabet.symbols[i] for i in decode_word(word, alphabet))
+def word_strings(k: int, alphabet: Alphabet) -> list[str]:
+    """Every length-k word as a string, listed in code order: a word's index
+    is its base-A code, earliest symbol most significant."""
+    words = [""]
+    for _ in range(k):
+        words = [w + s for w in words for s in alphabet.symbols]
+    return words
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -219,7 +187,7 @@ def require_same_shape(*tables) -> None:
             raise ShapeMismatchError("tables must share order and alphabet")
 
 
-def count_words(seq: SymbolSequence, k: int, cap: int = DEFAULT_TABLE_CAP) -> CountTable:
+def count_words(seq: SymbolSequence, k: int) -> CountTable:
     """Count all sliding windows of length k+1 in `seq`.
 
     The first k symbols only condition the first window and contribute no
@@ -228,7 +196,7 @@ def count_words(seq: SymbolSequence, k: int, cap: int = DEFAULT_TABLE_CAP) -> Co
     if k < 1:
         raise ValueError("order k must be >= 1")
     A = seq.alphabet.size
-    check_table_size(seq.alphabet, k, cap)
+    check_table_size(seq.alphabet, k)
     n = len(seq)
     if n < k + 1:
         raise ValueError(f"sequence of length {n} too short for order k={k}")
@@ -239,12 +207,11 @@ def count_words(seq: SymbolSequence, k: int, cap: int = DEFAULT_TABLE_CAP) -> Co
     return CountTable(k, seq.alphabet, flat.reshape(A**k, A))
 
 
-def uniform_hyper(k: int, alphabet: Alphabet, value: float = 1.0,
-                  cap: int = DEFAULT_TABLE_CAP) -> HyperTable:
+def uniform_hyper(k: int, alphabet: Alphabet, value: float = 1.0) -> HyperTable:
     """All hyperparameters equal to `value`; value 1 is the flat prior."""
     if not value > 0:
         raise ValueError("hyperparameter value must be positive")
-    check_table_size(alphabet, k, cap)
+    check_table_size(alphabet, k)
     A = alphabet.size
     return HyperTable(k, alphabet, np.full((A**k, A), float(value)))
 

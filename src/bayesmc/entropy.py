@@ -18,7 +18,6 @@ import numpy as np
 
 from .comparison import OrderPosterior
 from .core import CountTable, HyperTable, require_same_shape
-from .inference import log_evidence
 from .special import digamma, trigamma
 
 _LN2 = math.log(2.0)
@@ -106,11 +105,6 @@ def kl_of(dist: WordConditional, true_cond: np.ndarray) -> float:
     ratio = np.ones_like(q)
     ratio[active] = q[active] / p[active]
     return float(np.sum(mass[active] * np.log2(ratio[active])))
-
-
-def neg_log_partition(counts: CountTable, hyper: HyperTable) -> float:
-    """Negative log partition function; identical to -log_evidence."""
-    return -log_evidence(counts, hyper)
 
 
 def expected_energy(q: QDistribution) -> float:

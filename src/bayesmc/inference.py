@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    CountTable,
-    HyperTable,
-    WordIndex,
-    require_same_shape,
-    word_string,
-)
+from .core import CountTable, HyperTable, require_same_shape, word_strings
 from .special import BetaParams, inv_reg_inc_beta, log_gamma, reg_inc_beta
 
 
@@ -73,11 +67,10 @@ def prior_moments(hyper: HyperTable) -> tuple[np.ndarray, np.ndarray]:
     return posterior_mean(prior), posterior_variance(prior)
 
 
-def marginal(post: DirichletPosterior, word: int | WordIndex, symbol: int) -> BetaParams:
+def marginal(post: DirichletPosterior, word: int, symbol: int) -> BetaParams:
     """Beta marginal of one parameter: a = that entry, b = rest of its row."""
-    w = word.code if isinstance(word, WordIndex) else int(word)
-    a = float(post.params[w, symbol])
-    b = float(post.word_totals[w] - a)
+    a = float(post.params[word, symbol])
+    b = float(post.word_totals[word] - a)
     return BetaParams(a, b)
 
 
@@ -136,34 +129,28 @@ def sample_posterior(post: DirichletPosterior, seed) -> np.ndarray:
     return g / g.sum(axis=1, keepdims=True)
 
 
-def summary_rows(counts: CountTable, hyper: HyperTable, level: float = 0.95) -> list[dict]:
-    """Per-parameter posterior summary records for CSV export."""
+def summary_rows(counts: CountTable, hyper: HyperTable, level: float = 0.95) -> list[tuple]:
+    """Per-parameter posterior summaries for CSV export, one tuple per
+    (word, symbol) entry in code order: word, symbol, count, alpha, mean,
+    variance, ci_low, ci_high."""
     post = posterior(counts, hyper)
-    mean = posterior_mean(post)
-    var = posterior_variance(post)
+    count, alpha = counts.table.tolist(), hyper.table.tolist()
+    mean, var = posterior_mean(post).tolist(), posterior_variance(post).tolist()
     rows = []
-    for w in range(post.params.shape[0]):
-        for s in range(post.alphabet.size):
-            m = marginal(post, w, s)
-            region = confidence_region(m, level)
-            rows.append(
-                {
-                    "word": word_string(WordIndex(post.order, w), post.alphabet),
-                    "symbol": post.alphabet.symbols[s],
-                    "count": float(counts.table[w, s]),
-                    "alpha": float(hyper.table[w, s]),
-                    "mean": float(mean[w, s]),
-                    "variance": float(var[w, s]),
-                    "ci_low": region.lower,
-                    "ci_high": region.upper,
-                }
-            )
+    for w, word in enumerate(word_strings(post.order, post.alphabet)):
+        for s, symbol in enumerate(post.alphabet.symbols):
+            region = confidence_region(marginal(post, w, s), level)
+            rows.append((word, symbol, count[w][s], alpha[w][s], mean[w][s], var[w][s],
+                         region.lower, region.upper))
     return rows
 
 
-def density_grid(m: BetaParams, points: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Beta marginal density on a uniform open grid in (0, 1)."""
+def density_grid(post: DirichletPosterior, points: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    """Every entry's exact Beta marginal density on a uniform open grid x in
+    (0, 1): x, and densities of shape (A**k, A, points)."""
     if points < 2:
         raise ValueError("need at least 2 grid points")
     x = (np.arange(points) + 0.5) / points
-    return x, m.pdf(x)
+    a = post.params[..., None]
+    b = (post.word_totals[:, None] - post.params)[..., None]
+    return x, BetaParams(a, b).pdf(x)

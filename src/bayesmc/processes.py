@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Alphabet, CountTable, SymbolSequence, check_table_size, DEFAULT_TABLE_CAP
+from .core import Alphabet, CountTable, SymbolSequence, check_table_size
 
 #: Reference entropy rate of the simple nondeterministic source, bits/symbol.
 #: Its minimal presentation is nondeterministic, so the closed form below
@@ -139,31 +139,26 @@ def word_probability(hmm: LabeledHMM, word) -> float:
     return float(v.sum())
 
 
-def word_distribution(hmm: LabeledHMM, length: int,
-                      cap: int = DEFAULT_TABLE_CAP) -> np.ndarray:
+def word_distribution(hmm: LabeledHMM, length: int) -> np.ndarray:
     """Probabilities of all A**length words, indexed by word code."""
     if length < 0:
         raise ValueError("word length must be nonnegative")
-    A = hmm.alphabet.size
-    if A**length > cap:
-        raise ValueError(f"word distribution of length {length} exceeds cap {cap}")
+    check_table_size(hmm.alphabet, length - 1)  # A**length entries
     vecs = stationary(hmm)[None, :]
     for _ in range(length):
         vecs = np.einsum("wi,sij->wsj", vecs, hmm.matrices).reshape(-1, hmm.n_states)
     return vecs.sum(axis=1)
 
 
-def average_counts(hmm: LabeledHMM, N: float, k: int,
-                   cap: int = DEFAULT_TABLE_CAP) -> CountTable:
+def average_counts(hmm: LabeledHMM, N: float, k: int) -> CountTable:
     """Exact average count table n(word, symbol) = (N - k) p(word symbol).
 
     Counts are real-valued; they are deliberately not rounded to integers.
     """
     if not N > k:
         raise ValueError(f"data size N={N} must exceed order k={k}")
-    check_table_size(hmm.alphabet, k, cap)
     A = hmm.alphabet.size
-    p = word_distribution(hmm, k + 1, cap).reshape(A**k, A)
+    p = word_distribution(hmm, k + 1).reshape(A**k, A)
     return CountTable(k, hmm.alphabet, (N - k) * p)
 
 
@@ -186,16 +181,14 @@ def true_entropy_rate(hmm: LabeledHMM) -> float:
     return float(-np.sum(pi[:, None] * terms))
 
 
-def markov_approximation(hmm: LabeledHMM, k: int,
-                         cap: int = DEFAULT_TABLE_CAP) -> MarkovApproximation:
+def markov_approximation(hmm: LabeledHMM, k: int) -> MarkovApproximation:
     """Best order-k Markov conditionals: p(s|word) = p(word s)/p(word).
 
     Zero-probability words get uniform conditionals and are excluded from
     the support mask.
     """
-    check_table_size(hmm.alphabet, k, cap)
     A = hmm.alphabet.size
-    joint = word_distribution(hmm, k + 1, cap).reshape(A**k, A)
+    joint = word_distribution(hmm, k + 1).reshape(A**k, A)
     wp = joint.sum(axis=1)
     support = wp > 0
     cond = np.full_like(joint, 1.0 / A)

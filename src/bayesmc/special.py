@@ -133,13 +133,15 @@ def trigamma(x):
 
 @dataclass(frozen=True)
 class BetaParams:
-    """Parameters of a Beta(a, b) distribution, both strictly positive."""
+    """Parameters of a Beta(a, b) distribution, both strictly positive.  The
+    parameters may also be arrays of the same or broadcastable shapes, one
+    distribution per element, for the mean, variance and densities."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
+        if not (np.all(self.a > 0) and np.all(self.b > 0)):
             raise NumericDomainError("Beta parameters must be positive")
 
     def mean(self) -> float:

@@ -9,6 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import bayesmc.cli
+import bayesmc.core
 from bayesmc.cli import main
 
 from util import even_runs_ok
@@ -211,6 +213,24 @@ class TestErrorHandling:
         assert run_cli(["infer", "--source", "golden_mean", "--n-start", "100",
                         "--k-max", "2", "--fake-counts", str(fake), "--out", str(tmp_path)]) == 2
 
+    def test_fake_count_word_outside_alphabet(self, tmp_path, capsys):
+        fake = tmp_path / "fake.csv"
+        fake.write_text("word,symbol,count\n02,1,3\n")
+        assert run_cli(["infer", "--source", "golden_mean", "--n-start", "100", "--k-max", "2",
+                        "--fake-counts", str(fake), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error code=2 message=unknown symbol '2'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_alpha_with_fake_counts(self, tmp_path, capsys):
+        fake = tmp_path / "fake.csv"
+        fake.write_text("word,symbol,count\n0,1,3\n")
+        for alpha in ("1", "5"):
+            assert run_cli(["infer", "--source", "golden_mean", "--n-start", "100",
+                            "--alpha", alpha, "--fake-counts", str(fake),
+                            "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count("exclude each other") == 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["reproduce", "--figure", "3", "--n-start", "1"],
         ["reproduce", "--figure", "3", "--source", "even"],
@@ -218,10 +238,11 @@ class TestErrorHandling:
         ["compare", "--source", "even", "--density-points", "8"],
         ["entropy", "--source", "even", "--confidence", "0.9"],
     ])
-    def test_option_not_read_by_subcommand(self, argv, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(argv + ["--out", str(tmp_path)])
-        assert exc.value.code == 2
+    def test_option_not_read_by_subcommand(self, argv, tmp_path, capsys):
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error code=2 message=unrecognized arguments: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["entropy", "--source", "even", "--n-start", "2", "--k-max", "3", "--jobs", "1"],
@@ -285,6 +306,35 @@ class TestErrorHandling:
         assert out.returncode == 2
         assert out.stderr.count("\n") == 1
         assert out.stderr.startswith("error code=2 ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["infer", "--source", "even", "--mode", "bogus"], "argument --mode: invalid choice"),
+        (["reproduce"], "the following arguments are required: --figure"),
+    ])
+    def test_bad_command_line(self, argv, message, tmp_path):
+        out = self._run_process(*argv, "--out", str(tmp_path / "out"))
+        assert out.returncode == 2
+        assert out.stderr.count("\n") == 1
+        assert out.stderr.startswith(f"error code=2 message={message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_table_cap_checked_before_any_table(self, tmp_path, monkeypatch):
+        # With the cap lowered to 2**4 entries, k = 4 is over it; k = 1..3 are not.
+        monkeypatch.setattr(bayesmc.core, "TABLE_CAP", 2**4)
+        built = []
+        monkeypatch.setattr(bayesmc.cli, "uniform_hyper", lambda *a: built.append(a))
+        assert run_cli(["compare", "--source", "even", "--k-max", "4",
+                        "--out", str(tmp_path)]) == 2
+        assert built == []
+
+    def test_order_beyond_table_cap(self, tmp_path):
+        # k = 26 needs 2**27 entries, over the 2**26 cap; rejected before any table is built.
+        out = self._run_process("compare", "--source", "even", "--k-min", "26", "--k-max", "26",
+                                "--out", str(tmp_path / "out"))
+        assert out.returncode == 2
+        assert out.stderr == ("error code=2 message=order k=26 over 2 symbols needs "
+                              "134217728 entries (cap 67108864)\n")
+        assert not (tmp_path / "out").exists()
 
 
 def _golden_sequence(n=4000):

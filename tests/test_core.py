@@ -6,15 +6,13 @@ from bayesmc import (
     Alphabet,
     CountTable,
     SymbolSequence,
-    WordIndex,
     count_words,
-    decode_word,
-    encode_word,
     hyper_from_fake_counts,
     read_sequence,
     uniform_hyper,
+    word_strings,
 )
-from bayesmc.core import InvalidSymbolError, TableTooLargeError, check_table_size
+from bayesmc.core import TableTooLargeError, check_table_size
 
 from util import window_count_oracle
 
@@ -37,24 +35,28 @@ class TestAlphabet:
 
 class TestWordEncoding:
     def test_binary_01(self):
-        assert encode_word([0, 1], BINARY) == WordIndex(2, 1)
+        assert word_strings(2, BINARY) == ["00", "01", "10", "11"]
 
     def test_empty(self):
-        assert encode_word([], BINARY) == WordIndex(0, 0)
+        assert word_strings(0, BINARY) == [""]
 
     def test_ternary_21(self):
-        assert encode_word([2, 1], TERNARY) == WordIndex(2, 7)
+        assert word_strings(2, TERNARY)[7] == "21"
 
     def test_out_of_range(self):
-        with pytest.raises(InvalidSymbolError):
-            encode_word([2], BINARY)
+        # a symbol outside the alphabet is in no word
+        assert not any("2" in w for k in range(4) for w in word_strings(k, BINARY))
 
     @pytest.mark.parametrize("alphabet", [BINARY, TERNARY])
     def test_round_trip_all_words(self, alphabet):
+        A = alphabet.size
         for k in range(7):
-            for code in range(alphabet.size**k):
-                word = WordIndex(k, code)
-                assert encode_word(decode_word(word, alphabet), alphabet) == word
+            words = word_strings(k, alphabet)
+            assert len(words) == A**k
+            for code, word in enumerate(words):
+                # base-A digits of the code, earliest symbol most significant
+                digits = [code // A ** (k - 1 - i) % A for i in range(k)]
+                assert word == "".join(alphabet.symbols[d] for d in digits)
 
 
 class TestCountWords:

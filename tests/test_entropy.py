@@ -18,7 +18,6 @@ from bayesmc import (
     kl_of,
     log_evidence,
     markov_approximation,
-    neg_log_partition,
     q_from,
     r_from,
     uniform_distribution,
@@ -228,12 +227,6 @@ class TestAsymptotic:
 
 
 class TestPartitionAndMixing:
-    def test_neg_log_partition_is_minus_evidence(self):
-        counts = average_counts(golden_mean(), 123, 1)
-        assert neg_log_partition(counts, FLAT1) == pytest.approx(
-            -log_evidence(counts, FLAT1), abs=1e-14
-        )
-
     def test_weighted_energy(self):
         op = compare_uniform({1: 0.0, 2: math.log(3.0)})
         assert weighted_energy(op, {1: 1.0, 2: 2.0}) == pytest.approx(1.75, abs=1e-12)

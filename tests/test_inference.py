@@ -12,6 +12,7 @@ from bayesmc import (
     SymbolSequence,
     confidence_region,
     count_words,
+    even_process,
     golden_mean,
     log_evidence,
     log_predictive,
@@ -163,8 +164,8 @@ class TestMarginals:
         m = marginal(post, 0, 1)
         assert m.b == pytest.approx(1.0)
         assert m.mean() < 1.0
-        x, dens = density_grid(m, 256)
-        assert np.argmax(dens) == len(x) - 1
+        x, dens = density_grid(post, 256)
+        assert np.argmax(dens[0, 1]) == len(x) - 1
 
 
 class TestConfidenceRegions:
@@ -298,15 +299,29 @@ class TestSampling:
 class TestExports:
     def test_summary_rows(self):
         rows = summary_rows(table([[0, 1], [0, 0]]), FLAT1, level=0.9)
-        assert len(rows) == 4
-        assert {r["word"] for r in rows} == {"0", "1"}
-        r01 = next(r for r in rows if r["word"] == "0" and r["symbol"] == "1")
-        assert r01["mean"] == pytest.approx(2.0 / 3.0)
-        assert reg_inc_beta(BetaParams(2, 1), r01["ci_high"]) - reg_inc_beta(
-            BetaParams(2, 1), r01["ci_low"]
+        # word, symbol, count, alpha, mean, variance, ci_low, ci_high; code order
+        assert [r[:4] for r in rows] == [("0", "0", 0.0, 1.0), ("0", "1", 1.0, 1.0),
+                                         ("1", "0", 0.0, 1.0), ("1", "1", 0.0, 1.0)]
+        word, symbol, count, alpha, mean, var, ci_low, ci_high = rows[1]
+        assert mean == pytest.approx(2.0 / 3.0)
+        assert var == pytest.approx(BetaParams(2, 1).variance())
+        assert reg_inc_beta(BetaParams(2, 1), ci_high) - reg_inc_beta(
+            BetaParams(2, 1), ci_low
         ) == pytest.approx(0.9, abs=1e-8)
 
     def test_density_grid_shape(self):
-        x, dens = density_grid(BetaParams(2, 3), 512)
-        assert x.shape == dens.shape == (512,)
+        x, dens = density_grid(posterior(table([[1, 2], [0, 0]]), FLAT1), 512)
+        assert x.shape == (512,)
+        assert dens.shape == (2, 2, 512)
         assert np.all(dens >= 0)
+        np.testing.assert_array_equal(dens[0, 0], BetaParams(2, 3).pdf(x))
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.1])
+    def test_density_grid_matches_each_marginal(self, alpha):
+        post = posterior(average_counts(even_process(), 1000, 2),
+                         uniform_hyper(2, BINARY, alpha))
+        x, dens = density_grid(post, 64)
+        assert dens.shape == (4, 2, 64)
+        for w in range(4):
+            for s in range(2):
+                np.testing.assert_array_equal(dens[w, s], marginal(post, w, s).pdf(x))

@@ -23,6 +23,7 @@ from bayesmc import (
     word_distribution,
     word_probability,
 )
+from bayesmc.core import TableTooLargeError
 from bayesmc.processes import NondeterministicProcessError
 
 from util import biased_chain, even_runs_ok
@@ -107,6 +108,13 @@ class TestWordProbabilities:
 
     def test_empty_word(self):
         assert word_probability(GM, "") == pytest.approx(1.0, abs=1e-12)
+
+    def test_table_cap(self):
+        # 2**27 words: refused by the shared table cap before anything is built
+        for build in (lambda: word_distribution(EVEN, 27), lambda: markov_approximation(EVEN, 26),
+                      lambda: average_counts(EVEN, 1e9, 26)):
+            with pytest.raises(TableTooLargeError):
+                build()
 
 
 class TestAverageCounts:
