@@ -117,7 +117,7 @@ class _Sweep:
     seq: SymbolSequence | None  # file or sample mode: counts come from its prefixes
     hypers: dict[int, HyperTable]
     joints: dict[int, np.ndarray]  # average mode: p(word, symbol), shape (A**k, A)
-    approxes: dict[int, processes.MarkovApproximation]
+    approxes: dict[int, entropy.WordConditional]
     truth: float | None
 
     def points(self, N: int):

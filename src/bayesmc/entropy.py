@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparison import OrderPosterior
-from .core import CountTable, HyperTable, require_same_shape
+from .core import CountTable, HyperTable
+from .inference import posterior, posterior_mean
 from .special import digamma, trigamma
 
 _LN2 = math.log(2.0)
@@ -54,13 +55,10 @@ class QDistribution(WordConditional):
 
 def q_from(counts: CountTable, hyper: HyperTable) -> QDistribution:
     """Q: word masses (n + alpha)(word)/beta_k, conditionals = posterior mean."""
-    require_same_shape(counts, hyper)
-    t = counts.table + hyper.table
-    word_totals = t.sum(axis=1)
-    beta = float(t.sum())
-    return QDistribution(
-        counts.order, counts.alphabet, word_totals / beta, t / word_totals[:, None], beta
-    )
+    post = posterior(counts, hyper)
+    beta = float(post.params.sum())
+    return QDistribution(post.order, post.alphabet, post.word_totals / beta,
+                         posterior_mean(post), beta)
 
 
 def r_from(hyper: HyperTable) -> WordConditional:

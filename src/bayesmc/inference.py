@@ -87,6 +87,19 @@ def region_mass(m: BetaParams, region: ConfidenceRegion) -> float:
     return reg_inc_beta(m, region.upper) - reg_inc_beta(m, region.lower)
 
 
+def _log_gamma_ratio(base: np.ndarray, inc: np.ndarray) -> float:
+    """log of prod_w Gamma(base(w)) / Gamma(upd(w)) * prod_(w,s) Gamma(upd(w, s))
+    / Gamma(base(w, s)), with upd = base + inc and (w) a row total: the
+    Dirichlet average of a likelihood with counts inc under parameters base."""
+    upd = base + inc
+    return float(
+        np.sum(log_gamma(base.sum(axis=1)))
+        - np.sum(log_gamma(base))
+        + np.sum(log_gamma(upd))
+        - np.sum(log_gamma(upd.sum(axis=1)))
+    )
+
+
 def log_evidence(counts: CountTable, hyper: HyperTable) -> float:
     """Natural log of the marginal likelihood (average of the likelihood over
     the prior), in the closed Gamma-ratio form.
@@ -95,30 +108,15 @@ def log_evidence(counts: CountTable, hyper: HyperTable) -> float:
     exactly zero, so the all-zero table gives log evidence 0.
     """
     require_same_shape(counts, hyper)
-    upd = counts.table + hyper.table
-    return float(
-        np.sum(log_gamma(hyper.word_totals))
-        - np.sum(log_gamma(hyper.table))
-        + np.sum(log_gamma(upd))
-        - np.sum(log_gamma(upd.sum(axis=1)))
-    )
+    return _log_gamma_ratio(hyper.table, counts.table)
 
 
 def log_predictive(counts: CountTable, new_counts: CountTable, hyper: HyperTable) -> float:
-    """Log probability of new data with counts m, averaged over the posterior.
-
-    Algebraically identical to log_evidence(n + m) - log_evidence(n), but
-    evaluated in its own Gamma-ratio form.
-    """
+    """Log probability of new data with counts m, averaged over the posterior:
+    the evidence's Gamma ratio with the posterior parameters n + alpha as its
+    base.  Algebraically log_evidence(n + m) - log_evidence(n)."""
     require_same_shape(counts, new_counts, hyper)
-    base = counts.table + hyper.table
-    upd = base + new_counts.table
-    return float(
-        np.sum(log_gamma(base.sum(axis=1)))
-        - np.sum(log_gamma(base))
-        + np.sum(log_gamma(upd))
-        - np.sum(log_gamma(upd.sum(axis=1)))
-    )
+    return _log_gamma_ratio(counts.table + hyper.table, new_counts.table)
 
 
 def sample_posterior(post: DirichletPosterior, seed) -> np.ndarray:

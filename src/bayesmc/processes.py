@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Alphabet, CountTable, SymbolSequence, check_table_size
+from .entropy import WordConditional
 
 #: Reference entropy rate of the simple nondeterministic source, bits/symbol.
 #: Its minimal presentation is nondeterministic, so the closed form below
@@ -61,16 +62,6 @@ class LabeledHMM:
     def is_unifilar(self) -> bool:
         """True when each (state, symbol) row has at most one successor."""
         return bool(np.all((self.matrices > 0).sum(axis=2) <= 1))
-
-
-@dataclass(frozen=True)
-class MarkovApproximation:
-    """Best order-k Markov conditionals of a process, with support mask."""
-
-    order: int
-    word_probs: np.ndarray = field(repr=False)
-    cond_probs: np.ndarray = field(repr=False)
-    support: np.ndarray = field(repr=False)  # words with positive probability
 
 
 def golden_mean() -> LabeledHMM:
@@ -181,11 +172,10 @@ def true_entropy_rate(hmm: LabeledHMM) -> float:
     return float(-np.sum(pi[:, None] * terms))
 
 
-def markov_approximation(hmm: LabeledHMM, k: int) -> MarkovApproximation:
+def markov_approximation(hmm: LabeledHMM, k: int) -> WordConditional:
     """Best order-k Markov conditionals: p(s|word) = p(word s)/p(word).
 
-    Zero-probability words get uniform conditionals and are excluded from
-    the support mask.
+    Zero-probability words (word_probs == 0) get uniform conditionals.
     """
     A = hmm.alphabet.size
     joint = word_distribution(hmm, k + 1).reshape(A**k, A)
@@ -193,7 +183,7 @@ def markov_approximation(hmm: LabeledHMM, k: int) -> MarkovApproximation:
     support = wp > 0
     cond = np.full_like(joint, 1.0 / A)
     cond[support] = joint[support] / wp[support, None]
-    return MarkovApproximation(k, wp, cond, support)
+    return WordConditional(k, hmm.alphabet, wp, cond)
 
 
 def sample_sequence(hmm: LabeledHMM, N: int, seed) -> SymbolSequence:

@@ -5,8 +5,10 @@ log-gamma uses the Lanczos approximation (g=7, 9 terms); the polygammas
 use the upward recurrence to push the argument past 6 and then the
 Bernoulli asymptotic series; the incomplete Beta uses the standard
 continued fraction with the symmetry relation; the inverse combines
-bisection with Newton polish.  Everything is pure and reentrant, and the
-scalar entry points also accept numpy arrays.
+bisection with Newton polish.  Everything is pure and reentrant.
+`log_gamma`, `digamma`, `trigamma` and `BetaParams`' mean, variance and
+densities also accept numpy arrays; `reg_inc_beta` and `inv_reg_inc_beta`
+take one scalar x or probability and a BetaParams of scalars.
 """
 
 from __future__ import annotations
@@ -81,21 +83,30 @@ _DIGAMMA_TAIL = (
 )
 
 
-def digamma(x):
-    """First derivative of log Gamma for x > 0."""
-    arr = _as_positive(x, "digamma")
+def _shifted_series(x, name, shift_term, tail_coefs):
+    """The polygammas' common work on x > 0: push z past 6 by the upward
+    recurrence, summing shift_term(z) over the skipped arguments into acc,
+    then evaluate the asymptotic tail series in 1/z^2.  Returns z, 1/z^2,
+    acc and the tail."""
+    arr = _as_positive(x, name)
     z = arr.copy() if arr.ndim else np.array(arr, dtype=float)
     acc = np.zeros_like(z)
     for _ in range(6):  # z >= 6 after at most six shifts for any z > 0
         low = z < 6.0
         if not np.any(low):
             break
-        acc = np.where(low, acc - 1.0 / z, acc)
+        acc = np.where(low, acc + shift_term(z), acc)
         z = np.where(low, z + 1.0, z)
     inv2 = 1.0 / (z * z)
     tail = np.zeros_like(z)
-    for c in reversed(_DIGAMMA_TAIL):
+    for c in reversed(tail_coefs):
         tail = (tail + c) * inv2
+    return z, inv2, acc, tail
+
+
+def digamma(x):
+    """First derivative of log Gamma for x > 0."""
+    z, _, acc, tail = _shifted_series(x, "digamma", lambda z: -1.0 / z, _DIGAMMA_TAIL)
     out = acc + np.log(z) - 0.5 / z - tail
     return _scalar_or_array(x, out)
 
@@ -114,19 +125,8 @@ _TRIGAMMA_TAIL = (
 
 def trigamma(x):
     """Second derivative of log Gamma for x > 0."""
-    arr = _as_positive(x, "trigamma")
-    z = arr.copy() if arr.ndim else np.array(arr, dtype=float)
-    acc = np.zeros_like(z)
-    for _ in range(6):
-        low = z < 6.0
-        if not np.any(low):
-            break
-        acc = np.where(low, acc + 1.0 / (z * z), acc)
-        z = np.where(low, z + 1.0, z)
-    inv2 = 1.0 / (z * z)
-    tail = np.zeros_like(z)
-    for c in reversed(_TRIGAMMA_TAIL):
-        tail = (tail + c) * inv2
+    z, inv2, acc, tail = _shifted_series(x, "trigamma", lambda z: 1.0 / (z * z),
+                                         _TRIGAMMA_TAIL)
     out = acc + 1.0 / z + 0.5 * inv2 + tail / z
     return _scalar_or_array(x, out)
 
@@ -151,13 +151,16 @@ class BetaParams:
         s = self.a + self.b
         return self.a * self.b / (s * s * (s + 1.0))
 
+    def log_norm(self):
+        """log 1/B(a, b) = log Gamma(a + b) - log Gamma(a) - log Gamma(b)."""
+        return log_gamma(self.a + self.b) - log_gamma(self.a) - log_gamma(self.b)
+
     def log_pdf(self, x):
         arr = np.asarray(x, dtype=float)
         if np.any(arr < 0) or np.any(arr > 1):
             raise NumericDomainError("Beta density argument must lie in [0, 1]")
-        norm = log_gamma(self.a + self.b) - log_gamma(self.a) - log_gamma(self.b)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = norm + (self.a - 1.0) * np.log(arr) + (self.b - 1.0) * np.log1p(-arr)
+            out = self.log_norm() + (self.a - 1.0) * np.log(arr) + (self.b - 1.0) * np.log1p(-arr)
         return _scalar_or_array(x, out)
 
     def pdf(self, x):
@@ -177,25 +180,18 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # one Lentz step for the even and one for the odd coefficient
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
     raise NumericDomainError(f"incomplete Beta continued fraction failed for a={a}, b={b}, x={x}")
@@ -210,11 +206,7 @@ def reg_inc_beta(params: BetaParams, x: float) -> float:
     if x == 1.0:
         return 1.0
     a, b = params.a, params.b
-    ln_front = (
-        log_gamma(a + b) - log_gamma(a) - log_gamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
+    front = math.exp(params.log_norm() + a * math.log(x) + b * math.log1p(-x))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b

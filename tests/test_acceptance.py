@@ -45,7 +45,6 @@ from bayesmc import (
     word_probability,
 )
 from bayesmc.cli import main as cli_main
-from bayesmc.entropy import WordConditional
 from bayesmc.special import BetaParams
 from scipy.special import softmax
 
@@ -232,8 +231,7 @@ def test_08_nondeterministic_source_entropy(capsys):
     e = expected_energy(q)
     gap = abs(e - SNS_ENTROPY_RATE)
     # independent oracle: exact conditional entropy of the best order-4 chain
-    a4 = markov_approximation(source, 4)
-    h4 = hmu_of(WordConditional(4, BINARY, a4.word_probs, a4.cond_probs))
+    h4 = hmu_of(markov_approximation(source, 4))
     oracle_ok = abs(h4 - SNS_ENTROPY_RATE) < 0.02 and abs(e - h4) < 0.02
     ok = gap < 0.02 and oracle_ok and time.monotonic() - start < 60.0
     report(capsys, f"08 nondeterministic source energy {e:.5f} vs 0.677867 "
@@ -254,9 +252,7 @@ def test_09b_even_process_high_order_convergence(capsys):
     # halve each time N doubles.
     ev = even_process()
     bias = block_entropy(even_word_probs(11)) - block_entropy(even_word_probs(10)) - 2.0 / 3.0
-    a10 = markov_approximation(ev, 10)
-    bias_ok = abs(hmu_of(WordConditional(10, BINARY, a10.word_probs, a10.cond_probs))
-                  - 2.0 / 3.0 - bias) < 1e-12
+    bias_ok = abs(hmu_of(markov_approximation(ev, 10)) - 2.0 / 3.0 - bias) < 1e-12
     h10 = uniform_hyper(10, BINARY, 1.0)
     ns = (1_000_000, 2_000_000, 4_000_000)
     gaps = [expected_energy(q_from(average_counts(ev, N, 10), h10)) - 2.0 / 3.0 for N in ns]
