@@ -119,12 +119,12 @@ def expected_energy(q: QDistribution) -> float:
     return float((word_part - pair_part) / _LN2)
 
 
-def energy_variance(q: QDistribution, log2_squared: bool = False) -> float:
-    """Posterior variance of the energy, from the second beta-derivative.
+def energy_variance(q: QDistribution) -> float:
+    """Posterior variance of the energy, in bits^2 per symbol^2.
 
-    The printed form carries a single 1/log 2 prefactor; `log2_squared`
-    switches to 1/(log 2)^2, the prefactor a second derivative of a base-2
-    quantity would suggest.
+    Second beta-derivative of log Z at fixed Q, expressed with trigammas;
+    the energy is in bits, so the natural-log variance is divided by
+    (log 2)^2.
     """
     bw = q.beta * q.word_probs
     if np.any(bw <= 0):
@@ -133,8 +133,7 @@ def energy_variance(q: QDistribution, log2_squared: bool = False) -> float:
     joint = q.word_probs[:, None] * q.cond_probs
     pair_part = np.sum(joint**2 * trigamma(bws))
     word_part = np.sum(q.word_probs**2 * trigamma(bw))
-    scale = _LN2**2 if log2_squared else _LN2
-    return float((pair_part - word_part) / scale)
+    return float((pair_part - word_part) / _LN2**2)
 
 
 def asymptotic_energy(q: QDistribution) -> float:

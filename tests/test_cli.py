@@ -376,6 +376,8 @@ GOLDEN = {
 #: sha256 of every output file of each golden run, by path relative to
 #: --out.  Recorded before the CLI resolved its data once per invocation;
 #: every change since must reproduce them byte for byte, at any --jobs.
+#: The five entropy.csv digests were re-pinned when energy_var took its
+#: bits^2 units, the only column that moved.
 GOLDEN_DIGESTS = {
     "fake_counts_json": {
         "infer_density.csv": "f85116709d91a957d8d56e652d6bd8b32b0f9eaf40a618cab56c770eb1978501",
@@ -384,7 +386,7 @@ GOLDEN_DIGESTS = {
         "infer_summary.json": "eb6707a2427bf8dabb5e50985dfd8b2d97ef5a32d9226ee9ed68cce4a50a12ac",
     },
     "fig10": {
-        "fig10/entropy.csv": "f8ba239756f0d6fd2d112bed65c552c42d500700db003c8fae862068eba3aa70",
+        "fig10/entropy.csv": "b2879a6b53604328fc1526ef26ea94681b189e7e5bc66d81558243db0247d8f0",
     },
     "fig2": {
         "fig2/infer_density.csv": "01551f9e751c5a890b75dced8a981532121338ba609beabb46b32a96f1a11b53",
@@ -394,7 +396,7 @@ GOLDEN_DIGESTS = {
         "fig3/compare.csv": "4dbe0e7939dfa76f8a72feb624474d71f2aea17c2a896d8a50d3d58c58fb86ca",
     },
     "fig4": {
-        "fig4/entropy.csv": "993a2b2331edd680ea346701bb5a9b72b8f7d543d54af588b398f7ddd53c87dd",
+        "fig4/entropy.csv": "fe2b74458784acfdd84087a3a78bde2ff9467982176ea6f446deb281d2aa3bd0",
     },
     "fig5": {
         "fig5/infer_density.csv": "1128ae94eb90a7a7c1ca4c05667c8896e9d35870ae5315427cbe4d450b0482f9",
@@ -404,7 +406,7 @@ GOLDEN_DIGESTS = {
         "fig6/compare.csv": "a255687e9708d23b672121de858108655b9f97c25821dd5e23cf2a8ddf8c43b0",
     },
     "fig7": {
-        "fig7/entropy.csv": "7e96ba16231d0fe9c646ea27ca9925db94dcf0be7d06ddb3f25af5f6a0ff660f",
+        "fig7/entropy.csv": "38ba4da8c69df8d33298a2dc8ea6e7c7cc74d9fd0bd5abe514107c4d352c5329",
     },
     "fig8": {
         "fig8/infer_density.csv": "7eda1287a6c49093dc2c621c650c5d0a825bc88966940272721d9e017993cab9",
@@ -417,13 +419,13 @@ GOLDEN_DIGESTS = {
         "compare.csv": "0c5c28ea26ff61db259eea3789dcba3d04c21dd75fc9d58252d79a403dc979ad",
     },
     "file_entropy": {
-        "entropy.csv": "7585c51133461993235b5866ecdb4e89f7a0e596edb5f21a8dd2a0155a5026d3",
+        "entropy.csv": "ba0f72f33c4cd8507086d98d6d8236dbc4bf3842b881992c5a7afea5436c27d2",
     },
     "sample_compare": {
         "compare.csv": "81928abd3b196910c8570cb7aec56067b2b2af5dffd4878150dfb7206cb0a816",
     },
     "sample_entropy": {
-        "entropy.csv": "ec634c40b3b940a728dc1b708f5f239a20db8ae0db764b582e8a324fec093480",
+        "entropy.csv": "1833b20d4958c537f9c60aa23872a4055a4376984ace96bdfce4099a9dd1e559",
     },
     "sample_infer": {
         "infer_density.csv": "3048b1596941f09c34566e49f7b5595fa7c5abcdf5ecb3f25e3b76938eadcb34",

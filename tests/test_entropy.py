@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -11,20 +12,30 @@ from bayesmc import (
     asymptotic_energy,
     average_counts,
     compare_uniform,
+    confidence_region,
+    count_words,
     energy_variance,
+    even_process,
     expected_energy,
     golden_mean,
     hmu_of,
     kl_of,
     log_evidence,
+    marginal,
     markov_approximation,
+    posterior,
+    posterior_mean,
+    posterior_variance,
     q_from,
     r_from,
+    sample_posterior,
+    sample_sequence,
     uniform_distribution,
     uniform_hyper,
     weighted_energy,
 )
 from bayesmc.entropy import QDistribution
+from bayesmc.inference import region_mass
 
 from util import biased_chain
 
@@ -180,35 +191,106 @@ class TestExpectedEnergy:
             expected_energy(q)
 
 
+def mp_variance(q):
+    """Energy variance recomputed at 40-digit precision with mpmath psi', in bits^2."""
+    beta = mpmath.mpf(q.beta)
+    total = mpmath.mpf(0)
+    for w, qw in enumerate(q.word_probs):
+        qw = mpmath.mpf(float(qw))
+        total -= qw**2 * mpmath.psi(1, beta * qw)
+        for s in range(q.cond_probs.shape[1]):
+            qs = mpmath.mpf(float(q.cond_probs[w, s]))
+            total += (qw * qs) ** 2 * mpmath.psi(1, beta * qw * qs)
+    return float(total / mpmath.log(2) ** 2)
+
+
 class TestEnergyVariance:
     def test_prior_only_binary_k1(self):
-        # beta=4: (1/ln2)(4 * (1/4) psi'(1) ... ) collapses to (pi^2/8 - ...)
+        # beta=4, flat Q: the pair part 4 (1/4)^2 psi'(1) = pi^2/24 minus the
+        # word part 2 (1/2)^2 psi'(2) = pi^2/12 - 1/2, in nats^2
         q = q_from(CountTable(1, BINARY, np.zeros((2, 2))), FLAT1)
-        ref = (0.5 - math.pi**2 / 24.0) / LN2
+        ref = (0.5 - math.pi**2 / 24.0) / LN2**2
         assert energy_variance(q) == pytest.approx(ref, abs=1e-12)
 
     def test_matches_mpmath(self):
         q = q_at(700)
-        beta = mpmath.mpf(q.beta)
-        total = mpmath.mpf(0)
-        for w, qw in enumerate(q.word_probs):
-            qw = mpmath.mpf(float(qw))
-            total -= qw**2 * mpmath.psi(1, beta * qw)
-            for s in range(2):
-                qs = mpmath.mpf(float(q.cond_probs[w, s]))
-                total += (qw * qs) ** 2 * mpmath.psi(1, beta * qw * qs)
-        assert energy_variance(q) == pytest.approx(float(total / mpmath.log(2)), abs=1e-12)
+        assert energy_variance(q) == pytest.approx(mp_variance(q), abs=1e-12)
+
+    # The pair and word trigamma sums cancel to their 1/beta^2 remainder, so
+    # the relative error grows like eps * beta.  Measured on the even process
+    # at k = 2: 3e-13, 6e-11 and 2.3e-9 at N = 1e4, 1e6 and 1e8.
+    @pytest.mark.parametrize("N, rel", [(1e4, 1e-12), (1e6, 1e-10), (1e8, 4e-9)])
+    def test_matches_mpmath_large_n(self, N, rel):
+        q = q_at(N, hmm=even_process(), k=2)
+        assert energy_variance(q) == pytest.approx(mp_variance(q), rel=rel)
+        assert expected_energy(q) == pytest.approx(mp_energy(q), rel=1e-14)
 
     def test_positive_and_shrinks(self):
         vs = [energy_variance(q_at(N)) for N in (100, 1000, 10_000)]
         assert all(v > 0 for v in vs)
         assert vs[0] > vs[1] > vs[2]
 
-    def test_log2_squared_flag(self):
-        q = q_at(300)
-        assert energy_variance(q, log2_squared=True) == pytest.approx(
-            energy_variance(q) / LN2, abs=1e-15
-        )
+
+#: Seeded posteriors for the Monte Carlo oracle: a sampled golden-mean
+#: sequence under the flat prior, and exact even-process counts under
+#: alpha = 0.5, whose forbidden transitions carry prior mass only.
+MC_CASES = {
+    "golden_mean_sample": lambda: (count_words(sample_sequence(golden_mean(), 300, 7), 2),
+                                   uniform_hyper(2, BINARY, 1.0)),
+    "even_average": lambda: (average_counts(even_process(), 1000, 3),
+                             uniform_hyper(3, BINARY, 0.5)),
+}
+MC_DRAWS = 20_000
+#: Every closed form must lie within this many standard errors of its
+#: Monte Carlo estimate.
+MC_Z = 4.0
+
+
+@functools.lru_cache(maxsize=None)
+def mc_draws(case):
+    counts, hyper = MC_CASES[case]()
+    post = posterior(counts, hyper)
+    rng = np.random.default_rng(1)
+    return counts, hyper, post, np.stack([sample_posterior(post, rng) for _ in range(MC_DRAWS)])
+
+
+def sample_variance_se(samples, axis=0):
+    """Sample variance and its standard error, sqrt((m4 - var^2) / M)."""
+    var = samples.var(axis=axis, ddof=1)
+    m4 = np.mean((samples - samples.mean(axis=axis)) ** 4, axis=axis)
+    return var, np.sqrt((m4 - var**2) / samples.shape[axis])
+
+
+@pytest.mark.parametrize("case", sorted(MC_CASES))
+class TestPosteriorMonteCarlo:
+    """Closed forms against seeded Dirichlet draws from `sample_posterior`,
+    each within MC_Z standard errors of the draws' estimate."""
+
+    def test_energy_moments(self, case):
+        counts, hyper, _, draws = mc_draws(case)
+        q = q_from(counts, hyper)
+        joint = q.word_probs[:, None] * q.cond_probs
+        energy = -np.sum(joint * np.log2(draws), axis=(1, 2))
+        mean_se = energy.std(ddof=1) / math.sqrt(MC_DRAWS)
+        assert abs(energy.mean() - expected_energy(q)) < MC_Z * mean_se
+        var, var_se = sample_variance_se(energy)
+        assert abs(var - energy_variance(q)) < MC_Z * var_se
+
+    def test_posterior_moments(self, case):
+        _, _, post, draws = mc_draws(case)
+        mean_se = draws.std(axis=0, ddof=1) / math.sqrt(MC_DRAWS)
+        assert np.all(np.abs(draws.mean(axis=0) - posterior_mean(post)) < MC_Z * mean_se)
+        var, var_se = sample_variance_se(draws)
+        assert np.all(np.abs(var - posterior_variance(post)) < MC_Z * var_se)
+
+    def test_region_mass(self, case):
+        _, _, post, draws = mc_draws(case)
+        for w, s in np.ndindex(post.params.shape):
+            m = marginal(post, w, s)
+            region = confidence_region(m, 0.9)
+            mass = region_mass(m, region)
+            inside = np.mean((draws[:, w, s] >= region.lower) & (draws[:, w, s] <= region.upper))
+            assert abs(inside - mass) < MC_Z * math.sqrt(mass * (1.0 - mass) / MC_DRAWS)
 
 
 class TestAsymptotic:
