@@ -92,17 +92,22 @@ def _resolve_hmm(cfg: ExperimentConfig) -> processes.LabeledHMM:
 
 def _read_fake_counts(path: str, orders: range, alphabet: Alphabet) -> dict[int, HyperTable]:
     """Each order's prior from a CSV with columns word,symbol,count, where a
-    word's length is its order; unlisted entries default to 0, and every
-    hyperparameter is its fake count + 1."""
+    word's length is its order; unlisted entries default to 0, an entry may
+    be listed once, and every hyperparameter is its fake count + 1."""
     tables = {k: np.zeros((alphabet.size**k, alphabet.size)) for k in orders}
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            word = row["word"].strip()
+            word, symbol = row["word"].strip(), row["symbol"].strip()
             if len(word) not in tables:
                 raise ConfigError(f"fake-count word {word!r} is not of an order in "
                                   f"{orders[0]}..{orders[-1]}")
+            if (word, symbol) in seen:
+                raise ConfigError(f"fake-count entry word={word!r} symbol={symbol!r} "
+                                  "is listed twice")
+            seen.add((word, symbol))
             w = np.ravel_multi_index(list(map(alphabet.index, word)), [alphabet.size] * len(word))
-            tables[len(word)][w, alphabet.index(row["symbol"].strip())] = float(row["count"])
+            tables[len(word)][w, alphabet.index(symbol)] = float(row["count"])
     return {k: hyper_from_fake_counts(CountTable(k, alphabet, t)) for k, t in tables.items()}
 
 
@@ -161,7 +166,7 @@ def _resolve(cfg: ExperimentConfig, with_truth: bool = False) -> _Sweep:
         approxes = {k: processes.markov_approximation(hmm, k) for k in orders}
         if hmm.is_unifilar():
             truth = processes.true_entropy_rate(hmm)
-        elif hmm.name == "sns":
+        elif cfg.source == "sns":  # the builtin: builtins are looked up before files
             truth = processes.SNS_ENTROPY_RATE
     return _Sweep(cfg, alphabet, seq, hypers, joints, approxes, truth)
 

@@ -33,7 +33,9 @@ class ShapeMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered set of distinct symbol tokens; index = position in `symbols`."""
+    """Ordered set of distinct single-character symbols; index = position in
+    `symbols`.  Words are their symbols joined with no separator, so a
+    symbol of any other length would make them ambiguous."""
 
     symbols: tuple[str, ...]
 
@@ -42,6 +44,9 @@ class Alphabet:
             raise ValueError("alphabet needs at least 2 symbols")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("alphabet symbols must be distinct")
+        wrong = [s for s in self.symbols if not (isinstance(s, str) and len(s) == 1)]
+        if wrong:
+            raise ValueError(f"alphabet symbols must be single characters, not {wrong}")
 
     @property
     def size(self) -> int:

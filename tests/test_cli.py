@@ -134,6 +134,19 @@ class TestEntropy:
         rows = read_csv(tmp_path / "entropy.csv")
         assert float(rows[0]["truth_bits"]) == pytest.approx(0.677867)
 
+    def test_sns_truth_only_for_the_builtin(self, tmp_path):
+        # a nondeterministic process read from a file has no known rate,
+        # whatever name its JSON gives it
+        matrices = bayesmc.processes.sns().matrices.tolist()
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"alphabet": ["0", "1"], "name": "sns",
+                                    "matrices": {"0": matrices[0], "1": matrices[1]}}))
+        assert run_cli(["entropy", "--source", str(path), "--n-start", "500",
+                        "--jobs", "1", "--out", str(tmp_path / "out")]) == 0
+        rows = read_csv(tmp_path / "out" / "entropy.csv")
+        assert rows[0]["truth_bits"] == ""
+        assert rows[0]["kl_bits_if_truth_known"] != ""
+
     def test_twelve_digit_format(self, tmp_path):
         run_cli(["entropy", "--source", "golden_mean", "--n-start", "777",
                  "--jobs", "1", "--out", str(tmp_path)])
@@ -219,6 +232,27 @@ class TestErrorHandling:
         assert run_cli(["infer", "--source", "golden_mean", "--n-start", "100", "--k-max", "2",
                         "--fake-counts", str(fake), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error code=2 message=unknown symbol '2'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_fake_count_entry_listed_twice(self, tmp_path, capsys):
+        fake = tmp_path / "fake.csv"
+        fake.write_text("word,symbol,count\n0,1,3\n1,0,2\n0,1,5\n")
+        assert run_cli(["infer", "--source", "golden_mean", "--n-start", "100",
+                        "--fake-counts", str(fake), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error code=2 message=fake-count entry word='0' "
+                                           "symbol='1' is listed twice\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_multi_character_symbol(self, tmp_path, capsys):
+        # joined with no separator, the words of "ab" and "c" would be ambiguous
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"alphabet": ["ab", "c"],
+                                    "matrices": {"ab": [[0.5]], "c": [[0.5]]}}))
+        assert run_cli(["infer", "--source", str(path), "--n-start", "100",
+                        "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error code=2 message=alphabet symbols must be single characters")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_alpha_with_fake_counts(self, tmp_path, capsys):

@@ -29,6 +29,11 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet(("0", "0"))
 
+    @pytest.mark.parametrize("symbols", [("ab", "c"), ("0", ""), (0, 1)])
+    def test_symbols_are_single_characters(self, symbols):
+        with pytest.raises(ValueError, match="single characters"):
+            Alphabet(symbols)
+
     def test_from_text_sorted(self):
         assert Alphabet.from_text("bab ca").symbols == (" ", "a", "b", "c")
 
