@@ -153,6 +153,9 @@ class TestExpectedEnergy:
         for N in (50, 500, 5000):
             q = q_at(N)
             assert expected_energy(q) == pytest.approx(mp_energy(q), abs=1e-11)
+        for N in (1e4, 1e6, 1e8):  # no cancellation: the mean stays at 1e-14
+            q = q_at(N, hmm=even_process(), k=2)
+            assert expected_energy(q) == pytest.approx(mp_energy(q), rel=1e-14, abs=0.0)
 
     def test_matches_finite_difference_of_log_partition(self):
         # d(-log Z)/d(beta) at fixed Q equals the energy in nats; scale the
@@ -215,15 +218,13 @@ class TestEnergyVariance:
     def test_matches_mpmath(self):
         q = q_at(700)
         assert energy_variance(q) == pytest.approx(mp_variance(q), abs=1e-12)
-
-    # The pair and word trigamma sums cancel to their 1/beta^2 remainder, so
-    # the relative error grows like eps * beta.  Measured on the even process
-    # at k = 2: 3e-13, 6e-11 and 2.3e-9 at N = 1e4, 1e6 and 1e8.
-    @pytest.mark.parametrize("N, rel", [(1e4, 1e-12), (1e6, 1e-10), (1e8, 4e-9)])
-    def test_matches_mpmath_large_n(self, N, rel):
-        q = q_at(N, hmm=even_process(), k=2)
-        assert energy_variance(q) == pytest.approx(mp_variance(q), rel=rel, abs=0.0)
-        assert expected_energy(q) == pytest.approx(mp_energy(q), rel=1e-14, abs=0.0)
+        # The pair and word trigamma sums cancel down to their 1/beta^2
+        # remainder, so the relative error grows like eps * beta.  Measured
+        # on the even process at k = 2: 3e-13, 6e-11 and 2.3e-9 at N = 1e4,
+        # 1e6 and 1e8.
+        for N, rel in ((1e4, 1e-12), (1e6, 1e-10), (1e8, 4e-9)):
+            q = q_at(N, hmm=even_process(), k=2)
+            assert energy_variance(q) == pytest.approx(mp_variance(q), rel=rel, abs=0.0)
 
     def test_positive_and_shrinks(self):
         vs = [energy_variance(q_at(N)) for N in (100, 1000, 10_000)]
