@@ -97,7 +97,11 @@ def _read_fake_counts(path: str, orders: range, alphabet: Alphabet) -> dict[int,
     tables = {k: np.zeros((alphabet.size**k, alphabet.size)) for k in orders}
     seen = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh, restval="")  # a short row reads "" for its missing fields
+        missing = [c for c in ("word", "symbol", "count") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"fake-counts file {path} has no column {', '.join(missing)}")
+        for row in reader:
             word, symbol = row["word"].strip(), row["symbol"].strip()
             if len(word) not in tables:
                 raise ConfigError(f"fake-count word {word!r} is not of an order in "

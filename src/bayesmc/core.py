@@ -35,7 +35,8 @@ class ShapeMismatchError(ValueError):
 class Alphabet:
     """Ordered set of distinct single-character symbols; index = position in
     `symbols`.  Words are their symbols joined with no separator, so a
-    symbol of any other length would make them ambiguous."""
+    symbol of any other length would make them ambiguous, and CSV rows are
+    not quoted, so no symbol may be a comma, double quote or line break."""
 
     symbols: tuple[str, ...]
 
@@ -47,6 +48,10 @@ class Alphabet:
         wrong = [s for s in self.symbols if not (isinstance(s, str) and len(s) == 1)]
         if wrong:
             raise ValueError(f"alphabet symbols must be single characters, not {wrong}")
+        unsafe = sorted(set(self.symbols) & set(',"\n\r'))
+        if unsafe:
+            raise ValueError(f"alphabet symbols cannot be a comma, quote or line break, "
+                             f"not {unsafe}")
 
     @property
     def size(self) -> int:
@@ -228,13 +233,15 @@ def hyper_from_fake_counts(fake: CountTable) -> HyperTable:
 
 def read_sequence(path, alphabet: Alphabet | None = None,
                   column: str | None = None) -> SymbolSequence:
-    """Read a symbol sequence from a text file (one line, no separators) or,
-    when `column` is given, from that column of a CSV file."""
+    """Read a symbol sequence from a text file (no separators; line breaks are
+    dropped, so the sequence may be wrapped) or, when `column` is given, from
+    that column of a CSV file."""
     with open(path, "r", encoding="utf-8") as fh:
         if column is None:
-            text = fh.read().strip()
+            # universal newlines have already turned every \r into \n
+            text = fh.read().strip().replace("\n", "")
         else:
-            reader = csv.DictReader(fh)
+            reader = csv.DictReader(fh, restval="")  # a short row's missing cell is empty
             if reader.fieldnames is None or column not in reader.fieldnames:
                 raise ValueError(f"column {column!r} not found in {path}")
             text = "".join(row[column].strip() for row in reader)

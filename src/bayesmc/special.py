@@ -4,8 +4,8 @@ and the regularized incomplete Beta function with its inverse.
 log-gamma uses the Lanczos approximation (g=7, 9 terms); the polygammas
 use the upward recurrence to push the argument past 6 and then the
 Bernoulli asymptotic series; the incomplete Beta uses the standard
-continued fraction with the symmetry relation; the inverse combines
-bisection with Newton polish.  Everything is pure and reentrant.
+continued fraction with the symmetry relation; its inverse bisects the
+IEEE-754 bit patterns of [0, 1].  Everything is pure and reentrant.
 `log_gamma`, `digamma`, `trigamma` and `BetaParams`' mean, variance and
 densities also accept numpy arrays; `reg_inc_beta` and `inv_reg_inc_beta`
 take one scalar x or probability and a BetaParams of scalars.
@@ -13,7 +13,9 @@ take one scalar x or probability and a BetaParams of scalars.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,8 +153,10 @@ class BetaParams:
         s = self.a + self.b
         return self.a * self.b / (s * s * (s + 1.0))
 
+    @functools.cached_property
     def log_norm(self):
-        """log 1/B(a, b) = log Gamma(a + b) - log Gamma(a) - log Gamma(b)."""
+        """log 1/B(a, b) = log Gamma(a + b) - log Gamma(a) - log Gamma(b),
+        computed once per instance."""
         return log_gamma(self.a + self.b) - log_gamma(self.a) - log_gamma(self.b)
 
     def log_pdf(self, x):
@@ -160,7 +164,7 @@ class BetaParams:
         if np.any(arr < 0) or np.any(arr > 1):
             raise NumericDomainError("Beta density argument must lie in [0, 1]")
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.log_norm() + (self.a - 1.0) * np.log(arr) + (self.b - 1.0) * np.log1p(-arr)
+            out = self.log_norm + (self.a - 1.0) * np.log(arr) + (self.b - 1.0) * np.log1p(-arr)
         return _scalar_or_array(x, out)
 
     def pdf(self, x):
@@ -206,50 +210,34 @@ def reg_inc_beta(params: BetaParams, x: float) -> float:
     if x == 1.0:
         return 1.0
     a, b = params.a, params.b
-    front = math.exp(params.log_norm() + a * math.log(x) + b * math.log1p(-x))
+    front = math.exp(params.log_norm + a * math.log(x) + b * math.log1p(-x))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def inv_reg_inc_beta(params: BetaParams, prob: float) -> float:
-    """Inverse of `reg_inc_beta` in x, to about 1e-12.
+def _float_of_bits(n: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", n))[0]
 
-    Monotonicity of the CDF guarantees a bracketing bisection; Newton steps
-    polish the root once the bracket is tight.
+
+def inv_reg_inc_beta(params: BetaParams, prob: float) -> float:
+    """Inverse of `reg_inc_beta` in x: the largest float x in [0, 1] whose
+    CDF is at most `prob` (0 for prob = 0).
+
+    Non-negative doubles sort like their IEEE-754 bit patterns read as
+    integers, so bisecting the integers 0 .. bits(1.0) brackets the crossing
+    to one ulp in at most 62 steps, however deep in a tail it lies.
     """
     if not 0.0 <= prob <= 1.0:
         raise NumericDomainError("probability must lie in [0, 1]")
     if prob == 0.0:
         return 0.0
-    if prob == 1.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    x = 0.5
-    for _ in range(40):
-        if reg_inc_beta(params, x) > prob:
-            hi = x
+    # CDF(lo) <= prob < CDF(hi); hi starts one past bits(1.0), never evaluated
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1.0))[0] + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reg_inc_beta(params, _float_of_bits(mid)) <= prob:
+            lo = mid
         else:
-            lo = x
-        x = 0.5 * (lo + hi)
-    # Newton polish; fall back to the bisection bracket if a step escapes it
-    for _ in range(20):
-        f = reg_inc_beta(params, x) - prob
-        if f > 0:
-            hi = x
-        elif f < 0:
-            lo = x
-        else:
-            return x
-        d = params.pdf(x)
-        if not np.isfinite(d) or d <= 0:
-            x = 0.5 * (lo + hi)
-            continue
-        step = f / d
-        nxt = x - step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) < 1e-15:
-            return nxt
-        x = nxt
-    return x
+            hi = mid
+    return _float_of_bits(lo)

@@ -55,6 +55,19 @@ class TestInfer:
         rows = read_csv(tmp_path / "infer_summary.csv")
         assert len(rows) == 4
 
+    def test_wrapped_sequence_file(self, tmp_path):
+        text = "0110110101101101" * 50
+        one, wrapped = tmp_path / "one.txt", tmp_path / "wrapped.txt"
+        one.write_text(text + "\n")
+        # 10-symbol lines, Unix and Windows line breaks mixed
+        lines = [text[i:i + 10] for i in range(0, len(text), 10)]
+        wrapped.write_bytes("".join(line + ("\r\n" if i % 2 else "\n")
+                                    for i, line in enumerate(lines)).encode())
+        for path in (one, wrapped):
+            assert run_cli(["infer", "--input", str(path), "--n-start", "800",
+                            "--out", str(tmp_path / path.stem), "--density-points", "4"]) == 0
+        assert _digests(tmp_path / "one") == _digests(tmp_path / "wrapped")
+
     def test_fake_counts_prior(self, tmp_path):
         fake = tmp_path / "fake.csv"
         fake.write_text("word,symbol,count\n0,1,3\n")
@@ -255,6 +268,44 @@ class TestErrorHandling:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_fake_counts_missing_column(self, tmp_path, capsys):
+        fake = tmp_path / "fake.csv"
+        fake.write_text("word,symbol\n01,1\n")
+        assert run_cli(["infer", "--source", "golden_mean", "--n-start", "100", "--k-max", "2",
+                        "--fake-counts", str(fake), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"error code=2 message=fake-counts file {fake} "
+                                           "has no column count\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_fake_counts_short_row(self, tmp_path, capsys):
+        fake = tmp_path / "fake.csv"
+        fake.write_text("word,symbol,count\n01,1\n")
+        assert run_cli(["infer", "--source", "golden_mean", "--n-start", "100", "--k-max", "2",
+                        "--fake-counts", str(fake), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_comma_symbol_in_sequence_file(self, tmp_path, capsys):
+        # the unquoted CSV rows could not carry a "," word or symbol
+        seq = tmp_path / "seq.txt"
+        seq.write_text("01,1,0110" * 20 + "\n")
+        assert run_cli(["infer", "--input", str(seq), "--n-start", "100",
+                        "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error code=2 message=alphabet symbols cannot be a comma")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_line_break_symbol_in_hmm(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"alphabet": ["0", "\n"],
+                                    "matrices": {"0": [[0.5]], "\n": [[0.5]]}}))
+        assert run_cli(["infer", "--source", str(path), "--n-start", "100",
+                        "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error code=2 message=alphabet symbols cannot be a comma, quote or "
+                       "line break, not ['\\n']\n")
+        assert not (tmp_path / "out").exists()
+
     def test_alpha_with_fake_counts(self, tmp_path, capsys):
         fake = tmp_path / "fake.csv"
         fake.write_text("word,symbol,count\n0,1,3\n")
@@ -411,13 +462,16 @@ GOLDEN = {
 #: --out.  Recorded before the CLI resolved its data once per invocation;
 #: every change since must reproduce them byte for byte, at any --jobs.
 #: The five entropy.csv digests were re-pinned when energy_var took its
-#: bits^2 units, the only column that moved.
+#: bits^2 units, the only column that moved.  The fake_counts_json
+#: infer_summary.json digest was re-pinned when the Beta quantile became a
+#: bisection over float bit patterns: its full-repr ci_low/ci_high values
+#: moved by 1-15 ulps, within the CDF's own rounding.
 GOLDEN_DIGESTS = {
     "fake_counts_json": {
         "infer_density.csv": "f85116709d91a957d8d56e652d6bd8b32b0f9eaf40a618cab56c770eb1978501",
         "infer_density.json": "565a7bc973a842f5542bfa8a3f684686efac52f5df5b4eb5040d3dd6f789de3a",
         "infer_summary.csv": "f1774c2c822783fc26d1ed3f6bd19bc385033e25dcc325f8a99e94c3bc25089e",
-        "infer_summary.json": "eb6707a2427bf8dabb5e50985dfd8b2d97ef5a32d9226ee9ed68cce4a50a12ac",
+        "infer_summary.json": "c0c06804f3b241f1b35fcb02d62c06c7a792cc172c7b6cbcea882000bf4b1c19",
     },
     "fig10": {
         "fig10/entropy.csv": "b2879a6b53604328fc1526ef26ea94681b189e7e5bc66d81558243db0247d8f0",

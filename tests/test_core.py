@@ -165,6 +165,11 @@ class TestSequenceIO:
         seq = read_sequence(path, column="sym")
         assert seq.to_string() == "0110"
 
+    def test_csv_short_row(self, tmp_path):
+        path = tmp_path / "seq.csv"
+        path.write_text("id,sym\n0,01\n1\n2,10\n")
+        assert read_sequence(path, column="sym").to_string() == "0110"
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "seq.csv"
         path.write_text("id,sym\n0,01\n")

@@ -3,7 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy.special import betainc, betaincc
 
 from bayesmc import (
     BetaParams,
@@ -16,6 +17,13 @@ from bayesmc import (
 from bayesmc.special import NumericDomainError
 
 mpmath.mp.dps = 40
+
+#: Relative tolerance on a quantile's tail mass, as in perfbench's oracle.
+TAIL_RTOL = 1e-6
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
 class TestLogGamma:
@@ -171,6 +179,28 @@ class TestInvRegIncBeta:
     def test_domain(self):
         with pytest.raises(NumericDomainError):
             inv_reg_inc_beta(BetaParams(1, 1), -0.1)
+
+    @staticmethod
+    def _assert_tail_mass(a, b, prob, tail_fn, tail):
+        x = inv_reg_inc_beta(BetaParams(a, b), prob)
+        mass = tail_fn(a, b, x)
+        # the exact quantile lies between x and the next float up
+        ulp_mass = abs(tail_fn(a, b, np.nextafter(x, 1.0)) - mass)
+        assert abs(mass - tail) <= TAIL_RTOL * tail + ulp_mass
+
+    # a = b = 2e5 exceeds the continued fraction's iteration cap
+    @settings(deadline=None)
+    @given(_log_uniform(1e-3, 1e5), _log_uniform(1e-3, 1e5), _log_uniform(1e-12, 0.5))
+    def test_lower_tail_mass_against_scipy(self, a, b, p):
+        self._assert_tail_mass(a, b, p, betainc, p)
+
+    # past 1 - 1e-6, prob itself keeps less than 1e-10 of the tail's digits
+    @settings(deadline=None)
+    @given(_log_uniform(1e-3, 1e5), _log_uniform(1e-3, 1e5), _log_uniform(1e-6, 0.5))
+    def test_upper_tail_mass_against_scipy(self, a, b, q):
+        prob = 1.0 - q
+        # 1 - prob is exact: the upper tail actually asked for
+        self._assert_tail_mass(a, b, prob, betaincc, 1.0 - prob)
 
 
 class TestBetaParams:
