@@ -16,6 +16,7 @@ from .core import (
     SymbolSequence,
     count_words,
     hyper_from_fake_counts,
+    lower_order_counts,
     read_sequence,
     uniform_hyper,
     word_strings,

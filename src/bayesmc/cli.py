@@ -25,8 +25,8 @@ import numpy as np
 
 from . import comparison, entropy, inference, processes
 from .core import (Alphabet, CountTable, HyperTable, SymbolSequence, check_table_size,
-                   count_words, hyper_from_fake_counts, read_sequence, uniform_hyper,
-                   word_strings, write_sequence)
+                   count_words, hyper_from_fake_counts, lower_order_counts, read_sequence,
+                   uniform_hyper, word_strings, write_sequence)
 from .special import NumericDomainError
 
 EXIT_BAD_CONFIG = 2
@@ -130,21 +130,24 @@ class _Sweep:
     truth: float | None
 
     def points(self, N: int):
-        """(k, counts, hyper) for each order at data size N."""
-        prefix = None if self.seq is None else SymbolSequence(self.alphabet, self.seq.data[:N])
+        """(k, counts, hyper) for each order at data size N.  A prefix is
+        counted once, at the top order, and each lower order derived from it."""
+        if self.seq is None:  # the exact average counts, as processes.average_counts
+            for k, hyper in self.hypers.items():
+                yield k, CountTable(k, self.alphabet, (N - k) * self.joints[k]), hyper
+            return
+        prefix = SymbolSequence(self.alphabet, self.seq.data[:N])
+        top = count_words(prefix, self.cfg.k_max)
         for k, hyper in self.hypers.items():
-            if prefix is not None:
-                counts = count_words(prefix, k)
-            elif N > k:  # the exact average counts, as processes.average_counts
-                counts = CountTable(k, self.alphabet, (N - k) * self.joints[k])
-            else:
-                raise ValueError(f"data size N={N} must exceed order k={k}")
-            yield k, counts, hyper
+            yield k, lower_order_counts(top, prefix, k), hyper
 
 
 def _resolve(cfg: ExperimentConfig, with_truth: bool = False) -> _Sweep:
     """Read the input, sample max(N) symbols or build the source, then each
     order's invariants; `with_truth` adds what entropy compares against."""
+    if min(cfg.n_grid) <= cfg.k_max:
+        raise ConfigError(f"data size N={min(cfg.n_grid)} must exceed the largest order "
+                          f"k={cfg.k_max}")
     hmm = seq = None
     if cfg.input_path is not None:
         seq = read_sequence(cfg.input_path, column=cfg.csv_column)

@@ -11,9 +11,12 @@ exceed TABLE_CAP.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .special import dirichlet_log_norm
 
 #: Largest dense table (in entries) that table-building functions will allocate.
 TABLE_CAP = 2**26
@@ -99,8 +102,15 @@ class SymbolSequence:
     def from_string(cls, text: str, alphabet: Alphabet | None = None) -> "SymbolSequence":
         if alphabet is None:
             alphabet = Alphabet.from_text(text)
-        idx = np.array([alphabet.index(c) for c in text], dtype=np.int64)
-        return cls(alphabet, idx)
+        # one code point per character, looked up among the symbols' sorted code points
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        codes = np.array([ord(s) for s in alphabet.symbols], dtype=np.uint32)
+        order = np.argsort(codes)
+        pos = np.minimum(np.searchsorted(codes[order], points), alphabet.size - 1)
+        unknown = codes[order][pos] != points
+        if unknown.any():
+            raise InvalidSymbolError(f"unknown symbol {text[int(np.argmax(unknown))]!r}")
+        return cls(alphabet, order[pos])
 
     def to_string(self) -> str:
         return "".join(self.alphabet.symbols[i] for i in self.data)
@@ -189,6 +199,12 @@ class HyperTable:
         """alpha_k = sum over all (word, symbol) entries."""
         return float(self.table.sum())
 
+    @functools.cached_property
+    def log_norm(self):
+        """The prior's Dirichlet normaliser, dirichlet_log_norm(table), computed
+        once per table."""
+        return dirichlet_log_norm(self.table)
+
 
 def require_same_shape(*tables) -> None:
     first = tables[0]
@@ -215,6 +231,24 @@ def count_words(seq: SymbolSequence, k: int) -> CountTable:
     codes = windows @ powers  # combined (word, symbol) code
     flat = np.bincount(codes, minlength=A ** (k + 1)).astype(float)
     return CountTable(k, seq.alphabet, flat.reshape(A**k, A))
+
+
+def lower_order_counts(top: CountTable, seq: SymbolSequence, k: int) -> CountTable:
+    """count_words(seq, k), derived from top = count_words(seq, K) for K >= k.
+
+    The last k+1 symbols of the K+1-windows are the k+1-windows that start at
+    K - k or later, so summing out the leading K - k symbols of `top` counts
+    them; the first K - k windows are counted directly.  Counts are integers
+    held exactly in floats, so the table is identical to count_words'.
+    """
+    K, A = top.order, top.alphabet.size
+    if k == K:
+        return top
+    if not 1 <= k < K:
+        raise ValueError(f"order k={k} must lie in 1..{K}")
+    tail = top.table.reshape(A ** (K - k), A ** (k + 1)).sum(axis=0)
+    head = count_words(SymbolSequence(seq.alphabet, seq.data[:K]), k).table
+    return CountTable(k, top.alphabet, tail.reshape(A**k, A) + head)
 
 
 def uniform_hyper(k: int, alphabet: Alphabet, value: float = 1.0) -> HyperTable:

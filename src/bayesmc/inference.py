@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CountTable, HyperTable, require_same_shape, word_strings
-from .special import BetaParams, inv_reg_inc_beta, log_gamma, reg_inc_beta
+from .special import (BetaParams, dirichlet_log_norm, inv_reg_inc_beta, log_gamma,
+                      reg_inc_beta)
 
 
 @dataclass(frozen=True)
@@ -87,28 +88,24 @@ def region_mass(m: BetaParams, region: ConfidenceRegion) -> float:
     return reg_inc_beta(m, region.upper) - reg_inc_beta(m, region.lower)
 
 
-def _log_gamma_ratio(base: np.ndarray, inc: np.ndarray) -> float:
+def _log_gamma_ratio(base_log_norm, upd: np.ndarray) -> float:
     """log of prod_w Gamma(base(w)) / Gamma(upd(w)) * prod_(w,s) Gamma(upd(w, s))
     / Gamma(base(w, s)), with upd = base + inc and (w) a row total: the
-    Dirichlet average of a likelihood with counts inc under parameters base."""
-    upd = base + inc
-    return float(
-        np.sum(log_gamma(base.sum(axis=1)))
-        - np.sum(log_gamma(base))
-        + np.sum(log_gamma(upd))
-        - np.sum(log_gamma(upd.sum(axis=1)))
-    )
+    Dirichlet average of a likelihood with counts inc under parameters base.
+    The base's part comes in as its dirichlet_log_norm."""
+    return float(base_log_norm + np.sum(log_gamma(upd)) - np.sum(log_gamma(upd.sum(axis=1))))
 
 
 def log_evidence(counts: CountTable, hyper: HyperTable) -> float:
     """Natural log of the marginal likelihood (average of the likelihood over
-    the prior), in the closed Gamma-ratio form.
+    the prior), in the closed Gamma-ratio form.  The prior's normaliser is
+    computed once per hyper table.
 
     The product runs over all A**k words; words with zero counts contribute
     exactly zero, so the all-zero table gives log evidence 0.
     """
     require_same_shape(counts, hyper)
-    return _log_gamma_ratio(hyper.table, counts.table)
+    return _log_gamma_ratio(hyper.log_norm, hyper.table + counts.table)
 
 
 def log_predictive(counts: CountTable, new_counts: CountTable, hyper: HyperTable) -> float:
@@ -116,7 +113,8 @@ def log_predictive(counts: CountTable, new_counts: CountTable, hyper: HyperTable
     the evidence's Gamma ratio with the posterior parameters n + alpha as its
     base.  Algebraically log_evidence(n + m) - log_evidence(n)."""
     require_same_shape(counts, new_counts, hyper)
-    return _log_gamma_ratio(counts.table + hyper.table, new_counts.table)
+    base = counts.table + hyper.table
+    return _log_gamma_ratio(dirichlet_log_norm(base), base + new_counts.table)
 
 
 def sample_posterior(post: DirichletPosterior, seed) -> np.ndarray:

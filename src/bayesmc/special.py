@@ -172,6 +172,13 @@ class BetaParams:
         return _scalar_or_array(x, out)
 
 
+def dirichlet_log_norm(params: np.ndarray):
+    """log prod_w 1/B(params[w]) = sum_w log Gamma(params(w)) - sum_(w,s) log
+    Gamma(params(w, s)), with params(w) a row total: the log normaliser of one
+    Dirichlet per row, the rows' counterpart of BetaParams.log_norm."""
+    return np.sum(log_gamma(params.sum(axis=1))) - np.sum(log_gamma(params))
+
+
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete Beta (modified Lentz)."""
     tiny = 1e-300

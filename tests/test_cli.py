@@ -330,14 +330,40 @@ class TestErrorHandling:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
-        ["entropy", "--source", "even", "--n-start", "2", "--k-max", "3", "--jobs", "1"],
-        ["infer", "--source", "even", "--n-start", "2", "--n-stop", "3", "--n-step", "1",
+        ["entropy", "--source", "even", "--n-start", "100", "--n-stop", "200", "--n-step", "100",
+         "--k-max", "3", "--jobs", "1"],
+        ["infer", "--source", "even", "--n-start", "100", "--n-stop", "200", "--n-step", "100",
          "--k-max", "3", "--format", "json", "--jobs", "2"],
     ])
-    def test_failed_sweep_leaves_no_output(self, argv, tmp_path):
-        # Both fail at N = 2, k = 2, after the k = 1 rows were computed.
+    def test_failed_sweep_leaves_no_output(self, argv, tmp_path, monkeypatch):
+        # Every invalid configuration is rejected before the sweep starts, so
+        # the failure is injected: at the first N = 200 row, after the N = 100
+        # rows were written.
+        grid_map = bayesmc.cli._grid_map
+
+        def failing(point, sweep):
+            for name, row in grid_map(point, sweep):
+                if row[0] > sweep.cfg.n_grid[0]:
+                    raise ValueError("injected failure")
+                yield name, row
+
+        monkeypatch.setattr(bayesmc.cli, "_grid_map", failing)
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["average", "sample", "file"])
+    def test_n_not_above_largest_order(self, mode, tmp_path, capsys):
+        # one check, before any input is read or sampled, in every mode
+        seq = tmp_path / "seq.txt"
+        seq.write_text("0110" * 10 + "\n")
+        data = {"average": ["--source", "even"],
+                "sample": ["--source", "even", "--mode", "sample", "--seed", "1"],
+                "file": ["--input", str(seq)]}[mode]
+        assert run_cli(["compare", *data, "--n-start", "3", "--k-max", "5",
+                        "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error code=2 message=data size N=3 must exceed "
+                                           "the largest order k=5\n")
+        assert not (tmp_path / "out").exists()
 
     def test_n_exceeds_input(self, tmp_path):
         seq = tmp_path / "seq.txt"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bayesmc import (
     Alphabet,
@@ -8,11 +8,12 @@ from bayesmc import (
     SymbolSequence,
     count_words,
     hyper_from_fake_counts,
+    lower_order_counts,
     read_sequence,
     uniform_hyper,
     word_strings,
 )
-from bayesmc.core import TableTooLargeError, check_table_size
+from bayesmc.core import InvalidSymbolError, TableTooLargeError, check_table_size
 
 from util import window_count_oracle
 
@@ -112,6 +113,28 @@ class TestCountWords:
         assert ct.total == na + nb + k
 
 
+class TestLowerOrderCounts:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_equals_count_words(self, data):
+        A = data.draw(st.integers(2, 4), label="A")
+        k_max = data.draw(st.integers(1, 8), label="k_max")
+        symbols = data.draw(st.lists(st.integers(0, A - 1), min_size=k_max + 1,
+                                     max_size=k_max + 200), label="symbols")
+        seq = SymbolSequence(Alphabet(tuple("abcd"[:A])), np.array(symbols))
+        top = count_words(seq, k_max)
+        for k in range(1, k_max + 1):
+            derived = lower_order_counts(top, seq, k)
+            assert derived.order == k
+            np.testing.assert_array_equal(derived.table, count_words(seq, k).table)
+        assert lower_order_counts(top, seq, k_max) is top
+
+    def test_order_above_top(self):
+        seq = SymbolSequence.from_string("0110", BINARY)
+        with pytest.raises(ValueError):
+            lower_order_counts(count_words(seq, 1), seq, 2)
+
+
 class TestHyperTables:
     def test_uniform_binary_k1(self):
         h = uniform_hyper(1, BINARY, 1.0)
@@ -143,6 +166,37 @@ class TestHyperTables:
     def test_fake_counts_negative(self):
         with pytest.raises(ValueError):
             CountTable(1, BINARY, np.array([[0.0, -1.0], [0.0, 0.0]]))
+
+
+#: Characters an alphabet may hold: ASCII, the rest of the basic plane and the astral planes.
+symbol_chars = st.one_of(st.characters(max_codepoint=0x7F), st.characters(min_codepoint=0x80,
+                         max_codepoint=0xFFFF), st.characters(min_codepoint=0x10000)
+                         ).filter(lambda c: c not in ',"\n\r')
+
+
+class TestFromString:
+    @given(st.lists(symbol_chars, min_size=2, max_size=8, unique=True), st.data())
+    def test_matches_per_character_oracle(self, chars, data):
+        # the alphabet, in drawn (not code-point) order, leaves out the characters after `cut`
+        cut = data.draw(st.integers(2, len(chars)), label="cut")
+        alphabet = Alphabet(tuple(chars[:cut]))
+        text = "".join(data.draw(st.lists(st.sampled_from(chars), max_size=50), label="text"))
+        unknown = [c for c in text if c not in alphabet.symbols]
+        if unknown:
+            with pytest.raises(InvalidSymbolError) as err:
+                SymbolSequence.from_string(text, alphabet)
+            assert str(err.value) == f"unknown symbol {unknown[0]!r}"
+        else:
+            seq = SymbolSequence.from_string(text, alphabet)
+            assert seq.data.tolist() == [alphabet.symbols.index(c) for c in text]
+
+    def test_first_unknown_named(self):
+        with pytest.raises(InvalidSymbolError, match="^unknown symbol 'z'$"):
+            SymbolSequence.from_string("01z2y", TERNARY)
+
+    def test_lone_surrogate_symbol(self):
+        alphabet = Alphabet(("a", "\ud800"))
+        assert SymbolSequence.from_string("a\ud800a", alphabet).data.tolist() == [0, 1, 0]
 
 
 class TestSequenceIO:

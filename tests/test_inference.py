@@ -15,6 +15,7 @@ from bayesmc import (
     even_process,
     golden_mean,
     log_evidence,
+    log_gamma,
     log_predictive,
     marginal,
     posterior,
@@ -237,6 +238,18 @@ class TestEvidence:
             val, _ = quad(lambda x: dens(x) * x**n1 * (1 - x) ** n0, 0, 1, epsabs=1e-13)
             oracle *= val
         assert closed == pytest.approx(oracle, rel=1e-8)
+
+
+    def test_prior_normaliser_cached_in_order(self):
+        # the prior's part is computed once per table, and the sum keeps the
+        # order ((A - B) + C) - D, so the evidence is bit for bit the direct sum
+        rng = np.random.default_rng(5)
+        for counts, hyper in random_tables(rng, 40, max_k=3):
+            a, upd = hyper.table, hyper.table + counts.table
+            direct = float(np.sum(log_gamma(a.sum(axis=1))) - np.sum(log_gamma(a))
+                           + np.sum(log_gamma(upd)) - np.sum(log_gamma(upd.sum(axis=1))))
+            assert log_evidence(counts, hyper) == direct
+            assert hyper.log_norm is hyper.log_norm
 
 
 class TestPredictive:
