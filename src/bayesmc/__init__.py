@@ -32,11 +32,9 @@ from .entropy import (
     kl_of,
     q_from,
     r_from,
-    uniform_distribution,
     weighted_energy,
 )
 from .inference import (
-    DirichletPosterior,
     confidence_region,
     log_evidence,
     log_predictive,
@@ -44,7 +42,6 @@ from .inference import (
     posterior,
     posterior_mean,
     posterior_variance,
-    prior_moments,
     sample_posterior,
 )
 from .processes import (

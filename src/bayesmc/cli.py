@@ -145,6 +145,14 @@ class _Sweep:
 def _resolve(cfg: ExperimentConfig, with_truth: bool = False) -> _Sweep:
     """Read the input, sample max(N) symbols or build the source, then each
     order's invariants; `with_truth` adds what entropy compares against."""
+    if cfg.input_path is not None and cfg.source is not None:
+        raise ConfigError("--source and --input exclude each other")
+    if cfg.input_path is not None and cfg.mode == "sample":
+        raise ConfigError("--mode sample samples a --source, not an --input")
+    if cfg.seed is not None and cfg.mode != "sample":
+        raise ConfigError("--seed is read only with --mode sample")
+    if cfg.csv_column is not None and cfg.input_path is None:
+        raise ConfigError("--csv-column is read only with --input")
     if min(cfg.n_grid) <= cfg.k_max:
         raise ConfigError(f"data size N={min(cfg.n_grid)} must exceed the largest order "
                           f"k={cfg.k_max}")
@@ -338,9 +346,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--figure", type=int, required=True)
         else:
             p.add_argument("--source", help="builtin source name or path to an hmm JSON file")
-            for flag in ("--n-start", "--n-stop", "--n-step", "--seed"):
+            for flag in ("--n-start", "--seed"):
                 p.add_argument(flag, type=int)
         if name in ("infer", "compare", "entropy"):
+            p.add_argument("--n-stop", type=int)
+            p.add_argument("--n-step", type=int)
             p.add_argument("--input", help="sequence file (text, or CSV with --csv-column)")
             p.add_argument("--csv-column")
             p.add_argument("--mode", choices=("average", "sample"))

@@ -174,7 +174,8 @@ class CountTable:
 
 @dataclass(frozen=True)
 class HyperTable:
-    """Dirichlet hyperparameters alpha(word, next symbol), all strictly positive."""
+    """Dirichlet parameters alpha(word, next symbol), all strictly positive:
+    a prior's hyperparameters, or a posterior's counts + hyperparameters."""
 
     order: int
     alphabet: Alphabet
@@ -201,8 +202,8 @@ class HyperTable:
 
     @functools.cached_property
     def log_norm(self):
-        """The prior's Dirichlet normaliser, dirichlet_log_norm(table), computed
-        once per table."""
+        """The Dirichlet normaliser dirichlet_log_norm(table), computed once per
+        table."""
         return dirichlet_log_norm(self.table)
 
 

@@ -48,32 +48,23 @@ class WordConditional:
 
 @dataclass(frozen=True)
 class QDistribution(WordConditional):
-    """Posterior-mean word/conditional distribution with total mass beta."""
+    """Mean word/conditional distribution of a Dirichlet table with total mass
+    beta."""
 
     beta: float = 0.0
 
 
+def r_from(table: HyperTable) -> QDistribution:
+    """The mean distribution of a Dirichlet table: word masses alpha(word)/beta
+    with beta = alpha_k the table's total, conditionals = posterior_mean."""
+    total = table.total
+    return QDistribution(table.order, table.alphabet, table.word_totals / total,
+                         posterior_mean(table), total)
+
+
 def q_from(counts: CountTable, hyper: HyperTable) -> QDistribution:
     """Q: word masses (n + alpha)(word)/beta_k, conditionals = posterior mean."""
-    post = posterior(counts, hyper)
-    beta = float(post.params.sum())
-    return QDistribution(post.order, post.alphabet, post.word_totals / beta,
-                         posterior_mean(post), beta)
-
-
-def r_from(hyper: HyperTable) -> WordConditional:
-    """The prior's word/conditional distribution (hyperparameters alone)."""
-    totals = hyper.word_totals
-    return WordConditional(
-        hyper.order, hyper.alphabet, totals / hyper.total, hyper.table / totals[:, None]
-    )
-
-
-def uniform_distribution(k: int, alphabet) -> WordConditional:
-    A = alphabet.size
-    return WordConditional(
-        k, alphabet, np.full(A**k, A ** float(-k)), np.full((A**k, A), 1.0 / A)
-    )
+    return r_from(posterior(counts, hyper))
 
 
 def hmu_of(dist: WordConditional) -> float:
@@ -105,15 +96,20 @@ def kl_of(dist: WordConditional, true_cond: np.ndarray) -> float:
     return float(np.sum(mass[active] * np.log2(ratio[active])))
 
 
+def _masses(q: QDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """The posterior masses beta * q(word) and beta * q(word) * q(s | word)."""
+    bw = q.beta * q.word_probs
+    if np.any(bw <= 0):
+        raise ValueError("every word must carry positive posterior mass")
+    return bw, bw[:, None] * q.cond_probs
+
+
 def expected_energy(q: QDistribution) -> float:
     """Posterior expectation of D[Q||P] + h_mu[Q], in bits per symbol.
 
     First beta-derivative of -log Z at fixed Q, expressed with digammas.
     """
-    bw = q.beta * q.word_probs
-    if np.any(bw <= 0):
-        raise ValueError("every word must carry positive posterior mass")
-    bws = bw[:, None] * q.cond_probs
+    bw, bws = _masses(q)
     word_part = np.sum(q.word_probs * digamma(bw))
     pair_part = np.sum(q.word_probs[:, None] * q.cond_probs * digamma(bws))
     return float((word_part - pair_part) / _LN2)
@@ -126,10 +122,7 @@ def energy_variance(q: QDistribution) -> float:
     the energy is in bits, so the natural-log variance is divided by
     (log 2)^2.
     """
-    bw = q.beta * q.word_probs
-    if np.any(bw <= 0):
-        raise ValueError("every word must carry positive posterior mass")
-    bws = bw[:, None] * q.cond_probs
+    bw, bws = _masses(q)
     joint = q.word_probs[:, None] * q.cond_probs
     pair_part = np.sum(joint**2 * trigamma(bws))
     word_part = np.sum(q.word_probs**2 * trigamma(bw))

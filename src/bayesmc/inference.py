@@ -9,33 +9,12 @@ presentation time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CountTable, HyperTable, require_same_shape, word_strings
-from .special import (BetaParams, dirichlet_log_norm, inv_reg_inc_beta, log_gamma,
-                      reg_inc_beta)
-
-
-@dataclass(frozen=True)
-class DirichletPosterior:
-    """Per-word Dirichlet posterior with parameters counts + hyperparameters."""
-
-    order: int
-    alphabet: object
-    params: np.ndarray = field(repr=False)  # (A**k, A), all > 0
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.params, dtype=float)
-        if np.any(arr <= 0):
-            raise ValueError("posterior parameters must be strictly positive")
-        arr.flags.writeable = False
-        object.__setattr__(self, "params", arr)
-
-    @property
-    def word_totals(self) -> np.ndarray:
-        return self.params.sum(axis=1)
+from .special import BetaParams, inv_reg_inc_beta, log_gamma, reg_inc_beta
 
 
 @dataclass(frozen=True)
@@ -45,32 +24,28 @@ class ConfidenceRegion:
     upper: float
 
 
-def posterior(counts: CountTable, hyper: HyperTable) -> DirichletPosterior:
+def posterior(counts: CountTable, hyper: HyperTable) -> HyperTable:
     """Posterior Dirichlet parameters: counts + hyperparameters, elementwise."""
     require_same_shape(counts, hyper)
-    return DirichletPosterior(counts.order, counts.alphabet, counts.table + hyper.table)
+    return HyperTable(counts.order, counts.alphabet, counts.table + hyper.table)
 
 
-def posterior_mean(post: DirichletPosterior) -> np.ndarray:
-    """Posterior mean estimate of every p(s | word); rows sum to 1."""
-    return post.params / post.word_totals[:, None]
+def posterior_mean(post: HyperTable) -> np.ndarray:
+    """Mean of every p(s | word) under the Dirichlet table (a posterior, or a
+    prior alone); rows sum to 1."""
+    return post.table / post.word_totals[:, None]
 
 
-def posterior_variance(post: DirichletPosterior) -> np.ndarray:
-    """Posterior variance of every p(s | word); equals the Beta-marginal variance."""
+def posterior_variance(post: HyperTable) -> np.ndarray:
+    """Variance of every p(s | word) under the Dirichlet table; equals the
+    Beta-marginal variance."""
     totals = post.word_totals[:, None]
-    return post.params * (totals - post.params) / (totals**2 * (totals + 1.0))
+    return post.table * (totals - post.table) / (totals**2 * (totals + 1.0))
 
 
-def prior_moments(hyper: HyperTable) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of every p(s | word) under the prior alone."""
-    prior = DirichletPosterior(hyper.order, hyper.alphabet, hyper.table)
-    return posterior_mean(prior), posterior_variance(prior)
-
-
-def marginal(post: DirichletPosterior, word: int, symbol: int) -> BetaParams:
+def marginal(post: HyperTable, word: int, symbol: int) -> BetaParams:
     """Beta marginal of one parameter: a = that entry, b = rest of its row."""
-    a = float(post.params[word, symbol])
+    a = float(post.table[word, symbol])
     b = float(post.word_totals[word] - a)
     return BetaParams(a, b)
 
@@ -92,7 +67,7 @@ def _log_gamma_ratio(base_log_norm, upd: np.ndarray) -> float:
     """log of prod_w Gamma(base(w)) / Gamma(upd(w)) * prod_(w,s) Gamma(upd(w, s))
     / Gamma(base(w, s)), with upd = base + inc and (w) a row total: the
     Dirichlet average of a likelihood with counts inc under parameters base.
-    The base's part comes in as its dirichlet_log_norm."""
+    The base's part comes in as its cached HyperTable.log_norm."""
     return float(base_log_norm + np.sum(log_gamma(upd)) - np.sum(log_gamma(upd.sum(axis=1))))
 
 
@@ -113,15 +88,15 @@ def log_predictive(counts: CountTable, new_counts: CountTable, hyper: HyperTable
     the evidence's Gamma ratio with the posterior parameters n + alpha as its
     base.  Algebraically log_evidence(n + m) - log_evidence(n)."""
     require_same_shape(counts, new_counts, hyper)
-    base = counts.table + hyper.table
-    return _log_gamma_ratio(dirichlet_log_norm(base), base + new_counts.table)
+    post = posterior(counts, hyper)
+    return _log_gamma_ratio(post.log_norm, post.table + new_counts.table)
 
 
-def sample_posterior(post: DirichletPosterior, seed) -> np.ndarray:
+def sample_posterior(post: HyperTable, seed) -> np.ndarray:
     """One Dirichlet draw per word, via per-component Gamma draws normalized
     row-wise.  Deterministic given the seed (or caller-owned Generator)."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g = rng.gamma(shape=post.params)
+    g = rng.gamma(shape=post.table)
     return g / g.sum(axis=1, keepdims=True)
 
 
@@ -141,12 +116,12 @@ def summary_rows(counts: CountTable, hyper: HyperTable, level: float = 0.95) -> 
     return rows
 
 
-def density_grid(post: DirichletPosterior, points: int = 512) -> tuple[np.ndarray, np.ndarray]:
+def density_grid(post: HyperTable, points: int = 512) -> tuple[np.ndarray, np.ndarray]:
     """Every entry's exact Beta marginal density on a uniform open grid x in
     (0, 1): x, and densities of shape (A**k, A, points)."""
     if points < 2:
         raise ValueError("need at least 2 grid points")
     x = (np.arange(points) + 0.5) / points
-    a = post.params[..., None]
-    b = (post.word_totals[:, None] - post.params)[..., None]
+    a = post.table[..., None]
+    b = (post.word_totals[:, None] - post.table)[..., None]
     return x, BetaParams(a, b).pdf(x)

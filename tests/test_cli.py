@@ -320,6 +320,8 @@ class TestErrorHandling:
         ["reproduce", "--figure", "3", "--n-start", "1"],
         ["reproduce", "--figure", "3", "--source", "even"],
         ["simulate", "--source", "even", "--seed", "1", "--k-max", "2"],
+        ["simulate", "--source", "even", "--seed", "1", "--n-stop", "1000"],
+        ["simulate", "--source", "even", "--seed", "1", "--n-step", "7"],
         ["compare", "--source", "even", "--density-points", "8"],
         ["entropy", "--source", "even", "--confidence", "0.9"],
     ])
@@ -328,6 +330,26 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error code=2 message=unrecognized arguments: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["infer", "compare", "entropy"])
+    @pytest.mark.parametrize("options, message", [
+        (["--source", "even", "--input", "{seq}"], "--source and --input exclude each other"),
+        (["--input", "{seq}", "--mode", "sample", "--seed", "1"],
+         "--mode sample samples a --source, not an --input"),
+        (["--source", "even", "--seed", "1"], "--seed is read only with --mode sample"),
+        (["--source", "even", "--csv-column", "x"], "--csv-column is read only with --input"),
+    ])
+    def test_data_option_not_read(self, command, options, message, tmp_path, capsys,
+                                  monkeypatch):
+        # rejected before any input is read or any source is built
+        seq = tmp_path / "seq.txt"
+        seq.write_text("0110" * 100 + "\n")
+        monkeypatch.setattr(bayesmc.cli, "read_sequence", None)
+        monkeypatch.setattr(bayesmc.cli, "_resolve_hmm", None)
+        argv = [command, *(o.format(seq=seq) for o in options), "--n-start", "100"]
+        assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error code=2 message={message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["entropy", "--source", "even", "--n-start", "100", "--n-stop", "200", "--n-step", "100",

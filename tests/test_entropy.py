@@ -30,7 +30,6 @@ from bayesmc import (
     r_from,
     sample_posterior,
     sample_sequence,
-    uniform_distribution,
     uniform_hyper,
     weighted_energy,
 )
@@ -85,15 +84,15 @@ class TestDistributions:
         np.testing.assert_allclose(r.word_probs, 0.5)
         np.testing.assert_allclose(r.cond_probs, 0.5)
 
-    def test_uniform_distribution(self):
-        u = uniform_distribution(2, BINARY)
+    def test_r_from_uniform(self):
+        u = r_from(uniform_hyper(2, BINARY))
         np.testing.assert_allclose(u.word_probs, 0.25)
         assert hmu_of(u) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHmu:
     def test_fair_coin(self):
-        assert hmu_of(uniform_distribution(1, BINARY)) == pytest.approx(1.0)
+        assert hmu_of(r_from(FLAT1)) == pytest.approx(1.0)
 
     def test_golden_mean_limit(self):
         # true rate: p(state 0) = 2/3 contributes one fair-coin bit
@@ -101,7 +100,7 @@ class TestHmu:
         assert hmu_of(q) == pytest.approx(2.0 / 3.0, abs=1e-3)
 
     def test_zero_entries_ignored(self):
-        dist = uniform_distribution(1, BINARY)
+        dist = r_from(FLAT1)
         q = QDistribution(1, BINARY, np.array([1.0, 0.0]),
                           np.array([[1.0, 0.0], [0.5, 0.5]]), beta=10.0)
         assert hmu_of(q) == pytest.approx(0.0, abs=1e-12)
@@ -286,7 +285,7 @@ class TestPosteriorMonteCarlo:
 
     def test_region_mass(self, case):
         _, _, post, draws = mc_draws(case)
-        for w, s in np.ndindex(post.params.shape):
+        for w, s in np.ndindex(post.table.shape):
             m = marginal(post, w, s)
             region = confidence_region(m, 0.9)
             mass = region_mass(m, region)

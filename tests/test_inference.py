@@ -21,7 +21,6 @@ from bayesmc import (
     posterior,
     posterior_mean,
     posterior_variance,
-    prior_moments,
     reg_inc_beta,
     sample_posterior,
     uniform_hyper,
@@ -50,16 +49,16 @@ count_tables = st.integers(0, 8).flatmap(
 class TestPosterior:
     def test_zero_counts_gives_prior(self):
         post = posterior(table([[0, 0], [0, 0]]), FLAT1)
-        np.testing.assert_array_equal(post.params, FLAT1.table)
+        np.testing.assert_array_equal(post.table, FLAT1.table)
 
     def test_single_count(self):
         post = posterior(table([[0, 1], [0, 0]]), FLAT1)
-        np.testing.assert_array_equal(post.params, [[1, 2], [1, 1]])
+        np.testing.assert_array_equal(post.table, [[1, 2], [1, 1]])
 
     def test_forbidden_word_keeps_prior_mass(self):
         counts = average_counts(golden_mean(), 100, 1)
         post = posterior(counts, FLAT1)
-        assert post.params[0, 0] == 1.0  # word 00 never occurs
+        assert post.table[0, 0] == 1.0  # word 00 never occurs
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -94,7 +93,7 @@ class TestPointSummaries:
         for counts, hyper in random_tables(rng, 20):
             post = posterior(counts, hyper)
             var = posterior_variance(post)
-            for w in range(post.params.shape[0]):
+            for w in range(post.table.shape[0]):
                 for s in range(post.alphabet.size):
                     assert var[w, s] == pytest.approx(
                         marginal(post, w, s).variance(), abs=1e-15
@@ -108,17 +107,17 @@ class TestPointSummaries:
             vs.append(posterior_variance(post)[1, 0])
         assert all(b < a for a, b in zip(vs, vs[1:]))
 
-    def test_prior_moments(self):
-        mean, var = prior_moments(FLAT1)
+    def test_moments_of_prior(self):
+        mean, var = posterior_mean(FLAT1), posterior_variance(FLAT1)
         np.testing.assert_allclose(mean, 0.5)
         np.testing.assert_allclose(var, 1.0 / 12.0)
         skew = HyperTable(1, BINARY, np.array([[3.0, 1.0], [1.0, 1.0]]))
-        mean, var = prior_moments(skew)
+        mean, var = posterior_mean(skew), posterior_variance(skew)
         assert mean[0, 0] == pytest.approx(3.0 / 4.0)
         assert var[0, 0] == pytest.approx(3.0 / 80.0)
 
     def test_prior_mean_ternary(self):
-        mean, _ = prior_moments(uniform_hyper(1, Alphabet(("0", "1", "2"))))
+        mean = posterior_mean(uniform_hyper(1, Alphabet(("0", "1", "2"))))
         np.testing.assert_allclose(mean, 1.0 / 3.0)
 
     @given(count_tables)
