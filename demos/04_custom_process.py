@@ -16,7 +16,6 @@ from bayesmc import (
     load_hmm,
     posterior,
     posterior_mean,
-    q_from,
     sample_sequence,
     true_entropy_rate,
     uniform_hyper,
@@ -39,7 +38,8 @@ print(f"sampled {len(seq.data)} symbols; first 60: {seq.to_string()[:60]}")
 k = 1
 counts = count_words(seq, k)
 prior = uniform_hyper(k, process.alphabet, 1.0)
-mean = posterior_mean(posterior(counts, prior))
+post = posterior(counts, prior)
+mean = posterior_mean(post)
 print("\nposterior-mean transition probabilities (order 1):")
 for w, row in enumerate(mean):
     word = process.alphabet.symbols[w]
@@ -48,7 +48,7 @@ for w, row in enumerate(mean):
     )
     print(f"  {cells}")
 
-estimate = expected_energy(q_from(counts, prior))
+estimate = expected_energy(post)
 print(f"\nentropy-rate estimate at k={k}: {estimate:.5f} bits/symbol")
 if process.is_unifilar():
     print(f"closed-form truth:            {true_entropy_rate(process):.5f}")

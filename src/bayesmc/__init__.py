@@ -22,7 +22,6 @@ from .core import (
     word_strings,
 )
 from .entropy import (
-    QDistribution,
     SupportWarning,
     WordConditional,
     asymptotic_energy,
@@ -30,7 +29,6 @@ from .entropy import (
     expected_energy,
     hmu_of,
     kl_of,
-    q_from,
     r_from,
     weighted_energy,
 )

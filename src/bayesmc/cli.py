@@ -273,15 +273,16 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
 
 def _entropy_point(sweep: _Sweep, N: int):
     for k, counts, hyper in sweep.points(N):
-        q = entropy.q_from(counts, hyper)
+        post = inference.posterior(counts, hyper)
+        q = entropy.r_from(post)
         kl_bits = None
         if k in sweep.approxes:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", entropy.SupportWarning)
                 kl_bits = entropy.kl_of(q, sweep.approxes[k].cond_probs)
-        yield "entropy.csv", (N, k, q.beta, entropy.expected_energy(q),
-                              entropy.energy_variance(q), entropy.hmu_of(q), kl_bits,
-                              entropy.asymptotic_energy(q), sweep.truth)
+        yield "entropy.csv", (N, k, post.total, entropy.expected_energy(post),
+                              entropy.energy_variance(post), entropy.hmu_of(q), kl_bits,
+                              entropy.asymptotic_energy(post), sweep.truth)
 
 
 def cmd_entropy(cfg: ExperimentConfig) -> None:

@@ -22,7 +22,6 @@ class OrderPosterior:
 
     orders: tuple[int, ...]
     log_evidence: np.ndarray = field(repr=False)
-    log_prior_weight: np.ndarray = field(repr=False)
     probabilities: np.ndarray = field(repr=False)
 
     def probability(self, k: int) -> float:
@@ -51,7 +50,7 @@ def _build(evidences: Mapping[int, float], log_prior) -> OrderPosterior:
     log_ev = np.array([float(evidences[k]) for k in orders])
     log_pw = np.array([float(log_prior(k)) for k in orders])
     probs = _log_normalize(log_ev + log_pw)
-    return OrderPosterior(orders, log_ev, log_pw, probs)
+    return OrderPosterior(orders, log_ev, probs)
 
 
 def compare_uniform(evidences: Mapping[int, float]) -> OrderPosterior:

@@ -268,13 +268,12 @@ def hyper_from_fake_counts(fake: CountTable) -> HyperTable:
 
 def read_sequence(path, alphabet: Alphabet | None = None,
                   column: str | None = None) -> SymbolSequence:
-    """Read a symbol sequence from a text file (no separators; line breaks are
-    dropped, so the sequence may be wrapped) or, when `column` is given, from
-    that column of a CSV file."""
+    """Read a symbol sequence from a text file (no separators; each line's
+    leading and trailing whitespace is dropped, so the sequence may be
+    wrapped) or, when `column` is given, from that column of a CSV file."""
     with open(path, "r", encoding="utf-8") as fh:
         if column is None:
-            # universal newlines have already turned every \r into \n
-            text = fh.read().strip().replace("\n", "")
+            text = "".join(line.strip() for line in fh)
         else:
             reader = csv.DictReader(fh, restval="")  # a short row's missing cell is empty
             if reader.fieldnames is None or column not in reader.fieldnames:

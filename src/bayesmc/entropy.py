@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparison import OrderPosterior
-from .core import CountTable, HyperTable
-from .inference import posterior, posterior_mean
-from .special import digamma, trigamma
+from .core import HyperTable
+from .inference import posterior_mean
+from .special import _trigamma_remainder, digamma
 
 _LN2 = math.log(2.0)
 
@@ -46,25 +46,11 @@ class WordConditional:
         object.__setattr__(self, "cond_probs", cp)
 
 
-@dataclass(frozen=True)
-class QDistribution(WordConditional):
-    """Mean word/conditional distribution of a Dirichlet table with total mass
-    beta."""
-
-    beta: float = 0.0
-
-
-def r_from(table: HyperTable) -> QDistribution:
+def r_from(table: HyperTable) -> WordConditional:
     """The mean distribution of a Dirichlet table: word masses alpha(word)/beta
     with beta = alpha_k the table's total, conditionals = posterior_mean."""
-    total = table.total
-    return QDistribution(table.order, table.alphabet, table.word_totals / total,
-                         posterior_mean(table), total)
-
-
-def q_from(counts: CountTable, hyper: HyperTable) -> QDistribution:
-    """Q: word masses (n + alpha)(word)/beta_k, conditionals = posterior mean."""
-    return r_from(posterior(counts, hyper))
+    return WordConditional(table.order, table.alphabet, table.word_totals / table.total,
+                           posterior_mean(table))
 
 
 def hmu_of(dist: WordConditional) -> float:
@@ -96,47 +82,41 @@ def kl_of(dist: WordConditional, true_cond: np.ndarray) -> float:
     return float(np.sum(mass[active] * np.log2(ratio[active])))
 
 
-def _masses(q: QDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """The posterior masses beta * q(word) and beta * q(word) * q(s | word)."""
-    bw = q.beta * q.word_probs
-    if np.any(bw <= 0):
-        raise ValueError("every word must carry positive posterior mass")
-    return bw, bw[:, None] * q.cond_probs
+def expected_energy(post: HyperTable) -> float:
+    """Posterior expectation of D[Q||P] + h_mu[Q], in bits per symbol, with Q
+    = r_from(post).
 
-
-def expected_energy(q: QDistribution) -> float:
-    """Posterior expectation of D[Q||P] + h_mu[Q], in bits per symbol.
-
-    First beta-derivative of -log Z at fixed Q, expressed with digammas.
+    First beta-derivative of -log Z at fixed Q, expressed with digammas of
+    the posterior table t = n + alpha and its word totals t(w):
+    (sum_w t(w) psi(t(w)) - sum_(w,s) t(w,s) psi(t(w,s))) / (beta ln 2).
     """
-    bw, bws = _masses(q)
-    word_part = np.sum(q.word_probs * digamma(bw))
-    pair_part = np.sum(q.word_probs[:, None] * q.cond_probs * digamma(bws))
-    return float((word_part - pair_part) / _LN2)
+    t, tw = post.table, post.word_totals
+    return float((np.sum(tw * digamma(tw)) - np.sum(t * digamma(t))) / (post.total * _LN2))
 
 
-def energy_variance(q: QDistribution) -> float:
+def energy_variance(post: HyperTable) -> float:
     """Posterior variance of the energy, in bits^2 per symbol^2.
 
-    Second beta-derivative of log Z at fixed Q, expressed with trigammas;
-    the energy is in bits, so the natural-log variance is divided by
-    (log 2)^2.
+    Second beta-derivative of log Z at fixed Q, expressed with trigammas:
+    (sum_(w,s) t^2 psi'(t) - sum_w t(w)^2 psi'(t(w))) / (beta ln 2)^2.  Both
+    sums carry the same leading term sum t^2 / t = beta, so each trigamma is
+    taken without its 1/t and the difference keeps its relative precision
+    at any beta.
     """
-    bw, bws = _masses(q)
-    joint = q.word_probs[:, None] * q.cond_probs
-    pair_part = np.sum(joint**2 * trigamma(bws))
-    word_part = np.sum(q.word_probs**2 * trigamma(bw))
-    return float((pair_part - word_part) / _LN2**2)
+    t, tw = post.table, post.word_totals
+    pair_part = np.sum(t * t * _trigamma_remainder(t))
+    word_part = np.sum(tw * tw * _trigamma_remainder(tw))
+    return float((pair_part - word_part) / (post.total * _LN2) ** 2)
 
 
-def asymptotic_energy(q: QDistribution) -> float:
+def asymptotic_energy(post: HyperTable) -> float:
     """Large-beta expansion: h_mu[Q] + A**k (A-1) / (2 beta ln 2).
 
     The remainder is O(1/beta^2); meaningful only for beta >> 1.
     """
-    A = q.alphabet.size
-    correction = A**q.order * (A - 1) / (2.0 * q.beta * _LN2)
-    return hmu_of(q) + correction
+    A = post.alphabet.size
+    correction = A**post.order * (A - 1) / (2.0 * post.total * _LN2)
+    return hmu_of(r_from(post)) + correction
 
 
 def weighted_energy(op: OrderPosterior, energies: dict[int, float]) -> float:

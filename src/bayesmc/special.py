@@ -133,6 +133,17 @@ def trigamma(x):
     return _scalar_or_array(x, out)
 
 
+def _trigamma_remainder(x):
+    """trigamma(x) - 1/x for x > 0.  The 1/x cancels against the series'
+    leading 1/z (exactly, when x needs no shift), so the remainder keeps its
+    relative precision at large x, and two sums of t^2 trigamma(t) over
+    tables of equal total can drop their 1/t parts in the algebra."""
+    z, inv2, acc, tail = _shifted_series(x, "trigamma", lambda z: 1.0 / (z * z),
+                                         _TRIGAMMA_TAIL)
+    out = acc + (1.0 / z - 1.0 / np.asarray(x, dtype=float)) + 0.5 * inv2 + tail / z
+    return _scalar_or_array(x, out)
+
+
 @dataclass(frozen=True)
 class BetaParams:
     """Parameters of a Beta(a, b) distribution, both strictly positive.  The

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from bayesmc import (
     Alphabet,
     CountTable,
+    HyperTable,
     SymbolSequence,
     count_words,
     hyper_from_fake_counts,
@@ -150,6 +151,8 @@ class TestHyperTables:
     def test_nonpositive_value(self):
         with pytest.raises(ValueError):
             uniform_hyper(1, BINARY, 0.0)
+        with pytest.raises(ValueError):
+            HyperTable(1, BINARY, [[1, 0], [1, 1]])
 
     def test_fake_counts_zero_is_flat(self):
         fake = CountTable(1, BINARY, np.zeros((2, 2)))

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import mpmath
@@ -26,53 +27,61 @@ from bayesmc import (
     posterior,
     posterior_mean,
     posterior_variance,
-    q_from,
     r_from,
     sample_posterior,
     sample_sequence,
+    sns,
     uniform_hyper,
     weighted_energy,
 )
-from bayesmc.entropy import QDistribution
+from bayesmc.entropy import WordConditional
 from bayesmc.inference import region_mass
 
 from util import biased_chain
 
-mpmath.mp.dps = 40
+mpmath.mp.dps = 60
 
 BINARY = Alphabet.binary()
 FLAT1 = uniform_hyper(1, BINARY, 1.0)
 LN2 = math.log(2.0)
 
 
+def post_at(N, hmm=golden_mean(), k=1):
+    """The flat-prior posterior of exact average counts."""
+    return posterior(average_counts(hmm, N, k), uniform_hyper(k, hmm.alphabet, 1.0))
+
+
 def q_at(N, hmm=golden_mean(), k=1):
-    counts = average_counts(hmm, N, k)
-    return q_from(counts, uniform_hyper(k, hmm.alphabet, 1.0))
+    return r_from(post_at(N, hmm, k))
 
 
-def mp_energy(q):
-    """Expected energy recomputed at 40-digit precision with mpmath psi."""
-    beta = mpmath.mpf(q.beta)
-    total = mpmath.mpf(0)
-    for w, qw in enumerate(q.word_probs):
-        qw = mpmath.mpf(float(qw))
-        total += qw * mpmath.psi(0, beta * qw)
-        for s in range(q.cond_probs.shape[1]):
-            qs = mpmath.mpf(float(q.cond_probs[w, s]))
-            total -= qw * qs * mpmath.psi(0, beta * qw * qs)
-    return float(total / mpmath.log(2))
+def mp_table(post):
+    """The posterior table's rows in mpmath, with each word total and the
+    grand total beta summed by mpmath's fsum: the float word_totals would put
+    an ulp(t(w)) / beta^2 error into the reference variance."""
+    rows = [[mpmath.mpf(float(t)) for t in row] for row in post.table]
+    words = [mpmath.fsum(row) for row in rows]
+    return rows, words, mpmath.fsum(words)
+
+
+def mp_energy(post):
+    """Expected energy recomputed at 60-digit precision with mpmath psi."""
+    rows, words, beta = mp_table(post)
+    total = mpmath.fsum(tw * mpmath.psi(0, tw) for tw in words)
+    total -= mpmath.fsum(t * mpmath.psi(0, t) for row in rows for t in row)
+    return float(total / (beta * mpmath.log(2)))
 
 
 class TestDistributions:
     def test_q_prior_only_is_flat(self):
-        q = q_from(CountTable(1, BINARY, np.zeros((2, 2))), FLAT1)
-        assert q.beta == pytest.approx(4.0)
+        post = posterior(CountTable(1, BINARY, np.zeros((2, 2))), FLAT1)
+        assert post.total == pytest.approx(4.0)
+        q = r_from(post)
         np.testing.assert_allclose(q.word_probs, 0.5)
         np.testing.assert_allclose(q.cond_probs, 0.5)
 
     def test_q_beta_is_total_mass(self):
-        q = q_at(1000)
-        assert q.beta == pytest.approx(999.0 + 4.0)
+        assert post_at(1000).total == pytest.approx(999.0 + 4.0)
 
     def test_q_rows_normalized(self):
         q = q_at(137)
@@ -101,8 +110,8 @@ class TestHmu:
 
     def test_zero_entries_ignored(self):
         dist = r_from(FLAT1)
-        q = QDistribution(1, BINARY, np.array([1.0, 0.0]),
-                          np.array([[1.0, 0.0], [0.5, 0.5]]), beta=10.0)
+        q = WordConditional(1, BINARY, np.array([1.0, 0.0]),
+                            np.array([[1.0, 0.0], [0.5, 0.5]]))
         assert hmu_of(q) == pytest.approx(0.0, abs=1e-12)
         assert hmu_of(dist) == pytest.approx(1.0)
 
@@ -113,8 +122,8 @@ class TestKl:
         assert kl_of(q, q.cond_probs) == pytest.approx(0.0, abs=1e-12)
 
     def test_quarter_vs_half(self):
-        q = QDistribution(1, BINARY, np.array([1.0, 0.0]),
-                          np.array([[0.75, 0.25], [0.5, 0.5]]), beta=1.0)
+        q = WordConditional(1, BINARY, np.array([1.0, 0.0]),
+                            np.array([[0.75, 0.25], [0.5, 0.5]]))
         ref = np.full((2, 2), 0.5)
         # closed form: 1 - H(1/4)
         assert kl_of(q, ref) == pytest.approx(0.18872187554086717, abs=1e-12)
@@ -133,7 +142,7 @@ class TestKl:
         kls = []
         for N in (1000, 2000, 4000, 8000):
             counts = average_counts(chain, N, 1)
-            kls.append(kl_of(q_from(counts, FLAT1), truth))
+            kls.append(kl_of(r_from(posterior(counts, FLAT1)), truth))
         ratios = [a / b for a, b in zip(kls, kls[1:])]
         assert all(3.5 < r < 4.5 for r in ratios)
 
@@ -145,16 +154,16 @@ class TestKl:
 class TestExpectedEnergy:
     def test_prior_only_binary_k1(self):
         # beta=4, flat Q: (1/ln2)(psi(2) - psi(1)) = 1/ln2
-        q = q_from(CountTable(1, BINARY, np.zeros((2, 2))), FLAT1)
-        assert expected_energy(q) == pytest.approx(1.0 / LN2, abs=1e-12)
+        post = posterior(CountTable(1, BINARY, np.zeros((2, 2))), FLAT1)
+        assert expected_energy(post) == pytest.approx(1.0 / LN2, abs=1e-12)
 
     def test_matches_mpmath(self):
         for N in (50, 500, 5000):
-            q = q_at(N)
-            assert expected_energy(q) == pytest.approx(mp_energy(q), abs=1e-11)
+            post = post_at(N)
+            assert expected_energy(post) == pytest.approx(mp_energy(post), abs=1e-11)
         for N in (1e4, 1e6, 1e8):  # no cancellation: the mean stays at 1e-14
-            q = q_at(N, hmm=even_process(), k=2)
-            assert expected_energy(q) == pytest.approx(mp_energy(q), rel=1e-14, abs=0.0)
+            post = post_at(N, hmm=even_process(), k=2)
+            assert expected_energy(post) == pytest.approx(mp_energy(post), rel=1e-14, abs=0.0)
 
     def test_matches_finite_difference_of_log_partition(self):
         # d(-log Z)/d(beta) at fixed Q equals the energy in nats; scale the
@@ -172,61 +181,48 @@ class TestExpectedEnergy:
 
         beta = t.sum()
         fd = (neg_logz(1.0 + h) - neg_logz(1.0 - h)) / (2.0 * h * beta)
-        q = q_from(counts, hyper)
-        assert expected_energy(q) == pytest.approx(fd / LN2, abs=1e-6)
+        assert expected_energy(posterior(counts, hyper)) == pytest.approx(fd / LN2, abs=1e-6)
 
     def test_exceeds_entropy_rate(self):
         # energy = KL + entropy rate, and KL >= 0
         for N in (30, 300, 3000):
-            q = q_at(N)
-            assert expected_energy(q) >= hmu_of(q) - 1e-12
+            post = post_at(N)
+            assert expected_energy(post) >= hmu_of(r_from(post)) - 1e-12
 
     def test_decreases_toward_truth(self):
-        es = [expected_energy(q_at(N)) for N in (100, 1000, 10_000, 100_000)]
+        es = [expected_energy(post_at(N)) for N in (100, 1000, 10_000, 100_000)]
         assert all(b < a for a, b in zip(es, es[1:]))
         assert es[-1] == pytest.approx(2.0 / 3.0, abs=2e-4)
 
-    def test_rejects_empty_word(self):
-        q = QDistribution(1, BINARY, np.array([1.0, 0.0]),
-                          np.full((2, 2), 0.5), beta=8.0)
-        with pytest.raises(ValueError):
-            expected_energy(q)
 
-
-def mp_variance(q):
-    """Energy variance recomputed at 40-digit precision with mpmath psi', in bits^2."""
-    beta = mpmath.mpf(q.beta)
-    total = mpmath.mpf(0)
-    for w, qw in enumerate(q.word_probs):
-        qw = mpmath.mpf(float(qw))
-        total -= qw**2 * mpmath.psi(1, beta * qw)
-        for s in range(q.cond_probs.shape[1]):
-            qs = mpmath.mpf(float(q.cond_probs[w, s]))
-            total += (qw * qs) ** 2 * mpmath.psi(1, beta * qw * qs)
-    return float(total / mpmath.log(2) ** 2)
+def mp_variance(post):
+    """Energy variance recomputed at 60-digit precision with mpmath psi', in
+    bits^2, with the full trigammas: their 1/t parts cancel at 60 digits."""
+    rows, words, beta = mp_table(post)
+    total = mpmath.fsum(t**2 * mpmath.psi(1, t) for row in rows for t in row)
+    total -= mpmath.fsum(tw**2 * mpmath.psi(1, tw) for tw in words)
+    return float(total / (beta * mpmath.log(2)) ** 2)
 
 
 class TestEnergyVariance:
     def test_prior_only_binary_k1(self):
         # beta=4, flat Q: the pair part 4 (1/4)^2 psi'(1) = pi^2/24 minus the
         # word part 2 (1/2)^2 psi'(2) = pi^2/12 - 1/2, in nats^2
-        q = q_from(CountTable(1, BINARY, np.zeros((2, 2))), FLAT1)
+        post = posterior(CountTable(1, BINARY, np.zeros((2, 2))), FLAT1)
         ref = (0.5 - math.pi**2 / 24.0) / LN2**2
-        assert energy_variance(q) == pytest.approx(ref, abs=1e-12)
+        assert energy_variance(post) == pytest.approx(ref, abs=1e-12)
 
     def test_matches_mpmath(self):
-        q = q_at(700)
-        assert energy_variance(q) == pytest.approx(mp_variance(q), abs=1e-12)
-        # The pair and word trigamma sums cancel down to their 1/beta^2
-        # remainder, so the relative error grows like eps * beta.  Measured
-        # on the even process at k = 2: 3e-13, 6e-11 and 2.3e-9 at N = 1e4,
-        # 1e6 and 1e8.
-        for N, rel in ((1e4, 1e-12), (1e6, 1e-10), (1e8, 4e-9)):
-            q = q_at(N, hmm=even_process(), k=2)
-            assert energy_variance(q) == pytest.approx(mp_variance(q), rel=rel, abs=0.0)
+        # The pair and word sums share their leading 1/t parts, which cancel
+        # in the algebra, so the relative error stays flat in N up to 1e12.
+        for hmm, k in itertools.product((even_process(), sns(), golden_mean()), (1, 2, 4)):
+            for N in (700, 1e4, 1e6, 1e8, 1e10, 1e12):
+                post = post_at(N, hmm=hmm, k=k)
+                assert energy_variance(post) == pytest.approx(mp_variance(post), rel=1e-12,
+                                                              abs=0.0), (hmm.name, k, N)
 
     def test_positive_and_shrinks(self):
-        vs = [energy_variance(q_at(N)) for N in (100, 1000, 10_000)]
+        vs = [energy_variance(post_at(N)) for N in (100, 1000, 10_000)]
         assert all(v > 0 for v in vs)
         assert vs[0] > vs[1] > vs[2]
 
@@ -268,13 +264,14 @@ class TestPosteriorMonteCarlo:
 
     def test_energy_moments(self, case):
         counts, hyper, _, draws = mc_draws(case)
-        q = q_from(counts, hyper)
+        post = posterior(counts, hyper)
+        q = r_from(post)
         joint = q.word_probs[:, None] * q.cond_probs
         energy = -np.sum(joint * np.log2(draws), axis=(1, 2))
         mean_se = energy.std(ddof=1) / math.sqrt(MC_DRAWS)
-        assert abs(energy.mean() - expected_energy(q)) < MC_Z * mean_se
+        assert abs(energy.mean() - expected_energy(post)) < MC_Z * mean_se
         var, var_se = sample_variance_se(energy)
-        assert abs(var - energy_variance(q)) < MC_Z * var_se
+        assert abs(var - energy_variance(post)) < MC_Z * var_se
 
     def test_posterior_moments(self, case):
         _, _, post, draws = mc_draws(case)
@@ -295,17 +292,17 @@ class TestPosteriorMonteCarlo:
 
 class TestAsymptotic:
     def test_formula(self):
-        q = q_at(1000, k=2)
-        expected = hmu_of(q) + 4.0 / (2.0 * q.beta * LN2)
-        assert asymptotic_energy(q) == pytest.approx(expected, abs=1e-14)
+        post = post_at(1000, k=2)
+        expected = hmu_of(r_from(post)) + 4.0 / (2.0 * post.total * LN2)
+        assert asymptotic_energy(post) == pytest.approx(expected, abs=1e-14)
 
     def test_close_to_exact_full_support(self):
         chain = biased_chain()
         for N in (1000, 10_000):
             counts = average_counts(chain, N, 1)
-            q = q_from(counts, FLAT1)
-            gap = abs(expected_energy(q) - asymptotic_energy(q))
-            assert gap < 2.0 / q.beta**2
+            post = posterior(counts, FLAT1)
+            gap = abs(expected_energy(post) - asymptotic_energy(post))
+            assert gap < 2.0 / post.total**2
 
 
 class TestPartitionAndMixing:
