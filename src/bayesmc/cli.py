@@ -34,6 +34,11 @@ EXIT_NUMERIC = 3
 
 OUT_DIR_ENV = "BAYESMC_OUT"
 
+#: A sweep maps its N grid in chunks of G points whose top-order count tables
+#: hold together at most this many entries (G >= 1), so that each order makes
+#: one evidence or energy kernel call per chunk.
+CHUNK_ENTRIES = 2**16
+
 
 class ConfigError(ValueError):
     pass
@@ -129,17 +134,24 @@ class _Sweep:
     approxes: dict[int, entropy.WordConditional]
     truth: float | None
 
-    def points(self, N: int):
-        """(k, counts, hyper) for each order at data size N.  A prefix is
+    def points(self, chunk: tuple[int, ...]):
+        """(k, counts, hyper) for each order, the counts a (G, A**k, A) stack
+        over the chunk's G data sizes.  In sample and file mode each prefix is
         counted once, at the top order, and each lower order derived from it."""
         if self.seq is None:  # the exact average counts, as processes.average_counts
+            N = np.array(chunk)[:, None, None]
             for k, hyper in self.hypers.items():
                 yield k, CountTable(k, self.alphabet, (N - k) * self.joints[k]), hyper
             return
-        prefix = SymbolSequence(self.alphabet, self.seq.data[:N])
-        top = count_words(prefix, self.cfg.k_max)
+        A = self.alphabet.size
+        stacks = {k: np.empty((len(chunk), A**k, A)) for k in self.hypers}
+        for g, N in enumerate(chunk):
+            prefix = SymbolSequence(self.alphabet, self.seq.data[:N])
+            top = count_words(prefix, self.cfg.k_max)
+            for k, stack in stacks.items():
+                stack[g] = lower_order_counts(top, prefix, k).table
         for k, hyper in self.hypers.items():
-            yield k, lower_order_counts(top, prefix, k), hyper
+            yield k, CountTable(k, self.alphabet, stacks.pop(k)), hyper
 
 
 def _resolve(cfg: ExperimentConfig, with_truth: bool = False) -> _Sweep:
@@ -195,24 +207,35 @@ def _init_worker(sweep: _Sweep) -> None:
     _worker_sweep = sweep
 
 
-def _in_worker(point, N):
-    return list(point(_worker_sweep, N))
+def _in_worker(point, chunk):
+    return list(point(_worker_sweep, chunk))
+
+
+def _chunks(sweep: _Sweep) -> list[tuple[int, ...]]:
+    """The N grid cut into contiguous chunks of G points, G as large as
+    CHUNK_ENTRIES allows; with --jobs > 1 also at most a 4 * jobs-th of the
+    grid, so that every worker stays busy."""
+    grid, jobs = sweep.cfg.n_grid, sweep.cfg.jobs
+    size = max(1, CHUNK_ENTRIES // sweep.alphabet.size ** (sweep.cfg.k_max + 1))
+    if jobs > 1:
+        size = min(size, max(1, len(grid) // (4 * jobs)))
+    return [grid[i:i + size] for i in range(0, len(grid), size)]
 
 
 def _grid_map(point, sweep: _Sweep):
-    """Yield the (file name, row) pairs of point(sweep, N) for each N of the
-    grid, in grid order.  Points are module-level generators so that the pool
-    can pickle them; a worker returns each N's rows as one list."""
-    grid, jobs = sweep.cfg.n_grid, sweep.cfg.jobs
-    if jobs > 1 and len(grid) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+    """Yield the (file name, row) pairs of point(sweep, chunk) for each chunk
+    of the grid, in grid order: N-major, then k.  Points are module-level
+    generators so that the pool can pickle them; a worker returns each
+    chunk's rows as one list."""
+    chunks = _chunks(sweep)
+    if sweep.cfg.jobs > 1 and len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=sweep.cfg.jobs, initializer=_init_worker,
                                  initargs=(sweep,)) as pool:
-            for rows in pool.map(functools.partial(_in_worker, point), grid,
-                                 chunksize=max(1, len(grid) // (4 * jobs))):
+            for rows in pool.map(functools.partial(_in_worker, point), chunks):
                 yield from rows
     else:
-        for N in grid:
-            yield from point(sweep, N)
+        for chunk in chunks:
+            yield from point(sweep, chunk)
 
 
 def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> None:
@@ -238,17 +261,20 @@ def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> N
             fh.write("\n]\n")
 
 
-def _infer_point(sweep: _Sweep, N: int):
-    for k, counts, hyper in sweep.points(N):
-        for row in inference.summary_rows(counts, hyper, sweep.cfg.confidence):
-            yield "infer_summary.csv", (N, k, *row)
-        x, dens = inference.density_grid(inference.posterior(counts, hyper),
-                                         sweep.cfg.density_points)
-        xs = x.tolist()
-        for word, word_dens in zip(word_strings(k, sweep.alphabet), dens):
-            for symbol, entry_dens in zip(sweep.alphabet.symbols, word_dens.tolist()):
-                for x, d in zip(xs, entry_dens):
-                    yield "infer_density.csv", (N, k, word, symbol, x, d)
+def _infer_point(sweep: _Sweep, chunk: tuple[int, ...]):
+    stacks = list(sweep.points(chunk))
+    for g, N in enumerate(chunk):
+        for k, stack, hyper in stacks:
+            counts = CountTable(k, sweep.alphabet, stack.table[g])
+            for row in inference.summary_rows(counts, hyper, sweep.cfg.confidence):
+                yield "infer_summary.csv", (N, k, *row)
+            x, dens = inference.density_grid(inference.posterior(counts, hyper),
+                                             sweep.cfg.density_points)
+            xs = x.tolist()
+            for word, word_dens in zip(word_strings(k, sweep.alphabet), dens):
+                for symbol, entry_dens in zip(sweep.alphabet.symbols, word_dens.tolist()):
+                    for x, d in zip(xs, entry_dens):
+                        yield "infer_density.csv", (N, k, word, symbol, x, d)
 
 
 def cmd_infer(cfg: ExperimentConfig) -> None:
@@ -258,12 +284,15 @@ def cmd_infer(cfg: ExperimentConfig) -> None:
         "infer_density.csv": ("N", "k", "word", "symbol", "x", "density")})
 
 
-def _compare_point(sweep: _Sweep, N: int):
-    evidences = {k: inference.log_evidence(counts, hyper) for k, counts, hyper in sweep.points(N)}
-    uni = comparison.compare_uniform(evidences)
-    pen = comparison.compare_penalized(evidences, sweep.alphabet.size)
-    for k, log_evidence in evidences.items():
-        yield "compare.csv", (N, k, log_evidence, uni.probability(k), pen.probability(k))
+def _compare_point(sweep: _Sweep, chunk: tuple[int, ...]):
+    stacked = {k: inference.log_evidence(counts, hyper).tolist()
+               for k, counts, hyper in sweep.points(chunk)}
+    for g, N in enumerate(chunk):
+        evidences = {k: values[g] for k, values in stacked.items()}
+        uni = comparison.compare_uniform(evidences)
+        pen = comparison.compare_penalized(evidences, sweep.alphabet.size)
+        for k, log_evidence in evidences.items():
+            yield "compare.csv", (N, k, log_evidence, uni.probability(k), pen.probability(k))
 
 
 def cmd_compare(cfg: ExperimentConfig) -> None:
@@ -271,18 +300,25 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
         "compare.csv": ("N", "k", "log_evidence_nats", "prob_uniform", "prob_penalized")})
 
 
-def _entropy_point(sweep: _Sweep, N: int):
-    for k, counts, hyper in sweep.points(N):
+def _entropy_point(sweep: _Sweep, chunk: tuple[int, ...]):
+    columns = {}
+    for k, counts, hyper in sweep.points(chunk):
         post = inference.posterior(counts, hyper)
         q = entropy.r_from(post)
-        kl_bits = None
+        kl_bits = [None] * len(chunk)
         if k in sweep.approxes:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", entropy.SupportWarning)
-                kl_bits = entropy.kl_of(q, sweep.approxes[k].cond_probs)
-        yield "entropy.csv", (N, k, post.total, entropy.expected_energy(post),
-                              entropy.energy_variance(post), entropy.hmu_of(q), kl_bits,
-                              entropy.asymptotic_energy(post), sweep.truth)
+                kl_bits = [entropy.kl_of(entropy.WordConditional(k, sweep.alphabet, w, c),
+                                         sweep.approxes[k].cond_probs)
+                           for w, c in zip(q.word_probs, q.cond_probs)]
+        columns[k] = list(zip(post.total.tolist(), entropy.expected_energy(post).tolist(),
+                              entropy.energy_variance(post).tolist(),
+                              entropy.hmu_of(q).tolist(), kl_bits,
+                              entropy.asymptotic_energy(post).tolist()))
+    for g, N in enumerate(chunk):
+        for k, values in columns.items():
+            yield "entropy.csv", (N, k, *values[g], sweep.truth)
 
 
 def cmd_entropy(cfg: ExperimentConfig) -> None:

@@ -5,7 +5,8 @@ Words of length k over an alphabet of size A are stored by their base-A
 integer code (earliest symbol most significant), so a table over all
 (word, next symbol) pairs is a dense (A**k, A) array.  Dense storage costs
 A**(k+1) entries; table-building functions refuse orders whose table would
-exceed TABLE_CAP.
+exceed TABLE_CAP.  A count or hyper table may also hold a (G, A**k, A) stack
+of G tables of one order, such as one per data size of a sweep.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import dirichlet_log_norm
+from .special import _per_table, _table_sum, dirichlet_log_norm
 
 #: Largest dense table (in entries) that table-building functions will allocate.
 TABLE_CAP = 2**26
@@ -134,6 +135,16 @@ def word_strings(k: int, alphabet: Alphabet) -> list[str]:
     return words
 
 
+def _table_array(table, order: int, alphabet: Alphabet, kind: str) -> np.ndarray:
+    """`table` as a float array of shape (A**k, A) or (G, A**k, A)."""
+    expected = (alphabet.size**order, alphabet.size)
+    arr = np.asarray(table, dtype=float)
+    if arr.ndim not in (2, 3) or arr.shape[-2:] != expected:
+        raise ShapeMismatchError(f"{kind} table shape {arr.shape}, expected {expected} "
+                                 f"or a stack (G, {expected[0]}, {expected[1]})")
+    return arr
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=float)
     arr.flags.writeable = False
@@ -146,7 +157,8 @@ class CountTable:
 
     Entries are nonnegative reals so that exact average counts
     (N - k) * p(word, symbol) share one representation with integer
-    empirical counts.
+    empirical counts.  A (G, A**k, A) stack holds G such tables; its totals
+    then have one value per table.
     """
 
     order: int
@@ -154,10 +166,7 @@ class CountTable:
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expected = (self.alphabet.size**self.order, self.alphabet.size)
-        arr = np.asarray(self.table, dtype=float)
-        if arr.shape != expected:
-            raise ShapeMismatchError(f"count table shape {arr.shape}, expected {expected}")
+        arr = _table_array(self.table, self.order, self.alphabet, "count")
         if np.any(arr < 0):
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "table", _frozen(arr))
@@ -165,27 +174,25 @@ class CountTable:
     @property
     def word_totals(self) -> np.ndarray:
         """n(word) = sum over next symbols."""
-        return self.table.sum(axis=1)
+        return self.table.sum(axis=-1)
 
     @property
-    def total(self) -> float:
-        return float(self.table.sum())
+    def total(self):
+        return _per_table(_table_sum(self.table))
 
 
 @dataclass(frozen=True)
 class HyperTable:
     """Dirichlet parameters alpha(word, next symbol), all strictly positive:
-    a prior's hyperparameters, or a posterior's counts + hyperparameters."""
+    a prior's hyperparameters, or a posterior's counts + hyperparameters.
+    Like a CountTable, it may hold a (G, A**k, A) stack."""
 
     order: int
     alphabet: Alphabet
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expected = (self.alphabet.size**self.order, self.alphabet.size)
-        arr = np.asarray(self.table, dtype=float)
-        if arr.shape != expected:
-            raise ShapeMismatchError(f"hyper table shape {arr.shape}, expected {expected}")
+        arr = _table_array(self.table, self.order, self.alphabet, "hyper")
         if np.any(arr <= 0):
             raise ValueError("hyperparameters must be strictly positive")
         object.__setattr__(self, "table", _frozen(arr))
@@ -193,12 +200,12 @@ class HyperTable:
     @property
     def word_totals(self) -> np.ndarray:
         """alpha(word) = sum over next symbols."""
-        return self.table.sum(axis=1)
+        return self.table.sum(axis=-1)
 
     @property
-    def total(self) -> float:
+    def total(self):
         """alpha_k = sum over all (word, symbol) entries."""
-        return float(self.table.sum())
+        return _per_table(_table_sum(self.table))
 
     @functools.cached_property
     def log_norm(self):

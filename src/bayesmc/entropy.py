@@ -5,7 +5,9 @@ parameter beta_k = total posterior mass.  Its first derivative gives the
 posterior expectation of the energy E = D[Q||P] + h_mu[Q] (conditional
 relative entropy plus entropy rate of the posterior-mean distribution Q);
 the second derivative gives its variance.  Both reduce to polygamma sums.
-All returned information quantities are in bits.
+All returned information quantities are in bits.  The moments, r_from and
+hmu_of also take a (G, A**k, A) stack of tables and return one value per
+table, each equal to its table's own bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .comparison import OrderPosterior
 from .core import HyperTable
 from .inference import posterior_mean
-from .special import _trigamma_remainder, digamma
+from .special import _per_table, _table_sum, _trigamma_remainder, digamma
 
 _LN2 = math.log(2.0)
 
@@ -30,12 +32,13 @@ class SupportWarning(UserWarning):
 
 @dataclass(frozen=True)
 class WordConditional:
-    """A pair (word distribution, conditional next-symbol distribution)."""
+    """A pair (word distribution, conditional next-symbol distribution), or
+    a stack of G such pairs."""
 
     order: int
     alphabet: object
-    word_probs: np.ndarray = field(repr=False)  # (A**k,)
-    cond_probs: np.ndarray = field(repr=False)  # (A**k, A), rows sum to 1
+    word_probs: np.ndarray = field(repr=False)  # (A**k,) or (G, A**k)
+    cond_probs: np.ndarray = field(repr=False)  # (A**k, A) or (G, A**k, A), rows sum to 1
 
     def __post_init__(self):
         wp = np.ascontiguousarray(self.word_probs, dtype=float)
@@ -49,7 +52,8 @@ class WordConditional:
 def r_from(table: HyperTable) -> WordConditional:
     """The mean distribution of a Dirichlet table: word masses alpha(word)/beta
     with beta = alpha_k the table's total, conditionals = posterior_mean."""
-    return WordConditional(table.order, table.alphabet, table.word_totals / table.total,
+    beta = np.asarray(table.total)[..., None]
+    return WordConditional(table.order, table.alphabet, table.word_totals / beta,
                            posterior_mean(table))
 
 
@@ -58,11 +62,12 @@ def hmu_of(dist: WordConditional) -> float:
     cp = dist.cond_probs
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(cp > 0, cp * np.log2(np.where(cp > 0, cp, 1.0)), 0.0)
-    return float(-np.sum(dist.word_probs[:, None] * terms))
+    return _per_table(-_table_sum(dist.word_probs[..., None] * terms))
 
 
 def kl_of(dist: WordConditional, true_cond: np.ndarray) -> float:
-    """Conditional relative entropy D[Q || P] in bits per symbol.
+    """Conditional relative entropy D[Q || P] of one distribution, in bits
+    per symbol.
 
     Infinite (with a SupportWarning) when Q puts mass on a transition the
     reference conditionals forbid.
@@ -91,7 +96,8 @@ def expected_energy(post: HyperTable) -> float:
     (sum_w t(w) psi(t(w)) - sum_(w,s) t(w,s) psi(t(w,s))) / (beta ln 2).
     """
     t, tw = post.table, post.word_totals
-    return float((np.sum(tw * digamma(tw)) - np.sum(t * digamma(t))) / (post.total * _LN2))
+    return _per_table(((tw * digamma(tw)).sum(axis=-1) - _table_sum(t * digamma(t)))
+                      / (post.total * _LN2))
 
 
 def energy_variance(post: HyperTable) -> float:
@@ -104,9 +110,9 @@ def energy_variance(post: HyperTable) -> float:
     at any beta.
     """
     t, tw = post.table, post.word_totals
-    pair_part = np.sum(t * t * _trigamma_remainder(t))
-    word_part = np.sum(tw * tw * _trigamma_remainder(tw))
-    return float((pair_part - word_part) / (post.total * _LN2) ** 2)
+    pair_part = _table_sum(t * t * _trigamma_remainder(t))
+    word_part = (tw * tw * _trigamma_remainder(tw)).sum(axis=-1)
+    return _per_table((pair_part - word_part) / (post.total * _LN2) ** 2)
 
 
 def asymptotic_energy(post: HyperTable) -> float:

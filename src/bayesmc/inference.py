@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CountTable, HyperTable, require_same_shape, word_strings
-from .special import BetaParams, inv_reg_inc_beta, log_gamma, reg_inc_beta
+from .special import (BetaParams, _per_table, _table_sum, inv_reg_inc_beta, log_gamma,
+                      reg_inc_beta)
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,8 @@ class ConfidenceRegion:
 
 
 def posterior(counts: CountTable, hyper: HyperTable) -> HyperTable:
-    """Posterior Dirichlet parameters: counts + hyperparameters, elementwise."""
+    """Posterior Dirichlet parameters: counts + hyperparameters, elementwise;
+    a stack of counts gives a stack of posteriors."""
     require_same_shape(counts, hyper)
     return HyperTable(counts.order, counts.alphabet, counts.table + hyper.table)
 
@@ -33,13 +35,13 @@ def posterior(counts: CountTable, hyper: HyperTable) -> HyperTable:
 def posterior_mean(post: HyperTable) -> np.ndarray:
     """Mean of every p(s | word) under the Dirichlet table (a posterior, or a
     prior alone); rows sum to 1."""
-    return post.table / post.word_totals[:, None]
+    return post.table / post.word_totals[..., None]
 
 
 def posterior_variance(post: HyperTable) -> np.ndarray:
     """Variance of every p(s | word) under the Dirichlet table; equals the
     Beta-marginal variance."""
-    totals = post.word_totals[:, None]
+    totals = post.word_totals[..., None]
     return post.table * (totals - post.table) / (totals**2 * (totals + 1.0))
 
 
@@ -63,18 +65,21 @@ def region_mass(m: BetaParams, region: ConfidenceRegion) -> float:
     return reg_inc_beta(m, region.upper) - reg_inc_beta(m, region.lower)
 
 
-def _log_gamma_ratio(base_log_norm, upd: np.ndarray) -> float:
+def _log_gamma_ratio(base_log_norm, upd: np.ndarray):
     """log of prod_w Gamma(base(w)) / Gamma(upd(w)) * prod_(w,s) Gamma(upd(w, s))
     / Gamma(base(w, s)), with upd = base + inc and (w) a row total: the
     Dirichlet average of a likelihood with counts inc under parameters base.
-    The base's part comes in as its cached HyperTable.log_norm."""
-    return float(base_log_norm + np.sum(log_gamma(upd)) - np.sum(log_gamma(upd.sum(axis=1))))
+    The base's part comes in as its cached HyperTable.log_norm.  A float for
+    one (W, A) table upd, one value per table for a (G, W, A) stack."""
+    return _per_table(base_log_norm + _table_sum(log_gamma(upd))
+                      - log_gamma(upd.sum(axis=-1)).sum(axis=-1))
 
 
-def log_evidence(counts: CountTable, hyper: HyperTable) -> float:
+def log_evidence(counts: CountTable, hyper: HyperTable):
     """Natural log of the marginal likelihood (average of the likelihood over
     the prior), in the closed Gamma-ratio form.  The prior's normaliser is
-    computed once per hyper table.
+    computed once per hyper table.  A stack of count tables gives one log
+    evidence per table, in one pass over the stack.
 
     The product runs over all A**k words; words with zero counts contribute
     exactly zero, so the all-zero table gives log evidence 0.
@@ -93,15 +98,16 @@ def log_predictive(counts: CountTable, new_counts: CountTable, hyper: HyperTable
 
 
 def sample_posterior(post: HyperTable, seed) -> np.ndarray:
-    """One Dirichlet draw per word, via per-component Gamma draws normalized
-    row-wise.  Deterministic given the seed (or caller-owned Generator)."""
+    """One Dirichlet draw per word (of every table of a stack), via
+    per-component Gamma draws normalized row-wise.  Deterministic given the
+    seed (or caller-owned Generator)."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     g = rng.gamma(shape=post.table)
-    return g / g.sum(axis=1, keepdims=True)
+    return g / g.sum(axis=-1, keepdims=True)
 
 
 def summary_rows(counts: CountTable, hyper: HyperTable, level: float = 0.95) -> list[tuple]:
-    """Per-parameter posterior summaries for CSV export, one tuple per
+    """Per-parameter posterior summaries of one table for CSV export, one tuple per
     (word, symbol) entry in code order: word, symbol, count, alpha, mean,
     variance, ci_low, ci_high."""
     post = posterior(counts, hyper)
@@ -118,10 +124,11 @@ def summary_rows(counts: CountTable, hyper: HyperTable, level: float = 0.95) -> 
 
 def density_grid(post: HyperTable, points: int = 512) -> tuple[np.ndarray, np.ndarray]:
     """Every entry's exact Beta marginal density on a uniform open grid x in
-    (0, 1): x, and densities of shape (A**k, A, points)."""
+    (0, 1): x, and densities of shape (A**k, A, points), or (G, A**k, A,
+    points) for a stack."""
     if points < 2:
         raise ValueError("need at least 2 grid points")
     x = (np.arange(points) + 0.5) / points
     a = post.table[..., None]
-    b = (post.word_totals[:, None] - post.table)[..., None]
+    b = (post.word_totals[..., None] - post.table)[..., None]
     return x, BetaParams(a, b).pdf(x)

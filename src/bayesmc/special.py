@@ -183,11 +183,25 @@ class BetaParams:
         return _scalar_or_array(x, out)
 
 
+def _table_sum(x):
+    """Sum over the last two axes: one value for a (W, A) table, one per table
+    for a (G, W, A) stack.  Each table is summed as one contiguous run, as
+    np.sum sums a lone table, so a stack's sums equal its tables' bit for bit."""
+    x = np.asarray(x)
+    return x.reshape(x.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def _per_table(out):
+    """A float for a lone table's result, the array for a stack's."""
+    return out if np.ndim(out) else float(out)
+
+
 def dirichlet_log_norm(params: np.ndarray):
     """log prod_w 1/B(params[w]) = sum_w log Gamma(params(w)) - sum_(w,s) log
     Gamma(params(w, s)), with params(w) a row total: the log normaliser of one
-    Dirichlet per row, the rows' counterpart of BetaParams.log_norm."""
-    return np.sum(log_gamma(params.sum(axis=1))) - np.sum(log_gamma(params))
+    Dirichlet per row, the rows' counterpart of BetaParams.log_norm.  A
+    (G, W, A) stack gives one normaliser per table."""
+    return log_gamma(params.sum(axis=-1)).sum(axis=-1) - _table_sum(log_gamma(params))
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

@@ -314,3 +314,49 @@ def test_12_reproduction_determinism(capsys, tmp_path):
         runs[tag] = (out / "fig4" / "entropy.csv").read_bytes()
     ok = runs["a"] == runs["b"] == runs["c"]
     report(capsys, f"12 byte-identical reproduction across runs and --jobs: {ok}", ok)
+
+
+def test_13_even_process_order_crossovers(capsys):
+    # Each crossover c(k -> k+1) is the N past which order k + 1's log
+    # evidence stays above order k's, on the average counts at alpha = 1.
+    # The even process's 1-blocks have even length, so the orders gain in
+    # pairs and each pair's crossovers come swapped.  Below N ~ 15-32 order
+    # k + 1 also wins, as each order is scored on its own N - k windows; the
+    # scan starts at N = 40 to leave that artifact out.
+    orders = range(1, 8)
+    probs = {k: even_word_probs(k + 1) for k in orders}
+    hypers = {k: uniform_hyper(k, BINARY, 1.0) for k in orders}
+    worst_dev = 0.0
+
+    def evidence(k, ns):
+        nonlocal worst_dev
+        ns = np.atleast_1d(ns)
+        counts = CountTable(k, BINARY, (ns - k)[:, None, None] * probs[k].reshape(2**k, 2))
+        values = log_evidence(counts, hypers[k])  # one value per N of the stack
+        ref = np.array([average_log_evidence(probs[k], N, k, 1.0) for N in ns])
+        worst_dev = max(worst_dev, *np.abs(values - ref) / np.maximum(1.0, np.abs(ref)))
+        return values
+
+    scan = np.logspace(math.log10(40.0), 6.0, 301)
+    ahead = {k: evidence(k + 1, scan) - evidence(k, scan) > 0 for k in range(1, 7)}
+    c = {}  # c[k] = c(k -> k+1)
+    for k in range(2, 7):
+        i = int(np.flatnonzero(~ahead[k])[-1])  # the last scanned N where order k leads
+        lo, hi = math.log(scan[i]), math.log(scan[i + 1])
+        while hi - lo > 1e-9:
+            mid = np.exp(0.5 * (lo + hi))
+            if evidence(k + 1, mid)[0] > evidence(k, mid)[0]:
+                hi = math.log(mid)
+            else:
+                lo = math.log(mid)
+        c[k] = math.exp(hi)
+    oracle_ok = worst_dev < 1e-12
+    first_ok = bool(np.all(ahead[1]))
+    swapped_ok = c[3] < c[2] and c[5] < c[4]
+    growth = (min(c[4], c[5]) / max(c[2], c[3]), c[6] / max(c[4], c[5]))
+    growth_ok = min(growth) > 5.0
+    ok = oracle_ok and first_ok and swapped_ok and growth_ok
+    report(capsys, f"13 even-process crossovers (order 2 over 1 on N=40..1e6: {first_ok}; "
+                   f"c(2->3..6->7) = {', '.join(f'{c[k]:.0f}' for k in range(2, 7))}, "
+                   f"pairs swapped {swapped_ok}, growth {growth[0]:.1f}x, {growth[1]:.1f}x "
+                   f"need >5x; oracle dev {worst_dev:.1e} < 1e-12)", ok)

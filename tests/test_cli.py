@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 import subprocess
@@ -212,6 +213,78 @@ class TestReproduce:
 
     def test_unknown_figure(self, tmp_path):
         assert run_cli(["reproduce", "--figure", "99", "--out", str(tmp_path)]) == 2
+
+
+class TestChunks:
+    #: Grids of 25 and, for the slower infer, 7 points: chunks of 2 or 3
+    #: leave a last chunk of 1.  At --jobs 2 the pool's cap of a 4 * jobs-th
+    #: of the grid keeps chunks of 3 on the longer grid and of 1 on the shorter.
+    GRIDS = {"compare": ("100", "20", "580"), "entropy": ("100", "20", "580"),
+             "infer": ("100", "50", "400")}
+
+    @pytest.mark.parametrize("mode", ["average", "sample", "file"])
+    @pytest.mark.parametrize("command", ["compare", "entropy", "infer"])
+    def test_chunk_boundaries_keep_outputs(self, command, mode, tmp_path, monkeypatch):
+        seq = tmp_path / "seq.txt"
+        seq.write_text(_golden_sequence(600).replace("c", "b") + "\n")
+        data = {"average": ["--source", "even"],
+                "sample": ["--source", "even", "--mode", "sample", "--seed", "7"],
+                "file": ["--input", str(seq)]}[mode]
+        start, step, stop = self.GRIDS[command]
+        argv = [command, *data, "--n-start", start, "--n-step", step, "--n-stop", stop,
+                "--k-max", "2", "--format", "json"]
+        if command == "infer":
+            argv += ["--density-points", "2"]
+        assert run_cli(argv + ["--jobs", "1", "--out", str(tmp_path / "whole")]) == 0
+        whole = _digests(tmp_path / "whole")
+        top = 2**3  # entries of one top-order table
+        chunks_of, sizes = bayesmc.cli._chunks, []
+
+        def recorded(sweep):
+            chunks = chunks_of(sweep)
+            sizes.append({len(c) for c in chunks})
+            return chunks
+
+        monkeypatch.setattr(bayesmc.cli, "_chunks", recorded)
+        for size in (1, 2, 3):
+            monkeypatch.setattr(bayesmc.cli, "CHUNK_ENTRIES", size * top)
+            for jobs in (1, 2):
+                out = tmp_path / f"{size}-{jobs}"
+                assert run_cli(argv + ["--jobs", str(jobs), "--out", str(out)]) == 0
+                assert _digests(out) == whole
+        pooled = {1} if command == "infer" else None
+        assert sizes == [{1}, {1}, {2, 1}, pooled or {2, 1}, {3, 1}, pooled or {3, 1}]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_chunk_sizes(self, jobs):
+        for A, k_max, length in itertools.product((2, 3, 4), (1, 3, 6, 7, 13, 15, 16),
+                                                  (1, 2, 5, 24, 181, 1000)):
+            top = A ** (k_max + 1)
+            grid = tuple(range(100, 100 + length))
+            chunks = bayesmc.cli._chunks(_sweep_of(A, k_max, grid, jobs))
+            assert sum(chunks, ()) == grid
+            G = len(chunks[0])
+            assert {len(c) for c in chunks[:-1]} <= {G} and len(chunks[-1]) <= G
+            assert G == 1 or G * top <= 2**16
+            if jobs == 1:  # as many points as the entry cap allows
+                assert G == min(length, max(1, 2**16 // top))
+            else:  # and at most a 4 * jobs-th of the grid
+                assert G == min(length, max(1, 2**16 // top), max(1, length // (4 * jobs)))
+
+    def test_figures_sweep_in_one_chunk(self):
+        for command, source, recipe in bayesmc.cli.FIGURE_RECIPES.values():
+            grid = recipe["n_grid"]
+            assert bayesmc.cli._chunks(_sweep_of(2, recipe["k"][1], grid, 1)) == [grid]
+
+
+def _sweep_of(A, k_max, grid, jobs):
+    """A sweep with only what _chunks reads: the alphabet, k_max, grid and jobs."""
+    cfg = bayesmc.cli.ExperimentConfig(
+        source=None, input_path=None, csv_column=None, mode="average", k_min=1, k_max=k_max,
+        n_grid=grid, alpha=1.0, fake_counts_path=None, confidence=0.95, seed=None,
+        out_dir=None, fmt="csv", jobs=jobs, density_points=512)
+    return bayesmc.cli._Sweep(cfg, bayesmc.core.Alphabet(tuple("abcd"[:A])), seq=None,
+                              hypers={}, joints={}, approxes={}, truth=None)
 
 
 class TestErrorHandling:
