@@ -186,9 +186,21 @@ def markov_approximation(hmm: LabeledHMM, k: int) -> WordConditional:
     return WordConditional(k, hmm.alphabet, wp, cond)
 
 
+#: Moves drawn per state at a time by `sample_sequence`.
+SAMPLE_BLOCK = 4096
+
+
 def sample_sequence(hmm: LabeledHMM, N: int, seed) -> SymbolSequence:
     """Sample a length-N realization, starting from the stationary state
-    distribution.  Deterministic given the seed."""
+    distribution.  Deterministic given the seed.
+
+    Each state's moves, coded symbol * n_states + next state, are drawn in
+    advance in blocks of min(N, SAMPLE_BLOCK), and the walk takes the next
+    unread move of its current state, drawing that state's next block when
+    one runs out.  The moves out of a state are i.i.d. from its row and
+    independent of when the walk visits it, so the sequence has exactly the
+    chain's law.  At most N + n_states * block moves are drawn.
+    """
     if N < 1:
         raise ValueError("sample length must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -196,12 +208,20 @@ def sample_sequence(hmm: LabeledHMM, N: int, seed) -> SymbolSequence:
     # flat distribution over (symbol, next state) per current state
     step_probs = hmm.matrices.transpose(1, 0, 2).reshape(n, A * n)
     state = int(rng.choice(n, p=stationary(hmm)))
-    out = np.empty(N, dtype=np.int64)
+    block = min(N, SAMPLE_BLOCK)
+    streams = [rng.choice(A * n, size=block, p=p).tolist() for p in step_probs]
+    read = [0] * n
+    moves = [0] * N
     for t in range(N):
-        move = int(rng.choice(A * n, p=step_probs[state]))
-        out[t] = move // n
+        i = read[state]
+        if i == block:
+            streams[state] = rng.choice(A * n, size=block, p=step_probs[state]).tolist()
+            i = 0
+        move = streams[state][i]
+        read[state] = i + 1
+        moves[t] = move
         state = move % n
-    return SymbolSequence(hmm.alphabet, out)
+    return SymbolSequence(hmm.alphabet, np.array(moves, dtype=np.int64) // n)
 
 
 def load_hmm(source) -> LabeledHMM:

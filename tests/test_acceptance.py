@@ -56,6 +56,7 @@ from util import (
     golden_mean_word_probs,
     quad_evidence_binary,
     random_tables,
+    sns_word_probs,
 )
 
 BINARY = Alphabet.binary()
@@ -316,16 +317,16 @@ def test_12_reproduction_determinism(capsys, tmp_path):
     report(capsys, f"12 byte-identical reproduction across runs and --jobs: {ok}", ok)
 
 
-def test_13_even_process_order_crossovers(capsys):
-    # Each crossover c(k -> k+1) is the N past which order k + 1's log
-    # evidence stays above order k's, on the average counts at alpha = 1.
-    # The even process's 1-blocks have even length, so the orders gain in
-    # pairs and each pair's crossovers come swapped.  Below N ~ 15-32 order
-    # k + 1 also wins, as each order is scored on its own N - k windows; the
-    # scan starts at N = 40 to leave that artifact out.
-    orders = range(1, 8)
-    probs = {k: even_word_probs(k + 1) for k in orders}
-    hypers = {k: uniform_hyper(k, BINARY, 1.0) for k in orders}
+def _crossovers(probs, scan, ks):
+    """Order crossovers on a source's average counts at alpha = 1.
+
+    `probs[k]` holds the probabilities of all length-(k+1) words.  Returns
+    `ahead[k]`, where order k + 1's log evidence beats order k's on `scan`,
+    for every k with a next order; c(k -> k+1), the N past which order k + 1
+    stays ahead, bisected in log N from the last scanned N where order k
+    leads, for each k in `ks`; and the evidence's worst relative deviation
+    from `average_log_evidence`."""
+    hypers = {k: uniform_hyper(k, BINARY, 1.0) for k in probs}
     worst_dev = 0.0
 
     def evidence(k, ns):
@@ -337,10 +338,9 @@ def test_13_even_process_order_crossovers(capsys):
         worst_dev = max(worst_dev, *np.abs(values - ref) / np.maximum(1.0, np.abs(ref)))
         return values
 
-    scan = np.logspace(math.log10(40.0), 6.0, 301)
-    ahead = {k: evidence(k + 1, scan) - evidence(k, scan) > 0 for k in range(1, 7)}
+    ahead = {k: evidence(k + 1, scan) - evidence(k, scan) > 0 for k in probs if k + 1 in probs}
     c = {}  # c[k] = c(k -> k+1)
-    for k in range(2, 7):
+    for k in ks:
         i = int(np.flatnonzero(~ahead[k])[-1])  # the last scanned N where order k leads
         lo, hi = math.log(scan[i]), math.log(scan[i + 1])
         while hi - lo > 1e-9:
@@ -350,6 +350,19 @@ def test_13_even_process_order_crossovers(capsys):
             else:
                 lo = math.log(mid)
         c[k] = math.exp(hi)
+    return ahead, c, worst_dev
+
+
+def test_13_even_process_order_crossovers(capsys):
+    # Each crossover c(k -> k+1) is the N past which order k + 1's log
+    # evidence stays above order k's, on the average counts at alpha = 1.
+    # The even process's 1-blocks have even length, so the orders gain in
+    # pairs and each pair's crossovers come swapped.  Below N ~ 15-32 order
+    # k + 1 also wins, as each order is scored on its own N - k windows; the
+    # scan starts at N = 40 to leave that artifact out.
+    probs = {k: even_word_probs(k + 1) for k in range(1, 8)}
+    scan = np.logspace(math.log10(40.0), 6.0, 301)
+    ahead, c, worst_dev = _crossovers(probs, scan, range(2, 7))
     oracle_ok = worst_dev < 1e-12
     first_ok = bool(np.all(ahead[1]))
     swapped_ok = c[3] < c[2] and c[5] < c[4]
@@ -360,3 +373,21 @@ def test_13_even_process_order_crossovers(capsys):
                    f"c(2->3..6->7) = {', '.join(f'{c[k]:.0f}' for k in range(2, 7))}, "
                    f"pairs swapped {swapped_ok}, growth {growth[0]:.1f}x, {growth[1]:.1f}x "
                    f"need >5x; oracle dev {worst_dev:.1e} < 1e-12)", ok)
+
+
+def test_14_sns_order_crossovers(capsys):
+    # Criterion 13's crossovers on the simple nondeterministic source, with
+    # exact word probabilities from the forward recursion over its two
+    # hidden states.  Its orders gain one at a time, each crossover c(k ->
+    # k+1) for k = 2..6 more than 5x beyond the one before; the values
+    # themselves (about 7.8e3 to 1.3e7) are printed, not asserted.
+    probs = {k: sns_word_probs(k + 1) for k in range(2, 8)}
+    scan = np.logspace(math.log10(40.0), 8.0, 441)
+    _, c, worst_dev = _crossovers(probs, scan, range(2, 7))
+    oracle_ok = worst_dev < 1e-12
+    growth = [c[k + 1] / c[k] for k in range(2, 6)]
+    growth_ok = min(growth) > 5.0
+    report(capsys, f"14 sns crossovers (c(2->3..6->7) = "
+                   f"{', '.join(f'{c[k]:.0f}' for k in range(2, 7))}, growth "
+                   f"{', '.join(f'{g:.1f}x' for g in growth)} need >5x; "
+                   f"oracle dev {worst_dev:.1e} < 1e-12)", oracle_ok and growth_ok)

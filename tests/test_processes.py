@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chisquare
 
 from bayesmc import (
     Alphabet,
@@ -24,7 +25,7 @@ from bayesmc import (
     word_probability,
 )
 from bayesmc.core import TableTooLargeError
-from bayesmc.processes import NondeterministicProcessError
+from bayesmc.processes import BUILTIN_SOURCES, SAMPLE_BLOCK, NondeterministicProcessError
 
 from util import biased_chain, even_runs_ok
 
@@ -230,10 +231,85 @@ class TestSampling:
     @given(st.integers(0, 2**31), st.sampled_from(["golden_mean", "even", "sns"]))
     @settings(max_examples=15, deadline=None)
     def test_valid_symbols(self, seed, name):
-        from bayesmc.processes import BUILTIN_SOURCES
-
-        seq = sample_sequence(BUILTIN_SOURCES[name](), 64, seed)
+        # every sampled 3-word is possible, which a symbol-range check alone
+        # misses (a swapped // n and % n still emits only 0s and 1s)
+        hmm = BUILTIN_SOURCES[name]()
+        seq = sample_sequence(hmm, 64, seed)
         assert set(np.unique(seq.data)) <= {0, 1}
+        assert_support(hmm, seq)
+
+
+#: Nonunifilar 3-state source over {a, b, c}: from state 0, a goes to 0 or
+#: 1; from state 1, c goes to 1 or 2.  The word bbb is forbidden.
+THREE = LabeledHMM(Alphabet(("a", "b", "c")), np.array([
+    [[0.3, 0.2, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.25]],   # a
+    [[0.0, 0.0, 0.5], [0.4, 0.0, 0.0], [0.0, 0.0, 0.0]],    # b
+    [[0.0, 0.0, 0.0], [0.0, 0.1, 0.5], [0.75, 0.0, 0.0]],   # c
+]), name="three")
+
+
+def word_codes(seq, L, step=1):
+    """Codes of seq's length-L words starting every `step` symbols, in
+    word_distribution's order."""
+    A = seq.alphabet.size
+    windows = np.lib.stride_tricks.sliding_window_view(seq.data, L)[::step]
+    return windows @ A ** np.arange(L - 1, -1, -1)
+
+
+def assert_support(hmm, seq, L=3):
+    p = word_distribution(hmm, L)
+    assert np.all(p[word_codes(seq, L)] > 0)
+
+
+class TestSamplerLaw:
+    """The move-stream sampler against the exact word distribution."""
+
+    B = SAMPLE_BLOCK
+
+    @pytest.mark.parametrize("hmm,seed", [(GM, 11), (EVEN, 12), (SNS, 13), (THREE, 14)],
+                             ids=lambda v: getattr(v, "name", None))
+    def test_word_frequencies_chi_square(self, hmm, seed):
+        # 200,000 symbols refill every state's 4096-move block several times.
+        # Disjoint 3-words are counted, as overlapping windows share symbols
+        # and their counts are not multinomial; cells of probability 0 must
+        # be empty and are left out.
+        seq = sample_sequence(hmm, 200_000, seed)
+        assert_support(hmm, seq)
+        p = word_distribution(hmm, 3)
+        obs = np.bincount(word_codes(seq, 3, step=3), minlength=p.size)
+        assert obs[p == 0].sum() == 0
+        keep = p > 0
+        assert chisquare(obs[keep], obs.sum() * p[keep]).pvalue > 1e-4
+
+    @pytest.mark.parametrize("N", [1, B - 1, B, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("hmm", [EVEN, THREE], ids=lambda h: h.name)
+    def test_lengths_around_the_block(self, hmm, N):
+        seq = sample_sequence(hmm, N, seed=N)
+        assert len(seq.data) == N
+        assert set(np.unique(seq.data)) <= set(range(hmm.alphabet.size))
+        if N >= 3:
+            assert_support(hmm, seq)
+        if hmm is EVEN:
+            assert even_runs_ok(seq.to_string())
+
+    @pytest.mark.parametrize("N", [1, B - 1, B + 1, 3 * B + 7])
+    def test_draws_bounded(self, N):
+        # at most N + n_states * min(N, B) moves, never n_states * N
+        drawn = []
+
+        class Counting(np.random.Generator):
+            def choice(self, *args, size=None, **kw):
+                drawn.append(1 if size is None else size)
+                return super().choice(*args, size=size, **kw)
+
+        sample_sequence(THREE, N, Counting(np.random.PCG64(0)))
+        assert sum(drawn) - 1 <= N + THREE.n_states * min(N, self.B)
+
+    def test_int_seed_equals_generator(self):
+        for hmm in (SNS, THREE):
+            a = sample_sequence(hmm, 3 * self.B + 7, 21)
+            b = sample_sequence(hmm, 3 * self.B + 7, np.random.default_rng(21))
+            np.testing.assert_array_equal(a.data, b.data)
 
 
 class TestLoadHmm:

@@ -1,5 +1,7 @@
 """Shared independent oracles and validators for the test suite."""
 
+from fractions import Fraction
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
@@ -68,6 +70,23 @@ def even_word_probs(L):
     for _ in range(L):
         f = np.einsum("wi,sij->wsj", f, moves).reshape(-1, 2)
     return f.sum(axis=1)
+
+
+def sns_word_probs(L):
+    """Stationary probabilities of all binary words of length L under the
+    simple nondeterministic source, in lexicographic order, by the forward
+    recursion over its two hidden states in exact fractions: state A emits
+    1 and stays or emits 1 and goes to B, B emits 0 and returns to A or
+    emits 1 and stays, each with probability 1/2; the stationary state
+    distribution is (1/2, 1/2).  Every probability is dyadic, so the
+    floats returned are exact."""
+    h = Fraction(1, 2)
+    moves = ([[0, 0], [h, 0]],   # symbol 0: B -> A
+             [[h, h], [0, h]])   # symbol 1: A -> A, A -> B, B -> B
+    f = [(h, h)]
+    for _ in range(L):
+        f = [tuple(v[0] * m[0][j] + v[1] * m[1][j] for j in (0, 1)) for v in f for m in moves]
+    return np.array([float(sum(v)) for v in f])
 
 
 def block_entropy(p):
