@@ -115,8 +115,12 @@ def _read_fake_counts(path: str, orders: range, alphabet: Alphabet) -> dict[int,
                 raise ConfigError(f"fake-count entry word={word!r} symbol={symbol!r} "
                                   "is listed twice")
             seen.add((word, symbol))
+            count = float(row["count"])
+            if not 0.0 <= count < math.inf:
+                raise ConfigError(f"fake-count entry word={word!r} symbol={symbol!r} has "
+                                  f"count {count}; counts must be finite and >= 0")
             w = np.ravel_multi_index(list(map(alphabet.index, word)), [alphabet.size] * len(word))
-            tables[len(word)][w, alphabet.index(symbol)] = float(row["count"])
+            tables[len(word)][w, alphabet.index(symbol)] = count
     return {k: hyper_from_fake_counts(CountTable(k, alphabet, t)) for k, t in tables.items()}
 
 
@@ -413,10 +417,12 @@ def _config_from(args) -> ExperimentConfig:
         raise ConfigError("invalid N grid")
     if not 0.0 < args.confidence < 1.0:
         raise ConfigError("confidence must lie in (0, 1)")
+    if args.density_points < 2:
+        raise ConfigError(f"density points must be at least 2, not {args.density_points}")
     if args.alpha is not None and args.fake_counts is not None:
         raise ConfigError("--alpha and --fake-counts exclude each other")
-    if args.alpha is not None and args.alpha <= 0:
-        raise ConfigError("alpha must be positive")
+    if args.alpha is not None and not 0.0 < args.alpha < math.inf:
+        raise ConfigError(f"alpha must be finite and positive, not {args.alpha}")
     return ExperimentConfig(
         source=args.source, input_path=args.input, csv_column=args.csv_column, mode=args.mode,
         k_min=args.k_min, k_max=args.k_max, fake_counts_path=args.fake_counts, seed=args.seed,

@@ -80,6 +80,13 @@ class Alphabet:
         return cls(tuple(sorted(set(text))))
 
 
+def _frozen(arr, dtype=float) -> np.ndarray:
+    """`arr` as a C-contiguous, read-only array of `dtype`."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class SymbolSequence:
     """A finite sequence of symbol indices over a fixed alphabet."""
@@ -88,12 +95,11 @@ class SymbolSequence:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.int64)
+        arr = _frozen(self.data, np.int64)
         if arr.ndim != 1:
             raise ValueError("sequence data must be one-dimensional")
         if arr.size and (arr.min() < 0 or arr.max() >= self.alphabet.size):
             raise InvalidSymbolError("symbol index out of range for alphabet")
-        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     def __len__(self) -> int:
@@ -135,77 +141,62 @@ def word_strings(k: int, alphabet: Alphabet) -> list[str]:
     return words
 
 
-def _table_array(table, order: int, alphabet: Alphabet, kind: str) -> np.ndarray:
-    """`table` as a float array of shape (A**k, A) or (G, A**k, A)."""
-    expected = (alphabet.size**order, alphabet.size)
-    arr = np.asarray(table, dtype=float)
-    if arr.ndim not in (2, 3) or arr.shape[-2:] != expected:
-        raise ShapeMismatchError(f"{kind} table shape {arr.shape}, expected {expected} "
-                                 f"or a stack (G, {expected[0]}, {expected[1]})")
-    return arr
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
-class CountTable:
+class _Table:
+    """A dense (A**k, A) table over (word, next symbol) pairs, or a
+    (G, A**k, A) stack of G such tables, whose totals then have one value per
+    table.  A subclass names its `_kind` and checks its values in `_check`."""
+
+    order: int
+    alphabet: Alphabet
+    table: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        expected = (self.alphabet.size**self.order, self.alphabet.size)
+        arr = np.asarray(self.table, dtype=float)
+        if arr.ndim not in (2, 3) or arr.shape[-2:] != expected:
+            raise ShapeMismatchError(f"{self._kind} table shape {arr.shape}, expected "
+                                     f"{expected} or a stack (G, {expected[0]}, {expected[1]})")
+        self._check(arr)
+        object.__setattr__(self, "table", _frozen(arr))
+
+    @property
+    def word_totals(self) -> np.ndarray:
+        """Each word's total over its next symbols: n(word) or alpha(word)."""
+        return self.table.sum(axis=-1)
+
+    @property
+    def total(self):
+        """The sum over all (word, symbol) entries: n or alpha_k."""
+        return _per_table(_table_sum(self.table))
+
+
+class CountTable(_Table):
     """Counts n(word, next symbol), dense over all A**k words.
 
     Entries are nonnegative reals so that exact average counts
     (N - k) * p(word, symbol) share one representation with integer
-    empirical counts.  A (G, A**k, A) stack holds G such tables; its totals
-    then have one value per table.
+    empirical counts.
     """
 
-    order: int
-    alphabet: Alphabet
-    table: np.ndarray = field(repr=False)
+    _kind = "count"
 
-    def __post_init__(self):
-        arr = _table_array(self.table, self.order, self.alphabet, "count")
+    @staticmethod
+    def _check(arr):
         if np.any(arr < 0):
             raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "table", _frozen(arr))
-
-    @property
-    def word_totals(self) -> np.ndarray:
-        """n(word) = sum over next symbols."""
-        return self.table.sum(axis=-1)
-
-    @property
-    def total(self):
-        return _per_table(_table_sum(self.table))
 
 
-@dataclass(frozen=True)
-class HyperTable:
+class HyperTable(_Table):
     """Dirichlet parameters alpha(word, next symbol), all strictly positive:
-    a prior's hyperparameters, or a posterior's counts + hyperparameters.
-    Like a CountTable, it may hold a (G, A**k, A) stack."""
+    a prior's hyperparameters, or a posterior's counts + hyperparameters."""
 
-    order: int
-    alphabet: Alphabet
-    table: np.ndarray = field(repr=False)
+    _kind = "hyper"
 
-    def __post_init__(self):
-        arr = _table_array(self.table, self.order, self.alphabet, "hyper")
+    @staticmethod
+    def _check(arr):
         if np.any(arr <= 0):
             raise ValueError("hyperparameters must be strictly positive")
-        object.__setattr__(self, "table", _frozen(arr))
-
-    @property
-    def word_totals(self) -> np.ndarray:
-        """alpha(word) = sum over next symbols."""
-        return self.table.sum(axis=-1)
-
-    @property
-    def total(self):
-        """alpha_k = sum over all (word, symbol) entries."""
-        return _per_table(_table_sum(self.table))
 
     @functools.cached_property
     def log_norm(self):

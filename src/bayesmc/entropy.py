@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparison import OrderPosterior
-from .core import HyperTable
+from .core import HyperTable, _frozen
 from .inference import posterior_mean
 from .special import _per_table, _table_sum, _trigamma_remainder, digamma
 
@@ -41,12 +41,8 @@ class WordConditional:
     cond_probs: np.ndarray = field(repr=False)  # (A**k, A) or (G, A**k, A), rows sum to 1
 
     def __post_init__(self):
-        wp = np.ascontiguousarray(self.word_probs, dtype=float)
-        cp = np.ascontiguousarray(self.cond_probs, dtype=float)
-        wp.flags.writeable = False
-        cp.flags.writeable = False
-        object.__setattr__(self, "word_probs", wp)
-        object.__setattr__(self, "cond_probs", cp)
+        object.__setattr__(self, "word_probs", _frozen(self.word_probs))
+        object.__setattr__(self, "cond_probs", _frozen(self.cond_probs))
 
 
 def r_from(table: HyperTable) -> WordConditional:
@@ -57,12 +53,19 @@ def r_from(table: HyperTable) -> WordConditional:
                            posterior_mean(table))
 
 
+def _rate_bits(weights, cond):
+    """-sum weights * cond * log2 cond over the last two axes, with 0 log 0 =
+    0: the entropy rate in bits per symbol of conditionals `cond` whose
+    contexts have the probabilities `weights` (broadcast against `cond`), one
+    value per table of a stack."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(cond > 0, cond * np.log2(np.where(cond > 0, cond, 1.0)), 0.0)
+    return _per_table(-_table_sum(weights * terms))
+
+
 def hmu_of(dist: WordConditional) -> float:
     """Entropy rate of the distribution, in bits per symbol; 0 log 0 = 0."""
-    cp = dist.cond_probs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(cp > 0, cp * np.log2(np.where(cp > 0, cp, 1.0)), 0.0)
-    return _per_table(-_table_sum(dist.word_probs[..., None] * terms))
+    return _rate_bits(dist.word_probs[..., None], dist.cond_probs)
 
 
 def kl_of(dist: WordConditional, true_cond: np.ndarray) -> float:
@@ -112,7 +115,8 @@ def energy_variance(post: HyperTable) -> float:
     t, tw = post.table, post.word_totals
     pair_part = _table_sum(t * t * _trigamma_remainder(t))
     word_part = (tw * tw * _trigamma_remainder(tw)).sum(axis=-1)
-    return _per_table((pair_part - word_part) / (post.total * _LN2) ** 2)
+    scale = post.total * _LN2
+    return _per_table((pair_part - word_part) / (scale * scale))
 
 
 def asymptotic_energy(post: HyperTable) -> float:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Alphabet, CountTable, SymbolSequence, check_table_size
-from .entropy import WordConditional
+from .core import Alphabet, CountTable, SymbolSequence, _frozen, check_table_size
+from .entropy import WordConditional, _rate_bits
 
 #: Reference entropy rate of the simple nondeterministic source, bits/symbol.
 #: Its minimal presentation is nondeterministic, so the closed form below
@@ -38,9 +38,12 @@ class LabeledHMM:
     name: str = ""
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrices, dtype=float)
+        m = _frozen(self.matrices)
         if m.ndim != 3 or m.shape[0] != self.alphabet.size or m.shape[1] != m.shape[2]:
             raise ValueError("matrices must have shape (alphabet size, n, n)")
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"labeled transition matrix entries must be finite, "
+                             f"not {m[~np.isfinite(m)][0]}")
         if np.any(m < 0):
             raise ValueError("labeled transition matrices must be nonnegative")
         rows = m.sum(axis=0).sum(axis=1)
@@ -48,7 +51,6 @@ class LabeledHMM:
             raise ValueError(
                 f"state-to-state matrix must be row-stochastic; row sums {rows}"
             )
-        m.flags.writeable = False
         object.__setattr__(self, "matrices", m)
 
     @property
@@ -165,11 +167,7 @@ def true_entropy_rate(hmm: LabeledHMM) -> float:
             "entropy rate has no closed form for a nondeterministic presentation; "
             "for the builtin sns source use SNS_ENTROPY_RATE"
         )
-    pi = stationary(hmm)
-    p_sym = hmm.matrices.sum(axis=2).T  # (state, symbol)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p_sym > 0, p_sym * np.log2(np.where(p_sym > 0, p_sym, 1.0)), 0.0)
-    return float(-np.sum(pi[:, None] * terms))
+    return _rate_bits(stationary(hmm), hmm.matrices.sum(axis=2))  # p(s|v) as (symbol, state)
 
 
 def markov_approximation(hmm: LabeledHMM, k: int) -> WordConditional:

@@ -49,8 +49,10 @@ def _as_positive(x, name):
     return arr
 
 
-def _scalar_or_array(x, out):
-    return out if np.ndim(x) else float(out)
+def _per_table(out):
+    """A float for a 0-d result (a scalar argument's, or a lone table's
+    reduction), the array otherwise (an array argument's, or a stack's)."""
+    return out if np.ndim(out) else float(out)
 
 
 def _lanczos_log_gamma(x):
@@ -70,7 +72,7 @@ def log_gamma(x):
     shifted = np.where(small, arr + 1.0, arr)
     out = _lanczos_log_gamma(shifted)
     out = np.where(small, out - np.log(np.where(small, arr, 1.0)), out)
-    return _scalar_or_array(x, out)
+    return _per_table(out)
 
 
 # Bernoulli-number coefficients B_{2n}/(2n) for the digamma asymptotic series.
@@ -110,7 +112,7 @@ def digamma(x):
     """First derivative of log Gamma for x > 0."""
     z, _, acc, tail = _shifted_series(x, "digamma", lambda z: -1.0 / z, _DIGAMMA_TAIL)
     out = acc + np.log(z) - 0.5 / z - tail
-    return _scalar_or_array(x, out)
+    return _per_table(out)
 
 
 # B_{2n} coefficients for the trigamma asymptotic series.
@@ -125,14 +127,6 @@ _TRIGAMMA_TAIL = (
 )
 
 
-def trigamma(x):
-    """Second derivative of log Gamma for x > 0."""
-    z, inv2, acc, tail = _shifted_series(x, "trigamma", lambda z: 1.0 / (z * z),
-                                         _TRIGAMMA_TAIL)
-    out = acc + 1.0 / z + 0.5 * inv2 + tail / z
-    return _scalar_or_array(x, out)
-
-
 def _trigamma_remainder(x):
     """trigamma(x) - 1/x for x > 0.  The 1/x cancels against the series'
     leading 1/z (exactly, when x needs no shift), so the remainder keeps its
@@ -141,7 +135,12 @@ def _trigamma_remainder(x):
     z, inv2, acc, tail = _shifted_series(x, "trigamma", lambda z: 1.0 / (z * z),
                                          _TRIGAMMA_TAIL)
     out = acc + (1.0 / z - 1.0 / np.asarray(x, dtype=float)) + 0.5 * inv2 + tail / z
-    return _scalar_or_array(x, out)
+    return _per_table(out)
+
+
+def trigamma(x):
+    """Second derivative of log Gamma for x > 0."""
+    return _per_table(_trigamma_remainder(x) + 1.0 / np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -176,11 +175,10 @@ class BetaParams:
             raise NumericDomainError("Beta density argument must lie in [0, 1]")
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self.log_norm + (self.a - 1.0) * np.log(arr) + (self.b - 1.0) * np.log1p(-arr)
-        return _scalar_or_array(x, out)
+        return _per_table(out)
 
     def pdf(self, x):
-        out = np.exp(self.log_pdf(x))
-        return _scalar_or_array(x, out)
+        return _per_table(np.exp(self.log_pdf(x)))
 
 
 def _table_sum(x):
@@ -189,11 +187,6 @@ def _table_sum(x):
     np.sum sums a lone table, so a stack's sums equal its tables' bit for bit."""
     x = np.asarray(x)
     return x.reshape(x.shape[:-2] + (-1,)).sum(axis=-1)
-
-
-def _per_table(out):
-    """A float for a lone table's result, the array for a stack's."""
-    return out if np.ndim(out) else float(out)
 
 
 def dirichlet_log_norm(params: np.ndarray):

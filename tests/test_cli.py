@@ -393,6 +393,35 @@ class TestErrorHandling:
         assert capsys.readouterr().err.count("exclude each other") == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["infer", "--source", "even", "--alpha", "inf"],
+         "alpha must be finite and positive, not inf"),
+        (["compare", "--source", "even", "--alpha", "nan"],
+         "alpha must be finite and positive, not nan"),
+        (["infer", "--source", "golden_mean", "--fake-counts", "{dir}/nan.csv"],
+         "fake-count entry word='0' symbol='1' has count nan; counts must be finite and >= 0"),
+        (["entropy", "--source", "golden_mean", "--fake-counts", "{dir}/inf.csv"],
+         "fake-count entry word='0' symbol='1' has count inf; counts must be finite and >= 0"),
+        (["infer", "--source", "{dir}/nan.json"],
+         "labeled transition matrix entries must be finite, not nan"),
+        (["infer", "--source", "even", "--density-points", "1"],
+         "density points must be at least 2, not 1"),
+        (["reproduce", "--figure", "3", "--density-points", "0"],
+         "density points must be at least 2, not 0"),
+    ])
+    def test_bad_value_rejected_before_sweep(self, argv, message, tmp_path, capsys,
+                                             monkeypatch):
+        (tmp_path / "nan.csv").write_text("word,symbol,count\n0,1,nan\n")
+        (tmp_path / "inf.csv").write_text("word,symbol,count\n0,1,inf\n")
+        (tmp_path / "nan.json").write_text(
+            '{"alphabet": ["0", "1"], "matrices": {"0": [[NaN, 0.5], [0.5, 0]], '
+            '"1": [[0, 0.5], [0.5, 0]]}}')
+        monkeypatch.setattr(bayesmc.cli, "_grid_map", None)  # the sweep never starts
+        argv = [a.format(dir=tmp_path) for a in argv]
+        assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error code=2 message={message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["reproduce", "--figure", "3", "--n-start", "1"],
         ["reproduce", "--figure", "3", "--source", "even"],

@@ -14,7 +14,8 @@ from bayesmc import (
     uniform_hyper,
     word_strings,
 )
-from bayesmc.core import InvalidSymbolError, TableTooLargeError, check_table_size
+from bayesmc.core import (InvalidSymbolError, ShapeMismatchError, TableTooLargeError,
+                          check_table_size)
 
 from util import window_count_oracle
 
@@ -171,6 +172,33 @@ class TestHyperTables:
             CountTable(1, BINARY, np.array([[0.0, -1.0], [0.0, 0.0]]))
 
 
+class TestTableBase:
+    def test_kinds_of_one_array_compare_unequal(self):
+        table = np.ones((2, 2))
+        assert CountTable(1, BINARY, table) == CountTable(1, BINARY, table)
+        assert CountTable(1, BINARY, table) != HyperTable(1, BINARY, table)
+
+    @pytest.mark.parametrize("kind, name", [(CountTable, "count"), (HyperTable, "hyper")])
+    def test_bad_shape_names_its_kind(self, kind, name):
+        with pytest.raises(ShapeMismatchError,
+                           match=rf"^{name} table shape \(3, 2\), expected \(2, 2\)"):
+            kind(1, BINARY, np.ones((3, 2)))
+
+    @pytest.mark.parametrize("kind", [CountTable, HyperTable])
+    def test_total_float_for_a_table_array_for_a_stack(self, kind):
+        assert type(kind(1, BINARY, np.ones((2, 2))).total) is float
+        stack = kind(1, BINARY, np.ones((3, 2, 2)))
+        assert isinstance(stack.total, np.ndarray) and stack.total.tolist() == [4.0] * 3
+        assert stack.word_totals.tolist() == [[2.0, 2.0]] * 3
+
+    @pytest.mark.parametrize("kind", [CountTable, HyperTable])
+    def test_table_read_only(self, kind):
+        t = kind(1, BINARY, np.asfortranarray([[1.0, 2.0], [3.0, 4.0]])).table
+        assert not t.flags.writeable and t.flags.c_contiguous
+        with pytest.raises(ValueError):
+            t[0, 0] = 5.0
+
+
 #: Characters an alphabet may hold: ASCII, the rest of the basic plane and the astral planes.
 symbol_chars = st.one_of(st.characters(max_codepoint=0x7F), st.characters(min_codepoint=0x80,
                          max_codepoint=0xFFFF), st.characters(min_codepoint=0x10000)
@@ -196,6 +224,12 @@ class TestFromString:
     def test_first_unknown_named(self):
         with pytest.raises(InvalidSymbolError, match="^unknown symbol 'z'$"):
             SymbolSequence.from_string("01z2y", TERNARY)
+
+    def test_data_read_only_int64(self):
+        seq = SymbolSequence(BINARY, np.array([0, 1, 1], dtype=np.int32))
+        assert seq.data.dtype == np.int64 and not seq.data.flags.writeable
+        with pytest.raises(ValueError):
+            seq.data[0] = 1
 
     def test_lone_surrogate_symbol(self):
         alphabet = Alphabet(("a", "\ud800"))

@@ -99,6 +99,16 @@ class TestDistributions:
         assert hmu_of(u) == pytest.approx(1.0, abs=1e-12)
 
 
+class TestWordConditionalArrays:
+    def test_read_only_and_contiguous(self):
+        cond = np.asfortranarray([[0.25, 0.75], [0.5, 0.5]])
+        q = WordConditional(1, BINARY, [0.5, 0.5], cond)
+        for arr in (q.word_probs, q.cond_probs):
+            assert not arr.flags.writeable and arr.flags.c_contiguous
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 class TestHmu:
     def test_fair_coin(self):
         assert hmu_of(r_from(FLAT1)) == pytest.approx(1.0)

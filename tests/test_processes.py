@@ -57,6 +57,14 @@ class TestConstruction:
     def test_matrices_frozen(self):
         with pytest.raises(ValueError):
             GM.matrices[0, 0, 0] = 1.0
+        assert not GM.matrices.flags.writeable and GM.matrices.flags.c_contiguous
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, value):
+        mats = golden_mean().matrices.copy()
+        mats[0, 1, 1] = value
+        with pytest.raises(ValueError, match=f"entries must be finite, not {value}"):
+            LabeledHMM(Alphabet.binary(), mats)
 
 
 class TestStationary:

@@ -14,7 +14,7 @@ from bayesmc import (
     reg_inc_beta,
     trigamma,
 )
-from bayesmc.special import NumericDomainError
+from bayesmc.special import NumericDomainError, _trigamma_remainder
 
 mpmath.mp.dps = 40
 
@@ -119,6 +119,21 @@ class TestTrigamma:
     def test_domain(self):
         with pytest.raises(NumericDomainError):
             trigamma(-1.0)
+
+    #: 2000 points log-uniform over the shape parameters real runs reach.
+    XS = 10.0 ** np.random.default_rng(7).uniform(-3, 7, size=2000)
+
+    def test_against_mpmath_log_uniform(self):
+        ref = np.array([float(mpmath.psi(1, mpmath.mpf(float(x)))) for x in self.XS])
+        assert np.max(np.abs(trigamma(self.XS) / ref - 1.0)) < 5e-12
+
+    def test_is_remainder_plus_reciprocal(self):
+        # trigamma(x) rounds remainder + 1/x once, so taking 1/x back off
+        # recovers the remainder to within one ulp of trigamma(x)
+        tri = trigamma(self.XS)
+        assert np.all(np.abs(tri - 1.0 / self.XS - _trigamma_remainder(self.XS))
+                      <= np.spacing(tri))
+        assert type(trigamma(2.0)) is float
 
 
 class TestRegIncBeta:
