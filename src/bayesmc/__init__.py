@@ -22,7 +22,6 @@ from .core import (
     word_strings,
 )
 from .entropy import (
-    SupportWarning,
     WordConditional,
     asymptotic_energy,
     energy_variance,

@@ -16,9 +16,8 @@ import json
 import math
 import os
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,25 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass
-class ExperimentConfig:
-    source: str | None
-    input_path: str | None
-    csv_column: str | None
-    mode: str  # "average" or "sample"
-    k_min: int
-    k_max: int
-    n_grid: tuple[int, ...]
-    alpha: float
-    fake_counts_path: str | None
-    confidence: float
-    seed: int | None
-    out_dir: Path
-    fmt: str
-    jobs: int
-    density_points: int
-
-
 def _fmt(value) -> str:
     return "" if value is None else f"{value:.12g}" if isinstance(value, float) else str(value)
 
@@ -85,9 +65,7 @@ def _staged(path: Path, head: str):
         part.unlink(missing_ok=True)
 
 
-def _resolve_hmm(cfg: ExperimentConfig) -> processes.LabeledHMM:
-    if cfg.source is None:
-        raise ConfigError("a --source is required for this mode")
+def _resolve_hmm(cfg: argparse.Namespace) -> processes.LabeledHMM:
     if cfg.source in processes.BUILTIN_SOURCES:
         return processes.BUILTIN_SOURCES[cfg.source]()
     if os.path.exists(cfg.source):
@@ -115,10 +93,13 @@ def _read_fake_counts(path: str, orders: range, alphabet: Alphabet) -> dict[int,
                 raise ConfigError(f"fake-count entry word={word!r} symbol={symbol!r} "
                                   "is listed twice")
             seen.add((word, symbol))
-            count = float(row["count"])
-            if not 0.0 <= count < math.inf:
+            try:
+                count = float(row["count"])
+            except ValueError:
+                count = row["count"]  # reported as its text
+            if not (isinstance(count, float) and 0.0 <= count < math.inf):
                 raise ConfigError(f"fake-count entry word={word!r} symbol={symbol!r} has "
-                                  f"count {count}; counts must be finite and >= 0")
+                                  f"count {count!r}; counts must be finite and >= 0")
             w = np.ravel_multi_index(list(map(alphabet.index, word)), [alphabet.size] * len(word))
             tables[len(word)][w, alphabet.index(symbol)] = count
     return {k: hyper_from_fake_counts(CountTable(k, alphabet, t)) for k, t in tables.items()}
@@ -130,7 +111,7 @@ class _Sweep:
     once.  `approxes` and `truth` are what entropy compares against, when the
     data come from a source."""
 
-    cfg: ExperimentConfig
+    cfg: argparse.Namespace  # the checked command line, as _config_from completes it
     alphabet: Alphabet
     seq: SymbolSequence | None  # file or sample mode: counts come from its prefixes
     hypers: dict[int, HyperTable]
@@ -158,37 +139,24 @@ class _Sweep:
             yield k, CountTable(k, self.alphabet, stacks.pop(k)), hyper
 
 
-def _resolve(cfg: ExperimentConfig, with_truth: bool = False) -> _Sweep:
+def _resolve(cfg: argparse.Namespace, with_truth: bool = False) -> _Sweep:
     """Read the input, sample max(N) symbols or build the source, then each
     order's invariants; `with_truth` adds what entropy compares against."""
-    if cfg.input_path is not None and cfg.source is not None:
-        raise ConfigError("--source and --input exclude each other")
-    if cfg.input_path is not None and cfg.mode == "sample":
-        raise ConfigError("--mode sample samples a --source, not an --input")
-    if cfg.seed is not None and cfg.mode != "sample":
-        raise ConfigError("--seed is read only with --mode sample")
-    if cfg.csv_column is not None and cfg.input_path is None:
-        raise ConfigError("--csv-column is read only with --input")
-    if min(cfg.n_grid) <= cfg.k_max:
-        raise ConfigError(f"data size N={min(cfg.n_grid)} must exceed the largest order "
-                          f"k={cfg.k_max}")
     hmm = seq = None
-    if cfg.input_path is not None:
-        seq = read_sequence(cfg.input_path, column=cfg.csv_column)
+    if cfg.input is not None:
+        seq = read_sequence(cfg.input, column=cfg.csv_column)
         if max(cfg.n_grid) > len(seq):
             raise ConfigError(f"requested N={max(cfg.n_grid)} but input has {len(seq)} symbols")
     else:
         hmm = _resolve_hmm(cfg)
         if cfg.mode == "sample":
-            if cfg.seed is None:
-                raise ConfigError("sample mode requires --seed")
             seq = processes.sample_sequence(hmm, max(cfg.n_grid), cfg.seed)
     alphabet = hmm.alphabet if seq is None else seq.alphabet
     check_table_size(alphabet, cfg.k_max)
     orders = range(cfg.k_min, cfg.k_max + 1)
     hypers = ({k: uniform_hyper(k, alphabet, cfg.alpha) for k in orders}
-              if cfg.fake_counts_path is None
-              else _read_fake_counts(cfg.fake_counts_path, orders, alphabet))
+              if cfg.fake_counts is None
+              else _read_fake_counts(cfg.fake_counts, orders, alphabet))
     joints = {} if seq is not None else {
         k: processes.word_distribution(hmm, k + 1).reshape(alphabet.size**k, alphabet.size)
         for k in orders}
@@ -246,13 +214,13 @@ def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> N
     """Write each row of the sweep to its output CSV, and with --format json to
     the CSV's JSON mirror, as the row arrives.  A mirror reads as
     json.dumps(rows, indent=1) would, with infinities as null."""
-    out = sweep.cfg.out_dir
+    out = sweep.cfg.out
     out.mkdir(parents=True, exist_ok=True)
     with contextlib.ExitStack() as stack:
         csvs = {name: stack.enter_context(_staged(out / name, ",".join(columns[name]) + "\n"))
                 for name in columns}
         mirrors = {name: stack.enter_context(_staged((out / name).with_suffix(".json"), "["))
-                   for name in columns if sweep.cfg.fmt == "json"}
+                   for name in columns if sweep.cfg.format == "json"}
         seps = dict.fromkeys(mirrors, "\n ")
         for name, row in _grid_map(point, sweep):
             csvs[name].write(",".join(map(_fmt, row)) + "\n")
@@ -281,7 +249,7 @@ def _infer_point(sweep: _Sweep, chunk: tuple[int, ...]):
                         yield "infer_density.csv", (N, k, word, symbol, x, d)
 
 
-def cmd_infer(cfg: ExperimentConfig) -> None:
+def cmd_infer(cfg: argparse.Namespace) -> None:
     _write_sweep(_resolve(cfg), _infer_point, {
         "infer_summary.csv": ("N", "k", "word", "symbol", "count", "alpha", "mean",
                               "variance", "ci_low", "ci_high"),
@@ -299,7 +267,7 @@ def _compare_point(sweep: _Sweep, chunk: tuple[int, ...]):
             yield "compare.csv", (N, k, log_evidence, uni.probability(k), pen.probability(k))
 
 
-def cmd_compare(cfg: ExperimentConfig) -> None:
+def cmd_compare(cfg: argparse.Namespace) -> None:
     _write_sweep(_resolve(cfg), _compare_point, {
         "compare.csv": ("N", "k", "log_evidence_nats", "prob_uniform", "prob_penalized")})
 
@@ -311,11 +279,9 @@ def _entropy_point(sweep: _Sweep, chunk: tuple[int, ...]):
         q = entropy.r_from(post)
         kl_bits = [None] * len(chunk)
         if k in sweep.approxes:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", entropy.SupportWarning)
-                kl_bits = [entropy.kl_of(entropy.WordConditional(k, sweep.alphabet, w, c),
-                                         sweep.approxes[k].cond_probs)
-                           for w, c in zip(q.word_probs, q.cond_probs)]
+            kl_bits = [entropy.kl_of(entropy.WordConditional(k, sweep.alphabet, w, c),
+                                     sweep.approxes[k].cond_probs)
+                       for w, c in zip(q.word_probs, q.cond_probs)]
         columns[k] = list(zip(post.total.tolist(), entropy.expected_energy(post).tolist(),
                               entropy.energy_variance(post).tolist(),
                               entropy.hmu_of(q).tolist(), kl_bits,
@@ -325,22 +291,16 @@ def _entropy_point(sweep: _Sweep, chunk: tuple[int, ...]):
             yield "entropy.csv", (N, k, *values[g], sweep.truth)
 
 
-def cmd_entropy(cfg: ExperimentConfig) -> None:
+def cmd_entropy(cfg: argparse.Namespace) -> None:
     _write_sweep(_resolve(cfg, with_truth=True), _entropy_point, {
         "entropy.csv": ("N", "k", "beta_k", "energy_mean_bits", "energy_var", "hmu_Q_bits",
                         "kl_bits_if_truth_known", "asymptotic_bits", "truth_bits")})
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> None:
-    if cfg.seed is None:
-        raise ConfigError("simulate requires --seed")
-    seq = processes.sample_sequence(_resolve_hmm(cfg), max(cfg.n_grid), cfg.seed)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    write_sequence(cfg.out_dir / "sequence.txt", seq)
-
-
-_COMMANDS = {"infer": cmd_infer, "compare": cmd_compare, "entropy": cmd_entropy,
-             "simulate": cmd_simulate}
+def cmd_simulate(cfg: argparse.Namespace) -> None:
+    seq = processes.sample_sequence(_resolve_hmm(cfg), cfg.n_start, cfg.seed)
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    write_sequence(cfg.out / "sequence.txt", seq)
 
 
 def _log_grid(start: int, stop: int, points: int) -> tuple[int, ...]:
@@ -364,12 +324,15 @@ FIGURE_RECIPES = {
 }
 
 
-def cmd_reproduce(cfg: ExperimentConfig, figure: int) -> None:
-    if figure not in FIGURE_RECIPES:
-        raise ConfigError(f"unknown figure id {figure}; known: {sorted(FIGURE_RECIPES)}")
-    command, source, recipe = FIGURE_RECIPES[figure]
-    _COMMANDS[command](replace(cfg, source=source, k_min=recipe["k"][0], k_max=recipe["k"][1],
-                               n_grid=recipe["n_grid"], out_dir=cfg.out_dir / f"fig{figure}"))
+def cmd_reproduce(cfg: argparse.Namespace) -> None:
+    command, source, recipe = FIGURE_RECIPES[cfg.figure]
+    _COMMANDS[command](argparse.Namespace(**vars(cfg) | dict(
+        source=source, k_min=recipe["k"][0], k_max=recipe["k"][1], n_grid=recipe["n_grid"],
+        out=cfg.out / f"fig{cfg.figure}")))
+
+
+_COMMANDS = {"infer": cmd_infer, "compare": cmd_compare, "entropy": cmd_entropy,
+             "simulate": cmd_simulate, "reproduce": cmd_reproduce}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -384,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("infer", "compare", "entropy", "simulate", "reproduce"):
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         if name == "reproduce":
-            p.add_argument("--figure", type=int, required=True)
+            p.add_argument("--figure", type=int, required=True, choices=FIGURE_RECIPES)
         else:
             p.add_argument("--source", help="builtin source name or path to an hmm JSON file")
             for flag in ("--n-start", "--seed"):
@@ -409,7 +372,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args) -> ExperimentConfig:
+def _config_from(args: argparse.Namespace) -> argparse.Namespace:
+    """Check every rule that reads only the command line, then complete it as
+    the run's config: the N grid, the default --alpha and --out as a Path."""
     if args.k_min < 1 or args.k_max < args.k_min:
         raise ConfigError(f"invalid order range [{args.k_min}, {args.k_max}]")
     stop = args.n_stop if args.n_stop is not None else args.n_start
@@ -419,26 +384,38 @@ def _config_from(args) -> ExperimentConfig:
         raise ConfigError("confidence must lie in (0, 1)")
     if args.density_points < 2:
         raise ConfigError(f"density points must be at least 2, not {args.density_points}")
+    if args.jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, not {args.jobs}")
     if args.alpha is not None and args.fake_counts is not None:
         raise ConfigError("--alpha and --fake-counts exclude each other")
     if args.alpha is not None and not 0.0 < args.alpha < math.inf:
         raise ConfigError(f"alpha must be finite and positive, not {args.alpha}")
-    return ExperimentConfig(
-        source=args.source, input_path=args.input, csv_column=args.csv_column, mode=args.mode,
-        k_min=args.k_min, k_max=args.k_max, fake_counts_path=args.fake_counts, seed=args.seed,
-        n_grid=tuple(range(args.n_start, stop + 1, args.n_step)), confidence=args.confidence,
-        alpha=1.0 if args.alpha is None else args.alpha, out_dir=Path(args.out), fmt=args.format,
-        jobs=max(1, args.jobs), density_points=args.density_points)
+    if args.input is not None and args.source is not None:
+        raise ConfigError("--source and --input exclude each other")
+    if args.input is not None and args.mode == "sample":
+        raise ConfigError("--mode sample samples a --source, not an --input")
+    sampling = ("simulate" if args.command == "simulate"
+                else "sample mode" if args.mode == "sample" else None)
+    if (args.seed is None) != (sampling is None):
+        raise ConfigError(f"{sampling} requires --seed" if sampling
+                          else "--seed is read only with --mode sample")
+    if args.csv_column is not None and args.input is None:
+        raise ConfigError("--csv-column is read only with --input")
+    if args.command in ("infer", "compare", "entropy") and args.n_start <= args.k_max:
+        raise ConfigError(f"data size N={args.n_start} must exceed the largest order "
+                          f"k={args.k_max}")
+    if args.command != "reproduce" and args.source is None and args.input is None:
+        raise ConfigError("a --source is required for this mode")
+    args.n_grid = tuple(range(args.n_start, stop + 1, args.n_step))
+    args.alpha = 1.0 if args.alpha is None else args.alpha
+    args.out = Path(args.out)
+    return args
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        cfg = _config_from(args)
-        if args.command == "reproduce":
-            cmd_reproduce(cfg, args.figure)
-        else:
-            _COMMANDS[args.command](cfg)
+        _COMMANDS[args.command](_config_from(args))
     except (OSError, KeyError, ValueError, ArithmeticError) as exc:
         numeric = isinstance(exc, (NumericDomainError, ArithmeticError))
         code = EXIT_NUMERIC if numeric else EXIT_BAD_CONFIG

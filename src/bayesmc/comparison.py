@@ -16,7 +16,7 @@ import numpy as np
 TIE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderPosterior:
     """Normalized probability over candidate orders k."""
 

@@ -81,13 +81,20 @@ class Alphabet:
 
 
 def _frozen(arr, dtype=float) -> np.ndarray:
-    """`arr` as a C-contiguous, read-only array of `dtype`."""
-    arr = np.ascontiguousarray(arr, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
+    """`arr` as a C-contiguous, read-only array of `dtype`.  A writeable array
+    is copied, so that no view of it can change the result and the caller's
+    array stays writeable; a read-only one is taken as it is."""
+    out = np.ascontiguousarray(arr, dtype=dtype)
+    if out is arr and out.flags.writeable:
+        out = out.copy()
+    out.flags.writeable = False
+    return out
 
 
-@dataclass(frozen=True)
+# Like every frozen type of the package that holds arrays, compared by
+# identity (eq=False): a generated == would compare the arrays, whose truth
+# value is ambiguous.
+@dataclass(frozen=True, eq=False)
 class SymbolSequence:
     """A finite sequence of symbol indices over a fixed alphabet."""
 
@@ -141,7 +148,7 @@ def word_strings(k: int, alphabet: Alphabet) -> list[str]:
     return words
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Table:
     """A dense (A**k, A) table over (word, next symbol) pairs, or a
     (G, A**k, A) stack of G such tables, whose totals then have one value per

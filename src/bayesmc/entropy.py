@@ -13,7 +13,6 @@ table, each equal to its table's own bit for bit.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,12 +24,12 @@ from .special import _per_table, _table_sum, _trigamma_remainder, digamma
 
 _LN2 = math.log(2.0)
 
+#: Below this, t^2 underflows or trigamma's 1/t^2 overflows, and
+#: t^2 (trigamma(t) - 1/t) = 1 - t + t^2 trigamma(1 + t) rounds to 1.
+_TINY = 1e-150
 
-class SupportWarning(UserWarning):
-    """Q puts mass where the reference distribution has none."""
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WordConditional:
     """A pair (word distribution, conditional next-symbol distribution), or
     a stack of G such pairs."""
@@ -72,8 +71,8 @@ def kl_of(dist: WordConditional, true_cond: np.ndarray) -> float:
     """Conditional relative entropy D[Q || P] of one distribution, in bits
     per symbol.
 
-    Infinite (with a SupportWarning) when Q puts mass on a transition the
-    reference conditionals forbid.
+    Infinite when Q puts mass on a transition the reference conditionals
+    forbid.
     """
     q = dist.cond_probs
     p = np.asarray(true_cond, dtype=float)
@@ -81,8 +80,6 @@ def kl_of(dist: WordConditional, true_cond: np.ndarray) -> float:
         raise ValueError(f"conditional table shape {p.shape}, expected {q.shape}")
     mass = dist.word_probs[:, None] * q
     if np.any((mass > 0) & (p <= 0)):
-        warnings.warn("Q has support where the reference distribution has none",
-                      SupportWarning, stacklevel=2)
         return math.inf
     active = mass > 0
     ratio = np.ones_like(q)
@@ -110,11 +107,14 @@ def energy_variance(post: HyperTable) -> float:
     (sum_(w,s) t^2 psi'(t) - sum_w t(w)^2 psi'(t(w))) / (beta ln 2)^2.  Both
     sums carry the same leading term sum t^2 / t = beta, so each trigamma is
     taken without its 1/t and the difference keeps its relative precision
-    at any beta.
+    at any beta.  A term of t below _TINY is 1.
     """
-    t, tw = post.table, post.word_totals
-    pair_part = _table_sum(t * t * _trigamma_remainder(t))
-    word_part = (tw * tw * _trigamma_remainder(tw)).sum(axis=-1)
+    def terms(t):
+        tiny = t < _TINY
+        return np.where(tiny, 1.0, t * t * _trigamma_remainder(np.where(tiny, 1.0, t)))
+
+    pair_part = _table_sum(terms(post.table))
+    word_part = terms(post.word_totals).sum(axis=-1)
     scale = post.total * _LN2
     return _per_table((pair_part - word_part) / (scale * scale))
 

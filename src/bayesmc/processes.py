@@ -29,7 +29,7 @@ class NondeterministicProcessError(ValueError):
     """Closed-form entropy rate requested for a nondeterministic process."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledHMM:
     """Hidden-state process with one labeled transition matrix per symbol."""
 

@@ -143,7 +143,7 @@ def trigamma(x):
     return _per_table(_trigamma_remainder(x) + 1.0 / np.asarray(x, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BetaParams:
     """Parameters of a Beta(a, b) distribution, both strictly positive.  The
     parameters may also be arrays of the same or broadcastable shapes, one

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import itertools
@@ -165,6 +166,19 @@ class TestEntropy:
         assert rows[0]["truth_bits"] == ""
         assert rows[0]["kl_bits_if_truth_known"] != ""
 
+    def test_energy_variance_finite_at_tiny_alpha(self, tmp_path):
+        # below alpha ~ 1e-154, t^2 underflows and 1/t^2 overflows in the
+        # terms t^2 (trigamma(t) - 1/t) of the variance's sums; each such
+        # term is 1, as it is to rounding at alpha = 1e-154
+        var = {}
+        for alpha in ("1e-300", "1e-155", "1e-154"):
+            out = tmp_path / alpha
+            assert run_cli(["entropy", "--source", "even", "--n-start", "100", "--k-max", "2",
+                            "--alpha", alpha, "--jobs", "1", "--out", str(out)]) == 0
+            var[alpha] = [float(r["energy_var"]) for r in read_csv(out / "entropy.csv")]
+        assert var["1e-154"][1] == pytest.approx(0.000557594931719, rel=1e-12)
+        assert var["1e-300"] == var["1e-155"] == var["1e-154"]
+
     def test_twelve_digit_format(self, tmp_path):
         run_cli(["entropy", "--source", "golden_mean", "--n-start", "777",
                  "--jobs", "1", "--out", str(tmp_path)])
@@ -279,10 +293,7 @@ class TestChunks:
 
 def _sweep_of(A, k_max, grid, jobs):
     """A sweep with only what _chunks reads: the alphabet, k_max, grid and jobs."""
-    cfg = bayesmc.cli.ExperimentConfig(
-        source=None, input_path=None, csv_column=None, mode="average", k_min=1, k_max=k_max,
-        n_grid=grid, alpha=1.0, fake_counts_path=None, confidence=0.95, seed=None,
-        out_dir=None, fmt="csv", jobs=jobs, density_points=512)
+    cfg = argparse.Namespace(k_max=k_max, n_grid=grid, jobs=jobs)
     return bayesmc.cli._Sweep(cfg, bayesmc.core.Alphabet(tuple("abcd"[:A])), seq=None,
                               hypers={}, joints={}, approxes={}, truth=None)
 
@@ -408,11 +419,16 @@ class TestErrorHandling:
          "density points must be at least 2, not 1"),
         (["reproduce", "--figure", "3", "--density-points", "0"],
          "density points must be at least 2, not 0"),
+        (["compare", "--source", "even", "--jobs", "0"], "jobs must be at least 1, not 0"),
+        (["reproduce", "--figure", "3", "--jobs", "-3"], "jobs must be at least 1, not -3"),
+        (["infer", "--source", "golden_mean", "--fake-counts", "{dir}/empty.csv"],
+         "fake-count entry word='0' symbol='1' has count ''; counts must be finite and >= 0"),
     ])
     def test_bad_value_rejected_before_sweep(self, argv, message, tmp_path, capsys,
                                              monkeypatch):
         (tmp_path / "nan.csv").write_text("word,symbol,count\n0,1,nan\n")
         (tmp_path / "inf.csv").write_text("word,symbol,count\n0,1,inf\n")
+        (tmp_path / "empty.csv").write_text("word,symbol,count\n0,1,\n")
         (tmp_path / "nan.json").write_text(
             '{"alphabet": ["0", "1"], "matrices": {"0": [[NaN, 0.5], [0.5, 0]], '
             '"1": [[0, 0.5], [0.5, 0]]}}')

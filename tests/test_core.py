@@ -6,8 +6,11 @@ from bayesmc import (
     Alphabet,
     CountTable,
     HyperTable,
+    LabeledHMM,
     SymbolSequence,
+    WordConditional,
     count_words,
+    golden_mean,
     hyper_from_fake_counts,
     lower_order_counts,
     read_sequence,
@@ -174,9 +177,12 @@ class TestHyperTables:
 
 class TestTableBase:
     def test_kinds_of_one_array_compare_unequal(self):
+        # compared by identity, so two equal-valued tables compare unequal
+        # instead of raising on their arrays' ambiguous truth value
         table = np.ones((2, 2))
-        assert CountTable(1, BINARY, table) == CountTable(1, BINARY, table)
-        assert CountTable(1, BINARY, table) != HyperTable(1, BINARY, table)
+        count = CountTable(1, BINARY, table)
+        assert count == count and count != CountTable(1, BINARY, table.copy())
+        assert count != HyperTable(1, BINARY, table)
 
     @pytest.mark.parametrize("kind, name", [(CountTable, "count"), (HyperTable, "hyper")])
     def test_bad_shape_names_its_kind(self, kind, name):
@@ -197,6 +203,49 @@ class TestTableBase:
         assert not t.flags.writeable and t.flags.c_contiguous
         with pytest.raises(ValueError):
             t[0, 0] = 5.0
+
+
+#: Each frozen type that holds an array: built from one array argument, an
+#: example argument and the field that keeps the array.
+FROZEN_KINDS = {
+    "CountTable": (lambda a: CountTable(1, BINARY, a), np.ones((2, 2)), "table"),
+    "HyperTable": (lambda a: HyperTable(1, BINARY, a), np.ones((2, 2)), "table"),
+    "SymbolSequence": (lambda a: SymbolSequence(BINARY, a), np.array([0, 1, 1, 0]), "data"),
+    "LabeledHMM": (lambda a: LabeledHMM(BINARY, a), golden_mean().matrices.copy(), "matrices"),
+    "WordConditional": (lambda a: WordConditional(1, BINARY, np.array([0.5, 0.5]), a),
+                        np.full((2, 2), 0.5), "cond_probs"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN_KINDS))
+class TestFrozenArrays:
+    def test_view_of_a_writeable_array_is_copied(self, kind):
+        make, arr, name = FROZEN_KINDS[kind]
+        x = np.stack([arr, arr])
+        kept = getattr(make(x[0]), name)
+        x[0] += 1
+        np.testing.assert_array_equal(kept, arr)
+        assert not kept.flags.writeable
+
+    def test_callers_array_stays_writeable(self, kind):
+        make, arr, _ = FROZEN_KINDS[kind]
+        mine = arr.copy()
+        make(mine)
+        mine += 1  # not made read-only behind the caller's back
+
+    def test_equal_values_compare_without_raising(self, kind):
+        make, arr, _ = FROZEN_KINDS[kind]
+        one = make(arr.copy())
+        assert one == one and one != make(arr.copy())
+
+
+def test_cached_log_norm_follows_no_caller_array():
+    x = np.ones((3, 2, 2))
+    h = HyperTable(1, BINARY, x[0])
+    cached = h.log_norm
+    x[0, 0, 0] = 50.0
+    assert h.table[0, 0] == 1.0
+    assert h.log_norm == cached == HyperTable(1, BINARY, np.ones((2, 2))).log_norm
 
 
 #: Characters an alphabet may hold: ASCII, the rest of the basic plane and the astral planes.

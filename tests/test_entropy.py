@@ -9,7 +9,6 @@ import pytest
 from bayesmc import (
     Alphabet,
     CountTable,
-    SupportWarning,
     asymptotic_energy,
     average_counts,
     compare_uniform,
@@ -141,8 +140,7 @@ class TestKl:
     def test_support_violation_is_infinite(self):
         q = q_at(100)  # posterior smooths the forbidden 00 transition
         truth = markov_approximation(golden_mean(), 1).cond_probs
-        with pytest.warns(SupportWarning):
-            assert kl_of(q, truth) == math.inf
+        assert kl_of(q, truth) == math.inf
 
     def test_prior_bias_decay_full_support(self):
         # with exact average counts the only error is the O(1/N) prior

@@ -6,8 +6,6 @@ lone table bit for bit, so that the CSV outputs do not depend on how the
 grid is chunked.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,7 +14,6 @@ from bayesmc import (
     Alphabet,
     CountTable,
     HyperTable,
-    SupportWarning,
     WordConditional,
     asymptotic_energy,
     energy_variance,
@@ -81,11 +78,9 @@ class TestStackEqualsTables:
             log_evidence(CountTable(counts.order, counts.alphabet, t), hyper).hex()
             for t in counts.table]
         q = r_from(post)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SupportWarning)
-            rows = [kl_of(WordConditional(q.order, q.alphabet, w, c), cond)
-                    for w, c in zip(q.word_probs, q.cond_probs)]
-            assert _hexes(rows) == [kl_of(r_from(t), cond).hex() for t in tables]
+        rows = [kl_of(WordConditional(q.order, q.alphabet, w, c), cond)
+                for w, c in zip(q.word_probs, q.cond_probs)]
+        assert _hexes(rows) == [kl_of(r_from(t), cond).hex() for t in tables]
 
     def test_densities_and_draws_per_table(self):
         rng = np.random.default_rng(5)
