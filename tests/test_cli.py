@@ -608,6 +608,8 @@ def _golden_sequence(n=4000):
 GOLDEN = {
     **{f"fig{fig}": ["reproduce", "--figure", str(fig), "--density-points", "8"]
        for fig in range(2, 11)},
+    **{f"fig{fig}_json": ["reproduce", "--figure", str(fig), "--format", "json"]
+       for fig in (3, 7)},
     "sample_entropy": ["entropy", "--source", "even", "--mode", "sample",
                        "--seed", "11", "--n-start", "500", "--n-stop", "2000",
                        "--n-step", "500", "--k-max", "3"],
@@ -644,7 +646,10 @@ GOLDEN = {
 #: digests were re-pinned when sample_sequence began walking pre-drawn
 #: per-state move blocks instead of calling rng.choice once per symbol: the
 #: same seed now draws a different (equally distributed) sample.  The
-#: simulate run pins that seeded stream itself, through sequence.txt.
+#: simulate run pins that seeded stream itself, through sequence.txt.  The
+#: fig3_json and fig7_json runs pin the JSON mirrors of a compare and an
+#: entropy sweep (fig7's holds 245 nulls from infinite KL) from before the
+#: writer formatted column blocks.
 GOLDEN_DIGESTS = {
     "fake_counts_json": {
         "infer_density.csv": "f85116709d91a957d8d56e652d6bd8b32b0f9eaf40a618cab56c770eb1978501",
@@ -662,6 +667,10 @@ GOLDEN_DIGESTS = {
     "fig3": {
         "fig3/compare.csv": "4dbe0e7939dfa76f8a72feb624474d71f2aea17c2a896d8a50d3d58c58fb86ca",
     },
+    "fig3_json": {
+        "fig3/compare.csv": "4dbe0e7939dfa76f8a72feb624474d71f2aea17c2a896d8a50d3d58c58fb86ca",
+        "fig3/compare.json": "93e5519c576466f3d7eef8d1a177153d7e24d7e652ea6173ccd059b8fd8fc155",
+    },
     "fig4": {
         "fig4/entropy.csv": "89cd0f167ce11b9bb7939e83f3c6a13b56cdbaf25f5188c148057efff384492e",
     },
@@ -674,6 +683,10 @@ GOLDEN_DIGESTS = {
     },
     "fig7": {
         "fig7/entropy.csv": "7c2ff96b0d56fab62bbbeec7db277326bcf718dde99a362cd999d23acc48e60f",
+    },
+    "fig7_json": {
+        "fig7/entropy.csv": "7c2ff96b0d56fab62bbbeec7db277326bcf718dde99a362cd999d23acc48e60f",
+        "fig7/entropy.json": "a006b26c91f00192c0f0e12fafea02aaed7ee1e11cab97a54b100d18b9824c8c",
     },
     "fig8": {
         "fig8/infer_density.csv": "7eda1287a6c49093dc2c621c650c5d0a825bc88966940272721d9e017993cab9",
