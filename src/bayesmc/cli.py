@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -33,9 +34,8 @@ EXIT_NUMERIC = 3
 
 OUT_DIR_ENV = "BAYESMC_OUT"
 
-#: A sweep maps its N grid in chunks of G points whose top-order count tables
-#: hold together at most this many entries (G >= 1), so that each order makes
-#: one evidence or energy kernel call per chunk.
+#: A sweep maps its N grid in chunks of G >= 1 points whose top-order count tables hold at
+#: most this many entries together, so each order makes one kernel call per chunk.
 CHUNK_ENTRIES = 2**16
 
 
@@ -46,10 +46,6 @@ class ConfigError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one error record, as for every other invalid input
         raise ConfigError(message)
-
-
-def _fmt(value) -> str:
-    return "" if value is None else f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 @contextlib.contextmanager
@@ -74,9 +70,8 @@ def _resolve_hmm(cfg: argparse.Namespace) -> processes.LabeledHMM:
 
 
 def _read_fake_counts(path: str, orders: range, alphabet: Alphabet) -> dict[int, HyperTable]:
-    """Each order's prior from a CSV with columns word,symbol,count, where a
-    word's length is its order; unlisted entries default to 0, an entry may
-    be listed once, and every hyperparameter is its fake count + 1."""
+    """Each order's prior from a CSV with columns word,symbol,count, a word's length its order:
+    unlisted entries are 0, an entry may be listed once, each hyperparameter is count + 1."""
     tables = {k: np.zeros((alphabet.size**k, alphabet.size)) for k in orders}
     seen = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -107,9 +102,8 @@ def _read_fake_counts(path: str, orders: range, alphabet: Alphabet) -> dict[int,
 
 @dataclass(frozen=True)
 class _Sweep:
-    """One invocation's config, data and each order's invariants, resolved
-    once.  `approxes` and `truth` are what entropy compares against, when the
-    data come from a source."""
+    """One invocation's config, data and each order's invariants, resolved once.  `approxes`
+    and `truth` are what entropy compares against, when the data come from a source."""
 
     cfg: argparse.Namespace  # the checked command line, as _config_from completes it
     alphabet: Alphabet
@@ -120,21 +114,19 @@ class _Sweep:
     truth: float | None
 
     def points(self, chunk: tuple[int, ...]):
-        """(k, counts, hyper) for each order, the counts a (G, A**k, A) stack
-        over the chunk's G data sizes.  In sample and file mode each prefix is
-        counted once, at the top order, and each lower order derived from it."""
+        """(k, counts, hyper) for each order, the counts a (G, A**k, A) stack over the chunk's
+        G data sizes; in sample and file mode each prefix is counted once, at the top order."""
         if self.seq is None:  # the exact average counts, as processes.average_counts
             N = np.array(chunk)[:, None, None]
-            for k, hyper in self.hypers.items():
-                yield k, CountTable(k, self.alphabet, (N - k) * self.joints[k]), hyper
-            return
-        A = self.alphabet.size
-        stacks = {k: np.empty((len(chunk), A**k, A)) for k in self.hypers}
-        for g, N in enumerate(chunk):
-            prefix = SymbolSequence(self.alphabet, self.seq.data[:N])
-            top = count_words(prefix, self.cfg.k_max)
-            for k, stack in stacks.items():
-                stack[g] = lower_order_counts(top, prefix, k).table
+            stacks = {k: (N - k) * self.joints[k] for k in self.hypers}
+        else:
+            A = self.alphabet.size
+            stacks = {k: np.empty((len(chunk), A**k, A)) for k in self.hypers}
+            for g, N in enumerate(chunk):
+                prefix = SymbolSequence(self.alphabet, self.seq.data[:N])
+                top = count_words(prefix, self.cfg.k_max)
+                for k, stack in stacks.items():
+                    stack[g] = lower_order_counts(top, prefix, k).table
         for k, hyper in self.hypers.items():
             yield k, CountTable(k, self.alphabet, stacks.pop(k)), hyper
 
@@ -154,9 +146,8 @@ def _resolve(cfg: argparse.Namespace, with_truth: bool = False) -> _Sweep:
     alphabet = hmm.alphabet if seq is None else seq.alphabet
     check_table_size(alphabet, cfg.k_max)
     orders = range(cfg.k_min, cfg.k_max + 1)
-    hypers = ({k: uniform_hyper(k, alphabet, cfg.alpha) for k in orders}
-              if cfg.fake_counts is None
-              else _read_fake_counts(cfg.fake_counts, orders, alphabet))
+    hypers = (_read_fake_counts(cfg.fake_counts, orders, alphabet) if cfg.fake_counts is not None
+              else {k: uniform_hyper(k, alphabet, cfg.alpha) for k in orders})
     joints = {} if seq is not None else {
         k: processes.word_distribution(hmm, k + 1).reshape(alphabet.size**k, alphabet.size)
         for k in orders}
@@ -184,9 +175,8 @@ def _in_worker(point, chunk):
 
 
 def _chunks(sweep: _Sweep) -> list[tuple[int, ...]]:
-    """The N grid cut into contiguous chunks of G points, G as large as
-    CHUNK_ENTRIES allows; with --jobs > 1 also at most a 4 * jobs-th of the
-    grid, so that every worker stays busy."""
+    """The N grid cut into contiguous chunks of G points, G as large as CHUNK_ENTRIES allows;
+    with --jobs > 1 also at most a 4 * jobs-th of the grid, so that every worker stays busy."""
     grid, jobs = sweep.cfg.n_grid, sweep.cfg.jobs
     size = max(1, CHUNK_ENTRIES // sweep.alphabet.size ** (sweep.cfg.k_max + 1))
     if jobs > 1:
@@ -195,39 +185,54 @@ def _chunks(sweep: _Sweep) -> list[tuple[int, ...]]:
 
 
 def _grid_map(point, sweep: _Sweep):
-    """Yield the (file name, row) pairs of point(sweep, chunk) for each chunk
-    of the grid, in grid order: N-major, then k.  Points are module-level
-    generators so that the pool can pickle them; a worker returns each
-    chunk's rows as one list."""
+    """Yield the (file name, block) pairs of point(sweep, chunk) for each chunk, in grid
+    order: N-major, then k.  Points are module-level generators so that the pool can
+    pickle them; a worker returns each chunk's blocks as one list."""
     chunks = _chunks(sweep)
     if sweep.cfg.jobs > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=sweep.cfg.jobs, initializer=_init_worker,
                                  initargs=(sweep,)) as pool:
-            for rows in pool.map(functools.partial(_in_worker, point), chunks):
-                yield from rows
+            for blocks in pool.map(functools.partial(_in_worker, point), chunks):
+                yield from blocks
     else:
         for chunk in chunks:
             yield from point(sweep, chunk)
 
 
+#: A cell type's CSV and JSON formatters; in JSON a float prints its repr, infinity null.
+_FORMATS = {float: ("{:.12g}".format, lambda v: "null" if math.isinf(v) else json.dumps(v)),
+            int: (str, str), str: (str, json.dumps), type(None): (lambda v: "", lambda v: "null")}
+
+
+def _text(block: list, side: int):
+    """A block's rows as tuples of cell text, for the CSV (side 0) or the JSON mirror (1):
+    a column's formatter is picked by its first cell, and a single value formatted once."""
+    rows = max(len(c) for c in block if isinstance(c, list))
+    return zip(*(map(_FORMATS[type(c[0])][side], c) if isinstance(c, list)
+                 else itertools.repeat(_FORMATS[type(c)][side](c), rows) for c in block))
+
+
 def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> None:
-    """Write each row of the sweep to its output CSV, and with --format json to
-    the CSV's JSON mirror, as the row arrives.  A mirror reads as
-    json.dumps(rows, indent=1) would, with infinities as null."""
+    """Write each block of the sweep to its output CSV, and with --format json to the
+    CSV's JSON mirror, as it arrives.  A block lists its file's columns in header order,
+    each a list or one value for all its rows: one block per (N, k) of infer_summary, per
+    (N, k, word, symbol) of infer_density, and per N, a row per order, of compare and
+    entropy.  A mirror reads as json.dumps(rows, indent=1) would, infinities as null."""
     out = sweep.cfg.out
     out.mkdir(parents=True, exist_ok=True)
+    records = {name: "{{\n" + ",\n".join(f'  "{c}": {{}}' for c in cols) + "\n }}"
+               for name, cols in columns.items()}
     with contextlib.ExitStack() as stack:
         csvs = {name: stack.enter_context(_staged(out / name, ",".join(columns[name]) + "\n"))
                 for name in columns}
         mirrors = {name: stack.enter_context(_staged((out / name).with_suffix(".json"), "["))
                    for name in columns if sweep.cfg.format == "json"}
         seps = dict.fromkeys(mirrors, "\n ")
-        for name, row in _grid_map(point, sweep):
-            csvs[name].write(",".join(map(_fmt, row)) + "\n")
+        for name, block in _grid_map(point, sweep):
+            csvs[name].write("".join(",".join(row) + "\n" for row in _text(block, 0)))
             if name in mirrors:
-                record = {f: None if isinstance(v, float) and math.isinf(v) else v
-                          for f, v in zip(columns[name], row)}
-                mirrors[name].write(seps[name] + json.dumps(record, indent=1).replace("\n", "\n "))
+                mirrors[name].write(seps[name] + ",\n ".join(
+                    itertools.starmap(records[name].format, _text(block, 1))))
                 seps[name] = ",\n "
         for fh in mirrors.values():
             fh.write("\n]\n")
@@ -238,15 +243,14 @@ def _infer_point(sweep: _Sweep, chunk: tuple[int, ...]):
     for g, N in enumerate(chunk):
         for k, stack, hyper in stacks:
             counts = CountTable(k, sweep.alphabet, stack.table[g])
-            for row in inference.summary_rows(counts, hyper, sweep.cfg.confidence):
-                yield "infer_summary.csv", (N, k, *row)
+            rows = inference.summary_rows(counts, hyper, sweep.cfg.confidence)
+            yield "infer_summary.csv", [N, k, *map(list, zip(*rows))]
             x, dens = inference.density_grid(inference.posterior(counts, hyper),
                                              sweep.cfg.density_points)
             xs = x.tolist()
             for word, word_dens in zip(word_strings(k, sweep.alphabet), dens):
                 for symbol, entry_dens in zip(sweep.alphabet.symbols, word_dens.tolist()):
-                    for x, d in zip(xs, entry_dens):
-                        yield "infer_density.csv", (N, k, word, symbol, x, d)
+                    yield "infer_density.csv", [N, k, word, symbol, xs, entry_dens]
 
 
 def cmd_infer(cfg: argparse.Namespace) -> None:
@@ -263,8 +267,8 @@ def _compare_point(sweep: _Sweep, chunk: tuple[int, ...]):
         evidences = {k: values[g] for k, values in stacked.items()}
         uni = comparison.compare_uniform(evidences)
         pen = comparison.compare_penalized(evidences, sweep.alphabet.size)
-        for k, log_evidence in evidences.items():
-            yield "compare.csv", (N, k, log_evidence, uni.probability(k), pen.probability(k))
+        yield "compare.csv", [N, list(evidences), list(evidences.values()),
+                              uni.probabilities.tolist(), pen.probabilities.tolist()]
 
 
 def cmd_compare(cfg: argparse.Namespace) -> None:
@@ -273,7 +277,7 @@ def cmd_compare(cfg: argparse.Namespace) -> None:
 
 
 def _entropy_point(sweep: _Sweep, chunk: tuple[int, ...]):
-    columns = {}
+    orders = []
     for k, counts, hyper in sweep.points(chunk):
         post = inference.posterior(counts, hyper)
         q = entropy.r_from(post)
@@ -282,13 +286,12 @@ def _entropy_point(sweep: _Sweep, chunk: tuple[int, ...]):
             kl_bits = [entropy.kl_of(entropy.WordConditional(k, sweep.alphabet, w, c),
                                      sweep.approxes[k].cond_probs)
                        for w, c in zip(q.word_probs, q.cond_probs)]
-        columns[k] = list(zip(post.total.tolist(), entropy.expected_energy(post).tolist(),
-                              entropy.energy_variance(post).tolist(),
-                              entropy.hmu_of(q).tolist(), kl_bits,
-                              entropy.asymptotic_energy(post).tolist()))
+        orders.append((k, post.total.tolist(), entropy.expected_energy(post).tolist(),
+                       entropy.energy_variance(post).tolist(), entropy.hmu_of(q).tolist(),
+                       kl_bits, entropy.asymptotic_energy(post).tolist()))
+    ks, *stats = zip(*orders)  # each stat holds, per order, its values over the chunk
     for g, N in enumerate(chunk):
-        for k, values in columns.items():
-            yield "entropy.csv", (N, k, *values[g], sweep.truth)
+        yield "entropy.csv", [N, list(ks), *([v[g] for v in s] for s in stats), sweep.truth]
 
 
 def cmd_entropy(cfg: argparse.Namespace) -> None:
@@ -308,9 +311,8 @@ def _log_grid(start: int, stop: int, points: int) -> tuple[int, ...]:
     return tuple(int(v) for v in np.unique(np.round(grid)))
 
 
-#: Parameter grids for the figure-reproduction bundles.  The order-comparison
-#: grid for the first source is stated exactly (100..1000 step 5); the other
-#: grids are logarithmic spans of the figures' visible axis ranges.
+#: Parameter grids for the figure bundles.  The first source's order-comparison grid is
+#: stated exactly (100..1000 step 5); the others span the figures' visible axes, log-spaced.
 FIGURE_RECIPES = {
     2: ("infer", "golden_mean", {"n_grid": (100, 400, 1600, 6400), "k": (1, 1)}),
     3: ("compare", "golden_mean", {"n_grid": tuple(range(100, 1001, 5)), "k": (1, 4)}),
@@ -342,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         k_max=1, n_start=1000, n_stop=None, n_step=5, alpha=None,
                         fake_counts=None, confidence=0.95, seed=None,
                         out=os.environ.get(OUT_DIR_ENV, "."), format="csv",
-                        jobs=os.cpu_count() or 1, density_points=512)
+                        jobs=1, density_points=512)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("infer", "compare", "entropy", "simulate", "reproduce"):
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
@@ -353,13 +355,11 @@ def _build_parser() -> argparse.ArgumentParser:
             for flag in ("--n-start", "--seed"):
                 p.add_argument(flag, type=int)
         if name in ("infer", "compare", "entropy"):
-            p.add_argument("--n-stop", type=int)
-            p.add_argument("--n-step", type=int)
+            for flag in ("--n-stop", "--n-step", "--k-min", "--k-max"):
+                p.add_argument(flag, type=int)
             p.add_argument("--input", help="sequence file (text, or CSV with --csv-column)")
             p.add_argument("--csv-column")
             p.add_argument("--mode", choices=("average", "sample"))
-            p.add_argument("--k-min", type=int)
-            p.add_argument("--k-max", type=int)
             p.add_argument("--fake-counts")
         if name != "simulate":
             p.add_argument("--alpha", type=float)

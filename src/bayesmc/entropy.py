@@ -25,7 +25,8 @@ from .special import _per_table, _table_sum, _trigamma_remainder, digamma
 _LN2 = math.log(2.0)
 
 #: Below this, t^2 underflows or trigamma's 1/t^2 overflows, and
-#: t^2 (trigamma(t) - 1/t) = 1 - t + t^2 trigamma(1 + t) rounds to 1.
+#: t^2 (trigamma(t) - 1/t) = 1 - t + t^2 trigamma(1 + t) rounds to 1;
+#: t digamma(t) = t digamma(1 + t) - 1 rounds to -1.
 _TINY = 1e-150
 
 
@@ -93,10 +94,15 @@ def expected_energy(post: HyperTable) -> float:
 
     First beta-derivative of -log Z at fixed Q, expressed with digammas of
     the posterior table t = n + alpha and its word totals t(w):
-    (sum_w t(w) psi(t(w)) - sum_(w,s) t(w,s) psi(t(w,s))) / (beta ln 2).
+    (sum_w t(w) psi(t(w)) - sum_(w,s) t(w,s) psi(t(w,s))) / (beta ln 2).  A
+    term of t below _TINY is its limit -1 (t psi(t) = t psi(1 + t) - 1), as
+    psi's 1/t would overflow for a subnormal t.
     """
-    t, tw = post.table, post.word_totals
-    return _per_table(((tw * digamma(tw)).sum(axis=-1) - _table_sum(t * digamma(t)))
+    def terms(t):
+        tiny = t < _TINY
+        return np.where(tiny, -1.0, t * digamma(np.where(tiny, 1.0, t)))
+
+    return _per_table((terms(post.word_totals).sum(axis=-1) - _table_sum(terms(post.table)))
                       / (post.total * _LN2))
 
 

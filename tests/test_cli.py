@@ -95,6 +95,23 @@ class TestInfer:
         assert alphas[("1", "0", "1")] == 4.0 and alphas[("2", "01", "1")] == 4.0
         assert list(alphas.values()).count(4.0) == 2
 
+    def test_density_blocks_hold_one_entry(self, tmp_path):
+        # a block is formatted whole, so the density file's blocks are one
+        # entry's --density-points rows each, whatever k is
+        argv = ["infer", "--source", "even", "--n-start", "100", "--n-stop", "300",
+                "--n-step", "100", "--k-max", "3", "--density-points", "16"]
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 0
+        sweep = bayesmc.cli._resolve(bayesmc.cli._config_from(
+            bayesmc.cli._build_parser().parse_args(argv)))
+        rows = {"infer_summary.csv": [], "infer_density.csv": []}
+        for chunk in bayesmc.cli._chunks(sweep):
+            for name, block in bayesmc.cli._infer_point(sweep, chunk):
+                rows[name].append(max(len(c) for c in block if isinstance(c, list)))
+        assert max(rows["infer_density.csv"]) <= 16
+        for name, sizes in rows.items():
+            assert sum(sizes) == len(read_csv(tmp_path / name))
+        assert len(rows["infer_density.csv"]) == 3 * (4 + 8 + 16)  # N x entries
+
     def test_streams_rows_in_bounded_memory(self, tmp_path):
         # 16,384 density rows: holding them all until the end peaked at
         # 8.1 MiB; written as they arrive, one (N, k) point's arrays remain.
@@ -169,15 +186,22 @@ class TestEntropy:
     def test_energy_variance_finite_at_tiny_alpha(self, tmp_path):
         # below alpha ~ 1e-154, t^2 underflows and 1/t^2 overflows in the
         # terms t^2 (trigamma(t) - 1/t) of the variance's sums; each such
-        # term is 1, as it is to rounding at alpha = 1e-154
-        var = {}
-        for alpha in ("1e-300", "1e-155", "1e-154"):
+        # term is 1, as it is to rounding at alpha = 1e-154.  The mean's
+        # terms t digamma(t) are -1 there, and at a subnormal alpha (1e-310)
+        # digamma's 1/t would overflow.
+        var, mean = {}, {}
+        alphas = ("1e-310", "1e-300", "1e-155", "1e-154")
+        for alpha in alphas:
             out = tmp_path / alpha
             assert run_cli(["entropy", "--source", "even", "--n-start", "100", "--k-max", "2",
                             "--alpha", alpha, "--jobs", "1", "--out", str(out)]) == 0
-            var[alpha] = [float(r["energy_var"]) for r in read_csv(out / "entropy.csv")]
+            rows = read_csv(out / "entropy.csv")
+            var[alpha] = [float(r["energy_var"]) for r in rows]
+            mean[alpha] = [float(r["energy_mean_bits"]) for r in rows]
         assert var["1e-154"][1] == pytest.approx(0.000557594931719, rel=1e-12)
-        assert var["1e-300"] == var["1e-155"] == var["1e-154"]
+        assert all(var[alpha] == var["1e-154"] for alpha in alphas)
+        assert all(math.isfinite(m) for m in mean["1e-310"])
+        assert all(mean[alpha] == mean["1e-154"] for alpha in alphas)
 
     def test_twelve_digit_format(self, tmp_path):
         run_cli(["entropy", "--source", "golden_mean", "--n-start", "777",
@@ -227,6 +251,12 @@ class TestReproduce:
 
     def test_unknown_figure(self, tmp_path):
         assert run_cli(["reproduce", "--figure", "99", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [["infer", "--source", "even"], ["compare", "--source", "even"],
+                                  ["entropy", "--source", "even"], ["reproduce", "--figure", "3"]])
+def test_jobs_default_to_one(argv):
+    assert bayesmc.cli._build_parser().parse_args(argv).jobs == 1
 
 
 class TestChunks:
