@@ -229,7 +229,7 @@ def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> N
                    for name in columns if sweep.cfg.format == "json"}
         seps = dict.fromkeys(mirrors, "\n ")
         for name, block in _grid_map(point, sweep):
-            csvs[name].write("".join(",".join(row) + "\n" for row in _text(block, 0)))
+            csvs[name].write("\n".join(map(",".join, _text(block, 0))) + "\n")
             if name in mirrors:
                 mirrors[name].write(seps[name] + ",\n ".join(
                     itertools.starmap(records[name].format, _text(block, 1))))
