@@ -61,6 +61,7 @@ from .special import (
     digamma,
     inv_reg_inc_beta,
     log_gamma,
+    log_gamma_diff,
     reg_inc_beta,
     trigamma,
 )

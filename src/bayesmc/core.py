@@ -12,12 +12,11 @@ of G tables of one order, such as one per data size of a sweep.
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import _per_table, _table_sum, dirichlet_log_norm
+from .special import _per_table, _table_sum
 
 #: Largest dense table (in entries) that table-building functions will allocate.
 TABLE_CAP = 2**26
@@ -204,12 +203,6 @@ class HyperTable(_Table):
     def _check(arr):
         if np.any(arr <= 0):
             raise ValueError("hyperparameters must be strictly positive")
-
-    @functools.cached_property
-    def log_norm(self):
-        """The Dirichlet normaliser dirichlet_log_norm(table), computed once per
-        table."""
-        return dirichlet_log_norm(self.table)
 
 
 def require_same_shape(*tables) -> None:

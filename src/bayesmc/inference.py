@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CountTable, HyperTable, require_same_shape, word_strings
-from .special import (BetaParams, _per_table, _table_sum, inv_reg_inc_beta, log_gamma,
+from .special import (BetaParams, _per_table, _table_sum, inv_reg_inc_beta, log_gamma_diff,
                       reg_inc_beta)
 
 
@@ -65,27 +65,26 @@ def region_mass(m: BetaParams, region: ConfidenceRegion) -> float:
     return reg_inc_beta(m, region.upper) - reg_inc_beta(m, region.lower)
 
 
-def _log_gamma_ratio(base_log_norm, upd: np.ndarray):
-    """log of prod_w Gamma(base(w)) / Gamma(upd(w)) * prod_(w,s) Gamma(upd(w, s))
-    / Gamma(base(w, s)), with upd = base + inc and (w) a row total: the
-    Dirichlet average of a likelihood with counts inc under parameters base.
-    The base's part comes in as its cached HyperTable.log_norm.  A float for
-    one (W, A) table upd, one value per table for a (G, W, A) stack."""
-    return _per_table(base_log_norm + _table_sum(log_gamma(upd))
-                      - log_gamma(upd.sum(axis=-1)).sum(axis=-1))
+def _log_gamma_ratio(base: np.ndarray, inc: np.ndarray):
+    """log of prod_w Gamma(base(w)) / Gamma(base(w) + inc(w)) * prod_(w,s)
+    Gamma(base(w, s) + inc(w, s)) / Gamma(base(w, s)), with (w) a row total:
+    the Dirichlet average of a likelihood with counts inc under parameters
+    base.  An entry or word with no counts adds exactly 0.  A float for one
+    (W, A) table inc, one value per table for a (G, W, A) stack."""
+    return _per_table(_table_sum(log_gamma_diff(base, inc))
+                      - log_gamma_diff(base.sum(axis=-1), inc.sum(axis=-1)).sum(axis=-1))
 
 
 def log_evidence(counts: CountTable, hyper: HyperTable):
     """Natural log of the marginal likelihood (average of the likelihood over
-    the prior), in the closed Gamma-ratio form.  The prior's normaliser is
-    computed once per hyper table.  A stack of count tables gives one log
-    evidence per table, in one pass over the stack.
+    the prior), in the closed Gamma-ratio form.  A stack of count tables
+    gives one log evidence per table, in one pass over the stack.
 
     The product runs over all A**k words; words with zero counts contribute
     exactly zero, so the all-zero table gives log evidence 0.
     """
     require_same_shape(counts, hyper)
-    return _log_gamma_ratio(hyper.log_norm, hyper.table + counts.table)
+    return _log_gamma_ratio(hyper.table, counts.table)
 
 
 def log_predictive(counts: CountTable, new_counts: CountTable, hyper: HyperTable) -> float:
@@ -93,16 +92,14 @@ def log_predictive(counts: CountTable, new_counts: CountTable, hyper: HyperTable
     the evidence's Gamma ratio with the posterior parameters n + alpha as its
     base.  Algebraically log_evidence(n + m) - log_evidence(n)."""
     require_same_shape(counts, new_counts, hyper)
-    post = posterior(counts, hyper)
-    return _log_gamma_ratio(post.log_norm, post.table + new_counts.table)
+    return _log_gamma_ratio(posterior(counts, hyper).table, new_counts.table)
 
 
 def sample_posterior(post: HyperTable, seed) -> np.ndarray:
     """One Dirichlet draw per word (of every table of a stack), via
     per-component Gamma draws normalized row-wise.  Deterministic given the
     seed (or caller-owned Generator)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    g = rng.gamma(shape=post.table)
+    g = np.random.default_rng(seed).gamma(shape=post.table)
     return g / g.sum(axis=-1, keepdims=True)
 
 

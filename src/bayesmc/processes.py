@@ -201,7 +201,7 @@ def sample_sequence(hmm: LabeledHMM, N: int, seed) -> SymbolSequence:
     """
     if N < 1:
         raise ValueError("sample length must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     A, n = hmm.alphabet.size, hmm.n_states
     # flat distribution over (symbol, next state) per current state
     step_probs = hmm.matrices.transpose(1, 0, 2).reshape(n, A * n)

@@ -1,14 +1,17 @@
-"""Self-contained real special functions: log-gamma, digamma, trigamma,
-and the regularized incomplete Beta function with its inverse.
+"""Self-contained real special functions: log-gamma and its differences,
+digamma, trigamma, and the regularized incomplete Beta function with its
+inverse.
 
-log-gamma uses the Lanczos approximation (g=7, 9 terms); the polygammas
-use the upward recurrence to push the argument past 6 and then the
-Bernoulli asymptotic series; the incomplete Beta uses the standard
-continued fraction with the symmetry relation; its inverse bisects the
-IEEE-754 bit patterns of [0, 1].  Everything is pure and reentrant.
-`log_gamma`, `digamma`, `trigamma` and `BetaParams`' mean, variance and
-densities also accept numpy arrays; `reg_inc_beta` and `inv_reg_inc_beta`
-take one scalar x or probability and a BetaParams of scalars.
+log-gamma uses the Lanczos approximation (g=7, 9 terms); a log-gamma
+difference at x >= 10 uses the Stirling series; the polygammas use the
+upward recurrence to push the argument past 6 and then the Bernoulli
+asymptotic series; the incomplete Beta uses the standard continued
+fraction with the symmetry relation; its inverse bisects the IEEE-754 bit
+patterns of [0, 1].  Everything is pure and reentrant.  `log_gamma`,
+`log_gamma_diff`, `digamma`, `trigamma` and `BetaParams`' mean, variance
+and densities also accept numpy arrays; `reg_inc_beta` and
+`inv_reg_inc_beta` take one scalar x or probability and a BetaParams of
+scalars.
 """
 
 from __future__ import annotations
@@ -143,6 +146,37 @@ def trigamma(x):
     return _per_table(_trigamma_remainder(x) + 1.0 / np.asarray(x, dtype=float))
 
 
+# B_{2j} / (2j (2j - 1)) for the Stirling series of log Gamma.
+_STIRLING_TAIL = tuple(b / (2 * j * (2 * j - 1)) for j, b in enumerate(_TRIGAMMA_TAIL, start=1))
+
+
+def _stirling(x):
+    """log Gamma(x) - (x - 1/2) log x + x - log(2 pi)/2, for x >= 10."""
+    inv = 1.0 / x
+    inv2 = inv * inv  # underflows quietly where x * x would overflow
+    tail = np.zeros_like(x)
+    for c in reversed(_STIRLING_TAIL):
+        tail = tail * inv2 + c
+    return tail * inv
+
+
+def log_gamma_diff(x, n):
+    """log Gamma(x + n) - log Gamma(x) for x > 0 and n >= 0, elementwise with
+    x broadcast against n; exactly 0 where n = 0, and evaluated only where
+    n > 0.  For x >= 10 it is n log x + (x + n - 1/2) log1p(n/x) - n plus the
+    difference of the Stirling series, so it keeps its relative precision
+    where the two log Gammas, of size about x log x, nearly cancel."""
+    x, n = np.broadcast_arrays(_as_positive(x, "log_gamma_diff"), np.asarray(n, dtype=float))
+    out = np.zeros(n.shape)
+    big, small = (n > 0) & (x >= 10.0), (n > 0) & (x < 10.0)
+    xb, nb = x[big], n[big]
+    out[big] = (nb * np.log(xb) + (xb + nb - 0.5) * np.log1p(nb / xb) - nb
+                + (_stirling(xb + nb) - _stirling(xb)))
+    xs = x[small]
+    out[small] = log_gamma(xs + n[small]) - log_gamma(xs)
+    return _per_table(out)
+
+
 @dataclass(frozen=True, eq=False)
 class BetaParams:
     """Parameters of a Beta(a, b) distribution, both strictly positive.  The
@@ -187,14 +221,6 @@ def _table_sum(x):
     np.sum sums a lone table, so a stack's sums equal its tables' bit for bit."""
     x = np.asarray(x)
     return x.reshape(x.shape[:-2] + (-1,)).sum(axis=-1)
-
-
-def dirichlet_log_norm(params: np.ndarray):
-    """log prod_w 1/B(params[w]) = sum_w log Gamma(params(w)) - sum_(w,s) log
-    Gamma(params(w, s)), with params(w) a row total: the log normaliser of one
-    Dirichlet per row, the rows' counterpart of BetaParams.log_norm.  A
-    (G, W, A) stack gives one normaliser per table."""
-    return log_gamma(params.sum(axis=-1)).sum(axis=-1) - _table_sum(log_gamma(params))
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

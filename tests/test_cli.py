@@ -140,6 +140,13 @@ class TestCompare:
             assert sum(float(r["prob_uniform"]) for r in block) == pytest.approx(1.0, abs=1e-9)
             assert sum(float(r["prob_penalized"]) for r in block) == pytest.approx(1.0, abs=1e-9)
 
+    def test_evidence_at_large_alpha(self, tmp_path):
+        # the log Gammas of the prior, about alpha log alpha = 3.9e18, cancel
+        # down to -68.6; 50-digit mpmath gives -68.6215708754346
+        assert run_cli(["compare", "--source", "even", "--n-start", "100", "--k-max", "1",
+                        "--alpha", "1e17", "--jobs", "1", "--out", str(tmp_path)]) == 0
+        assert read_csv(tmp_path / "compare.csv")[0]["log_evidence_nats"] == "-68.6215708754"
+
     def test_jobs_deterministic(self, tmp_path):
         common = ["compare", "--source", "even", "--n-start", "100",
                   "--n-stop", "300", "--n-step", "50", "--k-min", "1",
@@ -699,7 +706,7 @@ GOLDEN_DIGESTS = {
     },
     "fig3_json": {
         "fig3/compare.csv": "4dbe0e7939dfa76f8a72feb624474d71f2aea17c2a896d8a50d3d58c58fb86ca",
-        "fig3/compare.json": "93e5519c576466f3d7eef8d1a177153d7e24d7e652ea6173ccd059b8fd8fc155",
+        "fig3/compare.json": "058a857ef2e0626ec9cf1d70a4c1b630f05ee814b960a270f0bc6e425222280b",
     },
     "fig4": {
         "fig4/entropy.csv": "89cd0f167ce11b9bb7939e83f3c6a13b56cdbaf25f5188c148057efff384492e",
@@ -726,7 +733,7 @@ GOLDEN_DIGESTS = {
         "fig9/compare.csv": "b382c09d9fd2528bf190b1ba273e598ede1a5553a53bd5bfc874abce6b18469a",
     },
     "file_compare": {
-        "compare.csv": "0c5c28ea26ff61db259eea3789dcba3d04c21dd75fc9d58252d79a403dc979ad",
+        "compare.csv": "5ee7b5fa72abc6a2125c5a30a539b2a77d3d71703c81f5afad6829cda366de75",
     },
     "file_entropy": {
         "entropy.csv": "ba0f72f33c4cd8507086d98d6d8236dbc4bf3842b881992c5a7afea5436c27d2",

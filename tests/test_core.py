@@ -239,15 +239,6 @@ class TestFrozenArrays:
         assert one == one and one != make(arr.copy())
 
 
-def test_cached_log_norm_follows_no_caller_array():
-    x = np.ones((3, 2, 2))
-    h = HyperTable(1, BINARY, x[0])
-    cached = h.log_norm
-    x[0, 0, 0] = 50.0
-    assert h.table[0, 0] == 1.0
-    assert h.log_norm == cached == HyperTable(1, BINARY, np.ones((2, 2))).log_norm
-
-
 #: Characters an alphabet may hold: ASCII, the rest of the basic plane and the astral planes.
 symbol_chars = st.one_of(st.characters(max_codepoint=0x7F), st.characters(min_codepoint=0x80,
                          max_codepoint=0xFFFF), st.characters(min_codepoint=0x10000)

@@ -15,7 +15,7 @@ from bayesmc import (
     even_process,
     golden_mean,
     log_evidence,
-    log_gamma,
+    log_gamma_diff,
     log_predictive,
     marginal,
     posterior,
@@ -238,17 +238,23 @@ class TestEvidence:
             oracle *= val
         assert closed == pytest.approx(oracle, rel=1e-8)
 
-
-    def test_prior_normaliser_cached_in_order(self):
-        # the prior's part is computed once per table, and the sum keeps the
-        # order ((A - B) + C) - D, so the evidence is bit for bit the direct sum
+    def test_gamma_diffs_summed_in_order(self):
+        # the entries' log Gamma differences, each table summed as one run,
+        # less the words': the evidence is bit for bit this direct sum
         rng = np.random.default_rng(5)
         for counts, hyper in random_tables(rng, 40, max_k=3):
-            a, upd = hyper.table, hyper.table + counts.table
-            direct = float(np.sum(log_gamma(a.sum(axis=1))) - np.sum(log_gamma(a))
-                           + np.sum(log_gamma(upd)) - np.sum(log_gamma(upd.sum(axis=1))))
+            a, n = hyper.table, counts.table
+            direct = float(np.sum(log_gamma_diff(a, n))
+                           - np.sum(log_gamma_diff(a.sum(axis=1), n.sum(axis=1))))
             assert log_evidence(counts, hyper) == direct
-            assert hyper.log_norm is hyper.log_norm
+
+    def test_word_without_counts_adds_zero(self):
+        rng = np.random.default_rng(6)
+        counts = table([[3, 0], [0, 0]])
+        ref = log_evidence(counts, HyperTable(1, BINARY, [[0.7, 1.4], [1.0, 1.0]]))
+        for row in 10.0 ** rng.uniform(-300, 300, size=(50, 2)):
+            hyper = HyperTable(1, BINARY, [[0.7, 1.4], row])
+            assert log_evidence(counts, hyper) == ref
 
 
 class TestPredictive:

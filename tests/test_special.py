@@ -11,6 +11,7 @@ from bayesmc import (
     digamma,
     inv_reg_inc_beta,
     log_gamma,
+    log_gamma_diff,
     reg_inc_beta,
     trigamma,
 )
@@ -58,6 +59,29 @@ class TestLogGamma:
     def test_array_input(self):
         out = log_gamma(np.array([1.0, 5.0]))
         np.testing.assert_allclose(out, [0.0, math.log(24.0)], atol=1e-13)
+
+
+class TestLogGammaDiff:
+    def test_against_mpmath_log_uniform(self):
+        # x over the hyperparameters and word totals --alpha reaches, n over
+        # the counts; the plain log Gamma difference is off by up to 3.4
+        # relative here.  Where the result nears 0 (x = 0.504, n = 2.35 gives
+        # 0.0055) the two log Gammas' own ulps dominate, hence the floor of 1.
+        rng = np.random.default_rng(0)
+        x = 10.0 ** rng.uniform(-3, 17, size=4000)
+        n = 10.0 ** rng.uniform(0, 7, size=4000)
+        with mpmath.workdps(50):
+            ref = np.array([float(mpmath.loggamma(mpmath.mpf(a) + b) - mpmath.loggamma(a))
+                            for a, b in zip(x, n)])
+        err = np.abs(log_gamma_diff(x, n) - ref) / np.maximum(1.0, np.abs(ref))
+        assert np.max(err) < 2e-14
+
+    def test_zero_where_no_counts(self):
+        x = np.array([[1e-3, 5.0], [1e17, 1e-300]])
+        out = log_gamma_diff(x, np.array([[0.0, 2.0], [0.0, 0.0]]))
+        assert out[0, 1] == pytest.approx(math.log(30.0), rel=1e-15)
+        assert out[0, 0] == out[1, 0] == out[1, 1] == 0.0
+        assert type(log_gamma_diff(3.0, 0.0)) is float
 
 
 class TestDigamma:
@@ -216,6 +240,16 @@ class TestInvRegIncBeta:
         prob = 1.0 - q
         # 1 - prob is exact: the upper tail actually asked for
         self._assert_tail_mass(a, b, prob, betaincc, 1.0 - prob)
+
+    # CDF(x) <= p < CDF(next float up): the contract a faster search must keep
+    @settings(deadline=None)
+    @given(_log_uniform(1e-3, 1e5), _log_uniform(1e-3, 1e5),
+           st.floats(0.0, 1.0, exclude_min=True))
+    def test_brackets_the_crossing_to_one_ulp(self, a, b, p):
+        params = BetaParams(a, b)
+        x = inv_reg_inc_beta(params, p)
+        if x < 1.0:
+            assert reg_inc_beta(params, x) <= p < reg_inc_beta(params, np.nextafter(x, 1.0))
 
 
 class TestBetaParams:

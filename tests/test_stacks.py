@@ -130,6 +130,3 @@ class TestStackShapes:
         counts = CountTable(1, BINARY, np.arange(12.0).reshape(3, 2, 2))
         assert counts.total.tolist() == [6.0, 22.0, 38.0]
         assert counts.word_totals.tolist() == [[1.0, 5.0], [9.0, 13.0], [17.0, 21.0]]
-        stack = HyperTable(1, BINARY, np.arange(1.0, 13.0).reshape(3, 2, 2))
-        assert _hexes(stack.log_norm) == [HyperTable(1, BINARY, t).log_norm.hex()
-                                          for t in stack.table]
