@@ -34,6 +34,10 @@ EXIT_NUMERIC = 3
 
 OUT_DIR_ENV = "BAYESMC_OUT"
 
+#: The largest --alpha: the range whose evidence and entropy kernels are checked against
+#: mpmath; above it the energy moments overflow to nan and the word totals A * alpha to inf.
+MAX_ALPHA = 1e17
+
 #: A sweep maps its N grid in chunks of G >= 1 points whose top-order count tables hold at
 #: most this many entries together, so each order makes one kernel call per chunk.
 CHUNK_ENTRIES = 2**16
@@ -204,20 +208,28 @@ _FORMATS = {float: ("{:.12g}".format, lambda v: "null" if math.isinf(v) else jso
             int: (str, str), str: (str, json.dumps), type(None): (lambda v: "", lambda v: "null")}
 
 
+@functools.lru_cache(maxsize=2)  # one shared column, as CSV and as JSON
+def _shared_text(column: tuple, side: int) -> tuple:
+    return tuple(map(_FORMATS[type(column[0])][side], column))
+
+
 def _text(block: list, side: int):
     """A block's rows as tuples of cell text, for the CSV (side 0) or the JSON mirror (1):
-    a column's formatter is picked by its first cell, and a single value formatted once."""
-    rows = max(len(c) for c in block if isinstance(c, list))
-    return zip(*(map(_FORMATS[type(c[0])][side], c) if isinstance(c, list)
+    a column's formatter is picked by its first cell, and a single value formatted once.  A
+    tuple column is one that many blocks share (the density x grid): formatted once."""
+    rows = max(len(c) for c in block if isinstance(c, (list, tuple)))
+    return zip(*(_shared_text(c, side) if isinstance(c, tuple)
+                 else map(_FORMATS[type(c[0])][side], c) if isinstance(c, list)
                  else itertools.repeat(_FORMATS[type(c)][side](c), rows) for c in block))
 
 
 def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> None:
     """Write each block of the sweep to its output CSV, and with --format json to the
     CSV's JSON mirror, as it arrives.  A block lists its file's columns in header order,
-    each a list or one value for all its rows: one block per (N, k) of infer_summary, per
-    (N, k, word, symbol) of infer_density, and per N, a row per order, of compare and
-    entropy.  A mirror reads as json.dumps(rows, indent=1) would, infinities as null."""
+    each a list, a tuple if blocks share it, or one value for all its rows: one block per
+    (N, k) of infer_summary, per (N, k, word, symbol) of infer_density, and per N, a row
+    per order, of compare and entropy.  A mirror reads as json.dumps(rows, indent=1)
+    would, infinities as null."""
     out = sweep.cfg.out
     out.mkdir(parents=True, exist_ok=True)
     records = {name: "{{\n" + ",\n".join(f'  "{c}": {{}}' for c in cols) + "\n }}"
@@ -247,7 +259,7 @@ def _infer_point(sweep: _Sweep, chunk: tuple[int, ...]):
             yield "infer_summary.csv", [N, k, *map(list, zip(*rows))]
             x, dens = inference.density_grid(inference.posterior(counts, hyper),
                                              sweep.cfg.density_points)
-            xs = x.tolist()
+            xs = tuple(x.tolist())
             for word, word_dens in zip(word_strings(k, sweep.alphabet), dens):
                 for symbol, entry_dens in zip(sweep.alphabet.symbols, word_dens.tolist()):
                     yield "infer_density.csv", [N, k, word, symbol, xs, entry_dens]
@@ -390,6 +402,8 @@ def _config_from(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError("--alpha and --fake-counts exclude each other")
     if args.alpha is not None and not 0.0 < args.alpha < math.inf:
         raise ConfigError(f"alpha must be finite and positive, not {args.alpha}")
+    if args.alpha is not None and args.alpha > MAX_ALPHA:
+        raise ConfigError(f"--alpha must be at most {MAX_ALPHA:g}, not {args.alpha:g}")
     if args.input is not None and args.source is not None:
         raise ConfigError("--source and --input exclude each other")
     if args.input is not None and args.mode == "sample":

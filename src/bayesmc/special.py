@@ -6,8 +6,11 @@ log-gamma uses the Lanczos approximation (g=7, 9 terms); a log-gamma
 difference at x >= 10 uses the Stirling series; the polygammas use the
 upward recurrence to push the argument past 6 and then the Bernoulli
 asymptotic series; the incomplete Beta uses the standard continued
-fraction with the symmetry relation; its inverse bisects the IEEE-754 bit
-patterns of [0, 1].  Everything is pure and reentrant.  `log_gamma`,
+fraction with the symmetry relation, capped at 300 + isqrt(max(a, b))
+steps, for a, b up to MAX_SHAPE = 2**21 (NumericDomainError above); its
+inverse takes guarded Halley steps from a closed-form start inside a
+bracket of IEEE-754 bit patterns, about 6.5 CDF evaluations per regular
+quantile.  Everything is pure and reentrant.  `log_gamma`,
 `log_gamma_diff`, `digamma`, `trigamma` and `BetaParams`' mean, variance
 and densities also accept numpy arrays; `reg_inc_beta` and
 `inv_reg_inc_beta` take one scalar x or probability and a BetaParams of
@@ -233,7 +236,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, 300):
+    for m in range(1, 300 + math.isqrt(int(max(a, b)))):
         m2 = 2 * m
         # one Lentz step for the even and one for the odd coefficient
         for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
@@ -252,43 +255,120 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     raise NumericDomainError(f"incomplete Beta continued fraction failed for a={a}, b={b}, x={x}")
 
 
+#: The largest shape parameter the incomplete Beta accepts: its continued fraction, capped at
+#: 300 + isqrt(max(a, b)) steps, converges everywhere in [0, 1] up to here.
+MAX_SHAPE = 2.0**21
+
+
+def _shapes(params: BetaParams) -> tuple[float, float]:
+    a, b = params.a, params.b
+    if max(a, b) > MAX_SHAPE:
+        raise NumericDomainError(f"incomplete Beta requires a, b <= 2**21, not a={a}, b={b}")
+    return a, b
+
+
 def reg_inc_beta(params: BetaParams, x: float) -> float:
-    """Regularized incomplete Beta I_x(a, b) = Pr(p <= x) under Beta(a, b)."""
+    """Regularized incomplete Beta I_x(a, b) = Pr(p <= x) under Beta(a, b), for a, b up to
+    MAX_SHAPE."""
+    a, b = _shapes(params)
     if not 0.0 <= x <= 1.0:
         raise NumericDomainError("incomplete Beta argument must lie in [0, 1]")
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
-    a, b = params.a, params.b
     front = math.exp(params.log_norm + a * math.log(x) + b * math.log1p(-x))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
 def _float_of_bits(n: int) -> float:
     return struct.unpack("<d", struct.pack("<q", n))[0]
 
 
-def inv_reg_inc_beta(params: BetaParams, prob: float) -> float:
-    """Inverse of `reg_inc_beta` in x: the largest float x in [0, 1] whose
-    CDF is at most `prob` (0 for prob = 0).
+_ONE_BITS = _bits(1.0)
 
-    Non-negative doubles sort like their IEEE-754 bit patterns read as
-    integers, so bisecting the integers 0 .. bits(1.0) brackets the crossing
-    to one ulp in at most 62 steps, however deep in a tail it lies.
+
+def _quantile_start(a: float, b: float, prob: float) -> float:
+    """A closed-form guess at the Beta(a, b) quantile of prob, 0 < prob < 1.  For a, b >= 1
+    the normal quantile with its Cornish-Fisher correction (Abramowitz & Stegun 26.2.22 and
+    26.5.22, as in AS 109); otherwise the power-law tail x = (a w prob)^(1/a) near 0, or its
+    twin near 1, whichever end's approximate mass holds prob."""
+    if a >= 1.0 and b >= 1.0:
+        t = math.sqrt(-2.0 * math.log(min(prob, 1.0 - prob)))
+        y = t - (2.30753 + 0.27061 * t) / (1.0 + (0.99229 + 0.04481 * t) * t)
+        y = y if prob < 0.5 else -y  # the standard normal's upper-tail quantile of prob
+        lam = (y * y - 3.0) / 6.0
+        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+        w = (y * math.sqrt(h + lam) / h
+             - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h)))
+        z = 2.0 * w + math.log(b / a)  # x = 1 / (1 + e^z), without overflow
+        return 1.0 / (1.0 + math.exp(z)) if z <= 0.0 else math.exp(-z) / (1.0 + math.exp(-z))
+    low, high = math.exp(a * math.log(a / (a + b))) / a, math.exp(b * math.log(b / (a + b))) / b
+    w = low + high  # low / w and high / w: each end's approximate mass
+    if prob < low / w:
+        return math.exp(min(0.0, (math.log(a * w) + math.log(prob)) / a))
+    return 1.0 - math.exp(min(0.0, (math.log(b * w) + math.log1p(-prob)) / b))
+
+
+def inv_reg_inc_beta(params: BetaParams, prob: float) -> float:
+    """Inverse of `reg_inc_beta` in x: a float x in [0, 1] with CDF(x) <= prob < CDF(next
+    float up), or 1 for prob = 1.  The computed CDF is not monotone at the ulp level, so x
+    is one such crossing, not necessarily the largest float whose CDF is at most prob.
+
+    Non-negative doubles sort like their IEEE-754 bit patterns read as integers, so the
+    search keeps a bracket lo < hi of such integers with CDF(lo) <= prob < CDF(hi) and
+    stops when hi = lo + 1.  From `_quantile_start` it takes Halley steps on the log of
+    the tail mass that holds prob (CDF, or 1 - CDF above 1/2) as a function of log u, u
+    the nearer of x and 1 - x: a power-law tail is nearly a straight line there, where
+    steps in x crawl by a factor (a - 1)/(a + 1).  The density comes from its closed form,
+    so a step costs one continued fraction.  Each Halley point is moved on towards the
+    crossing by `push` ulps, which doubles while the points land on one side of it and
+    halves when one crosses, so a converged step still closes the bracket and a flat run
+    of CDF values is crossed in logarithmically many steps.  A point that does not fall
+    strictly inside the bracket is replaced by the bracket's midpoint in bit space.
     """
     if not 0.0 <= prob <= 1.0:
         raise NumericDomainError("probability must lie in [0, 1]")
-    if prob == 0.0:
-        return 0.0
-    # CDF(lo) <= prob < CDF(hi); hi starts one past bits(1.0), never evaluated
-    lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1.0))[0] + 1
+    a, b = _shapes(params)
+    if prob in (0.0, 1.0):
+        return prob
+    upper = prob > 0.5
+    log_target = math.log(1.0 - prob) if upper else math.log(prob)
+    lo, hi = 0, _ONE_BITS + 1  # CDF(0) = 0; hi starts one past 1.0, never evaluated
+    # the start, kept inside (0, 1): a tail quantile may round to either end
+    c = min(max(_bits(_quantile_start(a, b, prob)), 1), _ONE_BITS - 1)
+    push, was_below = 1, None
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if reg_inc_beta(params, _float_of_bits(mid)) <= prob:
-            lo = mid
+        if not lo < c < hi:
+            c = (lo + hi) // 2
+        x = _float_of_bits(c)
+        cdf = reg_inc_beta(params, x)
+        below = cdf <= prob
+        if below:
+            lo = c
         else:
-            hi = mid
+            hi = c
+        push = 2 * push if below == was_below else max(1, push // 2)
+        was_below = below
+        mass = 1.0 - cdf if upper else cdf
+        if x == 1.0 or mass <= 0.0:
+            c = lo  # no logarithm to step on: bisect
+            continue
+        near_one = x > 0.5
+        u, log_u = (1.0 - x, math.log1p(-x)) if near_one else (x, math.log(x))
+        log_pdf = params.log_norm + (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
+        # g = d log(mass) / d log(u), clamped so that no exp overflows
+        g = math.exp(max(-708.0, min(log_u + log_pdf - math.log(mass), 709.0)))
+        g = -g if near_one != upper else g
+        curv = ((a - 1.0) / x - (b - 1.0) / (1.0 - x)) * (-u if near_one else u)
+        newton = (math.log(mass) - log_target) / g
+        halley = newton / (1.0 - max(-0.5, min(0.5, newton * (1.0 + curv - g) / 2.0)))
+        log_u = min(log_u - halley, 1.0)  # past 1 is outside (0, 1) either way
+        c = _bits(-math.expm1(log_u) if near_one else math.exp(log_u)) + (push if below else -push)
     return _float_of_bits(lo)

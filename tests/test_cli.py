@@ -460,6 +460,13 @@ class TestErrorHandling:
         (["reproduce", "--figure", "3", "--jobs", "-3"], "jobs must be at least 1, not -3"),
         (["infer", "--source", "golden_mean", "--fake-counts", "{dir}/empty.csv"],
          "fake-count entry word='0' symbol='1' has count ''; counts must be finite and >= 0"),
+        # past the checked range: energy_var nan, then energy_mean_bits nan, then A * alpha inf
+        (["entropy", "--source", "even", "--k-max", "1", "--alpha", "1e300"],
+         "--alpha must be at most 1e+17, not 1e+300"),
+        (["entropy", "--source", "even", "--k-max", "1", "--alpha", "1e307"],
+         "--alpha must be at most 1e+17, not 1e+307"),
+        (["compare", "--source", "even", "--k-max", "2", "--alpha", "1.7e308"],
+         "--alpha must be at most 1e+17, not 1.7e+308"),
     ])
     def test_bad_value_rejected_before_sweep(self, argv, message, tmp_path, capsys,
                                              monkeypatch):
@@ -675,7 +682,10 @@ GOLDEN = {
 #: bits^2 units, the only column that moved.  The fake_counts_json
 #: infer_summary.json digest was re-pinned when the Beta quantile became a
 #: bisection over float bit patterns: its full-repr ci_low/ci_high values
-#: moved by 1-15 ulps, within the CDF's own rounding.  The fig4, fig7,
+#: moved by 1-15 ulps, within the CDF's own rounding; and again when the
+#: search took guarded Halley steps: word 11's ci_low at N = 200 and ci_high
+#: at N = 300 moved by 2 ulps each, to another crossing of the CDF's
+#: ulp-level steps.  The fig4, fig7,
 #: fig10 and sample_entropy entropy.csv digests were re-pinned when
 #: energy_variance began reading the posterior table and cancelling its 1/t
 #: terms exactly: only energy_var moved, by at most 5.6e-11 relative, the
@@ -692,7 +702,7 @@ GOLDEN_DIGESTS = {
         "infer_density.csv": "f85116709d91a957d8d56e652d6bd8b32b0f9eaf40a618cab56c770eb1978501",
         "infer_density.json": "565a7bc973a842f5542bfa8a3f684686efac52f5df5b4eb5040d3dd6f789de3a",
         "infer_summary.csv": "f1774c2c822783fc26d1ed3f6bd19bc385033e25dcc325f8a99e94c3bc25089e",
-        "infer_summary.json": "c0c06804f3b241f1b35fcb02d62c06c7a792cc172c7b6cbcea882000bf4b1c19",
+        "infer_summary.json": "ffed8fe9f4dd5ae7af92d513418363dcc9675786e1b39e074901a9a4438d63a8",
     },
     "fig10": {
         "fig10/entropy.csv": "4551c4a54a6df41a89fed4f52de6a0bd3d8a7e747871ce96399720da39330564",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -8,14 +9,20 @@ from scipy.special import betainc, betaincc
 
 from bayesmc import (
     BetaParams,
+    average_counts,
     digamma,
+    even_process,
     inv_reg_inc_beta,
     log_gamma,
     log_gamma_diff,
+    marginal,
+    posterior,
     reg_inc_beta,
+    special,
     trigamma,
+    uniform_hyper,
 )
-from bayesmc.special import NumericDomainError, _trigamma_remainder
+from bayesmc.special import MAX_SHAPE, NumericDomainError, _trigamma_remainder
 
 mpmath.mp.dps = 40
 
@@ -24,7 +31,8 @@ TAIL_RTOL = 1e-6
 
 
 def _log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+    # 10**log10(hi) may round past hi
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(10.0**e, hi))
 
 
 class TestLogGamma:
@@ -198,6 +206,27 @@ class TestRegIncBeta:
         with pytest.raises(NumericDomainError):
             BetaParams(0.0, 1.0)
 
+    # the continued fraction is slowest next to the mean, where a 300-step cap
+    # failed from max(a, b) ~ 2e5
+    @pytest.mark.parametrize("a, b", [(MAX_SHAPE, MAX_SHAPE), (MAX_SHAPE, 1.0),
+                                      (0.5, MAX_SHAPE), (MAX_SHAPE / 3.0, MAX_SHAPE)])
+    def test_largest_shape_near_the_mean(self, a, b):
+        params = BetaParams(a, b)
+        sd = math.sqrt(params.variance())
+        for z in (-2.0, -0.5, -0.1, 0.0, 0.1, 0.5, 2.0):
+            x = min(max(params.mean() + z * sd, 1e-300), 1.0 - 2.0**-53)
+            # log 1/B(a, b), a difference of log-gammas of size 3e7, keeps about
+            # 1e-8 of its front factor's relative precision (worst seen: 9.6e-9)
+            assert reg_inc_beta(params, x) == pytest.approx(betainc(a, b, x), rel=2e-8)
+
+    def test_shape_bound(self):
+        for params in (BetaParams(MAX_SHAPE + 1.0, 1.0), BetaParams(1.0, MAX_SHAPE + 1.0)):
+            message = re.escape(f"requires a, b <= 2**21, not a={params.a}, b={params.b}") + "$"
+            with pytest.raises(NumericDomainError, match=message):
+                reg_inc_beta(params, 0.5)
+            with pytest.raises(NumericDomainError, match=message):
+                inv_reg_inc_beta(params, 0.5)
+
 
 class TestInvRegIncBeta:
     def test_uniform_median(self):
@@ -241,15 +270,47 @@ class TestInvRegIncBeta:
         # 1 - prob is exact: the upper tail actually asked for
         self._assert_tail_mass(a, b, prob, betaincc, 1.0 - prob)
 
-    # CDF(x) <= p < CDF(next float up): the contract a faster search must keep
-    @settings(deadline=None)
-    @given(_log_uniform(1e-3, 1e5), _log_uniform(1e-3, 1e5),
-           st.floats(0.0, 1.0, exclude_min=True))
-    def test_brackets_the_crossing_to_one_ulp(self, a, b, p):
+    @staticmethod
+    def _assert_brackets(a, b, p):
+        """CDF(x) <= p < CDF(next float up): the search's contract."""
         params = BetaParams(a, b)
         x = inv_reg_inc_beta(params, p)
         if x < 1.0:
             assert reg_inc_beta(params, x) <= p < reg_inc_beta(params, np.nextafter(x, 1.0))
+
+    @settings(deadline=None)
+    @given(_log_uniform(1e-3, MAX_SHAPE), _log_uniform(1e-3, MAX_SHAPE),
+           st.floats(0.0, 1.0, exclude_min=True))
+    def test_brackets_the_crossing_to_one_ulp(self, a, b, p):
+        self._assert_brackets(a, b, p)
+
+    # a < 1 or b < 1 puts a power-law pole at an end; p down to subnormals
+    @settings(deadline=None)
+    @given(_log_uniform(1e-3, 1.0), _log_uniform(1e-3, MAX_SHAPE),
+           _log_uniform(1e-320, 1e-3), st.booleans())
+    def test_brackets_far_tail_crossings(self, small, other, tail, swap):
+        a, b = (other, small) if swap else (small, other)
+        for p in (tail, 1.0 - tail):
+            self._assert_brackets(a, b, p)
+
+    def test_few_cdf_evaluations_per_quantile(self, monkeypatch):
+        # the 1008 quantiles of the even process's regions at N = 1e4, k <= 6,
+        # alpha 1 and 0.1; the former bit bisection took 62 for each
+        cdf, calls = special.reg_inc_beta, []
+        monkeypatch.setattr(special, "reg_inc_beta",
+                            lambda params, x: calls.append(x) or cdf(params, x))
+        evals = []
+        for alpha in (1.0, 0.1):
+            for k in range(1, 7):
+                counts = average_counts(even_process(), 10_000, k)
+                post = posterior(counts, uniform_hyper(k, counts.alphabet, alpha))
+                for w, s in np.ndindex(post.table.shape):
+                    for p in (0.025, 0.975):
+                        before = len(calls)
+                        inv_reg_inc_beta(marginal(post, w, s), p)
+                        evals.append(len(calls) - before)
+        assert len(evals) == 1008
+        assert np.mean(evals) <= 12 and max(evals) <= 24
 
 
 class TestBetaParams:
