@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -165,42 +164,18 @@ def _resolve(cfg: argparse.Namespace, with_truth: bool = False) -> _Sweep:
     return _Sweep(cfg, alphabet, seq, hypers, joints, approxes, truth)
 
 
-#: The sweep a pool worker's points read, set once by the pool initializer.
-_worker_sweep: _Sweep | None = None
-
-
-def _init_worker(sweep: _Sweep) -> None:
-    global _worker_sweep
-    _worker_sweep = sweep
-
-
-def _in_worker(point, chunk):
-    return list(point(_worker_sweep, chunk))
-
-
 def _chunks(sweep: _Sweep) -> list[tuple[int, ...]]:
-    """The N grid cut into contiguous chunks of G points, G as large as CHUNK_ENTRIES allows;
-    with --jobs > 1 also at most a 4 * jobs-th of the grid, so that every worker stays busy."""
-    grid, jobs = sweep.cfg.n_grid, sweep.cfg.jobs
+    """The N grid cut into contiguous chunks of G points, G as large as CHUNK_ENTRIES allows."""
+    grid = sweep.cfg.n_grid
     size = max(1, CHUNK_ENTRIES // sweep.alphabet.size ** (sweep.cfg.k_max + 1))
-    if jobs > 1:
-        size = min(size, max(1, len(grid) // (4 * jobs)))
     return [grid[i:i + size] for i in range(0, len(grid), size)]
 
 
 def _grid_map(point, sweep: _Sweep):
     """Yield the (file name, block) pairs of point(sweep, chunk) for each chunk, in grid
-    order: N-major, then k.  Points are module-level generators so that the pool can
-    pickle them; a worker returns each chunk's blocks as one list."""
-    chunks = _chunks(sweep)
-    if sweep.cfg.jobs > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=sweep.cfg.jobs, initializer=_init_worker,
-                                 initargs=(sweep,)) as pool:
-            for blocks in pool.map(functools.partial(_in_worker, point), chunks):
-                yield from blocks
-    else:
-        for chunk in chunks:
-            yield from point(sweep, chunk)
+    order: N-major, then k."""
+    for chunk in _chunks(sweep):
+        yield from point(sweep, chunk)
 
 
 #: A cell type's CSV and JSON formatters; in JSON a float prints its repr, infinity null.
@@ -376,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "simulate":
             p.add_argument("--alpha", type=float)
             p.add_argument("--format", choices=("csv", "json"))
-            p.add_argument("--jobs", type=int)
+            p.add_argument("--jobs", type=int, help="accepted and ignored: every sweep is serial")
         if name in ("infer", "reproduce"):
             p.add_argument("--confidence", type=float)
             p.add_argument("--density-points", type=int)

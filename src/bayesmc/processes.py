@@ -233,13 +233,26 @@ def load_hmm(source) -> LabeledHMM:
             spec = json.load(fh)
     else:
         spec = source
+    if not isinstance(spec, dict):
+        raise ValueError(f"hmm description must be a JSON object, not {type(spec).__name__}")
     try:
-        alphabet = Alphabet(tuple(spec["alphabet"]))
-        raw = spec["matrices"]
+        symbols, raw = spec["alphabet"], spec["matrices"]
     except KeyError as exc:
         raise ValueError(f"hmm description missing field {exc}") from None
+    if not (isinstance(symbols, str)
+            or isinstance(symbols, list) and all(isinstance(s, str) for s in symbols)):
+        raise ValueError(f"hmm field 'alphabet' must be a string or a list of strings, "
+                         f"not {symbols!r}")
+    if not isinstance(raw, dict):
+        raise ValueError(f"hmm field 'matrices' must map each symbol to its matrix, "
+                         f"not {type(raw).__name__}")
+    alphabet = Alphabet(tuple(symbols))
     missing = [s for s in alphabet.symbols if s not in raw]
     if missing:
         raise ValueError(f"no transition matrix for symbols {missing}")
-    mats = np.array([raw[s] for s in alphabet.symbols], dtype=float)
+    try:
+        mats = np.array([raw[s] for s in alphabet.symbols], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("hmm field 'matrices' must hold one square matrix of numbers "
+                         "per symbol") from None
     return LabeledHMM(alphabet, mats, name=str(spec.get("name", "")))

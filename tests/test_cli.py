@@ -113,18 +113,21 @@ class TestInfer:
         assert len(rows["infer_density.csv"]) == 3 * (4 + 8 + 16)  # N x entries
 
     def test_streams_rows_in_bounded_memory(self, tmp_path):
-        # 16,384 density rows: holding them all until the end peaked at
-        # 8.1 MiB; written as they arrive, one (N, k) point's arrays remain.
-        tracemalloc.start()
-        try:
-            assert run_cli(["infer", "--source", "even", "--n-start", "1000", "--k-min", "2",
-                            "--k-max", "2", "--density-points", "2048", "--jobs", "1",
-                            "--out", str(tmp_path)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(read_csv(tmp_path / "infer_density.csv")) == 16_384
-        assert peak < 2 * 2**20
+        # 131,072 density rows, 16,384 per N: written as they arrive, only
+        # one (N, k) point's arrays remain, whatever --jobs says.
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            tracemalloc.start()
+            try:
+                assert run_cli(["infer", "--source", "even", "--n-start", "1000",
+                                "--n-stop", "1700", "--n-step", "100", "--k-min", "2",
+                                "--k-max", "2", "--density-points", "2048", "--jobs", jobs,
+                                "--out", str(out)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(read_csv(out / "infer_density.csv")) == 131_072
+            assert peak < 2 * 2**20, f"--jobs {jobs}: peak {peak} B"
 
 
 class TestCompare:
@@ -268,8 +271,7 @@ def test_jobs_default_to_one(argv):
 
 class TestChunks:
     #: Grids of 25 and, for the slower infer, 7 points: chunks of 2 or 3
-    #: leave a last chunk of 1.  At --jobs 2 the pool's cap of a 4 * jobs-th
-    #: of the grid keeps chunks of 3 on the longer grid and of 1 on the shorter.
+    #: leave a last chunk of 1.
     GRIDS = {"compare": ("100", "20", "580"), "entropy": ("100", "20", "580"),
              "infer": ("100", "50", "400")}
 
@@ -299,12 +301,10 @@ class TestChunks:
         monkeypatch.setattr(bayesmc.cli, "_chunks", recorded)
         for size in (1, 2, 3):
             monkeypatch.setattr(bayesmc.cli, "CHUNK_ENTRIES", size * top)
-            for jobs in (1, 2):
-                out = tmp_path / f"{size}-{jobs}"
-                assert run_cli(argv + ["--jobs", str(jobs), "--out", str(out)]) == 0
-                assert _digests(out) == whole
-        pooled = {1} if command == "infer" else None
-        assert sizes == [{1}, {1}, {2, 1}, pooled or {2, 1}, {3, 1}, pooled or {3, 1}]
+            out = tmp_path / str(size)
+            assert run_cli(argv + ["--jobs", "1", "--out", str(out)]) == 0
+            assert _digests(out) == whole
+        assert sizes == [{1}, {2, 1}, {3, 1}]
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_chunk_sizes(self, jobs):
@@ -317,10 +317,8 @@ class TestChunks:
             G = len(chunks[0])
             assert {len(c) for c in chunks[:-1]} <= {G} and len(chunks[-1]) <= G
             assert G == 1 or G * top <= 2**16
-            if jobs == 1:  # as many points as the entry cap allows
-                assert G == min(length, max(1, 2**16 // top))
-            else:  # and at most a 4 * jobs-th of the grid
-                assert G == min(length, max(1, 2**16 // top), max(1, length // (4 * jobs)))
+            # as many points as the entry cap allows, whatever --jobs says
+            assert G == min(length, max(1, 2**16 // top))
 
     def test_figures_sweep_in_one_chunk(self):
         for command, source, recipe in bayesmc.cli.FIGURE_RECIPES.values():
@@ -329,7 +327,8 @@ class TestChunks:
 
 
 def _sweep_of(A, k_max, grid, jobs):
-    """A sweep with only what _chunks reads: the alphabet, k_max, grid and jobs."""
+    """A sweep with only what _chunks reads (the alphabet, k_max and grid), and a --jobs
+    that it ignores."""
     cfg = argparse.Namespace(k_max=k_max, n_grid=grid, jobs=jobs)
     return bayesmc.cli._Sweep(cfg, bayesmc.core.Alphabet(tuple("abcd"[:A])), seq=None,
                               hypers={}, joints={}, approxes={}, truth=None)
@@ -467,6 +466,8 @@ class TestErrorHandling:
          "--alpha must be at most 1e+17, not 1e+307"),
         (["compare", "--source", "even", "--k-max", "2", "--alpha", "1.7e308"],
          "--alpha must be at most 1e+17, not 1.7e+308"),
+        (["compare", "--source", "{dir}/list.json", "--n-start", "100"],
+         "hmm description must be a JSON object, not list"),
     ])
     def test_bad_value_rejected_before_sweep(self, argv, message, tmp_path, capsys,
                                              monkeypatch):
@@ -476,6 +477,7 @@ class TestErrorHandling:
         (tmp_path / "nan.json").write_text(
             '{"alphabet": ["0", "1"], "matrices": {"0": [[NaN, 0.5], [0.5, 0]], '
             '"1": [[0, 0.5], [0.5, 0]]}}')
+        (tmp_path / "list.json").write_text("[1, 2]")
         monkeypatch.setattr(bayesmc.cli, "_grid_map", None)  # the sweep never starts
         argv = [a.format(dir=tmp_path) for a in argv]
         assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -350,3 +351,27 @@ class TestLoadHmm:
     def test_missing_field(self):
         with pytest.raises(ValueError):
             load_hmm({"alphabet": ["0", "1"]})
+
+    @pytest.mark.parametrize("spec, message", [
+        ([1, 2], "hmm description must be a JSON object, not list"),
+        ("just a string", "hmm description must be a JSON object, not str"),
+        ({"alphabet": 5, "matrices": {}},
+         "hmm field 'alphabet' must be a string or a list of strings, not 5"),
+        ({"alphabet": [["0"], "1"], "matrices": {}},
+         "hmm field 'alphabet' must be a string or a list of strings"),
+        ({"alphabet": ["0", "1"], "matrices": [[[1.0]], [[0.0]]]},
+         "hmm field 'matrices' must map each symbol to its matrix, not list"),
+        ({"alphabet": ["0", "1"], "matrices": {"0": [[0.5], [0.5, 0.0]], "1": [[0.5]]}},
+         "hmm field 'matrices' must hold one square matrix of numbers per symbol"),
+    ])
+    def test_malformed_description(self, spec, message, tmp_path):
+        path = tmp_path / "hmm.json"  # as a file, since a str argument is a path
+        path.write_text(json.dumps(spec))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_hmm(path)
+
+    def test_string_alphabet(self):
+        hmm = load_hmm({"alphabet": "01", "matrices": {"0": [[0.0, 0.5], [0.0, 0.0]],
+                                                         "1": [[0.5, 0.0], [1.0, 0.0]]}})
+        assert hmm.alphabet.symbols == ("0", "1")
+        np.testing.assert_array_equal(hmm.matrices, GM.matrices)
