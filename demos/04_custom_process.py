@@ -48,7 +48,7 @@ for w, row in enumerate(mean):
     )
     print(f"  {cells}")
 
-estimate = expected_energy(post)
+estimate = expected_energy(counts, prior)
 print(f"\nentropy-rate estimate at k={k}: {estimate:.5f} bits/symbol")
 if process.is_unifilar():
     print(f"closed-form truth:            {true_entropy_rate(process):.5f}")

@@ -116,22 +116,35 @@ class _Sweep:
     approxes: dict[int, entropy.WordConditional]
     truth: float | None
 
-    def points(self, chunk: tuple[int, ...]):
-        """(k, counts, hyper) for each order, the counts a (G, A**k, A) stack over the chunk's
-        G data sizes; in sample and file mode each prefix is counted once, at the top order."""
-        if self.seq is None:  # the exact average counts, as processes.average_counts
-            N = np.array(chunk)[:, None, None]
-            stacks = {k: (N - k) * self.joints[k] for k in self.hypers}
-        else:
-            A = self.alphabet.size
-            stacks = {k: np.empty((len(chunk), A**k, A)) for k in self.hypers}
-            for g, N in enumerate(chunk):
-                prefix = SymbolSequence(self.alphabet, self.seq.data[:N])
-                top = count_words(prefix, self.cfg.k_max)
-                for k, stack in stacks.items():
-                    stack[g] = lower_order_counts(top, prefix, k).table
-        for k, hyper in self.hypers.items():
-            yield k, CountTable(k, self.alphabet, stacks.pop(k)), hyper
+    def points(self):
+        """Yield each chunk of the N grid (see _chunks) with (k, counts, hyper) for each order,
+        the counts a (G, A**k, A) stack over the chunk's G data sizes.  In sample and file mode
+        one top-order table runs across the whole grid, chunk boundaries included: each N
+        counts only the windows data[last - K:N] that its prefix adds to the previous one's,
+        and each lower order k is derived from order k + 1 and the sweep's first window of
+        length k + 1 (core.lower_order_counts).  The table lives in this generator's frame, so
+        it goes with the sweep."""
+        A, K = self.alphabet.size, self.cfg.k_max
+        if self.seq is not None:
+            top, last = np.zeros((A**K, A)), K
+            heads = {k: count_words(SymbolSequence(self.alphabet, self.seq.data[:k + 1]), k)
+                     for k in self.hypers if k < K}
+        for chunk in _chunks(self):
+            if self.seq is None:  # the exact average counts, as processes.average_counts
+                N = np.array(chunk)[:, None, None]
+                stacks = {k: (N - k) * self.joints[k] for k in self.hypers}
+            else:
+                stacks = {k: np.empty((len(chunk), A**k, A)) for k in self.hypers}
+                for g, N in enumerate(chunk):
+                    top += count_words(SymbolSequence(self.alphabet, self.seq.data[last - K:N]),
+                                       K).table
+                    last, counts = N, CountTable(K, self.alphabet, top)
+                    for k in sorted(stacks, reverse=True):
+                        if k < K:
+                            counts = lower_order_counts(counts, heads[k])
+                        stacks[k][g] = counts.table
+            yield chunk, [(k, CountTable(k, self.alphabet, stacks.pop(k)), hyper)
+                          for k, hyper in self.hypers.items()]
 
 
 def _resolve(cfg: argparse.Namespace, with_truth: bool = False) -> _Sweep:
@@ -172,10 +185,10 @@ def _chunks(sweep: _Sweep) -> list[tuple[int, ...]]:
 
 
 def _grid_map(point, sweep: _Sweep):
-    """Yield the (file name, block) pairs of point(sweep, chunk) for each chunk, in grid
-    order: N-major, then k."""
-    for chunk in _chunks(sweep):
-        yield from point(sweep, chunk)
+    """Yield the (file name, block) pairs of point(sweep, chunk, orders) for each chunk and
+    its orders' counts, in grid order: N-major, then k."""
+    for chunk, orders in sweep.points():
+        yield from point(sweep, chunk, orders)
 
 
 #: A cell type's CSV and JSON formatters; in JSON a float prints its repr, infinity null.
@@ -225,10 +238,9 @@ def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> N
             fh.write("\n]\n")
 
 
-def _infer_point(sweep: _Sweep, chunk: tuple[int, ...]):
-    stacks = list(sweep.points(chunk))
+def _infer_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
     for g, N in enumerate(chunk):
-        for k, stack, hyper in stacks:
+        for k, stack, hyper in orders:
             counts = CountTable(k, sweep.alphabet, stack.table[g])
             rows = inference.summary_rows(counts, hyper, sweep.cfg.confidence)
             yield "infer_summary.csv", [N, k, *map(list, zip(*rows))]
@@ -247,9 +259,8 @@ def cmd_infer(cfg: argparse.Namespace) -> None:
         "infer_density.csv": ("N", "k", "word", "symbol", "x", "density")})
 
 
-def _compare_point(sweep: _Sweep, chunk: tuple[int, ...]):
-    stacked = {k: inference.log_evidence(counts, hyper).tolist()
-               for k, counts, hyper in sweep.points(chunk)}
+def _compare_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
+    stacked = {k: inference.log_evidence(counts, hyper).tolist() for k, counts, hyper in orders}
     for g, N in enumerate(chunk):
         evidences = {k: values[g] for k, values in stacked.items()}
         uni = comparison.compare_uniform(evidences)
@@ -263,9 +274,9 @@ def cmd_compare(cfg: argparse.Namespace) -> None:
         "compare.csv": ("N", "k", "log_evidence_nats", "prob_uniform", "prob_penalized")})
 
 
-def _entropy_point(sweep: _Sweep, chunk: tuple[int, ...]):
-    orders = []
-    for k, counts, hyper in sweep.points(chunk):
+def _entropy_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
+    per_order = []
+    for k, counts, hyper in orders:
         post = inference.posterior(counts, hyper)
         q = entropy.r_from(post)
         kl_bits = [None] * len(chunk)
@@ -273,10 +284,11 @@ def _entropy_point(sweep: _Sweep, chunk: tuple[int, ...]):
             kl_bits = [entropy.kl_of(entropy.WordConditional(k, sweep.alphabet, w, c),
                                      sweep.approxes[k].cond_probs)
                        for w, c in zip(q.word_probs, q.cond_probs)]
-        orders.append((k, post.total.tolist(), entropy.expected_energy(post).tolist(),
-                       entropy.energy_variance(post).tolist(), entropy.hmu_of(q).tolist(),
-                       kl_bits, entropy.asymptotic_energy(post).tolist()))
-    ks, *stats = zip(*orders)  # each stat holds, per order, its values over the chunk
+        per_order.append((k, post.total.tolist(), entropy.expected_energy(counts, hyper).tolist(),
+                          entropy.energy_variance(counts, hyper).tolist(),
+                          entropy.hmu_of(q).tolist(), kl_bits,
+                          entropy.asymptotic_energy(counts, hyper).tolist()))
+    ks, *stats = zip(*per_order)  # each stat holds, per order, its values over the chunk
     for g, N in enumerate(chunk):
         yield "entropy.csv", [N, list(ks), *([v[g] for v in s] for s in stats), sweep.truth]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import _per_table, _table_sum
+from .special import _per_table, _row_sum, _table_sum
 
 #: Largest dense table (in entries) that table-building functions will allocate.
 TABLE_CAP = 2**26
@@ -74,9 +74,14 @@ class Alphabet:
     def from_text(cls, text: str) -> "Alphabet":
         """Infer an alphabet from the distinct characters of `text`.
 
-        Index assignment is deterministic: characters are sorted.
+        Index assignment is deterministic: characters are sorted (by code point).
         """
-        return cls(tuple(sorted(set(text))))
+        return cls(tuple(map(chr, np.flatnonzero(np.bincount(_code_points(text))))))
+
+
+def _code_points(text: str) -> np.ndarray:
+    """One code point per character of `text`, a lone surrogate included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
 def _frozen(arr, dtype=float) -> np.ndarray:
@@ -115,15 +120,17 @@ class SymbolSequence:
     def from_string(cls, text: str, alphabet: Alphabet | None = None) -> "SymbolSequence":
         if alphabet is None:
             alphabet = Alphabet.from_text(text)
-        # one code point per character, looked up among the symbols' sorted code points
-        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        codes = np.array([ord(s) for s in alphabet.symbols], dtype=np.uint32)
-        order = np.argsort(codes)
-        pos = np.minimum(np.searchsorted(codes[order], points), alphabet.size - 1)
-        unknown = codes[order][pos] != points
+        points = _code_points(text)
+        codes = [ord(s) for s in alphabet.symbols]
+        # each code point's symbol index, -1 for a character outside the alphabet
+        lookup = np.full(max(max(codes), points.max(initial=0)) + 1, -1, dtype=np.int64)
+        lookup[codes] = np.arange(alphabet.size)
+        data = lookup[points]
+        unknown = data < 0
         if unknown.any():
             raise InvalidSymbolError(f"unknown symbol {text[int(np.argmax(unknown))]!r}")
-        return cls(alphabet, order[pos])
+        data.flags.writeable = False  # fresh, so _frozen need not copy it
+        return cls(alphabet, data)
 
     def to_string(self) -> str:
         return "".join(self.alphabet.symbols[i] for i in self.data)
@@ -169,7 +176,7 @@ class _Table:
     @property
     def word_totals(self) -> np.ndarray:
         """Each word's total over its next symbols: n(word) or alpha(word)."""
-        return self.table.sum(axis=-1)
+        return _row_sum(self.table)
 
     @property
     def total(self):
@@ -232,22 +239,25 @@ def count_words(seq: SymbolSequence, k: int) -> CountTable:
     return CountTable(k, seq.alphabet, flat.reshape(A**k, A))
 
 
-def lower_order_counts(top: CountTable, seq: SymbolSequence, k: int) -> CountTable:
-    """count_words(seq, k), derived from top = count_words(seq, K) for K >= k.
+def lower_order_counts(top: CountTable, head: CountTable) -> CountTable:
+    """count_words(seq, k) for k = head.order, derived from top = count_words(seq, K)
+    for some K > k and head = count_words(seq[:K], k).
 
     The last k+1 symbols of the K+1-windows are the k+1-windows that start at
     K - k or later, so summing out the leading K - k symbols of `top` counts
-    them; the first K - k windows are counted directly.  Counts are integers
-    held exactly in floats, so the table is identical to count_words'.
+    them; the first K - k windows lie in seq[:K], and `head` counts them.  The
+    head does not depend on len(seq): a sweep that runs one top table across
+    its N grid counts each head once, and with K = k + 1 a head is a single
+    window.  Counts are integers held exactly in floats, so the table is
+    identical to count_words'.
     """
-    K, A = top.order, top.alphabet.size
-    if k == K:
-        return top
+    K, k, A = top.order, head.order, top.alphabet.size
+    if head.alphabet != top.alphabet:
+        raise ShapeMismatchError("top and head tables must share their alphabet")
     if not 1 <= k < K:
-        raise ValueError(f"order k={k} must lie in 1..{K}")
+        raise ValueError(f"order k={k} must lie in 1..{K - 1}")
     tail = top.table.reshape(A ** (K - k), A ** (k + 1)).sum(axis=0)
-    head = count_words(SymbolSequence(seq.alphabet, seq.data[:K]), k).table
-    return CountTable(k, top.alphabet, tail.reshape(A**k, A) + head)
+    return CountTable(k, top.alphabet, tail.reshape(A**k, A) + head.table)
 
 
 def uniform_hyper(k: int, alphabet: Alphabet, value: float = 1.0) -> HyperTable:

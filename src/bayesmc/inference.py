@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CountTable, HyperTable, require_same_shape, word_strings
-from .special import (BetaParams, _per_table, _table_sum, inv_reg_inc_beta, log_gamma_diff,
-                      reg_inc_beta)
+from .special import (BetaParams, _per_table, _row_sum, _table_sum, inv_reg_inc_beta,
+                      log_gamma_diff, reg_inc_beta)
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def _log_gamma_ratio(base: np.ndarray, inc: np.ndarray):
     base.  An entry or word with no counts adds exactly 0.  A float for one
     (W, A) table inc, one value per table for a (G, W, A) stack."""
     return _per_table(_table_sum(log_gamma_diff(base, inc))
-                      - log_gamma_diff(base.sum(axis=-1), inc.sum(axis=-1)).sum(axis=-1))
+                      - log_gamma_diff(_row_sum(base), _row_sum(inc)).sum(axis=-1))
 
 
 def log_evidence(counts: CountTable, hyper: HyperTable):
@@ -100,7 +100,7 @@ def sample_posterior(post: HyperTable, seed) -> np.ndarray:
     per-component Gamma draws normalized row-wise.  Deterministic given the
     seed (or caller-owned Generator)."""
     g = np.random.default_rng(seed).gamma(shape=post.table)
-    return g / g.sum(axis=-1, keepdims=True)
+    return g / _row_sum(g)[..., None]
 
 
 def summary_rows(counts: CountTable, hyper: HyperTable, level: float = 0.95) -> list[tuple]:

@@ -226,6 +226,18 @@ def _table_sum(x):
     return x.reshape(x.shape[:-2] + (-1,)).sum(axis=-1)
 
 
+def _row_sum(x):
+    """Sum over the last axis, each word's next symbols, by adding its columns
+    left to right: one vector add per column instead of a reduction per row.
+    Up to 7 columns this is np.sum(axis=-1) bit for bit; numpy sums 8 or more
+    pairwise, so there the two may differ by ulps."""
+    x = np.asarray(x)
+    out = x[..., 0] + x[..., 1]
+    for j in range(2, x.shape[-1]):
+        out += x[..., j]
+    return out
+
+
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete Beta (modified Lentz)."""
     tiny = 1e-300

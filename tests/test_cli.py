@@ -104,8 +104,8 @@ class TestInfer:
         sweep = bayesmc.cli._resolve(bayesmc.cli._config_from(
             bayesmc.cli._build_parser().parse_args(argv)))
         rows = {"infer_summary.csv": [], "infer_density.csv": []}
-        for chunk in bayesmc.cli._chunks(sweep):
-            for name, block in bayesmc.cli._infer_point(sweep, chunk):
+        for chunk, orders in sweep.points():
+            for name, block in bayesmc.cli._infer_point(sweep, chunk, orders):
                 rows[name].append(max(len(c) for c in block if isinstance(c, list)))
         assert max(rows["infer_density.csv"]) <= 16
         for name, sizes in rows.items():
@@ -332,6 +332,52 @@ def _sweep_of(A, k_max, grid, jobs):
     cfg = argparse.Namespace(k_max=k_max, n_grid=grid, jobs=jobs)
     return bayesmc.cli._Sweep(cfg, bayesmc.core.Alphabet(tuple("abcd"[:A])), seq=None,
                               hypers={}, joints={}, approxes={}, truth=None)
+
+
+class TestRunningCounts:
+    """In sample and file mode one top-order table runs across the whole N grid."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("command", ["compare", "entropy"])
+    def test_each_window_counted_once(self, command, size, tmp_path, monkeypatch):
+        # 10 values of N, in chunks of `size` points: each window up to max(N) is
+        # counted once at the top order, and each lower order adds one head window
+        k_max = 4
+        seq = tmp_path / "seq.txt"
+        seq.write_text(_golden_sequence(1000) + "\n")
+        count_words, windows = bayesmc.core.count_words, []
+
+        def tallied(seq, k):
+            windows.append(len(seq) - k)
+            return count_words(seq, k)
+
+        for module in (bayesmc.cli, bayesmc.core):
+            monkeypatch.setattr(module, "count_words", tallied)
+        monkeypatch.setattr(bayesmc.cli, "CHUNK_ENTRIES", size * 3 ** (k_max + 1))
+        assert run_cli([command, "--input", str(seq), "--n-start", "100", "--n-step", "100",
+                        "--n-stop", "1000", "--k-max", str(k_max), "--out", str(tmp_path)]) == 0
+        assert len(read_csv(tmp_path / f"{command}.csv")) == 10 * k_max
+        assert sum(windows) <= 1000 + k_max * (k_max + 1) // 2
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_stacks_equal_each_prefix_counted(self, size, monkeypatch):
+        # orders 2..5 of a sampled sequence over an uneven grid, chunk boundaries included
+        argv = ["compare", "--source", "sns", "--mode", "sample", "--seed", "3",
+                "--n-start", "6", "--n-step", "37", "--n-stop", "400", "--k-min", "2",
+                "--k-max", "5"]
+        monkeypatch.setattr(bayesmc.cli, "CHUNK_ENTRIES", size * 2**6)
+        sweep = bayesmc.cli._resolve(bayesmc.cli._config_from(
+            bayesmc.cli._build_parser().parse_args(argv)))
+        seen = []
+        for chunk, orders in sweep.points():
+            assert [k for k, _, _ in orders] == [2, 3, 4, 5]
+            for k, counts, hyper in orders:
+                assert hyper is sweep.hypers[k]
+                for N, table in zip(chunk, counts.table):
+                    prefix = bayesmc.core.SymbolSequence(sweep.alphabet, sweep.seq.data[:N])
+                    np.testing.assert_array_equal(table, bayesmc.core.count_words(prefix, k).table)
+            seen += chunk
+        assert tuple(seen) == sweep.cfg.n_grid
 
 
 class TestErrorHandling:

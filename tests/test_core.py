@@ -42,6 +42,9 @@ class TestAlphabet:
 
     def test_from_text_sorted(self):
         assert Alphabet.from_text("bab ca").symbols == (" ", "a", "b", "c")
+        # by code point, astral-plane symbols and a lone surrogate included
+        text = "b\U0001F600a\ud800\u00e9b\U0001F600"
+        assert Alphabet.from_text(text).symbols == tuple(sorted(set(text)))
 
 
 class TestWordEncoding:
@@ -128,16 +131,26 @@ class TestLowerOrderCounts:
                                      max_size=k_max + 200), label="symbols")
         seq = SymbolSequence(Alphabet(tuple("abcd"[:A])), np.array(symbols))
         top = count_words(seq, k_max)
-        for k in range(1, k_max + 1):
-            derived = lower_order_counts(top, seq, k)
-            assert derived.order == k
-            np.testing.assert_array_equal(derived.table, count_words(seq, k).table)
-        assert lower_order_counts(top, seq, k_max) is top
+        head = SymbolSequence(seq.alphabet, seq.data[:k_max])
+        derived = top
+        for k in range(k_max - 1, 0, -1):
+            # from the top order, and step by step from order k + 1 with one head window
+            for above in (top, derived):
+                prefix = SymbolSequence(seq.alphabet, head.data[:above.order])
+                derived = lower_order_counts(above, count_words(prefix, k))
+                assert derived.order == k
+                np.testing.assert_array_equal(derived.table, count_words(seq, k).table)
 
     def test_order_above_top(self):
         seq = SymbolSequence.from_string("0110", BINARY)
         with pytest.raises(ValueError):
-            lower_order_counts(count_words(seq, 1), seq, 2)
+            lower_order_counts(count_words(seq, 1), count_words(seq, 2))
+
+    def test_alphabets_must_match(self):
+        seq = SymbolSequence.from_string("0110", BINARY)
+        other = SymbolSequence.from_string("0110", TERNARY)
+        with pytest.raises(ShapeMismatchError):
+            lower_order_counts(count_words(seq, 2), count_words(other, 1))
 
 
 class TestHyperTables:

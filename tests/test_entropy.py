@@ -1,6 +1,8 @@
 import functools
+import gc
 import itertools
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -9,12 +11,14 @@ import pytest
 from bayesmc import (
     Alphabet,
     CountTable,
+    HyperTable,
     asymptotic_energy,
     average_counts,
     compare_uniform,
     confidence_region,
     count_words,
     energy_variance,
+    entropy,
     even_process,
     expected_energy,
     golden_mean,
@@ -35,6 +39,7 @@ from bayesmc import (
 )
 from bayesmc.entropy import WordConditional
 from bayesmc.inference import region_mass
+from bayesmc.special import _table_sum
 
 from util import biased_chain
 
@@ -45,9 +50,14 @@ FLAT1 = uniform_hyper(1, BINARY, 1.0)
 LN2 = math.log(2.0)
 
 
+def data_at(N, hmm=golden_mean(), k=1):
+    """Exact average counts and the flat prior."""
+    return average_counts(hmm, N, k), uniform_hyper(k, hmm.alphabet, 1.0)
+
+
 def post_at(N, hmm=golden_mean(), k=1):
     """The flat-prior posterior of exact average counts."""
-    return posterior(average_counts(hmm, N, k), uniform_hyper(k, hmm.alphabet, 1.0))
+    return posterior(*data_at(N, hmm, k))
 
 
 def q_at(N, hmm=golden_mean(), k=1):
@@ -162,16 +172,17 @@ class TestKl:
 class TestExpectedEnergy:
     def test_prior_only_binary_k1(self):
         # beta=4, flat Q: (1/ln2)(psi(2) - psi(1)) = 1/ln2
-        post = posterior(CountTable(1, BINARY, np.zeros((2, 2))), FLAT1)
-        assert expected_energy(post) == pytest.approx(1.0 / LN2, abs=1e-12)
+        counts = CountTable(1, BINARY, np.zeros((2, 2)))
+        assert expected_energy(counts, FLAT1) == pytest.approx(1.0 / LN2, abs=1e-12)
 
     def test_matches_mpmath(self):
         for N in (50, 500, 5000):
-            post = post_at(N)
-            assert expected_energy(post) == pytest.approx(mp_energy(post), abs=1e-11)
+            assert expected_energy(*data_at(N)) == pytest.approx(mp_energy(post_at(N)),
+                                                                 abs=1e-11)
         for N in (1e4, 1e6, 1e8):  # no cancellation: the mean stays at 1e-14
-            post = post_at(N, hmm=even_process(), k=2)
-            assert expected_energy(post) == pytest.approx(mp_energy(post), rel=1e-14, abs=0.0)
+            data = data_at(N, hmm=even_process(), k=2)
+            assert expected_energy(*data) == pytest.approx(mp_energy(posterior(*data)),
+                                                           rel=1e-14, abs=0.0)
 
     def test_matches_finite_difference_of_log_partition(self):
         # d(-log Z)/d(beta) at fixed Q equals the energy in nats; scale the
@@ -189,16 +200,15 @@ class TestExpectedEnergy:
 
         beta = t.sum()
         fd = (neg_logz(1.0 + h) - neg_logz(1.0 - h)) / (2.0 * h * beta)
-        assert expected_energy(posterior(counts, hyper)) == pytest.approx(fd / LN2, abs=1e-6)
+        assert expected_energy(counts, hyper) == pytest.approx(fd / LN2, abs=1e-6)
 
     def test_exceeds_entropy_rate(self):
         # energy = KL + entropy rate, and KL >= 0
         for N in (30, 300, 3000):
-            post = post_at(N)
-            assert expected_energy(post) >= hmu_of(r_from(post)) - 1e-12
+            assert expected_energy(*data_at(N)) >= hmu_of(r_from(post_at(N))) - 1e-12
 
     def test_decreases_toward_truth(self):
-        es = [expected_energy(post_at(N)) for N in (100, 1000, 10_000, 100_000)]
+        es = [expected_energy(*data_at(N)) for N in (100, 1000, 10_000, 100_000)]
         assert all(b < a for a, b in zip(es, es[1:]))
         assert es[-1] == pytest.approx(2.0 / 3.0, abs=2e-4)
 
@@ -216,21 +226,21 @@ class TestEnergyVariance:
     def test_prior_only_binary_k1(self):
         # beta=4, flat Q: the pair part 4 (1/4)^2 psi'(1) = pi^2/24 minus the
         # word part 2 (1/2)^2 psi'(2) = pi^2/12 - 1/2, in nats^2
-        post = posterior(CountTable(1, BINARY, np.zeros((2, 2))), FLAT1)
+        counts = CountTable(1, BINARY, np.zeros((2, 2)))
         ref = (0.5 - math.pi**2 / 24.0) / LN2**2
-        assert energy_variance(post) == pytest.approx(ref, abs=1e-12)
+        assert energy_variance(counts, FLAT1) == pytest.approx(ref, abs=1e-12)
 
     def test_matches_mpmath(self):
         # The pair and word sums share their leading 1/t parts, which cancel
         # in the algebra, so the relative error stays flat in N up to 1e12.
         for hmm, k in itertools.product((even_process(), sns(), golden_mean()), (1, 2, 4)):
             for N in (700, 1e4, 1e6, 1e8, 1e10, 1e12):
-                post = post_at(N, hmm=hmm, k=k)
-                assert energy_variance(post) == pytest.approx(mp_variance(post), rel=1e-12,
-                                                              abs=0.0), (hmm.name, k, N)
+                data = data_at(N, hmm=hmm, k=k)
+                assert energy_variance(*data) == pytest.approx(
+                    mp_variance(posterior(*data)), rel=1e-12, abs=0.0), (hmm.name, k, N)
 
     def test_positive_and_shrinks(self):
-        vs = [energy_variance(post_at(N)) for N in (100, 1000, 10_000)]
+        vs = [energy_variance(*data_at(N)) for N in (100, 1000, 10_000)]
         assert all(v > 0 for v in vs)
         assert vs[0] > vs[1] > vs[2]
 
@@ -277,9 +287,9 @@ class TestPosteriorMonteCarlo:
         joint = q.word_probs[:, None] * q.cond_probs
         energy = -np.sum(joint * np.log2(draws), axis=(1, 2))
         mean_se = energy.std(ddof=1) / math.sqrt(MC_DRAWS)
-        assert abs(energy.mean() - expected_energy(post)) < MC_Z * mean_se
+        assert abs(energy.mean() - expected_energy(counts, hyper)) < MC_Z * mean_se
         var, var_se = sample_variance_se(energy)
-        assert abs(var - energy_variance(post)) < MC_Z * var_se
+        assert abs(var - energy_variance(counts, hyper)) < MC_Z * var_se
 
     def test_posterior_moments(self, case):
         _, _, post, draws = mc_draws(case)
@@ -298,19 +308,99 @@ class TestPosteriorMonteCarlo:
             assert abs(inside - mass) < MC_Z * math.sqrt(mass * (1.0 - mass) / MC_DRAWS)
 
 
+def _sparse_case(seed, G=None):
+    """(counts, hyper) at order 3 over 3 symbols: counts up to 1e6 with most
+    entries and some whole words zero, one table or a stack of G, and alpha
+    log-uniform in [1e-3, 1e7]."""
+    rng = np.random.default_rng(seed)
+    shape = (27, 3) if G is None else (G, 27, 3)
+    counts = np.floor(10.0 ** rng.uniform(0, 6, size=shape))
+    counts[rng.random(shape) < 0.7] = 0.0
+    counts[..., :5, :] = 0.0
+    alphabet = Alphabet(("a", "b", "c"))
+    return (CountTable(3, alphabet, counts),
+            HyperTable(3, alphabet, 10.0 ** rng.uniform(-3, 7, size=(27, 3))))
+
+
+def _hexes(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+def _dense(kernel, counts, hyper):
+    """An energy moment with its terms evaluated on every entry and word."""
+    post = posterior(counts, hyper)
+    terms = entropy._mean_terms if kernel is expected_energy else entropy._variance_terms
+    pairs, words = _table_sum(terms(post.table)), terms(post.word_totals).sum(axis=-1)
+    scale = post.total * LN2
+    if kernel is expected_energy:
+        return (words - pairs) / scale
+    return (pairs - words) / (scale * scale)
+
+
+class TestObservedEntries:
+    """The energy moments run their polygammas on observed entries and words
+    only, and take every other term from the prior's, computed once per
+    hyper table."""
+
+    @pytest.mark.parametrize("kernel, polygamma", [(expected_energy, "digamma"),
+                                                   (energy_variance, "_trigamma_remainder")])
+    def test_polygammas_see_observed_entries_and_prior_once(self, kernel, polygamma,
+                                                            monkeypatch):
+        sizes, evaluate = [], getattr(entropy, polygamma)
+
+        def recorded(x):
+            sizes.append(np.size(x))
+            return evaluate(x)
+
+        monkeypatch.setattr(entropy, polygamma, recorded)
+        counts, hyper = _sparse_case(1)
+        stack, _ = _sparse_case(2, G=4)
+
+        def observed(data):
+            return np.count_nonzero(data.table) + np.count_nonzero(data.word_totals)
+
+        # the observed entries and words, the first time with the prior's 27 words, and
+        # then in a call of their own its 81 entries
+        for data, first in ((counts, True), (stack, False), (counts, False)):
+            sizes.clear()
+            kernel(data, hyper)
+            assert sizes == ([observed(data) + 27, 81] if first else [observed(data)])
+        assert 0 < observed(counts) < 81 + 27
+
+    @pytest.mark.parametrize("kernel", [expected_energy, energy_variance])
+    @pytest.mark.parametrize("G", [None, 1, 5])
+    def test_equal_to_dense_terms_memo_or_not(self, kernel, G):
+        for seed in range(20):
+            counts, hyper = _sparse_case(seed, G)
+            fresh = _hexes(kernel(counts, hyper))
+            again = HyperTable(hyper.order, hyper.alphabet, hyper.table)
+            kernel(_sparse_case(seed + 100, G)[0], again)  # the memo is filled elsewhere
+            assert _hexes(kernel(counts, again)) == fresh
+            assert _hexes(_dense(kernel, counts, hyper)) == fresh
+
+    def test_memo_does_not_keep_table_alive(self):
+        counts, hyper = _sparse_case(3)
+        expected_energy(counts, hyper)
+        energy_variance(counts, hyper)
+        assert len(entropy._PRIOR_TERMS[hyper]) == 2
+        table = weakref.ref(hyper)
+        del hyper
+        gc.collect()
+        assert table() is None
+
+
 class TestAsymptotic:
     def test_formula(self):
         post = post_at(1000, k=2)
         expected = hmu_of(r_from(post)) + 4.0 / (2.0 * post.total * LN2)
-        assert asymptotic_energy(post) == pytest.approx(expected, abs=1e-14)
+        assert asymptotic_energy(*data_at(1000, k=2)) == pytest.approx(expected, abs=1e-14)
 
     def test_close_to_exact_full_support(self):
         chain = biased_chain()
         for N in (1000, 10_000):
             counts = average_counts(chain, N, 1)
-            post = posterior(counts, FLAT1)
-            gap = abs(expected_energy(post) - asymptotic_energy(post))
-            assert gap < 2.0 / post.total**2
+            gap = abs(expected_energy(counts, FLAT1) - asymptotic_energy(counts, FLAT1))
+            assert gap < 2.0 / posterior(counts, FLAT1).total**2
 
 
 class TestPartitionAndMixing:

@@ -22,7 +22,7 @@ from bayesmc import (
     trigamma,
     uniform_hyper,
 )
-from bayesmc.special import MAX_SHAPE, NumericDomainError, _trigamma_remainder
+from bayesmc.special import MAX_SHAPE, NumericDomainError, _row_sum, _trigamma_remainder
 
 mpmath.mp.dps = 40
 
@@ -166,6 +166,26 @@ class TestTrigamma:
         assert np.all(np.abs(tri - 1.0 / self.XS - _trigamma_remainder(self.XS))
                       <= np.spacing(tri))
         assert type(trigamma(2.0)) is float
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("A", range(2, 13))
+    def test_columns_added_left_to_right(self, A):
+        # a (G, W, A) stack whose entries span 30 decades, so rounding shows
+        rng = np.random.default_rng(A)
+        x = 10.0 ** rng.uniform(-15, 15, size=(3, 50, A))
+        out = _row_sum(x)
+        assert out.shape == (3, 50)
+        rows = x.reshape(-1, A).tolist()
+        expected = []
+        for row in rows:
+            acc = row[0]
+            for v in row[1:]:
+                acc += v
+            expected.append(acc)
+        assert out.ravel().tolist() == expected
+        if A <= 7:  # numpy sums 8 or more pairwise
+            assert np.array_equal(out, x.sum(axis=-1))
 
 
 class TestRegIncBeta:
