@@ -10,11 +10,9 @@ import math
 
 from bayesmc import (
     SNS_ENTROPY_RATE,
-    asymptotic_energy,
     average_counts,
-    energy_variance,
+    energy_moments,
     even_process,
-    expected_energy,
     golden_mean,
     sns,
     true_entropy_rate,
@@ -24,15 +22,16 @@ from bayesmc import (
 print("Golden mean at k = 1 (true rate = 2/3 bits/symbol):")
 source = golden_mean()
 for N in (100, 1_000, 10_000, 100_000):
-    data = average_counts(source, N, 1), uniform_hyper(1, source.alphabet, 1.0)
-    e, var, asym = expected_energy(*data), energy_variance(*data), asymptotic_energy(*data)
-    print(f"  N={N:>7}  E={e:.5f} +/- {math.sqrt(var):.5f}   large-beta approx {asym:.5f}")
+    m = energy_moments(average_counts(source, N, 1), uniform_hyper(1, source.alphabet, 1.0))
+    print(f"  N={N:>7}  E={m.mean:.5f} +/- {math.sqrt(m.variance):.5f}   "
+          f"large-beta approx {m.asymptotic:.5f}")
 print(f"  truth: {true_entropy_rate(source):.5f}\n")
 
 print("Even process: no finite k suffices, but higher k closes the gap:")
 source = even_process()
 for k in (1, 2, 4, 6):
-    e = expected_energy(average_counts(source, 100_000, k), uniform_hyper(k, source.alphabet, 1.0))
+    e = energy_moments(average_counts(source, 100_000, k),
+                       uniform_hyper(k, source.alphabet, 1.0)).mean
     print(f"  k={k}  E={e:.5f}   (truth 2/3 = 0.66667)")
 print()
 
@@ -40,5 +39,6 @@ print("Nondeterministic source: no closed-form rate, but the estimator")
 print("still converges to the reference value 0.677867:")
 source = sns()
 for k in (2, 3, 4):
-    e = expected_energy(average_counts(source, 100_000, k), uniform_hyper(k, source.alphabet, 1.0))
+    e = energy_moments(average_counts(source, 100_000, k),
+                       uniform_hyper(k, source.alphabet, 1.0)).mean
     print(f"  k={k}  E={e:.6f}   gap {e - SNS_ENTROPY_RATE:+.6f}")

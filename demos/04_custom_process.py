@@ -12,7 +12,7 @@ from bayesmc import (
     Alphabet,
     LabeledHMM,
     count_words,
-    expected_energy,
+    energy_moments,
     load_hmm,
     posterior,
     posterior_mean,
@@ -48,7 +48,7 @@ for w, row in enumerate(mean):
     )
     print(f"  {cells}")
 
-estimate = expected_energy(counts, prior)
+estimate = energy_moments(counts, prior).mean
 print(f"\nentropy-rate estimate at k={k}: {estimate:.5f} bits/symbol")
 if process.is_unifilar():
     print(f"closed-form truth:            {true_entropy_rate(process):.5f}")

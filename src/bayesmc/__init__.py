@@ -23,9 +23,7 @@ from .core import (
 )
 from .entropy import (
     WordConditional,
-    asymptotic_energy,
-    energy_variance,
-    expected_energy,
+    energy_moments,
     hmu_of,
     kl_of,
     r_from,

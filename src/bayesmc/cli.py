@@ -277,17 +277,14 @@ def cmd_compare(cfg: argparse.Namespace) -> None:
 def _entropy_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
     per_order = []
     for k, counts, hyper in orders:
-        post = inference.posterior(counts, hyper)
-        q = entropy.r_from(post)
+        m = entropy.energy_moments(counts, hyper)
         kl_bits = [None] * len(chunk)
         if k in sweep.approxes:
             kl_bits = [entropy.kl_of(entropy.WordConditional(k, sweep.alphabet, w, c),
                                      sweep.approxes[k].cond_probs)
-                       for w, c in zip(q.word_probs, q.cond_probs)]
-        per_order.append((k, post.total.tolist(), entropy.expected_energy(counts, hyper).tolist(),
-                          entropy.energy_variance(counts, hyper).tolist(),
-                          entropy.hmu_of(q).tolist(), kl_bits,
-                          entropy.asymptotic_energy(counts, hyper).tolist()))
+                       for w, c in zip(m.q.word_probs, m.q.cond_probs)]
+        per_order.append((k, m.beta.tolist(), m.mean.tolist(), m.variance.tolist(),
+                          m.hmu.tolist(), kl_bits, m.asymptotic.tolist()))
     ks, *stats = zip(*per_order)  # each stat holds, per order, its values over the chunk
     for g, N in enumerate(chunk):
         yield "entropy.csv", [N, list(ks), *([v[g] for v in s] for s in stats), sweep.truth]

@@ -4,11 +4,12 @@ The marginal likelihood is a partition function Z in an inverse-temperature
 parameter beta_k = total posterior mass.  Its first derivative gives the
 posterior expectation of the energy E = D[Q||P] + h_mu[Q] (conditional
 relative entropy plus entropy rate of the posterior-mean distribution Q);
-the second derivative gives its variance.  Both reduce to polygamma sums.
-All returned information quantities are in bits.  The energy moments take
-(counts, hyper), as log_evidence does, and evaluate the polygammas only on
-observed entries and words: an unobserved one takes the prior's own term,
-computed once per hyper table.  The moments, r_from and hmu_of also take a
+the second derivative gives its variance.  Both reduce to polygamma sums,
+which `energy_moments(counts, hyper)` takes from one pass over the posterior
+table, with h_mu[Q] and the large-beta expansion.  All returned information
+quantities are in bits.  The polygammas run only on observed entries and
+words: an unobserved one takes the prior's own term, computed once per hyper
+table on its distinct values.  energy_moments, r_from and hmu_of also take a
 (G, A**k, A) stack of count or posterior tables and return one value per
 table, each equal to its table's own bit for bit.
 """
@@ -22,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparison import OrderPosterior
-from .core import CountTable, HyperTable, _frozen, require_same_shape
+from .core import CountTable, HyperTable, _frozen
 from .inference import posterior, posterior_mean
-from .special import _per_table, _row_sum, _table_sum, _trigamma_remainder, digamma
+from .special import _per_table, _shifted_series, _table_sum
 
 _LN2 = math.log(2.0)
 
@@ -92,89 +93,91 @@ def kl_of(dist: WordConditional, true_cond: np.ndarray) -> float:
     return float(np.sum(mass[active] * np.log2(ratio[active])))
 
 
-def _mean_terms(t):
-    """t psi(t); below _TINY its limit -1 (t psi(t) = t psi(1 + t) - 1), as
-    psi's 1/t would overflow for a subnormal t."""
+def _moment_terms(t):
+    """t psi(t) and t^2 (psi'(t) - 1/t), from one polygamma pass.  Below _TINY
+    they take their limits -1 (t psi(t) = t psi(1 + t) - 1) and 1, as the
+    polygammas' 1/t and 1/t^2 would overflow for a subnormal t."""
     tiny = t < _TINY
-    return np.where(tiny, -1.0, t * digamma(np.where(tiny, 1.0, t)))
+    psi, tri = _shifted_series(np.where(tiny, 1.0, t), "energy_moments")
+    return np.where(tiny, -1.0, t * psi), np.where(tiny, 1.0, t * t * tri)
 
 
-def _variance_terms(t):
-    """t^2 (psi'(t) - 1/t); below _TINY its limit 1."""
-    tiny = t < _TINY
-    return np.where(tiny, 1.0, t * t * _trigamma_remainder(np.where(tiny, 1.0, t)))
-
-
-#: hyper table -> {term function: (its entries' terms, its words' terms)}, the terms of
+#: hyper table -> the _moment_terms of its entries and of its word totals, the terms of
 #: every unobserved entry and word, kept only as long as the (immutable) table lives.
 _PRIOR_TERMS = weakref.WeakKeyDictionary()
 
 
-def _posterior_terms(counts: CountTable, hyper: HyperTable, terms):
-    """terms(t) for the posterior table t = n + alpha, terms(t(w)) for its word totals,
-    and t's total beta.  terms runs in one call on the observed entries and words, where
-    n or n(w) is nonzero; the first time for each hyper table that call also takes its
-    word totals, and a second one its entries, so that no call is larger than the table,
-    and both are kept.  Elsewhere t is alpha exactly, and t(w) is alpha(w), being added
-    up in the same order, so those take the prior's terms.  Both arrays therefore equal
-    terms(t) and terms(t(w)) bit for bit."""
-    require_same_shape(counts, hyper)
-    t = counts.table + hyper.table
-    t_words = _row_sum(t)
+def _posterior_terms(counts: CountTable, hyper: HyperTable, post: HyperTable):
+    """_moment_terms of the posterior table t = n + alpha and of its word totals t(w), as
+    the (entries, words) pair of each moment.  They run in one call on the observed
+    entries and words, where n or n(w) is nonzero; the first time for each hyper table
+    that call also takes the table's distinct entries and distinct word totals, whose
+    terms are gathered into full tables and kept.  Elsewhere t is alpha exactly, and t(w)
+    is alpha(w), being added up in the same order, so those take the prior's terms.  The
+    arrays therefore equal _moment_terms(t) and _moment_terms(t(w)) bit for bit."""
+    t, t_words = post.table, post.word_totals
     seen = np.broadcast_to(counts.table > 0, t.shape)
     seen_words = np.broadcast_to(counts.word_totals > 0, t_words.shape)
     parts = [t[seen], t_words[seen_words]]
-    memo = _PRIOR_TERMS.setdefault(hyper, {})
-    prior = memo.get(terms)
+    prior = _PRIOR_TERMS.get(hyper)
     if prior is None:
-        parts.append(hyper.word_totals.ravel())
-    values = np.split(terms(np.concatenate(parts)), np.cumsum([p.size for p in parts[:-1]]))
+        alpha, alpha_words = hyper.table, hyper.word_totals
+        (distinct, at_entry), (distinct_words, at_word) = (np.unique(a, return_inverse=True)
+                                                           for a in (alpha, alpha_words))
+        parts += [distinct, distinct_words]
+    moments = [np.split(m, np.cumsum([p.size for p in parts[:-1]]))
+               for m in _moment_terms(np.concatenate(parts))]
     if prior is None:
-        prior = memo[terms] = terms(hyper.table), values[2].reshape(hyper.word_totals.shape)
-    # copies of the broadcast prior are C-ordered, as terms(t) is, so they sum alike
-    pair_prior, word_prior = prior
-    pairs = np.broadcast_to(pair_prior, t.shape).copy()
-    words = np.broadcast_to(word_prior, t_words.shape).copy()
-    pairs[seen], words[seen_words] = values[:2]
-    return pairs, words, _per_table(_table_sum(t))
+        prior = _PRIOR_TERMS[hyper] = [(m[2][at_entry].reshape(alpha.shape),
+                                        m[3][at_word].reshape(alpha_words.shape))
+                                       for m in moments]
+    out = []
+    # copies of the broadcast prior are C-ordered, as terms of t are, so they sum alike
+    for (pair_prior, word_prior), m in zip(prior, moments):
+        pairs = np.broadcast_to(pair_prior, t.shape).copy()
+        words = np.broadcast_to(word_prior, t_words.shape).copy()
+        pairs[seen], words[seen_words] = m[:2]
+        out.append((pairs, words))
+    return out
 
 
-def expected_energy(counts: CountTable, hyper: HyperTable) -> float:
-    """Posterior expectation of D[Q||P] + h_mu[Q], in bits per symbol, with Q
-    = r_from(posterior(counts, hyper)).
+@dataclass(frozen=True, eq=False)
+class EnergyMoments:
+    """The entropy-rate statistics of one posterior, in bits: one float each for a lone
+    table, one value per table for a stack."""
 
-    First beta-derivative of -log Z at fixed Q, expressed with digammas of
-    the posterior table t = n + alpha and its word totals t(w):
-    (sum_w t(w) psi(t(w)) - sum_(w,s) t(w,s) psi(t(w,s))) / (beta ln 2).  A
-    term of t below _TINY is its limit -1.
-    """
-    pairs, words, beta = _posterior_terms(counts, hyper, _mean_terms)
-    return _per_table((words.sum(axis=-1) - _table_sum(pairs)) / (beta * _LN2))
-
-
-def energy_variance(counts: CountTable, hyper: HyperTable) -> float:
-    """Posterior variance of the energy, in bits^2 per symbol^2.
-
-    Second beta-derivative of log Z at fixed Q, expressed with trigammas:
-    (sum_(w,s) t^2 psi'(t) - sum_w t(w)^2 psi'(t(w))) / (beta ln 2)^2.  Both
-    sums carry the same leading term sum t^2 / t = beta, so each trigamma is
-    taken without its 1/t and the difference keeps its relative precision
-    at any beta.  A term of t below _TINY is 1.
-    """
-    pairs, words, beta = _posterior_terms(counts, hyper, _variance_terms)
-    scale = beta * _LN2
-    return _per_table((_table_sum(pairs) - words.sum(axis=-1)) / (scale * scale))
+    beta: float  # the posterior's total mass beta = n + alpha_k
+    mean: float  # E[D[Q||P] + h_mu[Q]], bits per symbol
+    variance: float  # its posterior variance, bits^2 per symbol^2
+    hmu: float  # h_mu[Q], the entropy rate of Q
+    asymptotic: float  # hmu + A**k (A-1) / (2 beta ln 2)
+    q: WordConditional  # Q = r_from(posterior(counts, hyper))
 
 
-def asymptotic_energy(counts: CountTable, hyper: HyperTable) -> float:
-    """Large-beta expansion: h_mu[Q] + A**k (A-1) / (2 beta ln 2).
+def energy_moments(counts: CountTable, hyper: HyperTable) -> EnergyMoments:
+    """The posterior energy E = D[Q||P] + h_mu[Q], Q = r_from(posterior(counts, hyper)):
+    its mean and variance, the first two beta-derivatives of log Z at fixed Q, from one
+    polygamma pass over the posterior table t = n + alpha and its word totals t(w).
 
-    The remainder is O(1/beta^2); meaningful only for beta >> 1.
+    mean = (sum_w t(w) psi(t(w)) - sum_(w,s) t(w,s) psi(t(w,s))) / (beta ln 2), and
+    variance = (sum_(w,s) t^2 psi'(t) - sum_w t(w)^2 psi'(t(w))) / (beta ln 2)^2.  Both
+    variance sums carry the same leading term sum t^2 / t = beta, so each trigamma is
+    taken without its 1/t and the difference keeps its relative precision at any beta.
+    A term of t below _TINY takes its limit.  `asymptotic` is the large-beta expansion
+    hmu + A**k (A-1) / (2 beta ln 2), whose remainder is O(1/beta^2): meaningful only
+    for beta >> 1.
     """
     post = posterior(counts, hyper)
+    (mean_pairs, mean_words), (var_pairs, var_words) = _posterior_terms(counts, hyper, post)
+    beta = post.total
+    scale = beta * _LN2
+    mean = (mean_words.sum(axis=-1) - _table_sum(mean_pairs)) / scale
+    variance = (_table_sum(var_pairs) - var_words.sum(axis=-1)) / (scale * scale)
+    q = r_from(post)
+    hmu = hmu_of(q)
     A = post.alphabet.size
-    correction = A**post.order * (A - 1) / (2.0 * post.total * _LN2)
-    return hmu_of(r_from(post)) + correction
+    asymptotic = hmu + A**post.order * (A - 1) / (2.0 * beta * _LN2)
+    return EnergyMoments(beta, _per_table(mean), _per_table(variance), hmu, asymptotic, q)
 
 
 def weighted_energy(op: OrderPosterior, energies: dict[int, float]) -> float:

@@ -92,35 +92,6 @@ _DIGAMMA_TAIL = (
     1.0 / 12.0,
 )
 
-
-def _shifted_series(x, name, shift_term, tail_coefs):
-    """The polygammas' common work on x > 0: push z past 6 by the upward
-    recurrence, summing shift_term(z) over the skipped arguments into acc,
-    then evaluate the asymptotic tail series in 1/z^2.  Returns z, 1/z^2,
-    acc and the tail."""
-    arr = _as_positive(x, name)
-    z = arr.copy() if arr.ndim else np.array(arr, dtype=float)
-    acc = np.zeros_like(z)
-    for _ in range(6):  # z >= 6 after at most six shifts for any z > 0
-        low = z < 6.0
-        if not np.any(low):
-            break
-        acc = np.where(low, acc + shift_term(z), acc)
-        z = np.where(low, z + 1.0, z)
-    inv2 = 1.0 / (z * z)
-    tail = np.zeros_like(z)
-    for c in reversed(tail_coefs):
-        tail = (tail + c) * inv2
-    return z, inv2, acc, tail
-
-
-def digamma(x):
-    """First derivative of log Gamma for x > 0."""
-    z, _, acc, tail = _shifted_series(x, "digamma", lambda z: -1.0 / z, _DIGAMMA_TAIL)
-    out = acc + np.log(z) - 0.5 / z - tail
-    return _per_table(out)
-
-
 # B_{2n} coefficients for the trigamma asymptotic series.
 _TRIGAMMA_TAIL = (
     1.0 / 6.0,
@@ -133,15 +104,44 @@ _TRIGAMMA_TAIL = (
 )
 
 
+def _shifted_series(x, name):
+    """digamma(x) and trigamma(x) - 1/x for x > 0, from one pass: push z past 6
+    by the upward recurrence, summing each polygamma's shift terms over the
+    skipped arguments, then evaluate both asymptotic tail series in 1/z^2.
+    The 1/x cancels against the trigamma series' leading 1/z (exactly, when x
+    needs no shift), so the remainder keeps its relative precision at large x,
+    and two sums of t^2 trigamma(t) over tables of equal total can drop their
+    1/t parts in the algebra.  Below about 7.5e-155, where trigamma exceeds the
+    largest float, its shift term overflows to inf quietly, so that digamma
+    warns only where its own terms overflow."""
+    arr = _as_positive(x, name)
+    z = arr.copy() if arr.ndim else np.array(arr, dtype=float)
+    acc_psi, acc_tri = np.zeros_like(z), np.zeros_like(z)
+    for _ in range(6):  # z >= 6 after at most six shifts for any z > 0
+        low = z < 6.0
+        if not np.any(low):
+            break
+        acc_psi = np.where(low, acc_psi - 1.0 / z, acc_psi)
+        with np.errstate(over="ignore", divide="ignore"):  # see the docstring
+            acc_tri = np.where(low, acc_tri + 1.0 / (z * z), acc_tri)
+        z = np.where(low, z + 1.0, z)
+    inv2 = 1.0 / (z * z)
+    tail_psi, tail_tri = np.zeros_like(z), np.zeros_like(z)
+    for c_psi, c_tri in zip(reversed(_DIGAMMA_TAIL), reversed(_TRIGAMMA_TAIL)):
+        tail_psi = (tail_psi + c_psi) * inv2
+        tail_tri = (tail_tri + c_tri) * inv2
+    return (acc_psi + np.log(z) - 0.5 / z - tail_psi,
+            acc_tri + (1.0 / z - 1.0 / arr) + 0.5 * inv2 + tail_tri / z)
+
+
+def digamma(x):
+    """First derivative of log Gamma for x > 0."""
+    return _per_table(_shifted_series(x, "digamma")[0])
+
+
 def _trigamma_remainder(x):
-    """trigamma(x) - 1/x for x > 0.  The 1/x cancels against the series'
-    leading 1/z (exactly, when x needs no shift), so the remainder keeps its
-    relative precision at large x, and two sums of t^2 trigamma(t) over
-    tables of equal total can drop their 1/t parts in the algebra."""
-    z, inv2, acc, tail = _shifted_series(x, "trigamma", lambda z: 1.0 / (z * z),
-                                         _TRIGAMMA_TAIL)
-    out = acc + (1.0 / z - 1.0 / np.asarray(x, dtype=float)) + 0.5 * inv2 + tail / z
-    return _per_table(out)
+    """trigamma(x) - 1/x for x > 0 (see _shifted_series)."""
+    return _per_table(_shifted_series(x, "trigamma")[1])
 
 
 def trigamma(x):

@@ -16,14 +16,13 @@ from bayesmc import (
     CountTable,
     SNS_ENTROPY_RATE,
     SymbolSequence,
-    asymptotic_energy,
     average_counts,
     compare_penalized,
     compare_uniform,
     count_words,
     digamma,
+    energy_moments,
     even_process,
-    expected_energy,
     golden_mean,
     hmu_of,
     inv_reg_inc_beta,
@@ -199,10 +198,10 @@ def test_05_even_process_parity_signature(capsys):
 def test_06_entropy_convergence_first_source(capsys):
     gm = golden_mean()
     h1 = uniform_hyper(1, BINARY, 1.0)
-    e4 = expected_energy(average_counts(gm, 10_000, 1), h1)
+    e4 = energy_moments(average_counts(gm, 10_000, 1), h1).mean
     close = abs(e4 - 2.0 / 3.0) < 0.01
     tail = [
-        expected_energy(average_counts(gm, N, 1), h1)
+        energy_moments(average_counts(gm, N, 1), h1).mean
         for N in sorted({int(v) for v in np.logspace(3, 5, 21)})
     ]
     monotone = all(b < a for a, b in zip(tail, tail[1:]))
@@ -217,8 +216,8 @@ def test_07_large_beta_remainder_scaling(capsys):
     scaled = []
     for beta in (1e3, 1e4, 1e5):
         counts = average_counts(chain, beta - 4.0 + 1.0, 1)
-        gap = expected_energy(counts, h1) - asymptotic_energy(counts, h1)
-        scaled.append(abs(gap) * posterior(counts, h1).total**2)
+        m = energy_moments(counts, h1)
+        scaled.append(abs(m.mean - m.asymptotic) * m.beta**2)
     ratios = [a / b for a, b in zip(scaled, scaled[1:])]
     ok = all(0.5 <= r <= 2.0 for r in ratios)
     report(capsys, f"07 remainder ~ 1/beta^2 (decade ratios {ratios[0]:.2f}, "
@@ -228,7 +227,7 @@ def test_07_large_beta_remainder_scaling(capsys):
 def test_08_nondeterministic_source_entropy(capsys):
     start = time.monotonic()
     source = sns()
-    e = expected_energy(average_counts(source, 100_000, 4), uniform_hyper(4, BINARY, 1.0))
+    e = energy_moments(average_counts(source, 100_000, 4), uniform_hyper(4, BINARY, 1.0)).mean
     gap = abs(e - SNS_ENTROPY_RATE)
     # independent oracle: exact conditional entropy of the best order-4 chain
     h4 = hmu_of(markov_approximation(source, 4))
@@ -239,8 +238,8 @@ def test_08_nondeterministic_source_entropy(capsys):
 
 
 def test_09a_even_process_low_order_bias(capsys):
-    excess = expected_energy(average_counts(even_process(), 100_000, 6),
-                             uniform_hyper(6, BINARY, 1.0)) - 2.0 / 3.0
+    excess = energy_moments(average_counts(even_process(), 100_000, 6),
+                            uniform_hyper(6, BINARY, 1.0)).mean - 2.0 / 3.0
     ok = excess > 0.005
     report(capsys, f"09a even-block source k=6 bias {excess:.4f} > 0.005", ok)
 
@@ -254,7 +253,7 @@ def test_09b_even_process_high_order_convergence(capsys):
     bias_ok = abs(hmu_of(markov_approximation(ev, 10)) - 2.0 / 3.0 - bias) < 1e-12
     h10 = uniform_hyper(10, BINARY, 1.0)
     ns = (1_000_000, 2_000_000, 4_000_000)
-    gaps = [expected_energy(average_counts(ev, N, 10), h10) - 2.0 / 3.0 for N in ns]
+    gaps = [energy_moments(average_counts(ev, N, 10), h10).mean - 2.0 / 3.0 for N in ns]
     rest = [g - bias for g in gaps]
     ratios = [a / b for a, b in zip(rest, rest[1:])]
     ok = bias_ok and all(r > 0 for r in rest) \

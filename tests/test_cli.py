@@ -320,6 +320,28 @@ class TestChunks:
             # as many points as the entry cap allows, whatever --jobs says
             assert G == min(length, max(1, 2**16 // top))
 
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_entropy_rate_once_per_order_and_chunk(self, size, tmp_path, monkeypatch):
+        # h_mu feeds both hmu_Q_bits and asymptotic_bits: one evaluation per order and
+        # chunk (a file has no true rate, which would take one more)
+        seq = tmp_path / "seq.txt"
+        seq.write_text(_golden_sequence(1000) + "\n")
+        rate_bits, calls = bayesmc.entropy._rate_bits, []
+
+        def counted(weights, cond):
+            calls.append(np.shape(cond))
+            return rate_bits(weights, cond)
+
+        monkeypatch.setattr(bayesmc.entropy, "_rate_bits", counted)
+        monkeypatch.setattr(bayesmc.cli, "CHUNK_ENTRIES", size * 3**4)
+        assert run_cli(["entropy", "--input", str(seq), "--n-start", "100", "--n-step", "100",
+                        "--n-stop", "1000", "--k-max", "3", "--out", str(tmp_path)]) == 0
+        chunks = -(-10 // size)
+        assert len(calls) == 3 * chunks
+        assert sorted(shape[0] for shape in calls) == sorted(
+            len(c) for c in bayesmc.cli._chunks(_sweep_of(3, 3, tuple(range(100, 1001, 100)),
+                                                          1)) for _ in range(3))
+
     def test_figures_sweep_in_one_chunk(self):
         for command, source, recipe in bayesmc.cli.FIGURE_RECIPES.values():
             grid = recipe["n_grid"]

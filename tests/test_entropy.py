@@ -12,17 +12,16 @@ from bayesmc import (
     Alphabet,
     CountTable,
     HyperTable,
-    asymptotic_energy,
     average_counts,
     compare_uniform,
     confidence_region,
     count_words,
-    energy_variance,
+    energy_moments,
     entropy,
     even_process,
-    expected_energy,
     golden_mean,
     hmu_of,
+    hyper_from_fake_counts,
     kl_of,
     log_evidence,
     marginal,
@@ -173,16 +172,16 @@ class TestExpectedEnergy:
     def test_prior_only_binary_k1(self):
         # beta=4, flat Q: (1/ln2)(psi(2) - psi(1)) = 1/ln2
         counts = CountTable(1, BINARY, np.zeros((2, 2)))
-        assert expected_energy(counts, FLAT1) == pytest.approx(1.0 / LN2, abs=1e-12)
+        assert energy_moments(counts, FLAT1).mean == pytest.approx(1.0 / LN2, abs=1e-12)
 
     def test_matches_mpmath(self):
         for N in (50, 500, 5000):
-            assert expected_energy(*data_at(N)) == pytest.approx(mp_energy(post_at(N)),
-                                                                 abs=1e-11)
+            assert energy_moments(*data_at(N)).mean == pytest.approx(mp_energy(post_at(N)),
+                                                                     abs=1e-11)
         for N in (1e4, 1e6, 1e8):  # no cancellation: the mean stays at 1e-14
             data = data_at(N, hmm=even_process(), k=2)
-            assert expected_energy(*data) == pytest.approx(mp_energy(posterior(*data)),
-                                                           rel=1e-14, abs=0.0)
+            assert energy_moments(*data).mean == pytest.approx(mp_energy(posterior(*data)),
+                                                               rel=1e-14, abs=0.0)
 
     def test_matches_finite_difference_of_log_partition(self):
         # d(-log Z)/d(beta) at fixed Q equals the energy in nats; scale the
@@ -200,15 +199,15 @@ class TestExpectedEnergy:
 
         beta = t.sum()
         fd = (neg_logz(1.0 + h) - neg_logz(1.0 - h)) / (2.0 * h * beta)
-        assert expected_energy(counts, hyper) == pytest.approx(fd / LN2, abs=1e-6)
+        assert energy_moments(counts, hyper).mean == pytest.approx(fd / LN2, abs=1e-6)
 
     def test_exceeds_entropy_rate(self):
         # energy = KL + entropy rate, and KL >= 0
         for N in (30, 300, 3000):
-            assert expected_energy(*data_at(N)) >= hmu_of(r_from(post_at(N))) - 1e-12
+            assert energy_moments(*data_at(N)).mean >= hmu_of(r_from(post_at(N))) - 1e-12
 
     def test_decreases_toward_truth(self):
-        es = [expected_energy(*data_at(N)) for N in (100, 1000, 10_000, 100_000)]
+        es = [energy_moments(*data_at(N)).mean for N in (100, 1000, 10_000, 100_000)]
         assert all(b < a for a, b in zip(es, es[1:]))
         assert es[-1] == pytest.approx(2.0 / 3.0, abs=2e-4)
 
@@ -228,7 +227,7 @@ class TestEnergyVariance:
         # word part 2 (1/2)^2 psi'(2) = pi^2/12 - 1/2, in nats^2
         counts = CountTable(1, BINARY, np.zeros((2, 2)))
         ref = (0.5 - math.pi**2 / 24.0) / LN2**2
-        assert energy_variance(counts, FLAT1) == pytest.approx(ref, abs=1e-12)
+        assert energy_moments(counts, FLAT1).variance == pytest.approx(ref, abs=1e-12)
 
     def test_matches_mpmath(self):
         # The pair and word sums share their leading 1/t parts, which cancel
@@ -236,11 +235,11 @@ class TestEnergyVariance:
         for hmm, k in itertools.product((even_process(), sns(), golden_mean()), (1, 2, 4)):
             for N in (700, 1e4, 1e6, 1e8, 1e10, 1e12):
                 data = data_at(N, hmm=hmm, k=k)
-                assert energy_variance(*data) == pytest.approx(
+                assert energy_moments(*data).variance == pytest.approx(
                     mp_variance(posterior(*data)), rel=1e-12, abs=0.0), (hmm.name, k, N)
 
     def test_positive_and_shrinks(self):
-        vs = [energy_variance(*data_at(N)) for N in (100, 1000, 10_000)]
+        vs = [energy_moments(*data_at(N)).variance for N in (100, 1000, 10_000)]
         assert all(v > 0 for v in vs)
         assert vs[0] > vs[1] > vs[2]
 
@@ -287,9 +286,10 @@ class TestPosteriorMonteCarlo:
         joint = q.word_probs[:, None] * q.cond_probs
         energy = -np.sum(joint * np.log2(draws), axis=(1, 2))
         mean_se = energy.std(ddof=1) / math.sqrt(MC_DRAWS)
-        assert abs(energy.mean() - expected_energy(counts, hyper)) < MC_Z * mean_se
+        moments = energy_moments(counts, hyper)
+        assert abs(energy.mean() - moments.mean) < MC_Z * mean_se
         var, var_se = sample_variance_se(energy)
-        assert abs(var - energy_variance(counts, hyper)) < MC_Z * var_se
+        assert abs(var - moments.variance) < MC_Z * var_se
 
     def test_posterior_moments(self, case):
         _, _, post, draws = mc_draws(case)
@@ -308,81 +308,104 @@ class TestPosteriorMonteCarlo:
             assert abs(inside - mass) < MC_Z * math.sqrt(mass * (1.0 - mass) / MC_DRAWS)
 
 
-def _sparse_case(seed, G=None):
+#: The priors of _sparse_case: alpha log-uniform per entry, one alpha for all entries,
+#: and fake counts + 1.
+PRIORS = ("random", "uniform", "fake_counts")
+
+
+def _sparse_case(seed, G=None, prior="random"):
     """(counts, hyper) at order 3 over 3 symbols: counts up to 1e6 with most
-    entries and some whole words zero, one table or a stack of G, and alpha
-    log-uniform in [1e-3, 1e7]."""
+    entries and some whole words zero, one table or a stack of G; alpha
+    log-uniform in [1e-3, 1e7], per entry or (uniform) one for all, or fake
+    counts 0-2 plus 1."""
     rng = np.random.default_rng(seed)
     shape = (27, 3) if G is None else (G, 27, 3)
     counts = np.floor(10.0 ** rng.uniform(0, 6, size=shape))
     counts[rng.random(shape) < 0.7] = 0.0
     counts[..., :5, :] = 0.0
     alphabet = Alphabet(("a", "b", "c"))
-    return (CountTable(3, alphabet, counts),
-            HyperTable(3, alphabet, 10.0 ** rng.uniform(-3, 7, size=(27, 3))))
+    hyper = {"random": lambda: HyperTable(3, alphabet, 10.0 ** rng.uniform(-3, 7, size=(27, 3))),
+             "uniform": lambda: uniform_hyper(3, alphabet, 10.0 ** rng.uniform(-3, 7)),
+             "fake_counts": lambda: hyper_from_fake_counts(
+                 CountTable(3, alphabet, np.floor(rng.uniform(0, 3, size=(27, 3)))))}[prior]()
+    return CountTable(3, alphabet, counts), hyper
 
 
 def _hexes(values):
     return [float(v).hex() for v in np.atleast_1d(values)]
 
 
-def _dense(kernel, counts, hyper):
-    """An energy moment with its terms evaluated on every entry and word."""
+def _dense(counts, hyper):
+    """energy_moments with the polygamma terms evaluated on every entry and word,
+    and h_mu by the hmu_of(r_from(posterior)) route."""
     post = posterior(counts, hyper)
-    terms = entropy._mean_terms if kernel is expected_energy else entropy._variance_terms
-    pairs, words = _table_sum(terms(post.table)), terms(post.word_totals).sum(axis=-1)
+    (mean_pairs, var_pairs), (mean_words, var_words) = map(entropy._moment_terms,
+                                                           (post.table, post.word_totals))
     scale = post.total * LN2
-    if kernel is expected_energy:
-        return (words - pairs) / scale
-    return (pairs - words) / (scale * scale)
+    q = r_from(post)
+    hmu = hmu_of(q)
+    A = post.alphabet.size
+    return entropy.EnergyMoments(
+        beta=post.total, mean=(mean_words.sum(axis=-1) - _table_sum(mean_pairs)) / scale,
+        variance=(_table_sum(var_pairs) - var_words.sum(axis=-1)) / (scale * scale),
+        hmu=hmu, asymptotic=hmu + A**post.order * (A - 1) / (2.0 * post.total * LN2), q=q)
+
+
+def _moment_hexes(moments):
+    """Each field of an EnergyMoments by hex, Q's arrays included."""
+    return {"q": (_hexes(moments.q.word_probs.ravel()), _hexes(moments.q.cond_probs.ravel())),
+            **{f: _hexes(getattr(moments, f))
+               for f in ("beta", "mean", "variance", "hmu", "asymptotic")}}
 
 
 class TestObservedEntries:
-    """The energy moments run their polygammas on observed entries and words
-    only, and take every other term from the prior's, computed once per
-    hyper table."""
+    """energy_moments runs one polygamma pass on observed entries and words
+    only, and takes every other term from the prior's, computed once per hyper
+    table on its distinct values."""
 
-    @pytest.mark.parametrize("kernel, polygamma", [(expected_energy, "digamma"),
-                                                   (energy_variance, "_trigamma_remainder")])
-    def test_polygammas_see_observed_entries_and_prior_once(self, kernel, polygamma,
-                                                            monkeypatch):
-        sizes, evaluate = [], getattr(entropy, polygamma)
+    @pytest.mark.parametrize("prior", PRIORS)
+    def test_polygammas_see_observed_entries_and_prior_once(self, prior, monkeypatch):
+        sizes, evaluate = [], entropy._shifted_series
 
-        def recorded(x):
+        def recorded(x, name):
             sizes.append(np.size(x))
-            return evaluate(x)
+            return evaluate(x, name)
 
-        monkeypatch.setattr(entropy, polygamma, recorded)
-        counts, hyper = _sparse_case(1)
+        monkeypatch.setattr(entropy, "_shifted_series", recorded)
+        counts, hyper = _sparse_case(1, prior=prior)
         stack, _ = _sparse_case(2, G=4)
 
         def observed(data):
             return np.count_nonzero(data.table) + np.count_nonzero(data.word_totals)
 
-        # the observed entries and words, the first time with the prior's 27 words, and
-        # then in a call of their own its 81 entries
+        distinct = np.unique(hyper.table).size + np.unique(hyper.word_totals).size
+        # the observed entries and words, the first time with the prior's distinct
+        # entries and word totals
         for data, first in ((counts, True), (stack, False), (counts, False)):
             sizes.clear()
-            kernel(data, hyper)
-            assert sizes == ([observed(data) + 27, 81] if first else [observed(data)])
+            energy_moments(data, hyper)
+            assert sizes == [observed(data) + distinct if first else observed(data)]
         assert 0 < observed(counts) < 81 + 27
+        assert distinct == 2 if prior == "uniform" else distinct > 2
 
-    @pytest.mark.parametrize("kernel", [expected_energy, energy_variance])
     @pytest.mark.parametrize("G", [None, 1, 5])
-    def test_equal_to_dense_terms_memo_or_not(self, kernel, G):
-        for seed in range(20):
-            counts, hyper = _sparse_case(seed, G)
-            fresh = _hexes(kernel(counts, hyper))
+    def test_equal_to_dense_terms_memo_or_not(self, G):
+        for seed, prior in itertools.product(range(20), PRIORS):
+            counts, hyper = _sparse_case(seed, G, prior)
+            fresh = _moment_hexes(energy_moments(counts, hyper))
+            assert _moment_hexes(energy_moments(counts, hyper)) == fresh
             again = HyperTable(hyper.order, hyper.alphabet, hyper.table)
-            kernel(_sparse_case(seed + 100, G)[0], again)  # the memo is filled elsewhere
-            assert _hexes(kernel(counts, again)) == fresh
-            assert _hexes(_dense(kernel, counts, hyper)) == fresh
+            energy_moments(_sparse_case(seed + 100, G)[0], again)  # the memo is filled elsewhere
+            assert _moment_hexes(energy_moments(counts, again)) == fresh
+            assert _moment_hexes(_dense(counts, hyper)) == fresh
 
     def test_memo_does_not_keep_table_alive(self):
         counts, hyper = _sparse_case(3)
-        expected_energy(counts, hyper)
-        energy_variance(counts, hyper)
-        assert len(entropy._PRIOR_TERMS[hyper]) == 2
+        energy_moments(counts, hyper)
+        entry = entropy._PRIOR_TERMS[hyper]
+        energy_moments(_sparse_case(4)[0], hyper)
+        assert entropy._PRIOR_TERMS[hyper] is entry  # one entry, filled once
+        assert [[a.shape for a in pair] for pair in entry] == [[(27, 3), (27,)]] * 2
         table = weakref.ref(hyper)
         del hyper
         gc.collect()
@@ -393,14 +416,15 @@ class TestAsymptotic:
     def test_formula(self):
         post = post_at(1000, k=2)
         expected = hmu_of(r_from(post)) + 4.0 / (2.0 * post.total * LN2)
-        assert asymptotic_energy(*data_at(1000, k=2)) == pytest.approx(expected, abs=1e-14)
+        assert energy_moments(*data_at(1000, k=2)).asymptotic == pytest.approx(expected,
+                                                                               abs=1e-14)
 
     def test_close_to_exact_full_support(self):
         chain = biased_chain()
         for N in (1000, 10_000):
             counts = average_counts(chain, N, 1)
-            gap = abs(expected_energy(counts, FLAT1) - asymptotic_energy(counts, FLAT1))
-            assert gap < 2.0 / posterior(counts, FLAT1).total**2
+            moments = energy_moments(counts, FLAT1)
+            assert abs(moments.mean - moments.asymptotic) < 2.0 / moments.beta**2
 
 
 class TestPartitionAndMixing:

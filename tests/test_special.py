@@ -124,6 +124,12 @@ class TestDigamma:
         with pytest.raises(NumericDomainError):
             digamma(0.0)
 
+    def test_tiny_argument_quiet(self):
+        # digamma shares its shift loop with trigamma, whose 1/z^2 overflows
+        # below about 7.5e-155; digamma's own -1/z does not, and must not warn
+        for x in (1e-160, 1e-200, 1e-300):
+            assert digamma(x) == pytest.approx(-1.0 / x, rel=1e-15)
+
 
 class TestTrigamma:
     def test_at_one_is_pi_squared_over_six(self):

@@ -15,9 +15,7 @@ from bayesmc import (
     CountTable,
     HyperTable,
     WordConditional,
-    asymptotic_energy,
-    energy_variance,
-    expected_energy,
+    energy_moments,
     hmu_of,
     kl_of,
     log_evidence,
@@ -63,18 +61,18 @@ STACK_PARAMS = st.tuples(st.integers(2, 4), st.integers(1, 3), st.integers(1, 6)
 class TestStackEqualsTables:
     @settings(max_examples=150, deadline=None)
     @given(STACK_PARAMS)
-    # here float ** 2 and numpy's x * x square beta ln 2 an ulp apart, so
-    # energy_variance must square a lone table's and a stack's the same way
+    # here float ** 2 and numpy's x * x square beta ln 2 an ulp apart, so the
+    # energy variance must square a lone table's and a stack's the same way
     @example((3, 1, 2, 15459418, False))
     def test_kernels_bit_for_bit(self, params):
         counts, hyper, cond = _stack_case(*params)
         tables = [CountTable(counts.order, counts.alphabet, t) for t in counts.table]
-        for kernel in (expected_energy, energy_variance, asymptotic_energy, log_evidence,
-                       lambda c, h: hmu_of(r_from(posterior(c, h))),
+        moments = [lambda c, h, f=f: getattr(energy_moments(c, h), f)
+                   for f in ("beta", "mean", "variance", "hmu", "asymptotic")]
+        for kernel in (*moments, log_evidence, lambda c, h: hmu_of(r_from(posterior(c, h))),
                        lambda c, h: posterior(c, h).total):
             assert _hexes(kernel(counts, hyper)) == [kernel(t, hyper).hex() for t in tables]
-        post = posterior(counts, hyper)
-        q = r_from(post)
+        q = energy_moments(counts, hyper).q
         rows = [kl_of(WordConditional(q.order, q.alphabet, w, c), cond)
                 for w, c in zip(q.word_probs, q.cond_probs)]
         assert _hexes(rows) == [kl_of(r_from(posterior(t, hyper)), cond).hex() for t in tables]
@@ -95,16 +93,18 @@ class TestStackEqualsTables:
         counts = CountTable(1, BINARY, [[3.0, 1.0], [2.0, 4.0]])
         hyper = HyperTable(1, BINARY, np.ones((2, 2)))
         post = posterior(counts, hyper)
-        for value in (log_evidence(counts, hyper), expected_energy(counts, hyper),
-                      energy_variance(counts, hyper), asymptotic_energy(counts, hyper),
-                      hmu_of(r_from(post)), post.total, counts.total):
+        m = energy_moments(counts, hyper)
+        for value in (log_evidence(counts, hyper), m.beta, m.mean, m.variance, m.hmu,
+                      m.asymptotic, hmu_of(r_from(post)), post.total, counts.total):
             assert type(value) is float
 
     def test_stack_of_one_gives_one_value(self):
         counts = CountTable(1, BINARY, [[[3.0, 1.0], [2.0, 4.0]]])
         hyper = HyperTable(1, BINARY, np.ones((2, 2)))
         assert log_evidence(counts, hyper).shape == (1,)
-        assert expected_energy(counts, hyper).shape == (1,)
+        m = energy_moments(counts, hyper)
+        for value in (m.beta, m.mean, m.variance, m.hmu, m.asymptotic):
+            assert value.shape == (1,)
 
 
 class TestStackShapes:
