@@ -260,13 +260,12 @@ def cmd_infer(cfg: argparse.Namespace) -> None:
 
 
 def _compare_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
-    stacked = {k: inference.log_evidence(counts, hyper).tolist() for k, counts, hyper in orders}
-    for g, N in enumerate(chunk):
-        evidences = {k: values[g] for k, values in stacked.items()}
-        uni = comparison.compare_uniform(evidences)
-        pen = comparison.compare_penalized(evidences, sweep.alphabet.size)
-        yield "compare.csv", [N, list(evidences), list(evidences.values()),
-                              uni.probabilities.tolist(), pen.probabilities.tolist()]
+    evidences = {k: inference.log_evidence(counts, hyper) for k, counts, hyper in orders}
+    uni = comparison.compare_uniform(evidences)
+    pen = comparison.compare_penalized(evidences, sweep.alphabet.size)
+    for N, *columns in zip(chunk, uni.log_evidence.tolist(), uni.probabilities.tolist(),
+                           pen.probabilities.tolist()):
+        yield "compare.csv", [N, list(uni.orders), *columns]
 
 
 def cmd_compare(cfg: argparse.Namespace) -> None:
@@ -333,14 +332,14 @@ _COMMANDS = {"infer": cmd_infer, "compare": cmd_compare, "entropy": cmd_entropy,
              "simulate": cmd_simulate, "reproduce": cmd_reproduce}
 
 
+@functools.lru_cache(maxsize=1)  # one per process, built by the first main()
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bayesmc")
     # Every option's default, read also by the subcommands that do not accept it.
     parser.set_defaults(source=None, input=None, csv_column=None, mode="average", k_min=1,
                         k_max=1, n_start=1000, n_stop=None, n_step=5, alpha=None,
-                        fake_counts=None, confidence=0.95, seed=None,
-                        out=os.environ.get(OUT_DIR_ENV, "."), format="csv",
-                        jobs=1, density_points=512)
+                        fake_counts=None, confidence=0.95, seed=None, out=None,
+                        format="csv", jobs=1, density_points=512)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("infer", "compare", "entropy", "simulate", "reproduce"):
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
@@ -370,7 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from(args: argparse.Namespace) -> argparse.Namespace:
     """Check every rule that reads only the command line, then complete it as
-    the run's config: the N grid, the default --alpha and --out as a Path."""
+    the run's config: the N grid, the default --alpha and --out as a Path,
+    by default $BAYESMC_OUT or the working directory."""
     if args.k_min < 1 or args.k_max < args.k_min:
         raise ConfigError(f"invalid order range [{args.k_min}, {args.k_max}]")
     stop = args.n_stop if args.n_stop is not None else args.n_start
@@ -406,7 +406,7 @@ def _config_from(args: argparse.Namespace) -> argparse.Namespace:
         raise ConfigError("a --source is required for this mode")
     args.n_grid = tuple(range(args.n_start, stop + 1, args.n_step))
     args.alpha = 1.0 if args.alpha is None else args.alpha
-    args.out = Path(args.out)
+    args.out = Path(args.out if args.out is not None else os.environ.get(OUT_DIR_ENV, "."))
     return args
 
 

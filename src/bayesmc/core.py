@@ -12,6 +12,7 @@ of G tables of one order, such as one per data size of a sweep.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,10 +174,13 @@ class _Table:
         self._check(arr)
         object.__setattr__(self, "table", _frozen(arr))
 
-    @property
+    @functools.cached_property
     def word_totals(self) -> np.ndarray:
-        """Each word's total over its next symbols: n(word) or alpha(word)."""
-        return _row_sum(self.table)
+        """Each word's total over its next symbols: n(word) or alpha(word),
+        added once per table and read-only."""
+        totals = _row_sum(self.table)
+        totals.flags.writeable = False  # fresh, so _frozen need not copy it
+        return _frozen(totals)
 
     @property
     def total(self):

@@ -635,6 +635,28 @@ class TestErrorHandling:
                         "--jobs", "1"]) == 0
         assert (tmp_path / "envout" / "entropy.csv").exists()
 
+    def test_env_out_dir_read_on_each_call(self, tmp_path, monkeypatch):
+        argv = ["compare", "--source", "even", "--n-start", "100"]
+        monkeypatch.delenv("BAYESMC_OUT", raising=False)
+        assert run_cli(argv + ["--out", str(tmp_path / "first")]) == 0
+        monkeypatch.setenv("BAYESMC_OUT", str(tmp_path / "later"))
+        assert run_cli(argv) == 0
+        assert (tmp_path / "later" / "compare.csv").exists()
+
+    def test_successive_calls_do_not_share_options(self, tmp_path):
+        argv = ["infer", "--source", "even", "--n-start", "100", "--density-points", "2"]
+        assert run_cli(argv + ["--alpha", "0.5", "--out", str(tmp_path / "a")]) == 0
+        assert run_cli(argv + ["--out", str(tmp_path / "b")]) == 0
+        assert {r["alpha"] for r in read_csv(tmp_path / "a" / "infer_summary.csv")} == {"0.5"}
+        assert {r["alpha"] for r in read_csv(tmp_path / "b" / "infer_summary.csv")} == {"1"}
+
+    def test_import_builds_no_parser(self):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import bayesmc.cli as cli; print(cli._build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, check=True)
+        assert out.stdout == "0\n"
+
     def test_entry_point_process(self, tmp_path):
         out = subprocess.run(
             [sys.executable, "-m", "bayesmc.cli", "entropy", "--source",

@@ -114,3 +114,24 @@ class TestOnGoldenMean:
         op = compare_penalized(evs, 2)
         assert map_order(op) == 1
         assert op.probability(4) < 1e-2
+
+
+class TestStack:
+    EVIDENCES = {1: [-10.0, -3.0, -5.0], 2: [-9.0, -3.0, -7.0]}
+
+    def test_lone_values_stay_scalars(self):
+        op = compare_uniform({k: v[0] for k, v in self.EVIDENCES.items()})
+        assert op.probabilities.shape == (2,)
+        assert type(op.probability(2)) is float
+        assert type(map_order(op)) is int and map_order(op) == 2
+
+    def test_one_value_per_table(self):
+        op = compare_uniform(self.EVIDENCES)
+        assert op.log_evidence.tolist() == [[-10.0, -9.0], [-3.0, -3.0], [-5.0, -7.0]]
+        np.testing.assert_allclose(op.probabilities.sum(axis=1), 1.0, atol=1e-15)
+        assert op.probability(1).shape == (3,)
+        assert map_order(op).tolist() == [2, 1, 1]  # the tie goes to the smallest k
+
+    def test_nan_has_no_map_order(self):
+        with pytest.raises(ValueError, match="nan"):
+            map_order(compare_uniform({1: [0.0, math.nan], 2: [0.0, -1.0]}))

@@ -19,6 +19,7 @@ from bayesmc import (
 )
 from bayesmc.core import (InvalidSymbolError, ShapeMismatchError, TableTooLargeError,
                           check_table_size)
+from bayesmc.special import _row_sum
 
 from util import window_count_oracle
 
@@ -216,6 +217,18 @@ class TestTableBase:
         assert not t.flags.writeable and t.flags.c_contiguous
         with pytest.raises(ValueError):
             t[0, 0] = 5.0
+
+    @pytest.mark.parametrize("kind", [CountTable, HyperTable])
+    @pytest.mark.parametrize("shape", [(9, 3), (4, 9, 3)])
+    def test_word_totals_added_once_read_only(self, kind, shape):
+        table = kind(2, TERNARY, np.random.default_rng(3).uniform(0.1, 1e6, size=shape))
+        totals = table.word_totals
+        assert table.word_totals is totals
+        assert not totals.flags.writeable
+        with pytest.raises(ValueError):
+            totals[..., 0] = 5.0
+        assert ([v.hex() for v in totals.ravel().tolist()]
+                == [v.hex() for v in _row_sum(table.table).ravel().tolist()])
 
 
 #: Each frozen type that holds an array: built from one array argument, an

@@ -1,9 +1,9 @@
 """A (G, A**k, A) stack of count or hyper tables against its tables one by one.
 
-The sweep computes each order's evidence and energy moments for a chunk of
-the N grid in one call on a stack; every value must equal the call on the
-lone table bit for bit, so that the CSV outputs do not depend on how the
-grid is chunked.
+The sweep computes each order's evidence and energy moments, and the order
+posteriors over them, for a chunk of the N grid in one call on a stack; every
+value must equal the call on the lone table bit for bit, so that the CSV
+outputs do not depend on how the grid is chunked.
 """
 
 import numpy as np
@@ -15,10 +15,14 @@ from bayesmc import (
     CountTable,
     HyperTable,
     WordConditional,
+    compare_penalized,
+    compare_uniform,
     energy_moments,
+    free_params,
     hmu_of,
     kl_of,
     log_evidence,
+    map_order,
     posterior,
     r_from,
     sample_posterior,
@@ -127,3 +131,39 @@ class TestStackShapes:
         counts = CountTable(1, BINARY, np.arange(12.0).reshape(3, 2, 2))
         assert counts.total.tolist() == [6.0, 22.0, 38.0]
         assert counts.word_totals.tolist() == [[1.0, 5.0], [9.0, 13.0], [17.0, 21.0]]
+
+
+def _order_case(G, K, seed):
+    """K orders drawn from 1..20, each mapped to G log evidences
+    from -1e6 to 0, a row's orders from 0.01 to 1e4 nats below its own level,
+    and about a third of them tied with the row's first order or at -1e6."""
+    rng = np.random.default_rng(seed)
+    values = -(10.0 ** rng.uniform(0, 6, size=(G, 1))) - 10.0 ** rng.uniform(-2, 4, size=(G, K))
+    ties = rng.random((G, K)) < 0.3
+    values[ties] = np.broadcast_to(values[:, :1], (G, K))[ties]
+    values = np.maximum(values, -1e6)
+    orders = rng.choice(np.arange(1, 21), size=K, replace=False).tolist()
+    return {k: values[:, i] for i, k in enumerate(orders)}
+
+
+class TestOrderPosteriorStack:
+    @settings(max_examples=150, deadline=None)
+    # K >= 8 orders reach numpy's pairwise sum
+    @given(st.integers(1, 6), st.integers(1, 16), st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_rows_equal_lone_calls(self, G, K, A, seed):
+        evidences = _order_case(G, K, seed)
+        for compare, penalty in ((compare_uniform, lambda k: 0),
+                                 (lambda e: compare_penalized(e, A), lambda k: free_params(k, A))):
+            stacked = compare(evidences)
+            assert stacked.probabilities.shape == stacked.log_evidence.shape == (G, K)
+            lones = [compare({k: float(v[g]) for k, v in evidences.items()}) for g in range(G)]
+            for row, lone in zip(stacked.probabilities, lones):
+                assert _hexes(row) == _hexes(lone.probabilities)
+                # a lone row: each order's exp, shifted by the row's maximum, over one np.sum
+                scores = lone.log_evidence - np.array([penalty(k) for k in lone.orders], float)
+                w = np.exp(scores - scores.max())
+                assert _hexes(lone.probabilities) == _hexes(w / w.sum())
+            for k in stacked.orders:
+                assert _hexes(stacked.probability(k)) == [lone.probability(k).hex()
+                                                          for lone in lones]
+            assert map_order(stacked).tolist() == [map_order(lone) for lone in lones]
