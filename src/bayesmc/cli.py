@@ -196,17 +196,26 @@ _FORMATS = {float: ("{:.12g}".format, lambda v: "null" if math.isinf(v) else jso
             int: (str, str), str: (str, json.dumps), type(None): (lambda v: "", lambda v: "null")}
 
 
-@functools.lru_cache(maxsize=2)  # one shared column, as CSV and as JSON
-def _shared_text(column: tuple, side: int) -> tuple:
-    return tuple(map(_FORMATS[type(column[0])][side], column))
+class _Shared(tuple):
+    """A float column that many blocks of one (N, k) table share (the density x grid, a
+    density row that equal marginals give): formatted once per side, the text kept on the
+    column as one joined string, so it lives as long as the blocks that hold the column."""
+
+    def __init__(self, values):
+        self.joined = {}  # side -> the cells' text, one line each
+
+    def cells(self, side: int) -> list[str]:
+        if side not in self.joined:
+            self.joined[side] = "\n".join(map(_FORMATS[float][side], self))
+        return self.joined[side].split("\n")
 
 
 def _text(block: list, side: int):
     """A block's rows as tuples of cell text, for the CSV (side 0) or the JSON mirror (1):
-    a column's formatter is picked by its first cell, and a single value formatted once.  A
-    tuple column is one that many blocks share (the density x grid): formatted once."""
+    a column's formatter is picked by its first cell, a single value formatted once, and a
+    _Shared column's text read from it."""
     rows = max(len(c) for c in block if isinstance(c, (list, tuple)))
-    return zip(*(_shared_text(c, side) if isinstance(c, tuple)
+    return zip(*(c.cells(side) if isinstance(c, _Shared)
                  else map(_FORMATS[type(c[0])][side], c) if isinstance(c, list)
                  else itertools.repeat(_FORMATS[type(c)][side](c), rows) for c in block))
 
@@ -214,9 +223,9 @@ def _text(block: list, side: int):
 def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> None:
     """Write each block of the sweep to its output CSV, and with --format json to the
     CSV's JSON mirror, as it arrives.  A block lists its file's columns in header order,
-    each a list, a tuple if blocks share it, or one value for all its rows: one block per
-    (N, k) of infer_summary, per (N, k, word, symbol) of infer_density, and per N, a row
-    per order, of compare and entropy.  A mirror reads as json.dumps(rows, indent=1)
+    each a list, a _Shared column if blocks share it, or one value for all its rows: one
+    block per (N, k) of infer_summary, per (N, k, word, symbol) of infer_density, and per N,
+    a row per order, of compare and entropy.  A mirror reads as json.dumps(rows, indent=1)
     would, infinities as null."""
     out = sweep.cfg.out
     out.mkdir(parents=True, exist_ok=True)
@@ -246,10 +255,13 @@ def _infer_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
             yield "infer_summary.csv", [N, k, *map(list, zip(*rows))]
             x, dens = inference.density_grid(inference.posterior(counts, hyper),
                                              sweep.cfg.density_points)
-            xs = tuple(x.tolist())
+            xs, shared = _Shared(x.tolist()), {}  # each bit-identical density row once
             for word, word_dens in zip(word_strings(k, sweep.alphabet), dens):
-                for symbol, entry_dens in zip(sweep.alphabet.symbols, word_dens.tolist()):
-                    yield "infer_density.csv", [N, k, word, symbol, xs, entry_dens]
+                for symbol, entry_dens in zip(sweep.alphabet.symbols, word_dens):
+                    key = entry_dens.tobytes()
+                    if key not in shared:
+                        shared[key] = _Shared(entry_dens.tolist())
+                    yield "infer_density.csv", [N, k, word, symbol, xs, shared[key]]
 
 
 def cmd_infer(cfg: argparse.Namespace) -> None:

@@ -106,14 +106,18 @@ def sample_posterior(post: HyperTable, seed) -> np.ndarray:
 def summary_rows(counts: CountTable, hyper: HyperTable, level: float = 0.95) -> list[tuple]:
     """Per-parameter posterior summaries of one table for CSV export, one tuple per
     (word, symbol) entry in code order: word, symbol, count, alpha, mean,
-    variance, ci_low, ci_high."""
+    variance, ci_low, ci_high.  The region is searched once per distinct
+    marginal (a, b) of the table: entries with an equal marginal share it."""
     post = posterior(counts, hyper)
     count, alpha = counts.table.tolist(), hyper.table.tolist()
     mean, var = posterior_mean(post).tolist(), posterior_variance(post).tolist()
-    rows = []
+    rows, regions = [], {}
     for w, word in enumerate(word_strings(post.order, post.alphabet)):
         for s, symbol in enumerate(post.alphabet.symbols):
-            region = confidence_region(marginal(post, w, s), level)
+            m = marginal(post, w, s)
+            if (m.a, m.b) not in regions:
+                regions[m.a, m.b] = confidence_region(m, level)
+            region = regions[m.a, m.b]
             rows.append((word, symbol, count[w][s], alpha[w][s], mean[w][s], var[w][s],
                          region.lower, region.upper))
     return rows

@@ -97,7 +97,8 @@ class TestInfer:
 
     def test_density_blocks_hold_one_entry(self, tmp_path):
         # a block is formatted whole, so the density file's blocks are one
-        # entry's --density-points rows each, whatever k is
+        # entry's --density-points rows each, whatever k is; a block's rows are
+        # those of its last column (ci_high, or density), a list or shared column
         argv = ["infer", "--source", "even", "--n-start", "100", "--n-stop", "300",
                 "--n-step", "100", "--k-max", "3", "--density-points", "16"]
         assert run_cli(argv + ["--out", str(tmp_path)]) == 0
@@ -106,7 +107,7 @@ class TestInfer:
         rows = {"infer_summary.csv": [], "infer_density.csv": []}
         for chunk, orders in sweep.points():
             for name, block in bayesmc.cli._infer_point(sweep, chunk, orders):
-                rows[name].append(max(len(c) for c in block if isinstance(c, list)))
+                rows[name].append(len(block[-1]))
         assert max(rows["infer_density.csv"]) <= 16
         for name, sizes in rows.items():
             assert sum(sizes) == len(read_csv(tmp_path / name))
@@ -128,6 +129,28 @@ class TestInfer:
                 tracemalloc.stop()
             assert len(read_csv(out / "infer_density.csv")) == 131_072
             assert peak < 2 * 2**20, f"--jobs {jobs}: peak {peak} B"
+
+    def test_repeated_calls_share_no_text(self, tmp_path, monkeypatch):
+        # equal density rows of a table are formatted once, and a second call in the
+        # same process formats them again: no text outlives its (N, k) table
+        formatted = []
+        csv_float, json_float = bayesmc.cli._FORMATS[float]
+        monkeypatch.setitem(bayesmc.cli._FORMATS, float, (
+            lambda v: formatted.append(v) or csv_float(v),
+            lambda v: formatted.append(v) or json_float(v)))
+        counts = []
+        for run in ("a", "b"):
+            formatted.clear()
+            assert run_cli(["infer", "--source", "even", "--n-start", "1000", "--k-max", "3",
+                            "--density-points", "8", "--format", "json",
+                            "--out", str(tmp_path / run)]) == 0
+            counts.append(len(formatted))
+        assert _digests(tmp_path / "a") == _digests(tmp_path / "b")
+        assert counts[0] == counts[1]
+        # fewer than the float cells of both sides: six per summary row, two per density row
+        summary, density = (read_csv(tmp_path / "a" / name)
+                            for name in ("infer_summary.csv", "infer_density.csv"))
+        assert counts[0] < 2 * (6 * len(summary) + 2 * len(density))
 
 
 class TestCompare:

@@ -26,7 +26,8 @@ from bayesmc import (
     uniform_hyper,
 )
 from bayesmc import average_counts
-from bayesmc.core import ShapeMismatchError
+import bayesmc.inference
+from bayesmc.core import ShapeMismatchError, hyper_from_fake_counts
 from bayesmc.inference import density_grid, region_mass, summary_rows
 
 from util import quad_evidence_binary, quad_evidence_binary_k1_tensor, random_tables
@@ -343,3 +344,49 @@ class TestExports:
         for w in range(4):
             for s in range(2):
                 np.testing.assert_array_equal(dens[w, s], marginal(post, w, s).pdf(x))
+
+
+@st.composite
+def tables_with_repeats(draw):
+    """A count table whose rows come from a pool of at most three, a zero row among
+    them, under one --alpha or under fake counts that differ by entry."""
+    A, k = draw(st.sampled_from((2, 3))), draw(st.integers(1, 2))
+    alphabet = Alphabet(tuple("012"[:A]))
+    pool = draw(st.lists(st.lists(st.integers(0, 6), min_size=A, max_size=A),
+                         min_size=1, max_size=2)) + [[0] * A]
+    rows = draw(st.lists(st.sampled_from(pool), min_size=A**k, max_size=A**k))
+    if draw(st.booleans()):
+        hyper = uniform_hyper(k, alphabet, draw(st.sampled_from((0.1, 0.5, 1.0, 3.0))))
+    else:
+        fake = draw(st.lists(st.sampled_from((0.0, 0.5, 3.0)), min_size=A**(k + 1),
+                             max_size=A**(k + 1)))
+        hyper = hyper_from_fake_counts(table(np.reshape(fake, (A**k, A)), k, alphabet))
+    return table(rows, k, alphabet), hyper
+
+
+class TestSharedRegions:
+    @settings(max_examples=60, deadline=None)
+    @given(tables_with_repeats(), st.sampled_from((0.5, 0.9, 0.95)))
+    def test_each_entry_gets_its_own_marginals_region(self, pair, level):
+        counts, hyper = pair
+        post, A = posterior(counts, hyper), counts.alphabet.size
+        for i, row in enumerate(summary_rows(counts, hyper, level)):
+            region = confidence_region(marginal(post, i // A, i % A), level)
+            assert (row[6].hex(), row[7].hex()) == (region.lower.hex(), region.upper.hex())
+
+    def test_one_search_pair_per_distinct_marginal(self, monkeypatch):
+        # even process at k = 4: 13 distinct marginals among 32 entries; a second
+        # call searches as often as the first, so nothing is kept between calls
+        searches = []
+        search = bayesmc.inference.inv_reg_inc_beta
+        monkeypatch.setattr(bayesmc.inference, "inv_reg_inc_beta",
+                            lambda m, p: searches.append(p) or search(m, p))
+        counts, hyper = average_counts(even_process(), 10_000, 4), uniform_hyper(4, BINARY, 1.0)
+        post = posterior(counts, hyper)
+        distinct = {(m.a, m.b) for m in (marginal(post, w, s) for w in range(16)
+                                         for s in range(2))}
+        assert len(distinct) == 13
+        for _ in range(2):
+            searches.clear()
+            assert len(summary_rows(counts, hyper)) == 32
+            assert len(searches) == 2 * len(distinct)
