@@ -24,6 +24,7 @@ from .core import (
 from .entropy import (
     WordConditional,
     energy_moments,
+    energy_moments_of,
     hmu_of,
     kl_of,
     r_from,
@@ -32,6 +33,7 @@ from .entropy import (
 from .inference import (
     confidence_region,
     log_evidence,
+    log_evidences,
     log_predictive,
     marginal,
     posterior,

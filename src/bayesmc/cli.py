@@ -38,7 +38,7 @@ OUT_DIR_ENV = "BAYESMC_OUT"
 MAX_ALPHA = 1e17
 
 #: A sweep maps its N grid in chunks of G >= 1 points whose top-order count tables hold at
-#: most this many entries together, so each order makes one kernel call per chunk.
+#: most this many entries together; all orders of a chunk share one kernel call.
 CHUNK_ENTRIES = 2**16
 
 
@@ -272,7 +272,8 @@ def cmd_infer(cfg: argparse.Namespace) -> None:
 
 
 def _compare_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
-    evidences = {k: inference.log_evidence(counts, hyper) for k, counts, hyper in orders}
+    values = inference.log_evidences((counts, hyper) for _, counts, hyper in orders)
+    evidences = {k: v for (k, _, _), v in zip(orders, values)}
     uni = comparison.compare_uniform(evidences)
     pen = comparison.compare_penalized(evidences, sweep.alphabet.size)
     for N, *columns in zip(chunk, uni.log_evidence.tolist(), uni.probabilities.tolist(),
@@ -287,8 +288,8 @@ def cmd_compare(cfg: argparse.Namespace) -> None:
 
 def _entropy_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
     per_order = []
-    for k, counts, hyper in orders:
-        m = entropy.energy_moments(counts, hyper)
+    moments = entropy.energy_moments_of((counts, hyper) for _, counts, hyper in orders)
+    for (k, _, _), m in zip(orders, moments):
         kl_bits = [None] * len(chunk)
         if k in sweep.approxes:
             kl_bits = [entropy.kl_of(entropy.WordConditional(k, sweep.alphabet, w, c),

@@ -159,7 +159,8 @@ def word_strings(k: int, alphabet: Alphabet) -> list[str]:
 class _Table:
     """A dense (A**k, A) table over (word, next symbol) pairs, or a
     (G, A**k, A) stack of G such tables, whose totals then have one value per
-    table.  A subclass names its `_kind` and checks its values in `_check`."""
+    table.  Every entry must be finite; a subclass names its `_kind` and checks
+    its other constraints in `_check`."""
 
     order: int
     alphabet: Alphabet
@@ -171,6 +172,8 @@ class _Table:
         if arr.ndim not in (2, 3) or arr.shape[-2:] != expected:
             raise ShapeMismatchError(f"{self._kind} table shape {arr.shape}, expected "
                                      f"{expected} or a stack (G, {expected[0]}, {expected[1]})")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{self._kind} table entries must be finite")
         self._check(arr)
         object.__setattr__(self, "table", _frozen(arr))
 

@@ -11,7 +11,9 @@ quantities are in bits.  The polygammas run only on observed entries and
 words: an unobserved one takes the prior's own term, computed once per hyper
 table on its distinct values.  energy_moments, r_from and hmu_of also take a
 (G, A**k, A) stack of count or posterior tables and return one value per
-table, each equal to its table's own bit for bit.
+table, each equal to its table's own bit for bit.  energy_moments_of takes a
+list of (counts, hyper) pairs, of any orders and stack sizes, and runs one
+polygamma pass over all of them; energy_moments is the one-pair case.
 """
 
 from __future__ import annotations
@@ -107,37 +109,42 @@ def _moment_terms(t):
 _PRIOR_TERMS = weakref.WeakKeyDictionary()
 
 
-def _posterior_terms(counts: CountTable, hyper: HyperTable, post: HyperTable):
-    """_moment_terms of the posterior table t = n + alpha and of its word totals t(w), as
-    the (entries, words) pair of each moment.  They run in one call on the observed
-    entries and words, where n or n(w) is nonzero; the first time for each hyper table
-    that call also takes the table's distinct entries and distinct word totals, whose
-    terms are gathered into full tables and kept.  Elsewhere t is alpha exactly, and t(w)
-    is alpha(w), being added up in the same order, so those take the prior's terms.  The
-    arrays therefore equal _moment_terms(t) and _moment_terms(t(w)) bit for bit."""
-    t, t_words = post.table, post.word_totals
-    seen = np.broadcast_to(counts.table > 0, t.shape)
-    seen_words = np.broadcast_to(counts.word_totals > 0, t_words.shape)
-    parts = [t[seen], t_words[seen_words]]
-    prior = _PRIOR_TERMS.get(hyper)
-    if prior is None:
-        alpha, alpha_words = hyper.table, hyper.word_totals
-        (distinct, at_entry), (distinct_words, at_word) = (np.unique(a, return_inverse=True)
-                                                           for a in (alpha, alpha_words))
-        parts += [distinct, distinct_words]
+def _posterior_terms(cases) -> list:
+    """For each (counts, hyper, post) case, the _moment_terms of the posterior table t = n +
+    alpha and of its word totals t(w), as the (entries, words) pair of each moment.  They
+    run in one call on every case's observed entries and words, where n or n(w) is
+    nonzero; that call also takes the distinct entries and distinct word totals of each
+    hyper table met for the first time, whose terms are gathered into full tables and kept.
+    Elsewhere t is alpha exactly, and t(w) is alpha(w), being added up in the same order,
+    so those take the prior's terms.  The arrays therefore equal _moment_terms(t) and
+    _moment_terms(t(w)) bit for bit, whatever else the call takes."""
+    parts, slots, fresh = [], [], {}  # slots, fresh: where each case's and hyper's parts start
+    for counts, hyper, post in cases:
+        seen = np.broadcast_to(counts.table > 0, post.table.shape)
+        seen_words = np.broadcast_to(counts.word_totals > 0, post.word_totals.shape)
+        slots.append((len(parts), seen, seen_words))
+        parts += [post.table[seen], post.word_totals[seen_words]]
+        if hyper not in _PRIOR_TERMS and hyper not in fresh:
+            (distinct, at_entry), (distinct_words, at_word) = (
+                np.unique(a, return_inverse=True) for a in (hyper.table, hyper.word_totals))
+            fresh[hyper] = len(parts), at_entry, at_word
+            parts += [distinct, distinct_words]
     moments = [np.split(m, np.cumsum([p.size for p in parts[:-1]]))
                for m in _moment_terms(np.concatenate(parts))]
-    if prior is None:
-        prior = _PRIOR_TERMS[hyper] = [(m[2][at_entry].reshape(alpha.shape),
-                                        m[3][at_word].reshape(alpha_words.shape))
-                                       for m in moments]
+    for hyper, (i, at_entry, at_word) in fresh.items():
+        _PRIOR_TERMS[hyper] = [(m[i][at_entry].reshape(hyper.table.shape),
+                                m[i + 1][at_word].reshape(hyper.word_totals.shape))
+                               for m in moments]
     out = []
-    # copies of the broadcast prior are C-ordered, as terms of t are, so they sum alike
-    for (pair_prior, word_prior), m in zip(prior, moments):
-        pairs = np.broadcast_to(pair_prior, t.shape).copy()
-        words = np.broadcast_to(word_prior, t_words.shape).copy()
-        pairs[seen], words[seen_words] = m[:2]
-        out.append((pairs, words))
+    for (counts, hyper, post), (i, seen, seen_words) in zip(cases, slots):
+        terms = []
+        # copies of the broadcast prior are C-ordered, as terms of t are, so they sum alike
+        for (pair_prior, word_prior), m in zip(_PRIOR_TERMS[hyper], moments):
+            pairs = np.broadcast_to(pair_prior, post.table.shape).copy()
+            words = np.broadcast_to(word_prior, post.word_totals.shape).copy()
+            pairs[seen], words[seen_words] = m[i], m[i + 1]
+            terms.append((pairs, words))
+        out.append(terms)
     return out
 
 
@@ -154,6 +161,27 @@ class EnergyMoments:
     q: WordConditional  # Q = r_from(posterior(counts, hyper))
 
 
+def energy_moments_of(pairs) -> list:
+    """energy_moments of each (counts, hyper) pair, from one polygamma pass over all of
+    them; each equals the pair's lone call bit for bit.  A sweep passes the count stacks
+    of all its orders at once."""
+    cases = [(counts, hyper, posterior(counts, hyper)) for counts, hyper in pairs]
+    out = []
+    for (_, _, post), ((mean_pairs, mean_words), (var_pairs, var_words)) in zip(
+            cases, _posterior_terms(cases)):
+        beta = post.total
+        scale = beta * _LN2
+        mean = (mean_words.sum(axis=-1) - _table_sum(mean_pairs)) / scale
+        variance = (_table_sum(var_pairs) - var_words.sum(axis=-1)) / (scale * scale)
+        q = r_from(post)
+        hmu = hmu_of(q)
+        A = post.alphabet.size
+        asymptotic = hmu + A**post.order * (A - 1) / (2.0 * beta * _LN2)
+        out.append(EnergyMoments(beta, _per_table(mean), _per_table(variance), hmu,
+                                 asymptotic, q))
+    return out
+
+
 def energy_moments(counts: CountTable, hyper: HyperTable) -> EnergyMoments:
     """The posterior energy E = D[Q||P] + h_mu[Q], Q = r_from(posterior(counts, hyper)):
     its mean and variance, the first two beta-derivatives of log Z at fixed Q, from one
@@ -167,22 +195,14 @@ def energy_moments(counts: CountTable, hyper: HyperTable) -> EnergyMoments:
     hmu + A**k (A-1) / (2 beta ln 2), whose remainder is O(1/beta^2): meaningful only
     for beta >> 1.
     """
-    post = posterior(counts, hyper)
-    (mean_pairs, mean_words), (var_pairs, var_words) = _posterior_terms(counts, hyper, post)
-    beta = post.total
-    scale = beta * _LN2
-    mean = (mean_words.sum(axis=-1) - _table_sum(mean_pairs)) / scale
-    variance = (_table_sum(var_pairs) - var_words.sum(axis=-1)) / (scale * scale)
-    q = r_from(post)
-    hmu = hmu_of(q)
-    A = post.alphabet.size
-    asymptotic = hmu + A**post.order * (A - 1) / (2.0 * beta * _LN2)
-    return EnergyMoments(beta, _per_table(mean), _per_table(variance), hmu, asymptotic, q)
+    return energy_moments_of([(counts, hyper)])[0]
 
 
-def weighted_energy(op: OrderPosterior, energies: dict[int, float]) -> float:
-    """Mix per-order energy estimates by the order-posterior weights."""
+def weighted_energy(op: OrderPosterior, energies: dict[int, float]):
+    """Mix per-order energy estimates by the order-posterior weights: a float, or one
+    value per table of a stacked posterior (an order's estimate then one value, or one
+    per table)."""
     missing = [k for k in op.orders if k not in energies]
     if missing:
         raise ValueError(f"missing energy estimates for orders {missing}")
-    return float(sum(op.probability(k) * energies[k] for k in op.orders))
+    return _per_table(sum(op.probability(k) * energies[k] for k in op.orders))

@@ -4,7 +4,10 @@ The Dirichlet prior is conjugate to the Markov-chain likelihood, so the
 posterior is a product of per-word Dirichlets whose parameters are counts
 plus hyperparameters.  All probability computations are carried out in
 natural-log space end to end; conversion to base 2 happens only at
-presentation time.
+presentation time.  The evidence and the predictive are log-Gamma ratios:
+log_evidences takes a list of (counts, hyper) pairs, of any orders and
+stack sizes, and evaluates every pair's observed entries and words in one
+log_gamma_diff call; log_evidence and log_predictive are the one-pair case.
 """
 
 from __future__ import annotations
@@ -65,14 +68,42 @@ def region_mass(m: BetaParams, region: ConfidenceRegion) -> float:
     return reg_inc_beta(m, region.upper) - reg_inc_beta(m, region.lower)
 
 
-def _log_gamma_ratio(base: np.ndarray, inc: np.ndarray):
-    """log of prod_w Gamma(base(w)) / Gamma(base(w) + inc(w)) * prod_(w,s)
-    Gamma(base(w, s) + inc(w, s)) / Gamma(base(w, s)), with (w) a row total:
-    the Dirichlet average of a likelihood with counts inc under parameters
-    base.  An entry or word with no counts adds exactly 0.  A float for one
-    (W, A) table inc, one value per table for a (G, W, A) stack."""
-    return _per_table(_table_sum(log_gamma_diff(base, inc))
-                      - log_gamma_diff(_row_sum(base), _row_sum(inc)).sum(axis=-1))
+def _log_gamma_ratio(pairs) -> list:
+    """For each (base, inc) pair of arrays, the log of prod_w Gamma(base(w)) / Gamma(base(w)
+    + inc(w)) * prod_(w,s) Gamma(base(w, s) + inc(w, s)) / Gamma(base(w, s)), with (w) a row
+    total: the Dirichlet average of a likelihood with counts inc under parameters base.  A
+    float for one (W, A) table inc, one value per table for a (G, W, A) stack.
+
+    One log_gamma_diff call takes every pair's entries and word totals where inc is
+    nonzero, gathered and concatenated; an entry or word with no counts adds exactly 0.
+    The values are scattered back into zero-filled tables, each the log_gamma_diff(base,
+    inc) of its pair element for element, and summed as that table would be, so a pair's
+    value does not depend on the others'."""
+    segments = []  # (where inc is nonzero, base there, inc there): entries, then words
+    for base, inc in pairs:
+        for x, n in ((base, inc), (_row_sum(base), _row_sum(inc))):
+            x, n = np.broadcast_arrays(x, n)
+            seen = n != 0
+            segments.append((seen, x[seen], n[seen]))
+    _, xs, ns = zip(*segments)
+    values = np.split(log_gamma_diff(np.concatenate(xs), np.concatenate(ns)),
+                      np.cumsum([n.size for n in ns[:-1]]))
+    terms = []
+    for (seen, _, _), v in zip(segments, values):
+        terms.append(np.zeros(seen.shape))
+        terms[-1][seen] = v
+    return [_per_table(_table_sum(entries) - words.sum(axis=-1))
+            for entries, words in zip(terms[::2], terms[1::2])]
+
+
+def log_evidences(pairs) -> list:
+    """log_evidence of each (counts, hyper) pair, from one log_gamma_diff call over all
+    of them; each value equals the pair's lone call bit for bit.  A sweep passes the count
+    stacks of all its orders at once."""
+    pairs = list(pairs)
+    for counts, hyper in pairs:
+        require_same_shape(counts, hyper)
+    return _log_gamma_ratio([(hyper.table, counts.table) for counts, hyper in pairs])
 
 
 def log_evidence(counts: CountTable, hyper: HyperTable):
@@ -83,8 +114,7 @@ def log_evidence(counts: CountTable, hyper: HyperTable):
     The product runs over all A**k words; words with zero counts contribute
     exactly zero, so the all-zero table gives log evidence 0.
     """
-    require_same_shape(counts, hyper)
-    return _log_gamma_ratio(hyper.table, counts.table)
+    return log_evidences([(counts, hyper)])[0]
 
 
 def log_predictive(counts: CountTable, new_counts: CountTable, hyper: HyperTable) -> float:
@@ -92,7 +122,7 @@ def log_predictive(counts: CountTable, new_counts: CountTable, hyper: HyperTable
     the evidence's Gamma ratio with the posterior parameters n + alpha as its
     base.  Algebraically log_evidence(n + m) - log_evidence(n)."""
     require_same_shape(counts, new_counts, hyper)
-    return _log_gamma_ratio(posterior(counts, hyper).table, new_counts.table)
+    return _log_gamma_ratio([(posterior(counts, hyper).table, new_counts.table)])[0]
 
 
 def sample_posterior(post: HyperTable, seed) -> np.ndarray:

@@ -164,12 +164,15 @@ def _stirling(x):
 
 
 def log_gamma_diff(x, n):
-    """log Gamma(x + n) - log Gamma(x) for x > 0 and n >= 0, elementwise with
+    """log Gamma(x + n) - log Gamma(x) for x > 0 and finite n >= 0, elementwise with
     x broadcast against n; exactly 0 where n = 0, and evaluated only where
     n > 0.  For x >= 10 it is n log x + (x + n - 1/2) log1p(n/x) - n plus the
     difference of the Stirling series, so it keeps its relative precision
     where the two log Gammas, of size about x log x, nearly cancel."""
-    x, n = np.broadcast_arrays(_as_positive(x, "log_gamma_diff"), np.asarray(n, dtype=float))
+    n = np.asarray(n, dtype=float)
+    if not np.all(np.isfinite(n)) or np.any(n < 0.0):
+        raise NumericDomainError("log_gamma_diff requires a finite n >= 0")
+    x, n = np.broadcast_arrays(_as_positive(x, "log_gamma_diff"), n)
     out = np.zeros(n.shape)
     big, small = (n > 0) & (x >= 10.0), (n > 0) & (x < 10.0)
     xb, nb = x[big], n[big]

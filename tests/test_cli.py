@@ -365,6 +365,28 @@ class TestChunks:
             len(c) for c in bayesmc.cli._chunks(_sweep_of(3, 3, tuple(range(100, 1001, 100)),
                                                           1)) for _ in range(3))
 
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("command, module, kernel", [
+        ("compare", bayesmc.inference, "log_gamma_diff"),
+        ("entropy", bayesmc.entropy, "_moment_terms")])
+    def test_one_kernel_call_per_chunk(self, command, module, kernel, size, tmp_path,
+                                       monkeypatch):
+        # every order of a chunk goes through one evidence or energy kernel call
+        seq = tmp_path / "seq.txt"
+        seq.write_text(_golden_sequence(2000) + "\n")
+        evaluate, calls = getattr(module, kernel), []
+
+        def counted(*args):
+            calls.append(1)
+            return evaluate(*args)
+
+        monkeypatch.setattr(module, kernel, counted)
+        monkeypatch.setattr(bayesmc.cli, "CHUNK_ENTRIES", size * 3**9)
+        assert run_cli([command, "--input", str(seq), "--n-start", "200", "--n-step", "200",
+                        "--n-stop", "2000", "--k-max", "8", "--out", str(tmp_path)]) == 0
+        assert len(read_csv(tmp_path / f"{command}.csv")) == 10 * 8
+        assert len(calls) == -(-10 // size)
+
     def test_figures_sweep_in_one_chunk(self):
         for command, source, recipe in bayesmc.cli.FIGURE_RECIPES.values():
             grid = recipe["n_grid"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,6 +205,16 @@ class TestTableBase:
         with pytest.raises(ShapeMismatchError,
                            match=rf"^{name} table shape \(3, 2\), expected \(2, 2\)"):
             kind(1, BINARY, np.ones((3, 2)))
+
+    @pytest.mark.parametrize("kind, name", [(CountTable, "count"), (HyperTable, "hyper")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2)])
+    def test_rejects_non_finite_entries(self, kind, name, value, shape):
+        # a NaN passes both `< 0` and `<= 0` and would read as a count of 0
+        table = np.ones(shape)
+        table[..., 1, 0] = value
+        with pytest.raises(ValueError, match=rf"^{name} table entries must be finite"):
+            kind(1, BINARY, table)
 
     @pytest.mark.parametrize("kind", [CountTable, HyperTable])
     def test_total_float_for_a_table_array_for_a_stack(self, kind):

@@ -435,6 +435,19 @@ class TestPartitionAndMixing:
         op = compare_uniform({1: 0.0, 2: math.log(3.0)})
         assert weighted_energy(op, {1: 1.0, 2: 2.0}) == pytest.approx(1.75, abs=1e-12)
 
+    def test_weighted_energy_per_table_of_a_stack(self):
+        rows = [{1: 0.0, 2: math.log(3.0)}, {1: -2.0, 2: 5.0}, {1: 1.0, 2: 1.0}]
+        op = compare_uniform({k: np.array([r[k] for r in rows]) for k in (1, 2)})
+        lone = [compare_uniform(r) for r in rows]
+        for energies in ({1: 1.0, 2: 2.0}, {1: np.array([1.0, 0.5, 3.0]), 2: 2.0}):
+            mixed = weighted_energy(op, energies)
+            assert isinstance(mixed, np.ndarray) and mixed.shape == (3,)
+            expected = [weighted_energy(one, {k: float(np.broadcast_to(v, 3)[g])
+                                              for k, v in energies.items()})
+                        for g, one in enumerate(lone)]
+            assert [v.hex() for v in mixed.tolist()] == [v.hex() for v in expected]
+        assert type(weighted_energy(lone[0], {1: 1.0, 2: 2.0})) is float
+
     def test_weighted_energy_missing_order(self):
         op = compare_uniform({1: 0.0, 2: 0.0})
         with pytest.raises(ValueError):

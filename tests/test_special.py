@@ -91,6 +91,11 @@ class TestLogGammaDiff:
         assert out[0, 0] == out[1, 0] == out[1, 1] == 0.0
         assert type(log_gamma_diff(3.0, 0.0)) is float
 
+    @pytest.mark.parametrize("n", [-1.0, -1e-300, math.nan, math.inf, [2.0, -1.0], [math.nan]])
+    def test_rejects_negative_or_non_finite_n(self, n):
+        with pytest.raises(NumericDomainError, match="log_gamma_diff requires a finite n >= 0"):
+            log_gamma_diff(1.0, n)
+
 
 class TestDigamma:
     def test_at_one_is_minus_euler(self):

@@ -1,10 +1,12 @@
 """A (G, A**k, A) stack of count or hyper tables against its tables one by one.
 
-The sweep computes each order's evidence and energy moments, and the order
-posteriors over them, for a chunk of the N grid in one call on a stack; every
-value must equal the call on the lone table bit for bit, so that the CSV
-outputs do not depend on how the grid is chunked.
+The sweep computes the evidence and energy moments of all its orders, and the
+order posteriors over them, for a chunk of the N grid in one call on their
+stacks; every value must equal the call on the lone table bit for bit, so that
+the CSV outputs do not depend on how the grid is chunked.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -18,17 +20,25 @@ from bayesmc import (
     compare_penalized,
     compare_uniform,
     energy_moments,
+    energy_moments_of,
     free_params,
     hmu_of,
+    hyper_from_fake_counts,
     kl_of,
     log_evidence,
+    log_evidences,
+    log_gamma_diff,
+    log_predictive,
     map_order,
     posterior,
     r_from,
     sample_posterior,
+    uniform_hyper,
 )
 from bayesmc.core import ShapeMismatchError
+from bayesmc.entropy import _moment_terms
 from bayesmc.inference import density_grid
+from bayesmc.special import _row_sum, _table_sum
 
 BINARY = Alphabet.binary()
 
@@ -131,6 +141,96 @@ class TestStackShapes:
         counts = CountTable(1, BINARY, np.arange(12.0).reshape(3, 2, 2))
         assert counts.total.tolist() == [6.0, 22.0, 38.0]
         assert counts.word_totals.tolist() == [[1.0, 5.0], [9.0, 13.0], [17.0, 21.0]]
+
+
+def _batch_case(rng, A, k, G, prior):
+    """(counts, hyper) of order k over A symbols: a lone table for G None, else a stack
+    of G, with counts up to 1e6, zero entries, all-zero rows and now and then an
+    all-zero table; the prior is alpha log-uniform in [1e-3, 1e7] per entry or for
+    all entries alike, or fake counts + 1."""
+    alphabet = Alphabet(tuple("abcd"[:A]))
+    shape = (A**k, A) if G is None else (G, A**k, A)
+    scale = 10.0 ** rng.uniform(0, 6, size=shape[:-2] + (1, 1))
+    counts = np.floor(rng.uniform(0, 1, size=shape) * (scale + 1))
+    counts[rng.random(shape) < 0.3] = 0.0
+    counts[rng.random(shape[:-1]) < 0.3] = 0.0
+    if rng.random() < 0.1:
+        counts[...] = 0.0
+    table = shape[-2:]
+    hyper = {"random": lambda: HyperTable(k, alphabet, 10.0 ** rng.uniform(-3, 7, size=table)),
+             "uniform": lambda: uniform_hyper(k, alphabet, 10.0 ** rng.uniform(-3, 7)),
+             "fake_counts": lambda: hyper_from_fake_counts(
+                 CountTable(k, alphabet, np.floor(rng.uniform(0, 3, size=table))))}[prior]()
+    return CountTable(k, alphabet, counts), hyper
+
+
+def _dense_ratio(base, inc):
+    """The evidence's Gamma ratio with log_gamma_diff on every entry and word."""
+    return (_table_sum(log_gamma_diff(base, inc))
+            - log_gamma_diff(_row_sum(base), _row_sum(inc)).sum(axis=-1))
+
+
+def _dense_moments(counts, hyper):
+    """The energy's mean and variance with the polygamma terms taken on every entry and
+    word."""
+    post = posterior(counts, hyper)
+    (mean_pairs, var_pairs), (mean_words, var_words) = map(_moment_terms,
+                                                           (post.table, post.word_totals))
+    scale = post.total * math.log(2.0)
+    return [(mean_words.sum(axis=-1) - _table_sum(mean_pairs)) / scale,
+            (_table_sum(var_pairs) - var_words.sum(axis=-1)) / (scale * scale)]
+
+
+def _fields_hex(m):
+    return [_hexes(getattr(m, f)) for f in ("beta", "mean", "variance", "hmu", "asymptotic")] + [
+        _hexes(m.q.word_probs.ravel()), _hexes(m.q.cond_probs.ravel())]
+
+
+#: Each case of a batch: (A, k, G, prior, share), G None for a lone table; with `share`
+#: the case takes the previous case's hyper table if it has its order and alphabet.
+BATCH_PARAMS = st.lists(st.tuples(st.integers(2, 4), st.integers(1, 4),
+                                  st.one_of(st.none(), st.integers(1, 6)),
+                                  st.sampled_from(["random", "uniform", "fake_counts"]),
+                                  st.booleans()), min_size=1, max_size=4)
+
+
+class TestBatchEqualsLoneCalls:
+    """log_evidences and energy_moments_of take the count stacks of several orders in
+    one kernel pass; each value must equal its pair's lone call bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(BATCH_PARAMS, st.integers(0, 2**32 - 1), st.booleans())
+    def test_bit_for_bit(self, params, seed, memo_filled):
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for A, k, G, prior, share in params:
+            counts, hyper = _batch_case(rng, A, k, G, prior)
+            last = pairs[-1][1] if pairs else None
+            if share and last is not None and (last.order, last.alphabet) == (k, hyper.alphabet):
+                hyper = last
+            pairs.append((counts, hyper))
+        if memo_filled:  # each prior's terms kept from a call on other counts
+            for _, hyper in pairs:
+                ones = CountTable(hyper.order, hyper.alphabet, np.ones(hyper.table.shape))
+                energy_moments(ones, hyper)
+
+        def fresh(hyper):  # an equal table whose prior terms are not kept yet
+            return HyperTable(hyper.order, hyper.alphabet, hyper.table)
+
+        batched = log_evidences(pairs)
+        for (counts, hyper), value in zip(pairs, batched):
+            assert _hexes(value) == _hexes(log_evidence(counts, fresh(hyper)))
+            assert _hexes(value) == _hexes(_dense_ratio(hyper.table, counts.table))
+            new = rng.permutation(counts.table.ravel()).reshape(counts.table.shape)
+            if new.ndim == 3 and rng.random() < 0.5:
+                new = new[0]  # one table of new data against each posterior of the stack
+            new = CountTable(counts.order, counts.alphabet, new)
+            assert _hexes(log_predictive(counts, new, hyper)) == _hexes(
+                _dense_ratio(posterior(counts, hyper).table, new.table))
+        for (counts, hyper), m in zip(pairs, energy_moments_of(pairs)):
+            assert _fields_hex(m) == _fields_hex(energy_moments(counts, fresh(hyper)))
+            assert [_hexes(m.mean), _hexes(m.variance)] == list(
+                map(_hexes, _dense_moments(counts, hyper)))
 
 
 def _order_case(G, K, seed):
