@@ -1,9 +1,11 @@
 """Command-line front end: parameter inference, order comparison, entropy
 sweeps, simulation, and canned figure-reproduction bundles.
 
-All commands emit CSV (optionally mirrored as JSON) with 12-significant-
-digit formatting so outputs are diff-able goldens.  Exit codes: 0 success,
-2 invalid configuration, 3 numeric-domain failure.
+`infer`, `compare` and `entropy` are one sweep over the N grid and the orders,
+told apart by their _SWEEPS entry; `reproduce` is its figure's sweep.  Sweeps
+emit CSV (optionally mirrored as JSON) with 12-significant-digit formatting so
+outputs are diff-able goldens.  Exit codes: 0 success, 2 invalid
+configuration, 3 numeric-domain failure.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def _read_fake_counts(path: str, orders: range, alphabet: Alphabet) -> dict[int,
     unlisted entries are 0, an entry may be listed once, each hyperparameter is count + 1."""
     tables = {k: np.zeros((alphabet.size**k, alphabet.size)) for k in orders}
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
         reader = csv.DictReader(fh, restval="")  # a short row reads "" for its missing fields
         missing = [c for c in ("word", "symbol", "count") if c not in (reader.fieldnames or ())]
         if missing:
@@ -117,39 +119,45 @@ class _Sweep:
     truth: float | None
 
     def points(self):
-        """Yield each chunk of the N grid (see _chunks) with (k, counts, hyper) for each order,
-        the counts a (G, A**k, A) stack over the chunk's G data sizes.  In sample and file mode
-        one top-order table runs across the whole grid, chunk boundaries included: each N
+        """Yield each chunk of the N grid, G contiguous points with G as large as
+        CHUNK_ENTRIES allows, with (k, counts, hyper) for each order, the counts a
+        (G, A**k, A) stack over the chunk's G data sizes.  In sample and file mode one
+        top-order table runs across the whole grid, chunk boundaries included: each N
         counts only the windows data[last - K:N] that its prefix adds to the previous one's,
-        and each lower order k is derived from order k + 1 and the sweep's first window of
-        length k + 1 (core.lower_order_counts).  The table lives in this generator's frame, so
-        it goes with the sweep."""
-        A, K = self.alphabet.size, self.cfg.k_max
+        and the chunk's top-order stack holds the table at each of its N.  Each lower order
+        k is derived once per chunk from the stack of order k + 1 and the sweep's first
+        window of length k + 1 (core.lower_order_counts).  The table lives in this
+        generator's frame, so it goes with the sweep."""
+        A, K, grid = self.alphabet.size, self.cfg.k_max, self.cfg.n_grid
+        size = max(1, CHUNK_ENTRIES // A ** (K + 1))
         if self.seq is not None:
             top, last = np.zeros((A**K, A)), K
             heads = {k: count_words(SymbolSequence(self.alphabet, self.seq.data[:k + 1]), k)
                      for k in self.hypers if k < K}
-        for chunk in _chunks(self):
+        for chunk in (grid[i:i + size] for i in range(0, len(grid), size)):
+            stacks = {}
             if self.seq is None:  # the exact average counts, as processes.average_counts
                 N = np.array(chunk)[:, None, None]
-                stacks = {k: (N - k) * self.joints[k] for k in self.hypers}
+                for k in self.hypers:
+                    table = (N - k) * self.joints[k]
+                    table.flags.writeable = False  # fresh, so _frozen need not copy it
+                    stacks[k] = CountTable(k, self.alphabet, table)
             else:
-                stacks = {k: np.empty((len(chunk), A**k, A)) for k in self.hypers}
+                tops = np.empty((len(chunk), A**K, A))
                 for g, N in enumerate(chunk):
                     top += count_words(SymbolSequence(self.alphabet, self.seq.data[last - K:N]),
                                        K).table
-                    last, counts = N, CountTable(K, self.alphabet, top)
-                    for k in sorted(stacks, reverse=True):
-                        if k < K:
-                            counts = lower_order_counts(counts, heads[k])
-                        stacks[k][g] = counts.table
-            yield chunk, [(k, CountTable(k, self.alphabet, stacks.pop(k)), hyper)
-                          for k, hyper in self.hypers.items()]
+                    last, tops[g] = N, top
+                tops.flags.writeable = False  # fresh, so _frozen need not copy it
+                stacks[K] = CountTable(K, self.alphabet, tops)
+                for k in sorted(heads, reverse=True):
+                    stacks[k] = lower_order_counts(stacks[k + 1], heads[k])
+            yield chunk, [(k, stacks[k], hyper) for k, hyper in self.hypers.items()]
 
 
-def _resolve(cfg: argparse.Namespace, with_truth: bool = False) -> _Sweep:
+def _resolve(cfg: argparse.Namespace) -> _Sweep:
     """Read the input, sample max(N) symbols or build the source, then each
-    order's invariants; `with_truth` adds what entropy compares against."""
+    order's invariants, and for entropy what it compares against."""
     hmm = seq = None
     if cfg.input is not None:
         seq = read_sequence(cfg.input, column=cfg.csv_column)
@@ -168,27 +176,13 @@ def _resolve(cfg: argparse.Namespace, with_truth: bool = False) -> _Sweep:
         k: processes.word_distribution(hmm, k + 1).reshape(alphabet.size**k, alphabet.size)
         for k in orders}
     approxes, truth = {}, None
-    if with_truth and hmm is not None:
+    if cfg.command == "entropy" and hmm is not None:
         approxes = {k: processes.markov_approximation(hmm, k) for k in orders}
         if hmm.is_unifilar():
             truth = processes.true_entropy_rate(hmm)
         elif cfg.source == "sns":  # the builtin: builtins are looked up before files
             truth = processes.SNS_ENTROPY_RATE
     return _Sweep(cfg, alphabet, seq, hypers, joints, approxes, truth)
-
-
-def _chunks(sweep: _Sweep) -> list[tuple[int, ...]]:
-    """The N grid cut into contiguous chunks of G points, G as large as CHUNK_ENTRIES allows."""
-    grid = sweep.cfg.n_grid
-    size = max(1, CHUNK_ENTRIES // sweep.alphabet.size ** (sweep.cfg.k_max + 1))
-    return [grid[i:i + size] for i in range(0, len(grid), size)]
-
-
-def _grid_map(point, sweep: _Sweep):
-    """Yield the (file name, block) pairs of point(sweep, chunk, orders) for each chunk and
-    its orders' counts, in grid order: N-major, then k."""
-    for chunk, orders in sweep.points():
-        yield from point(sweep, chunk, orders)
 
 
 #: A cell type's CSV and JSON formatters; in JSON a float prints its repr, infinity null.
@@ -221,8 +215,9 @@ def _text(block: list, side: int):
 
 
 def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> None:
-    """Write each block of the sweep to its output CSV, and with --format json to the
-    CSV's JSON mirror, as it arrives.  A block lists its file's columns in header order,
+    """Write each block that point(sweep, chunk, orders) yields for each chunk of the
+    sweep, in grid order (N-major, then k), to its output CSV, and with --format json to
+    the CSV's JSON mirror, as it arrives.  A block lists its file's columns in header order,
     each a list, a _Shared column if blocks share it, or one value for all its rows: one
     block per (N, k) of infer_summary, per (N, k, word, symbol) of infer_density, and per N,
     a row per order, of compare and entropy.  A mirror reads as json.dumps(rows, indent=1)
@@ -237,12 +232,13 @@ def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> N
         mirrors = {name: stack.enter_context(_staged((out / name).with_suffix(".json"), "["))
                    for name in columns if sweep.cfg.format == "json"}
         seps = dict.fromkeys(mirrors, "\n ")
-        for name, block in _grid_map(point, sweep):
-            csvs[name].write("\n".join(map(",".join, _text(block, 0))) + "\n")
-            if name in mirrors:
-                mirrors[name].write(seps[name] + ",\n ".join(
-                    itertools.starmap(records[name].format, _text(block, 1))))
-                seps[name] = ",\n "
+        for chunk, orders in sweep.points():
+            for name, block in point(sweep, chunk, orders):
+                csvs[name].write("\n".join(map(",".join, _text(block, 0))) + "\n")
+                if name in mirrors:
+                    mirrors[name].write(seps[name] + ",\n ".join(
+                        itertools.starmap(records[name].format, _text(block, 1))))
+                    seps[name] = ",\n "
         for fh in mirrors.values():
             fh.write("\n]\n")
 
@@ -264,13 +260,6 @@ def _infer_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
                     yield "infer_density.csv", [N, k, word, symbol, xs, shared[key]]
 
 
-def cmd_infer(cfg: argparse.Namespace) -> None:
-    _write_sweep(_resolve(cfg), _infer_point, {
-        "infer_summary.csv": ("N", "k", "word", "symbol", "count", "alpha", "mean",
-                              "variance", "ci_low", "ci_high"),
-        "infer_density.csv": ("N", "k", "word", "symbol", "x", "density")})
-
-
 def _compare_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
     values = inference.log_evidences((counts, hyper) for _, counts, hyper in orders)
     evidences = {k: v for (k, _, _), v in zip(orders, values)}
@@ -279,11 +268,6 @@ def _compare_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
     for N, *columns in zip(chunk, uni.log_evidence.tolist(), uni.probabilities.tolist(),
                            pen.probabilities.tolist()):
         yield "compare.csv", [N, list(uni.orders), *columns]
-
-
-def cmd_compare(cfg: argparse.Namespace) -> None:
-    _write_sweep(_resolve(cfg), _compare_point, {
-        "compare.csv": ("N", "k", "log_evidence_nats", "prob_uniform", "prob_penalized")})
 
 
 def _entropy_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
@@ -302,16 +286,18 @@ def _entropy_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
         yield "entropy.csv", [N, list(ks), *([v[g] for v in s] for s in stats), sweep.truth]
 
 
-def cmd_entropy(cfg: argparse.Namespace) -> None:
-    _write_sweep(_resolve(cfg, with_truth=True), _entropy_point, {
+#: Each sweep command's point function and its output files' columns.
+_SWEEPS = {
+    "infer": (_infer_point, {
+        "infer_summary.csv": ("N", "k", "word", "symbol", "count", "alpha", "mean",
+                              "variance", "ci_low", "ci_high"),
+        "infer_density.csv": ("N", "k", "word", "symbol", "x", "density")}),
+    "compare": (_compare_point, {
+        "compare.csv": ("N", "k", "log_evidence_nats", "prob_uniform", "prob_penalized")}),
+    "entropy": (_entropy_point, {
         "entropy.csv": ("N", "k", "beta_k", "energy_mean_bits", "energy_var", "hmu_Q_bits",
-                        "kl_bits_if_truth_known", "asymptotic_bits", "truth_bits")})
-
-
-def cmd_simulate(cfg: argparse.Namespace) -> None:
-    seq = processes.sample_sequence(_resolve_hmm(cfg), cfg.n_start, cfg.seed)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    write_sequence(cfg.out / "sequence.txt", seq)
+                        "kl_bits_if_truth_known", "asymptotic_bits", "truth_bits")}),
+}
 
 
 def _log_grid(start: int, stop: int, points: int) -> tuple[int, ...]:
@@ -332,17 +318,6 @@ FIGURE_RECIPES = {
     9: ("compare", "sns", {"n_grid": _log_grid(100, 100_000, 61), "k": (1, 4)}),
     10: ("entropy", "sns", {"n_grid": _log_grid(100, 100_000, 49), "k": (1, 6)}),
 }
-
-
-def cmd_reproduce(cfg: argparse.Namespace) -> None:
-    command, source, recipe = FIGURE_RECIPES[cfg.figure]
-    _COMMANDS[command](argparse.Namespace(**vars(cfg) | dict(
-        source=source, k_min=recipe["k"][0], k_max=recipe["k"][1], n_grid=recipe["n_grid"],
-        out=cfg.out / f"fig{cfg.figure}")))
-
-
-_COMMANDS = {"infer": cmd_infer, "compare": cmd_compare, "entropy": cmd_entropy,
-             "simulate": cmd_simulate, "reproduce": cmd_reproduce}
 
 
 @functools.lru_cache(maxsize=1)  # one per process, built by the first main()
@@ -383,7 +358,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from(args: argparse.Namespace) -> argparse.Namespace:
     """Check every rule that reads only the command line, then complete it as
     the run's config: the N grid, the default --alpha and --out as a Path,
-    by default $BAYESMC_OUT or the working directory."""
+    by default $BAYESMC_OUT or the working directory.  A reproduce run becomes
+    its figure's sweep: the command, source, orders and N grid of its recipe,
+    written under fig{N} of --out."""
     if args.k_min < 1 or args.k_max < args.k_min:
         raise ConfigError(f"invalid order range [{args.k_min}, {args.k_max}]")
     stop = args.n_stop if args.n_stop is not None else args.n_start
@@ -420,13 +397,22 @@ def _config_from(args: argparse.Namespace) -> argparse.Namespace:
     args.n_grid = tuple(range(args.n_start, stop + 1, args.n_step))
     args.alpha = 1.0 if args.alpha is None else args.alpha
     args.out = Path(args.out if args.out is not None else os.environ.get(OUT_DIR_ENV, "."))
+    if args.command == "reproduce":
+        args.command, args.source, recipe = FIGURE_RECIPES[args.figure]
+        (args.k_min, args.k_max), args.n_grid = recipe["k"], recipe["n_grid"]
+        args.out = args.out / f"fig{args.figure}"
     return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        _COMMANDS[args.command](_config_from(args))
+        cfg = _config_from(_build_parser().parse_args(argv))
+        if cfg.command == "simulate":  # sampled before --out is made
+            seq = processes.sample_sequence(_resolve_hmm(cfg), cfg.n_start, cfg.seed)
+            cfg.out.mkdir(parents=True, exist_ok=True)
+            write_sequence(cfg.out / "sequence.txt", seq)
+        else:
+            _write_sweep(_resolve(cfg), *_SWEEPS[cfg.command])
     except (OSError, KeyError, ValueError, ArithmeticError) as exc:
         numeric = isinstance(exc, (NumericDomainError, ArithmeticError))
         code = EXIT_NUMERIC if numeric else EXIT_BAD_CONFIG

@@ -242,13 +242,16 @@ def count_words(seq: SymbolSequence, k: int) -> CountTable:
     powers = A ** np.arange(k, -1, -1, dtype=np.int64)
     windows = np.lib.stride_tricks.sliding_window_view(seq.data, k + 1)
     codes = windows @ powers  # combined (word, symbol) code
-    flat = np.bincount(codes, minlength=A ** (k + 1)).astype(float)
-    return CountTable(k, seq.alphabet, flat.reshape(A**k, A))
+    table = np.bincount(codes, minlength=A ** (k + 1)).astype(float).reshape(A**k, A)
+    table.flags.writeable = False  # fresh, so _frozen need not copy it
+    return CountTable(k, seq.alphabet, table)
 
 
 def lower_order_counts(top: CountTable, head: CountTable) -> CountTable:
     """count_words(seq, k) for k = head.order, derived from top = count_words(seq, K)
-    for some K > k and head = count_words(seq[:K], k).
+    for some K > k and head = count_words(seq[:K], k).  A (G, A**K, A) stack of
+    top tables, one per sequence sharing the first K symbols, gives the stack of
+    their order-k tables.
 
     The last k+1 symbols of the K+1-windows are the k+1-windows that start at
     K - k or later, so summing out the leading K - k symbols of `top` counts
@@ -263,8 +266,10 @@ def lower_order_counts(top: CountTable, head: CountTable) -> CountTable:
         raise ShapeMismatchError("top and head tables must share their alphabet")
     if not 1 <= k < K:
         raise ValueError(f"order k={k} must lie in 1..{K - 1}")
-    tail = top.table.reshape(A ** (K - k), A ** (k + 1)).sum(axis=0)
-    return CountTable(k, top.alphabet, tail.reshape(A**k, A) + head.table)
+    tail = top.table.reshape(top.table.shape[:-2] + (A ** (K - k), A**k, A)).sum(axis=-3)
+    tail += head.table
+    tail.flags.writeable = False  # fresh, so _frozen need not copy it
+    return CountTable(k, top.alphabet, tail)
 
 
 def uniform_hyper(k: int, alphabet: Alphabet, value: float = 1.0) -> HyperTable:
@@ -286,7 +291,7 @@ def read_sequence(path, alphabet: Alphabet | None = None,
     """Read a symbol sequence from a text file (no separators; each line's
     leading and trailing whitespace is dropped, so the sequence may be
     wrapped) or, when `column` is given, from that column of a CSV file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
         if column is None:
             text = "".join(line.strip() for line in fh)
         else:

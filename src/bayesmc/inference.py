@@ -32,7 +32,9 @@ def posterior(counts: CountTable, hyper: HyperTable) -> HyperTable:
     """Posterior Dirichlet parameters: counts + hyperparameters, elementwise;
     a stack of counts gives a stack of posteriors."""
     require_same_shape(counts, hyper)
-    return HyperTable(counts.order, counts.alphabet, counts.table + hyper.table)
+    table = counts.table + hyper.table
+    table.flags.writeable = False  # fresh, so _frozen need not copy it
+    return HyperTable(counts.order, counts.alphabet, table)
 
 
 def posterior_mean(post: HyperTable) -> np.ndarray:

@@ -229,7 +229,7 @@ def load_hmm(source) -> LabeledHMM:
     "name": optional}.  Validation errors name the violated invariant.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
             spec = json.load(fh)
     else:
         spec = source

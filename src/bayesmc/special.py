@@ -139,14 +139,9 @@ def digamma(x):
     return _per_table(_shifted_series(x, "digamma")[0])
 
 
-def _trigamma_remainder(x):
-    """trigamma(x) - 1/x for x > 0 (see _shifted_series)."""
-    return _per_table(_shifted_series(x, "trigamma")[1])
-
-
 def trigamma(x):
-    """Second derivative of log Gamma for x > 0."""
-    return _per_table(_trigamma_remainder(x) + 1.0 / np.asarray(x, dtype=float))
+    """Second derivative of log Gamma for x > 0: the series' trigamma(x) - 1/x, plus 1/x."""
+    return _per_table(_shifted_series(x, "trigamma")[1] + 1.0 / np.asarray(x, dtype=float))
 
 
 # B_{2j} / (2j (2j - 1)) for the Stirling series of log Gamma.

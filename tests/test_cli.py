@@ -282,6 +282,16 @@ class TestReproduce:
         assert ns[0] == 100 and ns[-1] == 1000 and ns[1] - ns[0] == 5
         assert {int(r["k"]) for r in rows} == {1, 2, 3, 4}
 
+    def test_figure_is_its_command(self, tmp_path):
+        # a figure's bundle is its recipe's sweep, written under fig{N}
+        assert run_cli(["reproduce", "--figure", "3", "--format", "json",
+                        "--out", str(tmp_path / "bundle")]) == 0
+        assert run_cli(["compare", "--source", "golden_mean", "--n-start", "100",
+                        "--n-stop", "1000", "--n-step", "5", "--k-max", "4", "--format", "json",
+                        "--out", str(tmp_path / "sweep")]) == 0
+        assert [p.name for p in (tmp_path / "bundle").iterdir()] == ["fig3"]
+        assert _digests(tmp_path / "bundle" / "fig3") == _digests(tmp_path / "sweep")
+
     def test_unknown_figure(self, tmp_path):
         assert run_cli(["reproduce", "--figure", "99", "--out", str(tmp_path)]) == 2
 
@@ -314,14 +324,15 @@ class TestChunks:
         assert run_cli(argv + ["--jobs", "1", "--out", str(tmp_path / "whole")]) == 0
         whole = _digests(tmp_path / "whole")
         top = 2**3  # entries of one top-order table
-        chunks_of, sizes = bayesmc.cli._chunks, []
+        points, sizes = bayesmc.cli._Sweep.points, []
 
         def recorded(sweep):
-            chunks = chunks_of(sweep)
-            sizes.append({len(c) for c in chunks})
-            return chunks
+            sizes.append(set())
+            for chunk, orders in points(sweep):
+                sizes[-1].add(len(chunk))
+                yield chunk, orders
 
-        monkeypatch.setattr(bayesmc.cli, "_chunks", recorded)
+        monkeypatch.setattr(bayesmc.cli._Sweep, "points", recorded)
         for size in (1, 2, 3):
             monkeypatch.setattr(bayesmc.cli, "CHUNK_ENTRIES", size * top)
             out = tmp_path / str(size)
@@ -335,7 +346,7 @@ class TestChunks:
                                                   (1, 2, 5, 24, 181, 1000)):
             top = A ** (k_max + 1)
             grid = tuple(range(100, 100 + length))
-            chunks = bayesmc.cli._chunks(_sweep_of(A, k_max, grid, jobs))
+            chunks = _chunks_of(A, k_max, grid, jobs)
             assert sum(chunks, ()) == grid
             G = len(chunks[0])
             assert {len(c) for c in chunks[:-1]} <= {G} and len(chunks[-1]) <= G
@@ -362,8 +373,7 @@ class TestChunks:
         chunks = -(-10 // size)
         assert len(calls) == 3 * chunks
         assert sorted(shape[0] for shape in calls) == sorted(
-            len(c) for c in bayesmc.cli._chunks(_sweep_of(3, 3, tuple(range(100, 1001, 100)),
-                                                          1)) for _ in range(3))
+            len(c) for c in _chunks_of(3, 3, tuple(range(100, 1001, 100)), 1) for _ in range(3))
 
     @pytest.mark.parametrize("size", [1, 3])
     @pytest.mark.parametrize("command, module, kernel", [
@@ -390,15 +400,16 @@ class TestChunks:
     def test_figures_sweep_in_one_chunk(self):
         for command, source, recipe in bayesmc.cli.FIGURE_RECIPES.values():
             grid = recipe["n_grid"]
-            assert bayesmc.cli._chunks(_sweep_of(2, recipe["k"][1], grid, 1)) == [grid]
+            assert _chunks_of(2, recipe["k"][1], grid, 1) == [grid]
 
 
-def _sweep_of(A, k_max, grid, jobs):
-    """A sweep with only what _chunks reads (the alphabet, k_max and grid), and a --jobs
-    that it ignores."""
+def _chunks_of(A, k_max, grid, jobs):
+    """The chunks that _Sweep.points yields for a sweep with only what chunking reads (the
+    alphabet, k_max and grid), no orders, and a --jobs that it ignores."""
     cfg = argparse.Namespace(k_max=k_max, n_grid=grid, jobs=jobs)
-    return bayesmc.cli._Sweep(cfg, bayesmc.core.Alphabet(tuple("abcd"[:A])), seq=None,
-                              hypers={}, joints={}, approxes={}, truth=None)
+    sweep = bayesmc.cli._Sweep(cfg, bayesmc.core.Alphabet(tuple("abcd"[:A])), seq=None,
+                               hypers={}, joints={}, approxes={}, truth=None)
+    return [chunk for chunk, _ in sweep.points()]
 
 
 class TestRunningCounts:
@@ -426,6 +437,27 @@ class TestRunningCounts:
         assert len(read_csv(tmp_path / f"{command}.csv")) == 10 * k_max
         assert sum(windows) <= 1000 + k_max * (k_max + 1) // 2
 
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("command", ["compare", "entropy"])
+    def test_no_count_table_copied(self, command, size, tmp_path, monkeypatch):
+        # the counts are fresh arrays, frozen as they are: the only arrays that
+        # core._frozen copies are the three priors, one per order, whatever the grid
+        seq = tmp_path / "seq.txt"
+        seq.write_text(_golden_sequence(1000) + "\n")
+        frozen, copied = bayesmc.core._frozen, []
+
+        def counted(arr, dtype=float):
+            out = frozen(arr, dtype)
+            if isinstance(arr, np.ndarray) and out.dtype == arr.dtype and out is not arr:
+                copied.append(arr.shape)
+            return out
+
+        monkeypatch.setattr(bayesmc.core, "_frozen", counted)
+        monkeypatch.setattr(bayesmc.cli, "CHUNK_ENTRIES", size * 3**4)
+        assert run_cli([command, "--input", str(seq), "--n-start", "100", "--n-step", "100",
+                        "--n-stop", "1000", "--k-max", "3", "--out", str(tmp_path)]) == 0
+        assert sorted(copied) == [(3, 3), (9, 3), (27, 3)]
+
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_stacks_equal_each_prefix_counted(self, size, monkeypatch):
         # orders 2..5 of a sampled sequence over an uneven grid, chunk boundaries included
@@ -445,6 +477,36 @@ class TestRunningCounts:
                     np.testing.assert_array_equal(table, bayesmc.core.count_words(prefix, k).table)
             seen += chunk
         assert tuple(seen) == sweep.cfg.n_grid
+
+
+class TestByteOrderMark:
+    """A file that opens with a UTF-8 byte-order mark reads as its twin without one."""
+
+    FILES = {
+        "sequence": ("seq.txt", "{seq}\n", ["compare", "--input", "{path}", "--n-start", "1000",
+                                            "--k-max", "2", "--format", "json"]),
+        "csv_column": ("seq.csv", "sym,id\n{seq},0\n",
+                       ["compare", "--input", "{path}", "--csv-column", "sym", "--n-start",
+                        "1000", "--k-max", "2", "--format", "json"]),
+        "fake_counts": ("fake.csv", "word,symbol,count\n0,1,3\n",
+                        ["infer", "--source", "golden_mean", "--n-start", "100", "--fake-counts",
+                         "{path}", "--density-points", "4", "--format", "json"]),
+        "hmm": ("hmm.json", '{"alphabet": ["0", "1"], "matrices": {"0": [[0.5, 0], [0, 0]], '
+                '"1": [[0, 0.5], [1, 0]]}}',
+                ["simulate", "--source", "{path}", "--seed", "3", "--n-start", "500"]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FILES))
+    def test_same_output_as_twin(self, kind, tmp_path):
+        name, text, argv = self.FILES[kind]
+        for twin, prefix in (("plain", ""), ("bom", "\ufeff")):
+            path = tmp_path / twin / name
+            path.parent.mkdir()
+            path.write_text(prefix + text.replace("{seq}", _golden_sequence(1200)),
+                            encoding="utf-8")
+            assert run_cli([a.replace("{path}", str(path)) for a in argv]
+                           + ["--out", str(tmp_path / twin / "out")]) == 0
+        assert _digests(tmp_path / "bom" / "out") == _digests(tmp_path / "plain" / "out")
 
 
 class TestErrorHandling:
@@ -591,7 +653,7 @@ class TestErrorHandling:
             '{"alphabet": ["0", "1"], "matrices": {"0": [[NaN, 0.5], [0.5, 0]], '
             '"1": [[0, 0.5], [0.5, 0]]}}')
         (tmp_path / "list.json").write_text("[1, 2]")
-        monkeypatch.setattr(bayesmc.cli, "_grid_map", None)  # the sweep never starts
+        monkeypatch.setattr(bayesmc.cli._Sweep, "points", None)  # the sweep never starts
         argv = [a.format(dir=tmp_path) for a in argv]
         assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error code=2 message={message}\n"
@@ -642,15 +704,15 @@ class TestErrorHandling:
         # Every invalid configuration is rejected before the sweep starts, so
         # the failure is injected: at the first N = 200 row, after the N = 100
         # rows were written.
-        grid_map = bayesmc.cli._grid_map
+        point, columns = bayesmc.cli._SWEEPS[argv[0]]
 
-        def failing(point, sweep):
-            for name, row in grid_map(point, sweep):
+        def failing(sweep, chunk, orders):
+            for name, row in point(sweep, chunk, orders):
                 if row[0] > sweep.cfg.n_grid[0]:
                     raise ValueError("injected failure")
                 yield name, row
 
-        monkeypatch.setattr(bayesmc.cli, "_grid_map", failing)
+        monkeypatch.setitem(bayesmc.cli._SWEEPS, argv[0], (failing, columns))
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
         assert list(tmp_path.iterdir()) == []
 

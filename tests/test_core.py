@@ -339,6 +339,17 @@ class TestSequenceIO:
         path.write_text("id,sym\n0,01\n1\n2,10\n")
         assert read_sequence(path, column="sym").to_string() == "0110"
 
+    @pytest.mark.parametrize("column", [None, "sym"])
+    def test_only_a_leading_byte_order_mark_is_dropped(self, column, tmp_path):
+        # U+FEFF opening the file is its byte-order mark; anywhere else it is a symbol
+        path = tmp_path / "seq.txt"
+        body = "0\ufeff1\n" if column is None else "sym,id\n0\ufeff1,0\n"
+        for text in (body, "\ufeff" + body):
+            path.write_text(text, encoding="utf-8")
+            seq = read_sequence(path, column=column)
+            assert seq.alphabet.symbols == ("0", "1", "\ufeff")
+            assert seq.data.tolist() == [0, 2, 1]
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "seq.csv"
         path.write_text("id,sym\n0,01\n")

@@ -29,6 +29,7 @@ from bayesmc import (
     log_evidences,
     log_gamma_diff,
     log_predictive,
+    lower_order_counts,
     map_order,
     posterior,
     r_from,
@@ -119,6 +120,24 @@ class TestStackEqualsTables:
         m = energy_moments(counts, hyper)
         for value in (m.beta, m.mean, m.variance, m.hmu, m.asymptotic):
             assert value.shape == (1,)
+
+
+class TestLowerOrderStack:
+    """The sweep derives each lower order of a chunk from the stack above it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 4), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.data())
+    def test_stack_equals_tables(self, A, K, G, seed, data):
+        k = data.draw(st.integers(1, K - 1), label="k")
+        top, _, _ = _stack_case(A, K, G, seed, False)
+        head = CountTable(k, top.alphabet,
+                          np.random.default_rng(seed).integers(0, K - k + 1, size=(A**k, A)))
+        derived = lower_order_counts(top, head)
+        assert derived.order == k and derived.table.shape == (G, A**k, A)
+        tables = [lower_order_counts(CountTable(K, top.alphabet, t), head) for t in top.table]
+        assert _hexes(derived.table.ravel()) == _hexes(
+            np.concatenate([t.table.ravel() for t in tables]))
 
 
 class TestStackShapes:

@@ -11,8 +11,17 @@ OUT.json with its label, workload and seed.
 Afterwards it prints, per workload and end-to-end metric of BENCHMARK.json,
 each label's median and quartiles over the seeds in OUT.json (a seed run more
 than once counts with its latest row), the last label's median change
-against the first's, in how many seeds the last label beat the first, and the
-gap between their medians beside the first label's interquartile range.
+against the first's, in how many seeds the last label beat the first, the
+gap between their medians beside the first label's interquartile range, and
+a verdict on the no-regression rule, the bound being the metric's in
+BENCHMARK.json:
+
+    worse         the last label's median is worse than the first's by more
+                  than the bound;
+    unresolved    the first label's interquartile range, relative to its
+                  median, exceeds the bound, and not every run of the last
+                  label beats every run of the first;
+    within bound  otherwise.
 """
 
 import argparse
@@ -57,15 +66,15 @@ for name in workloads:
     first, last = runs[labels[0]], runs[labels[-1]]
     for metric in bench["end_to_end"]:
         key, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
-        medians, spreads = {}, {}
+        medians, spreads, values = {}, {}, {}
         for label in labels:
-            values = [r["metrics"][key]["value"] for r in runs[label].values()]
-            if not values:
+            values[label] = [r["metrics"][key]["value"] for r in runs[label].values()]
+            if not values[label]:
                 continue
-            q1, medians[label], q3 = np.percentile(values, [25, 50, 75])
+            q1, medians[label], q3 = np.percentile(values[label], [25, 50, 75])
             spreads[label] = q3 - q1
             print(f"  {key:12} {label:>8}  median {medians[label]:.4g}  "
-                  f"quartiles {q1:.4g} .. {q3:.4g}  (n={len(values)})")
+                  f"quartiles {q1:.4g} .. {q3:.4g}  (n={len(values[label])})")
         seeds = sorted(first.keys() & last.keys())
         if len(labels) > 1 and seeds:
             won = sum(sign * (last[s]["metrics"][key]["value"]
@@ -76,3 +85,11 @@ for name in workloads:
                   f"(bound {metric['bound']:.1%}, {metric['better']} is better), "
                   f"better in {won} of {len(seeds)} seeds, median gap {gap:.4g} "
                   f"against {labels[0]}'s interquartile range {spreads[labels[0]]:.4g}")
+            # sign * value is lower for the better run
+            beats_all = (max(sign * v for v in values[labels[-1]])
+                         < min(sign * v for v in values[labels[0]]))
+            verdict = ("worse" if sign * change > metric["bound"]
+                       else "unresolved" if (spreads[labels[0]] > metric["bound"]
+                                             * abs(medians[labels[0]]) and not beats_all)
+                       else "within bound")
+            print(f"  {key:12} verdict: {verdict}")
