@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import itertools
 import json
 import math
 import os
@@ -188,30 +187,39 @@ def _resolve(cfg: argparse.Namespace) -> _Sweep:
 #: A cell type's CSV and JSON formatters; in JSON a float prints its repr, infinity null.
 _FORMATS = {float: ("{:.12g}".format, lambda v: "null" if math.isinf(v) else json.dumps(v)),
             int: (str, str), str: (str, json.dumps), type(None): (lambda v: "", lambda v: "null")}
+#: Ends each row of a block's varying text: in no template, nor in a cell (Alphabet bars it).
+_ROW = "\r"
 
 
 class _Shared(tuple):
-    """A float column that many blocks of one (N, k) table share (the density x grid, a
-    density row that equal marginals give): formatted once per side, the text kept on the
-    column as one joined string, so it lives as long as the blocks that hold the column."""
+    """A float column that blocks of one (N, k) table share (the density x grid, a density
+    row that equal marginals give).  Its text is made once per side and kept on it while they
+    hold it: its cells, or, where it ends a block's all-_Shared varying columns, their rows."""
 
     def __init__(self, values):
-        self.joined = {}  # side -> the cells' text, one line each
-
-    def cells(self, side: int) -> list[str]:
-        if side not in self.joined:
-            self.joined[side] = "\n".join(map(_FORMATS[float][side], self))
-        return self.joined[side].split("\n")
+        self.text = {}  # side -> the cells; (side, *ids and text before it) -> (columns, rows)
 
 
-def _text(block: list, side: int):
-    """A block's rows as tuples of cell text, for the CSV (side 0) or the JSON mirror (1):
-    a column's formatter is picked by its first cell, a single value formatted once, and a
-    _Shared column's text read from it."""
-    rows = max(len(c) for c in block if isinstance(c, (list, tuple)))
-    return zip(*(c.cells(side) if isinstance(c, _Shared)
-                 else map(_FORMATS[type(c[0])][side], c) if isinstance(c, list)
-                 else itertools.repeat(_FORMATS[type(c)][side](c), rows) for c in block))
+def _text(block: list, side: int, form: str, sep: str) -> str:
+    """A block's rows, each form.format(*its cells), joined by sep, for side 0 (the CSV) or 1
+    (its JSON mirror); a column is a list, a _Shared or one value for all rows.  The varying
+    columns' cells go in by a slice assignment each, the single values by a replace of _ROW."""
+    head, *mids, tail = form.format(*(_ROW if isinstance(c, (list, _Shared)) else
+                                      _FORMATS[type(c)][side](c) for c in block)).split(_ROW)
+    *before, last = varying = [c for c in block if isinstance(c, (list, _Shared))]
+    text = last.text if all(isinstance(c, _Shared) for c in varying) else {}  # else not kept
+    key = (side, *map(id, before), *mids)
+    if key not in text:
+        step = 2 * len(varying)
+        flat = [_ROW] * (len(last) * step)  # each cell of a row, then the text after it
+        for j, (column, mid) in enumerate(zip(varying, [*mids, _ROW])):
+            cells = map(_FORMATS[type(column[0])][side], column)
+            if isinstance(column, _Shared) and column is not last:
+                cells = column.text[side] = column.text.get(side) or list(cells)
+            flat[2 * j::step], flat[2 * j + 1::step] = cells, [mid] * len(last)
+        text[key] = before, "".join(flat)[:-1]  # with the columns whose ids the key holds
+        del flat  # and the cells, before the rows are written out
+    return "".join((head, text[key][1].replace(_ROW, tail + sep + head), tail))
 
 
 def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> None:
@@ -224,7 +232,8 @@ def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> N
     would, infinities as null."""
     out = sweep.cfg.out
     out.mkdir(parents=True, exist_ok=True)
-    records = {name: "{{\n" + ",\n".join(f'  "{c}": {{}}' for c in cols) + "\n }}"
+    layouts = {name: ((",".join(["{}"] * len(cols)), "\n"),  # per side: row, row separator
+                      ("{{\n" + ",\n".join(f'  "{c}": {{}}' for c in cols) + "\n }}", ",\n "))
                for name, cols in columns.items()}
     with contextlib.ExitStack() as stack:
         csvs = {name: stack.enter_context(_staged(out / name, ",".join(columns[name]) + "\n"))
@@ -234,10 +243,9 @@ def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> N
         seps = dict.fromkeys(mirrors, "\n ")
         for chunk, orders in sweep.points():
             for name, block in point(sweep, chunk, orders):
-                csvs[name].write("\n".join(map(",".join, _text(block, 0))) + "\n")
+                csvs[name].write(_text(block, 0, *layouts[name][0]) + "\n")
                 if name in mirrors:
-                    mirrors[name].write(seps[name] + ",\n ".join(
-                        itertools.starmap(records[name].format, _text(block, 1))))
+                    mirrors[name].write(seps[name] + _text(block, 1, *layouts[name][1]))
                     seps[name] = ",\n "
         for fh in mirrors.values():
             fh.write("\n]\n")
@@ -258,6 +266,7 @@ def _infer_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
                     if key not in shared:
                         shared[key] = _Shared(entry_dens.tolist())
                     yield "infer_density.csv", [N, k, word, symbol, xs, shared[key]]
+            del xs, shared  # with their text, before the next table's densities are computed
 
 
 def _compare_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):

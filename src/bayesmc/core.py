@@ -278,12 +278,16 @@ def uniform_hyper(k: int, alphabet: Alphabet, value: float = 1.0) -> HyperTable:
         raise ValueError("hyperparameter value must be positive")
     check_table_size(alphabet, k)
     A = alphabet.size
-    return HyperTable(k, alphabet, np.full((A**k, A), float(value)))
+    table = np.full((A**k, A), float(value))
+    table.flags.writeable = False  # fresh, so _frozen need not copy it
+    return HyperTable(k, alphabet, table)
 
 
 def hyper_from_fake_counts(fake: CountTable) -> HyperTable:
     """alpha(word, symbol) = fake_count + 1."""
-    return HyperTable(fake.order, fake.alphabet, fake.table + 1.0)
+    table = fake.table + 1.0
+    table.flags.writeable = False  # fresh, so _frozen need not copy it
+    return HyperTable(fake.order, fake.alphabet, table)
 
 
 def read_sequence(path, alphabet: Alphabet | None = None,

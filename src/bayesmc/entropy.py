@@ -56,8 +56,10 @@ def r_from(table: HyperTable) -> WordConditional:
     """The mean distribution of a Dirichlet table: word masses alpha(word)/beta
     with beta = alpha_k the table's total, conditionals = posterior_mean."""
     beta = np.asarray(table.total)[..., None]
-    return WordConditional(table.order, table.alphabet, table.word_totals / beta,
-                           posterior_mean(table))
+    word_probs, cond_probs = table.word_totals / beta, posterior_mean(table)
+    for fresh in (word_probs, cond_probs):
+        fresh.flags.writeable = False  # fresh, so _frozen need not copy it
+    return WordConditional(table.order, table.alphabet, word_probs, cond_probs)
 
 
 def _rate_bits(weights, cond):

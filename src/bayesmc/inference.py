@@ -12,6 +12,7 @@ log_gamma_diff call; log_evidence and log_predictive are the one-pair case.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,17 +140,24 @@ def summary_rows(counts: CountTable, hyper: HyperTable, level: float = 0.95) -> 
     """Per-parameter posterior summaries of one table for CSV export, one tuple per
     (word, symbol) entry in code order: word, symbol, count, alpha, mean,
     variance, ci_low, ci_high.  The region is searched once per distinct
-    marginal (a, b) of the table: entries with an equal marginal share it."""
+    marginal (a, b) of the table: entries with an equal marginal share it.  The
+    distinct marginals' log_norm comes from one array call, each element equal
+    to its lone marginal's bit for bit."""
     post = posterior(counts, hyper)
     count, alpha = counts.table.tolist(), hyper.table.tolist()
     mean, var = posterior_mean(post).tolist(), posterior_variance(post).tolist()
-    rows, regions = [], {}
+    a = post.table.tolist()
+    b = (post.word_totals[:, None] - post.table).tolist()  # as marginal() subtracts
+    regions = dict.fromkeys(zip(itertools.chain(*a), itertools.chain(*b)))
+    norms = BetaParams(*np.array(list(regions)).T).log_norm.tolist()
+    for (m_a, m_b), norm in zip(regions, norms):
+        m = BetaParams(m_a, m_b)
+        vars(m)["log_norm"] = norm  # where the cached_property keeps m.log_norm
+        regions[m_a, m_b] = confidence_region(m, level)
+    rows = []
     for w, word in enumerate(word_strings(post.order, post.alphabet)):
         for s, symbol in enumerate(post.alphabet.symbols):
-            m = marginal(post, w, s)
-            if (m.a, m.b) not in regions:
-                regions[m.a, m.b] = confidence_region(m, level)
-            region = regions[m.a, m.b]
+            region = regions[a[w][s], b[w][s]]
             rows.append((word, symbol, count[w][s], alpha[w][s], mean[w][s], var[w][s],
                          region.lower, region.upper))
     return rows

@@ -181,6 +181,8 @@ def markov_approximation(hmm: LabeledHMM, k: int) -> WordConditional:
     support = wp > 0
     cond = np.full_like(joint, 1.0 / A)
     cond[support] = joint[support] / wp[support, None]
+    for fresh in (wp, cond):
+        fresh.flags.writeable = False  # fresh, so _frozen need not copy it
     return WordConditional(k, hmm.alphabet, wp, cond)
 
 

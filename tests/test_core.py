@@ -15,10 +15,15 @@ from bayesmc import (
     golden_mean,
     hyper_from_fake_counts,
     lower_order_counts,
+    markov_approximation,
+    r_from,
     read_sequence,
     uniform_hyper,
     word_strings,
 )
+import bayesmc.core
+import bayesmc.entropy
+import bayesmc.processes
 from bayesmc.core import (InvalidSymbolError, ShapeMismatchError, TableTooLargeError,
                           check_table_size)
 from bayesmc.special import _row_sum
@@ -275,6 +280,28 @@ class TestFrozenArrays:
         make, arr, _ = FROZEN_KINDS[kind]
         one = make(arr.copy())
         assert one == one and one != make(arr.copy())
+
+
+def test_fresh_arrays_frozen_as_they_are(monkeypatch):
+    # the priors and the mean and Markov-approximation distributions are arrays their
+    # functions make, marked read-only before they are wrapped: _frozen copies none
+    hmm, fake = golden_mean(), np.zeros((2, 2))
+    fake.flags.writeable = False
+    frozen, copied = bayesmc.core._frozen, []
+
+    def counted(arr, dtype=float):
+        out = frozen(arr, dtype)
+        if isinstance(arr, np.ndarray) and out.dtype == arr.dtype and out is not arr:
+            copied.append(arr.shape)
+        return out
+
+    for module in (bayesmc.core, bayesmc.entropy, bayesmc.processes):
+        monkeypatch.setattr(module, "_frozen", counted)
+    prior = uniform_hyper(2, BINARY, 0.5)
+    hyper_from_fake_counts(CountTable(1, BINARY, fake))
+    r_from(prior)
+    markov_approximation(hmm, 2)
+    assert copied == []
 
 
 #: Characters an alphabet may hold: ASCII, the rest of the basic plane and the astral planes.

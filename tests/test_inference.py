@@ -27,6 +27,7 @@ from bayesmc import (
 )
 from bayesmc import average_counts
 import bayesmc.inference
+import bayesmc.special
 from bayesmc.core import ShapeMismatchError, hyper_from_fake_counts
 from bayesmc.inference import density_grid, region_mass, summary_rows
 
@@ -390,3 +391,26 @@ class TestSharedRegions:
             searches.clear()
             assert len(summary_rows(counts, hyper)) == 32
             assert len(searches) == 2 * len(distinct)
+
+    @pytest.mark.parametrize("k, alpha, N", [
+        (6, 1.0, 10_000),  # infer_regions' largest table: 128 entries, many marginals repeated
+        (2, 1e-3, 10_000),  # forbidden transitions give a < 0.5, log_gamma's shifted branch
+        (1, 1.0, None),  # no counts: every entry has the one marginal Beta(1, 1)
+    ])
+    def test_one_log_norm_call_per_table(self, k, alpha, N, monkeypatch):
+        # the distinct marginals' log_norm comes from one array call (3 log_gammas),
+        # and every region equals the lone marginal's search bit for bit
+        calls = []
+        log_gamma = bayesmc.special.log_gamma
+        monkeypatch.setattr(bayesmc.special, "log_gamma",
+                            lambda x: calls.append(np.shape(x)) or log_gamma(x))
+        counts = table(np.zeros((2, 2))) if N is None else average_counts(even_process(), N, k)
+        hyper = uniform_hyper(k, BINARY, alpha)
+        rows = summary_rows(counts, hyper, 0.95)
+        assert len(calls) <= 3
+        calls.clear()
+        post = posterior(counts, hyper)
+        for i, row in enumerate(rows):
+            region = confidence_region(marginal(post, i // 2, i % 2), 0.95)
+            assert (row[6].hex(), row[7].hex()) == (region.lower.hex(), region.upper.hex())
+        assert len(calls) == 3 * len(rows)  # the counter sees them: 3 per lone marginal

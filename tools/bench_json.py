@@ -6,7 +6,9 @@ For each seed and each workload of BENCHMARK.json (or those given with
 --workloads), every LABEL=CHECKOUT runs `perfbench/run.py --trace 0` for the
 file's run_seconds, the order of the checkouts rotating from one seed to the
 next and from one workload to the next.  Each result line is appended to
-OUT.json with its label, workload and seed.
+OUT.json with its label, workload and seed.  Before the first of them, each
+checkout runs the first workload once for one second, and that result is
+discarded.
 
 Afterwards it prints, per workload and end-to-end metric of BENCHMARK.json,
 each label's median and quartiles over the seeds in OUT.json (a seed run more
@@ -43,16 +45,26 @@ sides = [c.split("=", 1) for c in args.checkouts]
 labels = [label for label, _ in sides]
 workloads = args.workloads or [w["name"] for w in bench["workloads"]]
 rows = json.loads(args.out.read_text()) if args.out.exists() else []
+
+
+def run(checkout, name, seed, seconds):
+    return subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+
+
+# One discarded one-second run per checkout first: a session's first run imports
+# cold, and its setup_s alone could leave a three-seed verdict unresolved.
+for _, checkout in sides:
+    run(checkout, workloads[0], args.seeds[0], 1)
 for i, seed in enumerate(args.seeds):
     for j, name in enumerate(workloads):
         # shifted by seed and by workload, so each workload's order alternates
         # from seed to seed whatever the number of workloads
         shift = (i + j) % len(sides)
         for label, checkout in sides[shift:] + sides[:shift]:
-            proc = subprocess.run(
-                [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
-                 "--seconds", str(bench["run_seconds"]), "--trace", "0"],
-                cwd=checkout, capture_output=True, text=True, check=True)
+            proc = run(checkout, name, seed, bench["run_seconds"])
             rows.append({"label": label, "workload": name, "seed": seed,
                          **json.loads(proc.stdout.splitlines()[-1])})
             args.out.write_text(json.dumps(rows, indent=1) + "\n")
