@@ -184,8 +184,10 @@ def _resolve(cfg: argparse.Namespace) -> _Sweep:
     return _Sweep(cfg, alphabet, seq, hypers, joints, approxes, truth)
 
 
-#: A cell type's CSV and JSON formatters; in JSON a float prints its repr, infinity null.
-_FORMATS = {float: ("{:.12g}".format, lambda v: "null" if math.isinf(v) else json.dumps(v)),
+#: A cell type's CSV and JSON formatters; in JSON a finite float prints its repr (as
+#: json.dumps does), infinity null and NaN NaN.
+_FORMATS = {float: ("{:.12g}".format, lambda v: float.__repr__(v) if math.isfinite(v)
+                    else "null" if math.isinf(v) else "NaN"),
             int: (str, str), str: (str, json.dumps), type(None): (lambda v: "", lambda v: "null")}
 #: Ends each row of a block's varying text: in no template, nor in a cell (Alphabet bars it).
 _ROW = "\r"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,12 +78,28 @@ class Alphabet:
 
         Index assignment is deterministic: characters are sorted (by code point).
         """
-        return cls(tuple(map(chr, np.flatnonzero(np.bincount(_code_points(text))))))
+        return cls(_symbols(_code_points(text)))
 
 
 def _code_points(text: str) -> np.ndarray:
-    """One code point per character of `text`, a lone surrogate included."""
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    """One code point per character of `text`: a byte each (uint8) when the text
+    encodes as Latin-1, else uint32, a lone surrogate included."""
+    try:
+        return np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+def _symbols(points: np.ndarray) -> tuple[str, ...]:
+    """The distinct characters of `points`, sorted by code point.  Bytes are not
+    counted: each value from the least byte to the greatest is looked for by one `in`
+    (a memchr over the bytes).  Wider code points are counted."""
+    if points.dtype != np.uint8:
+        return tuple(map(chr, np.flatnonzero(np.bincount(points))))
+    raw = points.tobytes()
+    # an empty range when there are no points
+    lo, hi = int(points.min(initial=255)), int(points.max(initial=0))
+    return tuple(chr(c) for c in range(lo, hi + 1) if bytes((c,)) in raw)
 
 
 def _frozen(arr, dtype=float) -> np.ndarray:
@@ -110,7 +127,8 @@ class SymbolSequence:
         arr = _frozen(self.data, np.int64)
         if arr.ndim != 1:
             raise ValueError("sequence data must be one-dimensional")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.alphabet.size):
+        # both ends in one pass: read as uint64, a negative index is at least 2**63
+        if arr.view(np.uint64).max(initial=0) >= self.alphabet.size:
             raise InvalidSymbolError("symbol index out of range for alphabet")
         object.__setattr__(self, "data", arr)
 
@@ -119,22 +137,39 @@ class SymbolSequence:
 
     @classmethod
     def from_string(cls, text: str, alphabet: Alphabet | None = None) -> "SymbolSequence":
-        if alphabet is None:
-            alphabet = Alphabet.from_text(text)
+        """`text`'s characters as symbols of `alphabet`, by default of the alphabet of its
+        distinct characters (Alphabet.from_text)."""
         points = _code_points(text)
+        if alphabet is None:
+            alphabet = Alphabet(_symbols(points))
         codes = [ord(s) for s in alphabet.symbols]
-        # each code point's symbol index, -1 for a character outside the alphabet
-        lookup = np.full(max(max(codes), points.max(initial=0)) + 1, -1, dtype=np.int64)
-        lookup[codes] = np.arange(alphabet.size)
-        data = lookup[points]
-        unknown = data < 0
-        if unknown.any():
-            raise InvalidSymbolError(f"unknown symbol {text[int(np.argmax(unknown))]!r}")
+        if points.dtype == np.uint8 and alphabet.size < 255:
+            # each byte's symbol index through one 256-entry table, 255 (above every
+            # index) for a byte outside the alphabet
+            table = bytearray(b"\xff" * 256)
+            for i, c in enumerate(codes):
+                if c < 256:
+                    table[c] = i
+            indices = points.tobytes().translate(table)
+            first = indices.find(255)
+            data = np.frombuffer(indices, dtype=np.uint8).astype(np.int64)
+        else:
+            # each code point's symbol index, -1 for a character outside the alphabet
+            lookup = np.full(max(max(codes), int(points.max(initial=0))) + 1, -1, dtype=np.int64)
+            lookup[codes] = np.arange(alphabet.size)
+            data = lookup[points]
+            unknown = data < 0
+            first = int(np.argmax(unknown)) if unknown.any() else -1
+        if first >= 0:
+            raise InvalidSymbolError(f"unknown symbol {text[first]!r}")
         data.flags.writeable = False  # fresh, so _frozen need not copy it
         return cls(alphabet, data)
 
     def to_string(self) -> str:
-        return "".join(self.alphabet.symbols[i] for i in self.data)
+        """The symbols joined, through one gather of their code points (a lone
+        surrogate included)."""
+        codes = np.array([ord(s) for s in self.alphabet.symbols], dtype="<u4")
+        return codes[self.data].tobytes().decode("utf-32-le", "surrogatepass")
 
 
 def check_table_size(alphabet: Alphabet, k: int) -> None:
@@ -160,7 +195,7 @@ class _Table:
     """A dense (A**k, A) table over (word, next symbol) pairs, or a
     (G, A**k, A) stack of G such tables, whose totals then have one value per
     table.  Every entry must be finite; a subclass names its `_kind` and checks
-    its other constraints in `_check`."""
+    its other constraints on the least entry in `_check`."""
 
     order: int
     alphabet: Alphabet
@@ -172,9 +207,12 @@ class _Table:
         if arr.ndim not in (2, 3) or arr.shape[-2:] != expected:
             raise ShapeMismatchError(f"{self._kind} table shape {arr.shape}, expected "
                                      f"{expected} or a stack (G, {expected[0]}, {expected[1]})")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{self._kind} table entries must be finite")
-        self._check(arr)
+        if arr.size:  # a (0, A**k, A) stack has no entries to check
+            # a NaN anywhere is the min's and the max's, an infinity one of them
+            least, greatest = arr.min(), arr.max()
+            if not (math.isfinite(least) and math.isfinite(greatest)):
+                raise ValueError(f"{self._kind} table entries must be finite")
+            self._check(least)
         object.__setattr__(self, "table", _frozen(arr))
 
     @functools.cached_property
@@ -202,8 +240,8 @@ class CountTable(_Table):
     _kind = "count"
 
     @staticmethod
-    def _check(arr):
-        if np.any(arr < 0):
+    def _check(least):
+        if least < 0:
             raise ValueError("counts must be nonnegative")
 
 
@@ -214,8 +252,8 @@ class HyperTable(_Table):
     _kind = "hyper"
 
     @staticmethod
-    def _check(arr):
-        if np.any(arr <= 0):
+    def _check(least):
+        if least <= 0:
             raise ValueError("hyperparameters must be strictly positive")
 
 
@@ -239,9 +277,17 @@ def count_words(seq: SymbolSequence, k: int) -> CountTable:
     n = len(seq)
     if n < k + 1:
         raise ValueError(f"sequence of length {n} too short for order k={k}")
-    powers = A ** np.arange(k, -1, -1, dtype=np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(seq.data, k + 1)
-    codes = windows @ powers  # combined (word, symbol) code
+    # Each window's combined (word, symbol) code, by doubling: the codes of the windows
+    # of length 2L combine those of length L, and a set bit of k + 1 appends one
+    # symbol.  Codes stay below A**(k + 1) <= TABLE_CAP < 2**31, so int32 holds them.
+    symbols = seq.data.astype(np.int32)
+    codes, length = symbols, 1
+    for bit in bin(k + 1)[3:]:
+        codes = codes[:-length] * A**length + codes[length:]
+        length *= 2
+        if bit == "1":
+            codes = codes[:-1] * A + symbols[length:]
+            length += 1
     table = np.bincount(codes, minlength=A ** (k + 1)).astype(float).reshape(A**k, A)
     table.flags.writeable = False  # fresh, so _frozen need not copy it
     return CountTable(k, seq.alphabet, table)

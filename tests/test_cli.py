@@ -223,6 +223,12 @@ class TestBlockText:
             written = {p.name: p.read_bytes().decode("utf-8") for p in Path(out).iterdir()}
         assert written == _rendered_row_by_row(columns, blocks)
 
+    @given(st.floats())
+    def test_json_float_as_json_dumps_prints_it(self, value):
+        # a finite float and NaN as json.dumps prints them, an infinity as null
+        expected = "null" if math.isinf(value) else json.dumps(value)
+        assert bayesmc.cli._FORMATS[float][1](value) == expected
+
 
 class TestCompare:
     def test_columns_and_normalization(self, tmp_path):

@@ -1,8 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bayesmc import (
     Alphabet,
@@ -25,7 +26,7 @@ import bayesmc.core
 import bayesmc.entropy
 import bayesmc.processes
 from bayesmc.core import (InvalidSymbolError, ShapeMismatchError, TableTooLargeError,
-                          check_table_size)
+                          check_table_size, write_sequence)
 from bayesmc.special import _row_sum
 
 from util import window_count_oracle
@@ -81,6 +82,17 @@ class TestWordEncoding:
                 assert word == "".join(alphabet.symbols[d] for d in digits)
 
 
+@st.composite
+def windowed_sequences(draw):
+    """(A, k, symbols): 2-5 symbols, every order k whose table holds at most 2**12 entries,
+    and k+1 to 200 symbols as int64 or int32."""
+    A = draw(st.integers(2, 5))
+    k = draw(st.integers(1, max(k for k in range(1, 12) if A ** (k + 1) <= 2**12)))
+    n = draw(st.integers(k + 1, 200))
+    symbols = draw(st.lists(st.integers(0, A - 1), min_size=n, max_size=n))
+    return A, k, np.array(symbols, dtype=draw(st.sampled_from([np.int64, np.int32])))
+
+
 class TestCountWords:
     def test_0110_k1(self):
         seq = SymbolSequence.from_string("0110", BINARY)
@@ -127,6 +139,22 @@ class TestCountWords:
         na = count_words(SymbolSequence(BINARY, np.array(a)), k).total
         nb = count_words(SymbolSequence(BINARY, np.array(b)), k).total
         assert ct.total == na + nb + k
+
+    # one window whose length k + 1 is a power of two (8, 4) or the largest binary order's
+    # (12: a doubling, an appended symbol and two more doublings), and 199 windows of two
+    # symbols
+    @given(windowed_sequences())
+    @example((2, 7, np.array([1, 0, 1, 1, 0, 0, 1, 1], dtype=np.int32)))
+    @example((3, 3, np.array([2, 0, 1, 2], dtype=np.int32)))
+    @example((2, 11, np.arange(12, dtype=np.int32) % 2))
+    @example((5, 1, np.arange(200) % 5))
+    def test_every_window_vs_window_oracle(self, case):
+        A, k, symbols = case
+        table = count_words(SymbolSequence(Alphabet(tuple("01234"[:A])), symbols), k).table
+        expected = np.zeros(A ** (k + 1))
+        for window, n in window_count_oracle(symbols.tolist(), k).items():
+            expected[functools.reduce(lambda code, s: code * A + s, window, 0)] = n
+        np.testing.assert_array_equal(table.ravel(), expected)
 
 
 class TestLowerOrderCounts:
@@ -221,6 +249,29 @@ class TestTableBase:
         with pytest.raises(ValueError, match=rf"^{name} table entries must be finite"):
             kind(1, BINARY, table)
 
+    @pytest.mark.parametrize("kind, entries, message", [
+        (CountTable, (1.0, -1e-300), "counts must be nonnegative"),
+        (HyperTable, (1.0, 0.0), "hyperparameters must be strictly positive"),
+        (HyperTable, (1.0, -0.0), "hyperparameters must be strictly positive"),
+        # a non-finite entry is named before a negative one
+        (CountTable, (-1.0, math.nan), "count table entries must be finite"),
+        (HyperTable, (-1.0, -math.inf), "hyper table entries must be finite")])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2)])
+    def test_rejects_an_entry_out_of_range(self, kind, entries, message, shape):
+        table = np.ones(shape)
+        table[..., 0, 0], table[..., 1, 1] = entries
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            kind(1, BINARY, table)
+
+    def test_negative_zero_is_a_count_of_zero(self):
+        assert CountTable(1, BINARY, np.array([[-0.0, 1.0], [2.0, 3.0]])).total == 6.0
+
+    @pytest.mark.parametrize("kind", [CountTable, HyperTable])
+    def test_empty_stack_accepted(self, kind):
+        # a stack of no tables has no entries to check, nor a least one
+        stack = kind(2, BINARY, np.empty((0, 4, 2)))
+        assert stack.table.shape == (0, 4, 2) and stack.word_totals.shape == (0, 4)
+
     @pytest.mark.parametrize("kind", [CountTable, HyperTable])
     def test_total_float_for_a_table_array_for_a_stack(self, kind):
         assert type(kind(1, BINARY, np.ones((2, 2))).total) is float
@@ -304,10 +355,16 @@ def test_fresh_arrays_frozen_as_they_are(monkeypatch):
     assert copied == []
 
 
-#: Characters an alphabet may hold: ASCII, the rest of the basic plane and the astral planes.
-symbol_chars = st.one_of(st.characters(max_codepoint=0x7F), st.characters(min_codepoint=0x80,
-                         max_codepoint=0xFFFF), st.characters(min_codepoint=0x10000)
+#: Characters an alphabet may hold: ASCII, the rest of Latin-1 (both read a byte each), the
+#: rest of the basic plane and the astral planes.
+symbol_chars = st.one_of(st.characters(max_codepoint=0x7F),
+                         st.characters(min_codepoint=0x80, max_codepoint=0xFF),
+                         st.characters(min_codepoint=0x100, max_codepoint=0xFFFF),
+                         st.characters(min_codepoint=0x10000)
                          ).filter(lambda c: c not in ',"\n\r')
+#: A small alphabet, and one of 300 symbols whose Latin-1 ones have indices past a byte's.
+LATIN1_ASTRAL = Alphabet(("0", "1", "\xe9", "\U0001f600"))
+WIDE = Alphabet(tuple(map(chr, range(0x100, 0x100 + 296))) + LATIN1_ASTRAL.symbols)
 
 
 class TestFromString:
@@ -330,15 +387,46 @@ class TestFromString:
         with pytest.raises(InvalidSymbolError, match="^unknown symbol 'z'$"):
             SymbolSequence.from_string("01z2y", TERNARY)
 
+    # Latin-1 text reads a byte per character, other text a uint32 code point each
+    @pytest.mark.parametrize("text, dtype", [("0\xe91\xe9", np.uint8),
+                                             ("0\xe91\U0001f600\xe9", np.uint32)])
+    def test_latin1_symbols_on_either_dtype(self, text, dtype):
+        assert bayesmc.core._code_points(text).dtype == dtype
+        seq = SymbolSequence.from_string(text)
+        assert seq.alphabet == Alphabet.from_text(text)
+        assert seq.alphabet.symbols == tuple(sorted(set(text)))
+        assert seq.data.tolist() == [seq.alphabet.symbols.index(c) for c in text]
+        assert seq.to_string() == text
+
+    @pytest.mark.parametrize("alphabet", [LATIN1_ASTRAL, WIDE])
+    @pytest.mark.parametrize("text", ["\xe900\xe9", "\xe90\U0001f600"])
+    def test_explicit_alphabet_with_absent_symbols(self, alphabet, text):
+        seq = SymbolSequence.from_string(text, alphabet)
+        assert seq.data.tolist() == [alphabet.symbols.index(c) for c in text]
+        assert seq.to_string() == text
+
+    @pytest.mark.parametrize("alphabet", [LATIN1_ASTRAL, WIDE])
+    @pytest.mark.parametrize("text", ["0\xe91zy\xe9", "0\xe91zy\U0001f600"])
+    def test_first_unknown_named_on_either_dtype(self, alphabet, text):
+        with pytest.raises(InvalidSymbolError, match="^unknown symbol 'z'$"):
+            SymbolSequence.from_string(text, alphabet)
+
     def test_data_read_only_int64(self):
         seq = SymbolSequence(BINARY, np.array([0, 1, 1], dtype=np.int32))
         assert seq.data.dtype == np.int64 and not seq.data.flags.writeable
         with pytest.raises(ValueError):
             seq.data[0] = 1
 
+    @pytest.mark.parametrize("index", [2, -1, -2**63, 2**63 - 1])
+    def test_index_out_of_range(self, index):
+        with pytest.raises(InvalidSymbolError, match="^symbol index out of range for alphabet$"):
+            SymbolSequence(BINARY, np.array([0, 1, index], dtype=np.int64))
+        assert len(SymbolSequence(BINARY, np.array([], dtype=np.int64))) == 0
+
     def test_lone_surrogate_symbol(self):
         alphabet = Alphabet(("a", "\ud800"))
-        assert SymbolSequence.from_string("a\ud800a", alphabet).data.tolist() == [0, 1, 0]
+        seq = SymbolSequence.from_string("a\ud800a", alphabet)
+        assert seq.data.tolist() == [0, 1, 0] and seq.to_string() == "a\ud800a"
 
 
 class TestSequenceIO:
@@ -354,6 +442,15 @@ class TestSequenceIO:
         path.write_text("aab\n")
         seq = read_sequence(path, alphabet=Alphabet(("a", "b", "c")))
         assert list(seq.data) == [0, 0, 1]
+
+    @pytest.mark.parametrize("text", ["0\xe91", "0\xe91\U0001f600"])
+    def test_byte_order_mark_led_file_on_either_dtype(self, text, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("\ufeff" + text + "\n", encoding="utf-8")
+        seq = read_sequence(path)
+        assert seq.alphabet.symbols == tuple(sorted(text)) and seq.to_string() == text
+        write_sequence(path, seq)
+        assert read_sequence(path, alphabet=seq.alphabet).data.tolist() == seq.data.tolist()
 
     def test_csv_column(self, tmp_path):
         path = tmp_path / "seq.csv"
