@@ -26,7 +26,7 @@ import numpy as np
 from . import comparison, entropy, inference, processes
 from .core import (Alphabet, CountTable, HyperTable, SymbolSequence, check_table_size,
                    count_words, hyper_from_fake_counts, lower_order_counts, read_sequence,
-                   uniform_hyper, word_strings, write_sequence)
+                   uniform_hyper, write_sequence)
 from .special import NumericDomainError
 
 EXIT_BAD_CONFIG = 2
@@ -113,7 +113,7 @@ class _Sweep:
     alphabet: Alphabet
     seq: SymbolSequence | None  # file or sample mode: counts come from its prefixes
     hypers: dict[int, HyperTable]
-    joints: dict[int, np.ndarray]  # average mode: p(word, symbol), shape (A**k, A)
+    joints: dict[int, np.ndarray]  # a source's p(word, symbol), shape (A**k, A), where read
     approxes: dict[int, entropy.WordConditional]
     truth: float | None
 
@@ -171,16 +171,15 @@ def _resolve(cfg: argparse.Namespace) -> _Sweep:
     orders = range(cfg.k_min, cfg.k_max + 1)
     hypers = (_read_fake_counts(cfg.fake_counts, orders, alphabet) if cfg.fake_counts is not None
               else {k: uniform_hyper(k, alphabet, cfg.alpha) for k in orders})
-    joints = {} if seq is not None else {
-        k: processes.word_distribution(hmm, k + 1).reshape(alphabet.size**k, alphabet.size)
-        for k in orders}
-    approxes, truth = {}, None
-    if cfg.command == "entropy" and hmm is not None:
-        approxes = {k: processes.markov_approximation(hmm, k) for k in orders}
-        if hmm.is_unifilar():
-            truth = processes.true_entropy_rate(hmm)
-        elif cfg.source == "sns":  # the builtin: builtins are looked up before files
-            truth = processes.SNS_ENTROPY_RATE
+    A, compared = alphabet.size, cfg.command == "entropy" and hmm is not None
+    joints = {k: processes.word_distribution(hmm, k + 1).reshape(A**k, A)
+              for k in orders if seq is None or compared}  # average counts' and Q's truth
+    approxes = {k: processes._conditionals(k, alphabet, joints[k]) for k in orders if compared}
+    truth = None
+    if compared and hmm.is_unifilar():
+        truth = processes.true_entropy_rate(hmm)
+    elif compared and cfg.source == "sns":  # the builtin: builtins are looked up before files
+        truth = processes.SNS_ENTROPY_RATE
     return _Sweep(cfg, alphabet, seq, hypers, joints, approxes, truth)
 
 
@@ -256,19 +255,14 @@ def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> N
 def _infer_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
     for g, N in enumerate(chunk):
         for k, stack, hyper in orders:
-            counts = CountTable(k, sweep.alphabet, stack.table[g])
-            rows = inference.summary_rows(counts, hyper, sweep.cfg.confidence)
-            yield "infer_summary.csv", [N, k, *map(list, zip(*rows))]
-            x, dens = inference.density_grid(inference.posterior(counts, hyper),
-                                             sweep.cfg.density_points)
-            xs, shared = _Shared(x.tolist()), {}  # each bit-identical density row once
-            for word, word_dens in zip(word_strings(k, sweep.alphabet), dens):
-                for symbol, entry_dens in zip(sweep.alphabet.symbols, word_dens):
-                    key = entry_dens.tobytes()
-                    if key not in shared:
-                        shared[key] = _Shared(entry_dens.tolist())
-                    yield "infer_density.csv", [N, k, word, symbol, xs, shared[key]]
-            del xs, shared  # with their text, before the next table's densities are computed
+            columns, x, dens, index = inference.infer_table(
+                CountTable(k, sweep.alphabet, stack.table[g]), hyper, sweep.cfg.confidence,
+                sweep.cfg.density_points)
+            yield "infer_summary.csv", [N, k, *columns]
+            xs, rows = _Shared(x.tolist()), [_Shared(row) for row in dens.tolist()]
+            for word, symbol, i in zip(*columns[:2], index.tolist()):
+                yield "infer_density.csv", [N, k, word, symbol, xs, rows[i]]
+            del xs, rows  # with their text, before the next table's densities are computed
 
 
 def _compare_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):

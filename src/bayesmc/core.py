@@ -223,10 +223,13 @@ class _Table:
         totals.flags.writeable = False  # fresh, so _frozen need not copy it
         return _frozen(totals)
 
-    @property
+    @functools.cached_property
     def total(self):
-        """The sum over all (word, symbol) entries: n or alpha_k."""
-        return _per_table(_table_sum(self.table))
+        """The sum over all (word, symbol) entries: n or alpha_k, added once per table."""
+        total = _per_table(_table_sum(self.table))
+        if np.ndim(total):  # a stack's, one value per table, read-only
+            total.flags.writeable = False
+        return total
 
 
 class CountTable(_Table):

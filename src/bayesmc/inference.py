@@ -7,12 +7,12 @@ natural-log space end to end; conversion to base 2 happens only at
 presentation time.  The evidence and the predictive are log-Gamma ratios:
 log_evidences takes a list of (counts, hyper) pairs, of any orders and
 stack sizes, and evaluates every pair's observed entries and words in one
-log_gamma_diff call; log_evidence and log_predictive are the one-pair case.
+log_gamma_diff call; log_evidence is the one-pair case, and log_predictive
+the evidence of new counts under the posterior.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,20 +71,17 @@ def region_mass(m: BetaParams, region: ConfidenceRegion) -> float:
     return reg_inc_beta(m, region.upper) - reg_inc_beta(m, region.lower)
 
 
-def _log_gamma_ratio(pairs) -> list:
-    """For each (base, inc) pair of arrays, the log of prod_w Gamma(base(w)) / Gamma(base(w)
-    + inc(w)) * prod_(w,s) Gamma(base(w, s) + inc(w, s)) / Gamma(base(w, s)), with (w) a row
-    total: the Dirichlet average of a likelihood with counts inc under parameters base.  A
-    float for one (W, A) table inc, one value per table for a (G, W, A) stack.
-
-    One log_gamma_diff call takes every pair's entries and word totals where inc is
-    nonzero, gathered and concatenated; an entry or word with no counts adds exactly 0.
-    The values are scattered back into zero-filled tables, each the log_gamma_diff(base,
-    inc) of its pair element for element, and summed as that table would be, so a pair's
-    value does not depend on the others'."""
-    segments = []  # (where inc is nonzero, base there, inc there): entries, then words
-    for base, inc in pairs:
-        for x, n in ((base, inc), (_row_sum(base), _row_sum(inc))):
+def log_evidences(pairs) -> list:
+    """log_evidence of each (counts, hyper) pair, from one log_gamma_diff call over all
+    of them; a sweep passes the count stacks of all its orders at once.  That call takes
+    every pair's entries and word totals where the counts are nonzero (an entry or word
+    with no counts adds exactly 0), and its values are scattered back into zero-filled
+    tables, each summed as a lone pair's would be: each value equals the pair's lone call
+    bit for bit."""
+    segments = []  # (where the counts are nonzero, hyper there, counts there): entries, words
+    for counts, hyper in pairs:
+        require_same_shape(counts, hyper)
+        for x, n in ((hyper.table, counts.table), (hyper.word_totals, counts.word_totals)):
             x, n = np.broadcast_arrays(x, n)
             seen = n != 0
             segments.append((seen, x[seen], n[seen]))
@@ -97,16 +94,6 @@ def _log_gamma_ratio(pairs) -> list:
         terms[-1][seen] = v
     return [_per_table(_table_sum(entries) - words.sum(axis=-1))
             for entries, words in zip(terms[::2], terms[1::2])]
-
-
-def log_evidences(pairs) -> list:
-    """log_evidence of each (counts, hyper) pair, from one log_gamma_diff call over all
-    of them; each value equals the pair's lone call bit for bit.  A sweep passes the count
-    stacks of all its orders at once."""
-    pairs = list(pairs)
-    for counts, hyper in pairs:
-        require_same_shape(counts, hyper)
-    return _log_gamma_ratio([(hyper.table, counts.table) for counts, hyper in pairs])
 
 
 def log_evidence(counts: CountTable, hyper: HyperTable):
@@ -122,10 +109,9 @@ def log_evidence(counts: CountTable, hyper: HyperTable):
 
 def log_predictive(counts: CountTable, new_counts: CountTable, hyper: HyperTable) -> float:
     """Log probability of new data with counts m, averaged over the posterior:
-    the evidence's Gamma ratio with the posterior parameters n + alpha as its
-    base.  Algebraically log_evidence(n + m) - log_evidence(n)."""
-    require_same_shape(counts, new_counts, hyper)
-    return _log_gamma_ratio([(posterior(counts, hyper).table, new_counts.table)])[0]
+    the evidence of m under the posterior n + alpha as its prior.  Algebraically
+    log_evidence(n + m) - log_evidence(n)."""
+    return log_evidence(new_counts, posterior(counts, hyper))
 
 
 def sample_posterior(post: HyperTable, seed) -> np.ndarray:
@@ -136,40 +122,46 @@ def sample_posterior(post: HyperTable, seed) -> np.ndarray:
     return g / _row_sum(g)[..., None]
 
 
-def summary_rows(counts: CountTable, hyper: HyperTable, level: float = 0.95) -> list[tuple]:
-    """Per-parameter posterior summaries of one table for CSV export, one tuple per
-    (word, symbol) entry in code order: word, symbol, count, alpha, mean,
-    variance, ci_low, ci_high.  The region is searched once per distinct
-    marginal (a, b) of the table: entries with an equal marginal share it.  The
-    distinct marginals' log_norm comes from one array call, each element equal
-    to its lone marginal's bit for bit."""
-    post = posterior(counts, hyper)
-    count, alpha = counts.table.tolist(), hyper.table.tolist()
-    mean, var = posterior_mean(post).tolist(), posterior_variance(post).tolist()
-    a = post.table.tolist()
-    b = (post.word_totals[:, None] - post.table).tolist()  # as marginal() subtracts
-    regions = dict.fromkeys(zip(itertools.chain(*a), itertools.chain(*b)))
-    norms = BetaParams(*np.array(list(regions)).T).log_norm.tolist()
-    for (m_a, m_b), norm in zip(regions, norms):
+def _grid(points: int) -> np.ndarray:
+    """The uniform open density grid x in (0, 1)."""
+    if points < 2:
+        raise ValueError("need at least 2 grid points")
+    return (np.arange(points) + 0.5) / points
+
+
+def infer_table(counts: CountTable, hyper: HyperTable, level: float = 0.95,
+                points: int = 512) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-parameter posterior summaries and marginal densities of one table for export.
+
+    Returns the summary columns word, symbol, count, alpha, mean, variance, ci_low and
+    ci_high, each a list with one value per (word, symbol) entry in code order; the grid x
+    of density_grid; the density rows of the table's distinct marginals (a, b), shape
+    (D, points); and each entry's index into those rows.  Each distinct marginal is
+    evaluated once: its log_norm, from one array call, serves its region and its density,
+    and its region is searched once.  Every value equals the lone marginal's, and every
+    density row density_grid's, bit for bit."""
+    x, post = _grid(points), posterior(counts, hyper)
+    b = post.word_totals[:, None] - post.table  # as marginal() subtracts
+    (a, b), index = np.unique([post.table.ravel(), b.ravel()], axis=1, return_inverse=True)
+    beta = BetaParams(a[:, None], b[:, None])
+    regions = []
+    for m_a, m_b, norm in zip(a.tolist(), b.tolist(), beta.log_norm.ravel().tolist()):
         m = BetaParams(m_a, m_b)
         vars(m)["log_norm"] = norm  # where the cached_property keeps m.log_norm
-        regions[m_a, m_b] = confidence_region(m, level)
-    rows = []
-    for w, word in enumerate(word_strings(post.order, post.alphabet)):
-        for s, symbol in enumerate(post.alphabet.symbols):
-            region = regions[a[w][s], b[w][s]]
-            rows.append((word, symbol, count[w][s], alpha[w][s], mean[w][s], var[w][s],
-                         region.lower, region.upper))
-    return rows
+        regions.append(confidence_region(m, level))
+    lows, highs = np.array([(r.lower, r.upper) for r in regions])[index].T.tolist()
+    words = word_strings(post.order, post.alphabet)
+    columns = [[w for w in words for _ in post.alphabet.symbols],
+               list(post.alphabet.symbols) * len(words),
+               *(t.ravel().tolist() for t in (counts.table, hyper.table, posterior_mean(post),
+                                              posterior_variance(post))),
+               lows, highs]
+    return columns, x, beta.pdf(x), index
 
 
 def density_grid(post: HyperTable, points: int = 512) -> tuple[np.ndarray, np.ndarray]:
     """Every entry's exact Beta marginal density on a uniform open grid x in
     (0, 1): x, and densities of shape (A**k, A, points), or (G, A**k, A,
     points) for a stack."""
-    if points < 2:
-        raise ValueError("need at least 2 grid points")
-    x = (np.arange(points) + 0.5) / points
-    a = post.table[..., None]
-    b = (post.word_totals[..., None] - post.table)[..., None]
-    return x, BetaParams(a, b).pdf(x)
+    x, a = _grid(points), post.table[..., None]
+    return x, BetaParams(a, post.word_totals[..., None, None] - a).pdf(x)

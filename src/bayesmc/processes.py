@@ -176,14 +176,18 @@ def markov_approximation(hmm: LabeledHMM, k: int) -> WordConditional:
     Zero-probability words (word_probs == 0) get uniform conditionals.
     """
     A = hmm.alphabet.size
-    joint = word_distribution(hmm, k + 1).reshape(A**k, A)
+    return _conditionals(k, hmm.alphabet, word_distribution(hmm, k + 1).reshape(A**k, A))
+
+
+def _conditionals(k: int, alphabet: Alphabet, joint: np.ndarray) -> WordConditional:
+    """markov_approximation of the (A**k, A) joint p(word, symbol)."""
     wp = joint.sum(axis=1)
     support = wp > 0
-    cond = np.full_like(joint, 1.0 / A)
+    cond = np.full_like(joint, 1.0 / alphabet.size)
     cond[support] = joint[support] / wp[support, None]
     for fresh in (wp, cond):
         fresh.flags.writeable = False  # fresh, so _frozen need not copy it
-    return WordConditional(k, hmm.alphabet, wp, cond)
+    return WordConditional(k, alphabet, wp, cond)
 
 
 #: Moves drawn per state at a time by `sample_sequence`.

@@ -221,7 +221,7 @@ def _table_sum(x):
     for a (G, W, A) stack.  Each table is summed as one contiguous run, as
     np.sum sums a lone table, so a stack's sums equal its tables' bit for bit."""
     x = np.asarray(x)
-    return x.reshape(x.shape[:-2] + (-1,)).sum(axis=-1)
+    return x.reshape(*x.shape[:-2], x.shape[-2] * x.shape[-1]).sum(axis=-1)
 
 
 def _row_sum(x):

@@ -274,6 +274,22 @@ class TestEntropy:
         # the prior smooths the forbidden transition, so KL vs truth is inf
         assert r1["kl_bits_if_truth_known"] == "inf"
 
+    @pytest.mark.parametrize("command, mode, lengths", [
+        ("entropy", "average", [3, 4]), ("entropy", "sample", [3, 4]),
+        ("infer", "average", [3, 4]), ("infer", "sample", []), ("compare", "sample", [])])
+    def test_each_word_distribution_once(self, command, mode, lengths, tmp_path, monkeypatch):
+        # a source's joint p(word, symbol) of each order is computed once per invocation,
+        # serving average counts and entropy's Markov approximations alike, and only
+        # where one of them reads it
+        word_distribution, calls = bayesmc.processes.word_distribution, []
+        monkeypatch.setattr(bayesmc.processes, "word_distribution",
+                            lambda hmm, length: calls.append(length) or
+                            word_distribution(hmm, length))
+        seed = ["--seed", "3"] if mode == "sample" else []
+        assert run_cli([command, "--source", "even", "--mode", mode, *seed, "--n-start", "500",
+                        "--k-min", "2", "--k-max", "3", "--out", str(tmp_path)]) == 0
+        assert sorted(calls) == lengths
+
     def test_sns_truth_constant(self, tmp_path):
         run_cli(["entropy", "--source", "sns", "--n-start", "500",
                  "--jobs", "1", "--out", str(tmp_path)])

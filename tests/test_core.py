@@ -15,6 +15,7 @@ from bayesmc import (
     count_words,
     golden_mean,
     hyper_from_fake_counts,
+    log_evidence,
     lower_order_counts,
     markov_approximation,
     r_from,
@@ -27,7 +28,7 @@ import bayesmc.entropy
 import bayesmc.processes
 from bayesmc.core import (InvalidSymbolError, ShapeMismatchError, TableTooLargeError,
                           check_table_size, write_sequence)
-from bayesmc.special import _row_sum
+from bayesmc.special import _row_sum, _table_sum
 
 from util import window_count_oracle
 
@@ -268,9 +269,12 @@ class TestTableBase:
 
     @pytest.mark.parametrize("kind", [CountTable, HyperTable])
     def test_empty_stack_accepted(self, kind):
-        # a stack of no tables has no entries to check, nor a least one
+        # a stack of no tables has no entries to check, nor a least one, and no totals
         stack = kind(2, BINARY, np.empty((0, 4, 2)))
         assert stack.table.shape == (0, 4, 2) and stack.word_totals.shape == (0, 4)
+        assert stack.total.shape == (0,)
+        counts = CountTable(2, BINARY, stack.table)
+        assert log_evidence(counts, uniform_hyper(2, BINARY, 1.0)).shape == (0,)
 
     @pytest.mark.parametrize("kind", [CountTable, HyperTable])
     def test_total_float_for_a_table_array_for_a_stack(self, kind):
@@ -297,6 +301,18 @@ class TestTableBase:
             totals[..., 0] = 5.0
         assert ([v.hex() for v in totals.ravel().tolist()]
                 == [v.hex() for v in _row_sum(table.table).ravel().tolist()])
+
+    @pytest.mark.parametrize("kind", [CountTable, HyperTable])
+    @pytest.mark.parametrize("shape", [(9, 3), (4, 9, 3)])
+    def test_total_added_once_read_only(self, kind, shape):
+        table = kind(2, TERNARY, np.random.default_rng(3).uniform(0.1, 1e6, size=shape))
+        total = table.total
+        assert table.total is total
+        if len(shape) == 3:
+            assert not total.flags.writeable
+            with pytest.raises(ValueError):
+                total[0] = 5.0
+        assert np.asarray(total).tobytes() == _table_sum(table.table).tobytes()
 
 
 #: Each frozen type that holds an array: built from one array argument, an

@@ -29,7 +29,7 @@ from bayesmc import average_counts
 import bayesmc.inference
 import bayesmc.special
 from bayesmc.core import ShapeMismatchError, hyper_from_fake_counts
-from bayesmc.inference import density_grid, region_mass, summary_rows
+from bayesmc.inference import density_grid, infer_table, region_mass
 
 from util import quad_evidence_binary, quad_evidence_binary_k1_tensor, random_tables
 
@@ -318,7 +318,7 @@ class TestSampling:
 
 class TestExports:
     def test_summary_rows(self):
-        rows = summary_rows(table([[0, 1], [0, 0]]), FLAT1, level=0.9)
+        rows = list(zip(*infer_table(table([[0, 1], [0, 0]]), FLAT1, level=0.9)[0]))
         # word, symbol, count, alpha, mean, variance, ci_low, ci_high; code order
         assert [r[:4] for r in rows] == [("0", "0", 0.0, 1.0), ("0", "1", 1.0, 1.0),
                                          ("1", "0", 0.0, 1.0), ("1", "1", 0.0, 1.0)]
@@ -369,11 +369,19 @@ class TestSharedRegions:
     @settings(max_examples=60, deadline=None)
     @given(tables_with_repeats(), st.sampled_from((0.5, 0.9, 0.95)))
     def test_each_entry_gets_its_own_marginals_region(self, pair, level):
+        # and its own marginal's density row, among the distinct marginals' rows
         counts, hyper = pair
         post, A = posterior(counts, hyper), counts.alphabet.size
-        for i, row in enumerate(summary_rows(counts, hyper, level)):
+        columns, x, dens, index = infer_table(counts, hyper, level, 16)
+        grid_x, grid_dens = density_grid(post, 16)
+        assert x.tobytes() == grid_x.tobytes()
+        assert len(dens) == len({(m.a, m.b) for m in (marginal(post, i // A, i % A)
+                                                      for i in range(len(index)))})
+        for i, row in enumerate(zip(*columns)):
             region = confidence_region(marginal(post, i // A, i % A), level)
             assert (row[6].hex(), row[7].hex()) == (region.lower.hex(), region.upper.hex())
+            assert list(map(float.hex, dens[index[i]].tolist())) == list(
+                map(float.hex, grid_dens[i // A, i % A].tolist()))
 
     def test_one_search_pair_per_distinct_marginal(self, monkeypatch):
         # even process at k = 4: 13 distinct marginals among 32 entries; a second
@@ -389,7 +397,8 @@ class TestSharedRegions:
         assert len(distinct) == 13
         for _ in range(2):
             searches.clear()
-            assert len(summary_rows(counts, hyper)) == 32
+            columns, _, dens, _ = infer_table(counts, hyper)
+            assert len(columns[0]) == 32 and len(dens) == len(distinct)
             assert len(searches) == 2 * len(distinct)
 
     @pytest.mark.parametrize("k, alpha, N", [
@@ -398,15 +407,16 @@ class TestSharedRegions:
         (1, 1.0, None),  # no counts: every entry has the one marginal Beta(1, 1)
     ])
     def test_one_log_norm_call_per_table(self, k, alpha, N, monkeypatch):
-        # the distinct marginals' log_norm comes from one array call (3 log_gammas),
-        # and every region equals the lone marginal's search bit for bit
+        # the distinct marginals' log_norm comes from one array call (3 log_gammas) that
+        # serves their regions and their densities, and every region equals the lone
+        # marginal's search bit for bit
         calls = []
         log_gamma = bayesmc.special.log_gamma
         monkeypatch.setattr(bayesmc.special, "log_gamma",
                             lambda x: calls.append(np.shape(x)) or log_gamma(x))
         counts = table(np.zeros((2, 2))) if N is None else average_counts(even_process(), N, k)
         hyper = uniform_hyper(k, BINARY, alpha)
-        rows = summary_rows(counts, hyper, 0.95)
+        rows = list(zip(*infer_table(counts, hyper, 0.95)[0]))
         assert len(calls) <= 3
         calls.clear()
         post = posterior(counts, hyper)

@@ -244,8 +244,10 @@ class TestBatchEqualsLoneCalls:
             if new.ndim == 3 and rng.random() < 0.5:
                 new = new[0]  # one table of new data against each posterior of the stack
             new = CountTable(counts.order, counts.alphabet, new)
-            assert _hexes(log_predictive(counts, new, hyper)) == _hexes(
-                _dense_ratio(posterior(counts, hyper).table, new.table))
+            predictive = _hexes(log_predictive(counts, new, hyper))
+            assert predictive == _hexes(_dense_ratio(posterior(counts, hyper).table, new.table))
+            # the evidence of the new counts with the posterior as their prior
+            assert predictive == _hexes(log_evidence(new, posterior(counts, hyper)))
         for (counts, hyper), m in zip(pairs, energy_moments_of(pairs)):
             assert _fields_hex(m) == _fields_hex(energy_moments(counts, fresh(hyper)))
             assert [_hexes(m.mean), _hexes(m.variance)] == list(
