@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import _per_table, _row_sum, _table_sum
+from .special import _moment_terms, _per_table, _row_sum, _table_sum
 
 #: Largest dense table (in entries) that table-building functions will allocate.
 TABLE_CAP = 2**26
@@ -258,6 +258,22 @@ class HyperTable(_Table):
     def _check(least):
         if least <= 0:
             raise ValueError("hyperparameters must be strictly positive")
+
+    @functools.cached_property
+    def _prior_terms(self) -> tuple:
+        """The _moment_terms of the entries and of the word totals, as the read-only
+        (entries, words) pair of each moment, from one call on their distinct values: the
+        energy's terms wherever the counts are zero, where the posterior is this table."""
+        distinct, at = np.unique(np.concatenate([self.table.ravel(), self.word_totals.ravel()]),
+                                 return_inverse=True)
+        out = []
+        for m in _moment_terms(distinct):
+            terms = m[at]
+            terms.flags.writeable = False  # fresh, so no other view can write it
+            entries, words = np.split(terms, [self.table.size])
+            out.append((entries.reshape(self.table.shape),
+                        words.reshape(self.word_totals.shape)))
+        return tuple(out)
 
 
 def require_same_shape(*tables) -> None:

@@ -9,17 +9,16 @@ which `energy_moments(counts, hyper)` takes from one pass over the posterior
 table, with h_mu[Q] and the large-beta expansion.  All returned information
 quantities are in bits.  The polygammas run only on observed entries and
 words: an unobserved one takes the prior's own term, computed once per hyper
-table on its distinct values.  energy_moments, r_from and hmu_of also take a
-(G, A**k, A) stack of count or posterior tables and return one value per
-table, each equal to its table's own bit for bit.  energy_moments_of takes a
-list of (counts, hyper) pairs, of any orders and stack sizes, and runs one
-polygamma pass over all of them; energy_moments is the one-pair case.
+table on its distinct values and cached on it.  energy_moments, r_from and
+hmu_of also take a (G, A**k, A) stack of count or posterior tables and return
+one value per table, each equal to its table's own bit for bit.
+energy_moments_of takes a list of (counts, hyper) pairs, of any orders and
+stack sizes, and runs one polygamma pass over all of them.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,14 +26,9 @@ import numpy as np
 from .comparison import OrderPosterior
 from .core import CountTable, HyperTable, _frozen
 from .inference import posterior, posterior_mean
-from .special import _per_table, _shifted_series, _table_sum
+from .special import _moment_terms, _per_table, _table_sum
 
 _LN2 = math.log(2.0)
-
-#: Below this, t^2 underflows or trigamma's 1/t^2 overflows, and
-#: t^2 (trigamma(t) - 1/t) = 1 - t + t^2 trigamma(1 + t) rounds to 1;
-#: t digamma(t) = t digamma(1 + t) - 1 rounds to -1.
-_TINY = 1e-150
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,6 +79,8 @@ def kl_of(dist: WordConditional, true_cond: np.ndarray) -> float:
     forbid.
     """
     q = dist.cond_probs
+    if q.ndim != 2:
+        raise ValueError(f"kl_of takes one table, not a stack of shape {q.shape}")
     p = np.asarray(true_cond, dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"conditional table shape {p.shape}, expected {q.shape}")
@@ -92,62 +88,7 @@ def kl_of(dist: WordConditional, true_cond: np.ndarray) -> float:
     if np.any((mass > 0) & (p <= 0)):
         return math.inf
     active = mass > 0
-    ratio = np.ones_like(q)
-    ratio[active] = q[active] / p[active]
-    return float(np.sum(mass[active] * np.log2(ratio[active])))
-
-
-def _moment_terms(t):
-    """t psi(t) and t^2 (psi'(t) - 1/t), from one polygamma pass.  Below _TINY
-    they take their limits -1 (t psi(t) = t psi(1 + t) - 1) and 1, as the
-    polygammas' 1/t and 1/t^2 would overflow for a subnormal t."""
-    tiny = t < _TINY
-    psi, tri = _shifted_series(np.where(tiny, 1.0, t), "energy_moments")
-    return np.where(tiny, -1.0, t * psi), np.where(tiny, 1.0, t * t * tri)
-
-
-#: hyper table -> the _moment_terms of its entries and of its word totals, the terms of
-#: every unobserved entry and word, kept only as long as the (immutable) table lives.
-_PRIOR_TERMS = weakref.WeakKeyDictionary()
-
-
-def _posterior_terms(cases) -> list:
-    """For each (counts, hyper, post) case, the _moment_terms of the posterior table t = n +
-    alpha and of its word totals t(w), as the (entries, words) pair of each moment.  They
-    run in one call on every case's observed entries and words, where n or n(w) is
-    nonzero; that call also takes the distinct entries and distinct word totals of each
-    hyper table met for the first time, whose terms are gathered into full tables and kept.
-    Elsewhere t is alpha exactly, and t(w) is alpha(w), being added up in the same order,
-    so those take the prior's terms.  The arrays therefore equal _moment_terms(t) and
-    _moment_terms(t(w)) bit for bit, whatever else the call takes."""
-    parts, slots, fresh = [], [], {}  # slots, fresh: where each case's and hyper's parts start
-    for counts, hyper, post in cases:
-        seen = np.broadcast_to(counts.table > 0, post.table.shape)
-        seen_words = np.broadcast_to(counts.word_totals > 0, post.word_totals.shape)
-        slots.append((len(parts), seen, seen_words))
-        parts += [post.table[seen], post.word_totals[seen_words]]
-        if hyper not in _PRIOR_TERMS and hyper not in fresh:
-            (distinct, at_entry), (distinct_words, at_word) = (
-                np.unique(a, return_inverse=True) for a in (hyper.table, hyper.word_totals))
-            fresh[hyper] = len(parts), at_entry, at_word
-            parts += [distinct, distinct_words]
-    moments = [np.split(m, np.cumsum([p.size for p in parts[:-1]]))
-               for m in _moment_terms(np.concatenate(parts))]
-    for hyper, (i, at_entry, at_word) in fresh.items():
-        _PRIOR_TERMS[hyper] = [(m[i][at_entry].reshape(hyper.table.shape),
-                                m[i + 1][at_word].reshape(hyper.word_totals.shape))
-                               for m in moments]
-    out = []
-    for (counts, hyper, post), (i, seen, seen_words) in zip(cases, slots):
-        terms = []
-        # copies of the broadcast prior are C-ordered, as terms of t are, so they sum alike
-        for (pair_prior, word_prior), m in zip(_PRIOR_TERMS[hyper], moments):
-            pairs = np.broadcast_to(pair_prior, post.table.shape).copy()
-            words = np.broadcast_to(word_prior, post.word_totals.shape).copy()
-            pairs[seen], words[seen_words] = m[i], m[i + 1]
-            terms.append((pairs, words))
-        out.append(terms)
-    return out
+    return float(np.sum(mass[active] * np.log2(q[active] / p[active])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,15 +107,35 @@ class EnergyMoments:
 def energy_moments_of(pairs) -> list:
     """energy_moments of each (counts, hyper) pair, from one polygamma pass over all of
     them; each equals the pair's lone call bit for bit.  A sweep passes the count stacks
-    of all its orders at once."""
-    cases = [(counts, hyper, posterior(counts, hyper)) for counts, hyper in pairs]
+    of all its orders at once.  The pass takes the observed posterior entries and words,
+    where n or n(w) is nonzero, and the hyper table's cached terms fill the rest: there t
+    is alpha exactly, and t(w) is alpha(w), added up in the same order, so each table of
+    terms equals _moment_terms(t) or _moment_terms(t(w)) bit for bit."""
+    cases, observed = [], []
+    for counts, hyper in pairs:
+        post = posterior(counts, hyper)
+        seen = [np.broadcast_to(n > 0, t.shape) for n, t in
+                ((counts.table, post.table), (counts.word_totals, post.word_totals))]
+        cases.append((hyper, post, seen))
+        observed += [post.table[seen[0]], post.word_totals[seen[1]]]
+    if not cases:
+        return []
+    moments = [np.split(m, np.cumsum([o.size for o in observed[:-1]]))
+               for m in _moment_terms(np.concatenate(observed))]
     out = []
-    for (_, _, post), ((mean_pairs, mean_words), (var_pairs, var_words)) in zip(
-            cases, _posterior_terms(cases)):
+    for i, (hyper, post, (seen, seen_words)) in enumerate(cases):
+        sums = []
+        for (prior_entries, prior_words), m in zip(hyper._prior_terms, moments):
+            # copies of the broadcast prior are C-ordered, as terms of t are, so they sum alike
+            entries = np.broadcast_to(prior_entries, post.table.shape).copy()
+            words = np.broadcast_to(prior_words, post.word_totals.shape).copy()
+            entries[seen], words[seen_words] = m[2 * i], m[2 * i + 1]
+            sums.append((_table_sum(entries), words.sum(axis=-1)))
+        (mean_entries, mean_words), (var_entries, var_words) = sums
         beta = post.total
         scale = beta * _LN2
-        mean = (mean_words.sum(axis=-1) - _table_sum(mean_pairs)) / scale
-        variance = (_table_sum(var_pairs) - var_words.sum(axis=-1)) / (scale * scale)
+        mean = (mean_words - mean_entries) / scale
+        variance = (var_entries - var_words) / (scale * scale)
         q = r_from(post)
         hmu = hmu_of(q)
         A = post.alphabet.size
@@ -193,9 +154,9 @@ def energy_moments(counts: CountTable, hyper: HyperTable) -> EnergyMoments:
     variance = (sum_(w,s) t^2 psi'(t) - sum_w t(w)^2 psi'(t(w))) / (beta ln 2)^2.  Both
     variance sums carry the same leading term sum t^2 / t = beta, so each trigamma is
     taken without its 1/t and the difference keeps its relative precision at any beta.
-    A term of t below _TINY takes its limit.  `asymptotic` is the large-beta expansion
-    hmu + A**k (A-1) / (2 beta ln 2), whose remainder is O(1/beta^2): meaningful only
-    for beta >> 1.
+    A term of t below special._TINY takes its limit.  `asymptotic` is the large-beta
+    expansion hmu + A**k (A-1) / (2 beta ln 2), whose remainder is O(1/beta^2):
+    meaningful only for beta >> 1.
     """
     return energy_moments_of([(counts, hyper)])[0]
 

@@ -85,6 +85,8 @@ def log_evidences(pairs) -> list:
             x, n = np.broadcast_arrays(x, n)
             seen = n != 0
             segments.append((seen, x[seen], n[seen]))
+    if not segments:
+        return []
     _, xs, ns = zip(*segments)
     values = np.split(log_gamma_diff(np.concatenate(xs), np.concatenate(ns)),
                       np.cumsum([n.size for n in ns[:-1]]))
@@ -141,6 +143,8 @@ def infer_table(counts: CountTable, hyper: HyperTable, level: float = 0.95,
     and its region is searched once.  Every value equals the lone marginal's, and every
     density row density_grid's, bit for bit."""
     x, post = _grid(points), posterior(counts, hyper)
+    if post.table.ndim != 2:
+        raise ValueError(f"infer_table takes one table, not a stack of shape {post.table.shape}")
     b = post.word_totals[:, None] - post.table  # as marginal() subtracts
     (a, b), index = np.unique([post.table.ravel(), b.ravel()], axis=1, return_inverse=True)
     beta = BetaParams(a[:, None], b[:, None])

@@ -134,6 +134,21 @@ def _shifted_series(x, name):
             acc_tri + (1.0 / z - 1.0 / arr) + 0.5 * inv2 + tail_tri / z)
 
 
+#: Below this, t^2 underflows or trigamma's 1/t^2 overflows, and
+#: t^2 (trigamma(t) - 1/t) = 1 - t + t^2 trigamma(1 + t) rounds to 1;
+#: t digamma(t) = t digamma(1 + t) - 1 rounds to -1.
+_TINY = 1e-150
+
+
+def _moment_terms(t):
+    """t psi(t) and t^2 (psi'(t) - 1/t), the energy moments' terms, elementwise from
+    one _shifted_series pass.  Below _TINY they take their limits -1 (t psi(t) =
+    t psi(1 + t) - 1) and 1, where the polygammas' 1/t and 1/t^2 would overflow."""
+    tiny = t < _TINY
+    psi, tri = _shifted_series(np.where(tiny, 1.0, t), "energy_moments")
+    return np.where(tiny, -1.0, t * psi), np.where(tiny, 1.0, t * t * tri)
+
+
 def digamma(x):
     """First derivative of log Gamma for x > 0."""
     return _per_table(_shifted_series(x, "digamma")[0])

@@ -15,6 +15,7 @@ from bayesmc import (
     average_counts,
     compare_uniform,
     confidence_region,
+    core,
     count_words,
     energy_moments,
     entropy,
@@ -33,6 +34,7 @@ from bayesmc import (
     sample_posterior,
     sample_sequence,
     sns,
+    special,
     uniform_hyper,
     weighted_energy,
 )
@@ -339,7 +341,7 @@ def _dense(counts, hyper):
     """energy_moments with the polygamma terms evaluated on every entry and word,
     and h_mu by the hmu_of(r_from(posterior)) route."""
     post = posterior(counts, hyper)
-    (mean_pairs, var_pairs), (mean_words, var_words) = map(entropy._moment_terms,
+    (mean_pairs, var_pairs), (mean_words, var_words) = map(special._moment_terms,
                                                            (post.table, post.word_totals))
     scale = post.total * LN2
     q = r_from(post)
@@ -360,30 +362,30 @@ def _moment_hexes(moments, fields=("beta", "mean", "variance", "hmu", "asymptoti
 class TestObservedEntries:
     """energy_moments runs one polygamma pass on observed entries and words
     only, and takes every other term from the prior's, computed once per hyper
-    table on its distinct values."""
+    table on its distinct values and cached on the table."""
 
     @pytest.mark.parametrize("prior", PRIORS)
     def test_polygammas_see_observed_entries_and_prior_once(self, prior, monkeypatch):
-        sizes, evaluate = [], entropy._shifted_series
+        sizes, evaluate = [], special._shifted_series
 
         def recorded(x, name):
             sizes.append(np.size(x))
             return evaluate(x, name)
 
-        monkeypatch.setattr(entropy, "_shifted_series", recorded)
+        monkeypatch.setattr(special, "_shifted_series", recorded)
         counts, hyper = _sparse_case(1, prior=prior)
         stack, _ = _sparse_case(2, G=4)
 
         def observed(data):
             return np.count_nonzero(data.table) + np.count_nonzero(data.word_totals)
 
-        distinct = np.unique(hyper.table).size + np.unique(hyper.word_totals).size
-        # the observed entries and words, the first time with the prior's distinct
-        # entries and word totals
+        distinct = np.unique(np.concatenate([hyper.table.ravel(), hyper.word_totals])).size
+        # the observed entries and words, the first time followed by the prior's
+        # distinct values among its entries and word totals
         for data, first in ((counts, True), (stack, False), (counts, False)):
             sizes.clear()
             energy_moments(data, hyper)
-            assert sizes == [observed(data) + distinct if first else observed(data)]
+            assert sizes == [observed(data), distinct] if first else [observed(data)]
         assert 0 < observed(counts) < 81 + 27
         assert distinct == 2 if prior == "uniform" else distinct > 2
 
@@ -402,15 +404,31 @@ class TestObservedEntries:
             assert _moment_hexes(energy_moments(counts, again), fields) == fresh
             assert _moment_hexes(_dense(counts, hyper), fields) == fresh
 
-    def test_memo_does_not_keep_table_alive(self):
+    def test_prior_terms_once_per_table_read_only(self, monkeypatch):
         counts, hyper = _sparse_case(3)
+        terms, calls = special._moment_terms, []
+
+        def counted(t):
+            calls.append(np.size(t))
+            return terms(t)
+
+        monkeypatch.setattr(core, "_moment_terms", counted)
         energy_moments(counts, hyper)
-        entry = entropy._PRIOR_TERMS[hyper]
+        kept = hyper._prior_terms
         energy_moments(_sparse_case(4)[0], hyper)
-        assert entropy._PRIOR_TERMS[hyper] is entry  # one entry, filled once
-        assert [[a.shape for a in pair] for pair in entry] == [[(27, 3), (27,)]] * 2
+        assert hyper._prior_terms is kept and len(calls) == 1  # computed once per table
+        assert [[a.shape for a in pair] for pair in kept] == [[(27, 3), (27,)]] * 2
+        for a in itertools.chain(*kept):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        again = HyperTable(hyper.order, hyper.alphabet, hyper.table)
+        energy_moments(counts, again)  # an equal table computes its own
+        assert len(calls) == 2 and again._prior_terms is not kept
+        assert [[a.tobytes() for a in pair] for pair in again._prior_terms] == [
+            [a.tobytes() for a in pair] for pair in kept]
         table = weakref.ref(hyper)
-        del hyper
+        del hyper, kept
         gc.collect()
         assert table() is None
 

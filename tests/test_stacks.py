@@ -37,9 +37,8 @@ from bayesmc import (
     uniform_hyper,
 )
 from bayesmc.core import ShapeMismatchError
-from bayesmc.entropy import _moment_terms
-from bayesmc.inference import density_grid
-from bayesmc.special import _row_sum, _table_sum
+from bayesmc.inference import density_grid, infer_table
+from bayesmc.special import _moment_terms, _row_sum, _table_sum
 
 BINARY = Alphabet.binary()
 
@@ -252,6 +251,30 @@ class TestBatchEqualsLoneCalls:
             assert _fields_hex(m) == _fields_hex(energy_moments(counts, fresh(hyper)))
             assert [_hexes(m.mean), _hexes(m.variance)] == list(
                 map(_hexes, _dense_moments(counts, hyper)))
+
+    def test_empty_batch(self):
+        # one value per pair: none for no pairs
+        assert log_evidences([]) == [] and energy_moments_of([]) == []
+
+
+class TestPerTableFunctionsRejectStacks:
+    """kl_of and infer_table take one table: a stack raises, rather than mixing one
+    table's word column with another's rows or failing on an unrelated broadcast."""
+
+    @pytest.mark.parametrize("name", ["kl_of", "infer_table"])
+    @pytest.mark.parametrize("k, G", [(1, 2), (2, 3)])  # G = A**k, then G != A**k
+    def test_stack_raises_naming_the_function(self, name, k, G):
+        rng = np.random.default_rng(k)
+        counts = CountTable(k, BINARY, rng.integers(0, 9, size=(G, 2**k, 2)))
+        hyper = uniform_hyper(k, BINARY)
+        q = r_from(posterior(counts, hyper))
+        cond = rng.uniform(0.1, 1.0, size=q.cond_probs.shape)
+        cond /= cond.sum(axis=-1, keepdims=True)  # a matching stack of conditionals
+        call = {"kl_of": lambda: kl_of(q, cond),
+                "infer_table": lambda: infer_table(counts, hyper)}[name]
+        with pytest.raises(ValueError, match=rf"^{name} takes one table, not a stack of "
+                                             rf"shape \({G}, {2**k}, 2\)$"):
+            call()
 
 
 def _order_case(G, K, seed):
