@@ -385,7 +385,7 @@ class TestObservedEntries:
         for data, first in ((counts, True), (stack, False), (counts, False)):
             sizes.clear()
             energy_moments(data, hyper)
-            assert sizes == [observed(data), distinct] if first else [observed(data)]
+            assert sizes == ([observed(data), distinct] if first else [observed(data)])
         assert 0 < observed(counts) < 81 + 27
         assert distinct == 2 if prior == "uniform" else distinct > 2
 
@@ -400,7 +400,7 @@ class TestObservedEntries:
             fresh = _moment_hexes(energy_moments(counts, hyper), fields)
             assert _moment_hexes(energy_moments(counts, hyper), fields) == fresh
             again = HyperTable(hyper.order, hyper.alphabet, hyper.table)
-            energy_moments(_sparse_case(seed + 100, G)[0], again)  # the memo is filled elsewhere
+            energy_moments(_sparse_case(seed + 100, G)[0], again)  # again's terms are cached by another call
             assert _moment_hexes(energy_moments(counts, again), fields) == fresh
             assert _moment_hexes(_dense(counts, hyper), fields) == fresh
 
