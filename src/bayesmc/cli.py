@@ -307,7 +307,7 @@ _SWEEPS = {
 
 def _log_grid(start: int, stop: int, points: int) -> tuple[int, ...]:
     grid = np.logspace(math.log10(start), math.log10(stop), points)
-    return tuple(int(v) for v in np.unique(np.round(grid)))
+    return tuple(sorted({int(v) for v in np.round(grid)}))  # np.unique would import numpy.ma
 
 
 #: Parameter grids for the figure bundles.  The first source's order-comparison grid is

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import _moment_terms, _per_table, _row_sum, _table_sum
+from .special import _moment_terms, _per_table, _row_rates, _row_sum, _table_sum
 
 #: Largest dense table (in entries) that table-building functions will allocate.
 TABLE_CAP = 2**26
@@ -261,19 +261,22 @@ class HyperTable(_Table):
 
     @functools.cached_property
     def _prior_terms(self) -> tuple:
-        """The _moment_terms of the entries and of the word totals, as the read-only
-        (entries, words) pair of each moment, from one call on their distinct values: the
-        energy's terms wherever the counts are zero, where the posterior is this table."""
-        distinct, at = np.unique(np.concatenate([self.table.ravel(), self.word_totals.ravel()]),
-                                 return_inverse=True)
-        out = []
-        for m in _moment_terms(distinct):
-            terms = m[at]
-            terms.flags.writeable = False  # fresh, so no other view can write it
-            entries, words = np.split(terms, [self.table.size])
-            out.append((entries.reshape(self.table.shape),
-                        words.reshape(self.word_totals.shape)))
-        return tuple(out)
+        """This prior's share of the energy moments and the entropy rate of one table: the
+        posterior wherever the counts are zero.  Returns (entries, words, moments, rate):
+        the sorted distinct entries and word totals; per moment, its _moment_terms at
+        each, from one call on both, and sum_w f(alpha(w)) - sum_(w,s) f(alpha) over the
+        whole table, the distinct values' terms times their counts; and
+        sum_w sum_s alpha log2(alpha / alpha(w)).  Every array is read-only."""
+        (entries, per_entry), (words, per_word) = (np.unique(x, return_counts=True)
+                                                   for x in (self.table, self.word_totals))
+        moments = []
+        for m in _moment_terms(np.concatenate([entries, words])):
+            at_entries, at_words = np.split(m, [entries.size])
+            moments.append((at_entries, at_words,
+                            np.sum(per_word * at_words) - np.sum(per_entry * at_entries)))
+        for fresh in (entries, words, *(a for m in moments for a in m[:2])):
+            fresh.flags.writeable = False  # fresh, so no other view can write it
+        return entries, words, tuple(moments), float(_row_rates(self.table, self.word_totals).sum())
 
 
 def require_same_shape(*tables) -> None:

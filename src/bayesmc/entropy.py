@@ -5,28 +5,30 @@ parameter beta_k = total posterior mass.  Its first derivative gives the
 posterior expectation of the energy E = D[Q||P] + h_mu[Q] (conditional
 relative entropy plus entropy rate of the posterior-mean distribution Q);
 the second derivative gives its variance.  Both reduce to polygamma sums,
-which `energy_moments(counts, hyper)` takes from one pass over the posterior
-table, with h_mu[Q] and the large-beta expansion.  All returned information
-quantities are in bits.  The polygammas run only on observed entries and
-words: an unobserved one takes the prior's own term, computed once per hyper
-table on its distinct values and cached on it.  energy_moments, r_from and
-hmu_of also take a (G, A**k, A) stack of count or posterior tables and return
-one value per table, each equal to its table's own bit for bit.
-energy_moments_of takes a list of (counts, hyper) pairs, of any orders and
-stack sizes, and runs one polygamma pass over all of them.
+which `energy_moments(counts, hyper)` takes, with h_mu[Q] and the large-beta
+expansion, at the cost of the observed words: an unobserved word's posterior
+row is the prior's, so each sum over the table is the prior's own sum, cached
+on the hyper table and taken from its distinct values, plus the observed
+words' terms less the prior's.  All returned information quantities are in
+bits.  energy_moments, r_from and hmu_of also take a (G, A**k, A) stack of
+count or posterior tables and return one value per table, each equal to its
+table's own bit for bit.  energy_moments_of takes a list of (counts, hyper)
+pairs, of any orders and stack sizes, and runs one polygamma pass over all of
+them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .comparison import OrderPosterior
-from .core import CountTable, HyperTable, _frozen
+from .core import CountTable, HyperTable, _frozen, require_same_shape
 from .inference import posterior, posterior_mean
-from .special import _moment_terms, _per_table, _table_sum
+from .special import _moment_terms, _per_table, _row_rates, _row_sum, _table_sum
 
 _LN2 = math.log(2.0)
 
@@ -101,54 +103,85 @@ class EnergyMoments:
     variance: float  # its posterior variance, bits^2 per symbol^2
     hmu: float  # h_mu[Q], the entropy rate of Q
     asymptotic: float  # hmu + A**k (A-1) / (2 beta ln 2)
-    q: WordConditional  # Q = r_from(posterior(counts, hyper))
+    counts: CountTable = field(repr=False)
+    hyper: HyperTable = field(repr=False)
+
+    @functools.cached_property
+    def q(self) -> WordConditional:
+        """Q = r_from(posterior(counts, hyper)), computed on first read: it costs a pass
+        over every entry, and a sweep reads it only to compare Q with a known source."""
+        return r_from(posterior(self.counts, self.hyper))
+
+
+def _table_sums(per_word, flat, shape):
+    """Sums of per_word's last axis over each table's observed words: one value for a
+    lone table, one per table of a stack.  per_word holds one value per observed word,
+    at index `flat` into the flattened word totals, of `shape` (W,) or (G, W).  Each
+    table's run is reduced on its own, so that a stack's sums equal its tables' bit for
+    bit."""
+    *tables, words = shape
+    starts = np.searchsorted(flat, words * np.arange(math.prod(tables) + 1))
+    runs = starts[1:] > starts[:-1]
+    out = np.zeros(per_word.shape[:-1] + runs.shape)
+    if runs.any():
+        out[..., runs] = np.add.reduceat(per_word, starts[:-1][runs], axis=-1)
+    return out.reshape(per_word.shape[:-1] + tuple(tables))
 
 
 def energy_moments_of(pairs) -> list:
     """energy_moments of each (counts, hyper) pair, from one polygamma pass over all of
     them; each equals the pair's lone call bit for bit.  A sweep passes the count stacks
-    of all its orders at once.  The pass takes the observed posterior entries and words,
-    where n or n(w) is nonzero, and the hyper table's cached terms fill the rest: there t
-    is alpha exactly, and t(w) is alpha(w), added up in the same order, so each table of
-    terms equals _moment_terms(t) or _moment_terms(t(w)) bit for bit."""
+    of all its orders at once.  The pass takes the posterior rows of the observed words,
+    where n(w) is nonzero, and their totals t(w), added up as posterior word totals are.
+    Elsewhere the posterior is the prior, whose share the hyper table caches: each sum
+    over all entries and words is the prior's own sum plus, over the observed words,
+    the posterior's terms less the prior's.  The hyper must be one table."""
     cases, observed = [], []
     for counts, hyper in pairs:
-        post = posterior(counts, hyper)
-        seen = [np.broadcast_to(n > 0, t.shape) for n, t in
-                ((counts.table, post.table), (counts.word_totals, post.word_totals))]
-        cases.append((hyper, post, seen))
-        observed += [post.table[seen[0]], post.word_totals[seen[1]]]
+        require_same_shape(counts, hyper)
+        if hyper.table.ndim != 2:
+            raise ValueError(f"energy_moments takes one hyper table, not a stack of shape "
+                             f"{hyper.table.shape}")
+        flat = np.flatnonzero(counts.word_totals > 0)  # the observed words, table by table
+        words = flat % hyper.word_totals.size
+        alpha = np.take(hyper.table, words, axis=0)
+        t = np.take(counts.table.reshape(-1, hyper.alphabet.size), flat, axis=0) + alpha
+        t_words = _row_sum(t)
+        cases.append((counts, hyper, flat, words, alpha, t, t_words))
+        observed += [t.ravel(), t_words]
     if not cases:
         return []
     moments = [np.split(m, np.cumsum([o.size for o in observed[:-1]]))
                for m in _moment_terms(np.concatenate(observed))]
     out = []
-    for i, (hyper, post, (seen, seen_words)) in enumerate(cases):
-        sums = []
-        for (prior_entries, prior_words), m in zip(hyper._prior_terms, moments):
-            # copies of the broadcast prior are C-ordered, as terms of t are, so they sum alike
-            entries = np.broadcast_to(prior_entries, post.table.shape).copy()
-            words = np.broadcast_to(prior_words, post.word_totals.shape).copy()
-            entries[seen], words[seen_words] = m[2 * i], m[2 * i + 1]
-            sums.append((_table_sum(entries), words.sum(axis=-1)))
-        (mean_entries, mean_words), (var_entries, var_words) = sums
-        beta = post.total
+    for i, (counts, hyper, flat, words, alpha, t, t_words) in enumerate(cases):
+        entries, totals, prior_moments, prior_rate = hyper._prior_terms
+        alpha_words = np.take(hyper.word_totals, words)
+        at_entries, at_words = np.searchsorted(entries, alpha), np.searchsorted(totals, alpha_words)
+        # per observed word, each moment's word term less its entries' terms, and
+        # sum_s t log2(t / t(w)), each the posterior's less the prior's
+        per_word = [(m[2 * i + 1] - prior_words[at_words])
+                    - _row_sum(m[2 * i].reshape(t.shape) - prior_entries[at_entries])
+                    for m, (prior_entries, prior_words, _) in zip(moments, prior_moments)]
+        post_rates, prior_rates = _row_rates(np.stack([t, alpha]), np.stack([t_words, alpha_words]))
+        mean_sum, var_sum, rate_sum = _table_sums(np.stack([*per_word, post_rates - prior_rates]),
+                                                  flat, counts.word_totals.shape)
+        beta = counts.total + hyper.total
         scale = beta * _LN2
-        mean = (mean_words - mean_entries) / scale
-        variance = (var_entries - var_words) / (scale * scale)
-        q = r_from(post)
-        hmu = hmu_of(q)
-        A = post.alphabet.size
-        asymptotic = hmu + A**post.order * (A - 1) / (2.0 * beta * _LN2)
+        mean = (prior_moments[0][2] + mean_sum) / scale
+        variance = -(prior_moments[1][2] + var_sum) / (scale * scale)
+        hmu = _per_table(-(prior_rate + rate_sum) / beta)
+        A = hyper.alphabet.size
+        asymptotic = hmu + A**hyper.order * (A - 1) / (2.0 * beta * _LN2)
         out.append(EnergyMoments(beta, _per_table(mean), _per_table(variance), hmu,
-                                 asymptotic, q))
+                                 asymptotic, counts, hyper))
     return out
 
 
 def energy_moments(counts: CountTable, hyper: HyperTable) -> EnergyMoments:
     """The posterior energy E = D[Q||P] + h_mu[Q], Q = r_from(posterior(counts, hyper)):
-    its mean and variance, the first two beta-derivatives of log Z at fixed Q, from one
-    polygamma pass over the posterior table t = n + alpha and its word totals t(w).
+    its mean and variance, the first two beta-derivatives of log Z at fixed Q, from the
+    polygamma terms of the posterior table t = n + alpha and its word totals t(w).
 
     mean = (sum_w t(w) psi(t(w)) - sum_(w,s) t(w,s) psi(t(w,s))) / (beta ln 2), and
     variance = (sum_(w,s) t^2 psi'(t) - sum_w t(w)^2 psi'(t(w))) / (beta ln 2)^2.  Both

@@ -53,6 +53,8 @@ def posterior_variance(post: HyperTable) -> np.ndarray:
 
 def marginal(post: HyperTable, word: int, symbol: int) -> BetaParams:
     """Beta marginal of one parameter: a = that entry, b = rest of its row."""
+    if post.table.ndim != 2:
+        raise ValueError(f"marginal takes one table, not a stack of shape {post.table.shape}")
     a = float(post.table[word, symbol])
     b = float(post.word_totals[word] - a)
     return BetaParams(a, b)

@@ -173,12 +173,23 @@ def _stirling(x):
     return tail * inv
 
 
+def _once_per_value(f, x):
+    """f(x) for an elementwise f, evaluated once per distinct value of x: on the
+    sorted distinct values, each element then looking its value up by binary
+    search.  np.unique's return_inverse would sort x a second time, and a plain
+    np.unique imports numpy.ma."""
+    distinct = np.unique(x, return_counts=True)[0]
+    return f(distinct)[np.searchsorted(distinct, x)]
+
+
 def log_gamma_diff(x, n):
     """log Gamma(x + n) - log Gamma(x) for x > 0 and finite n >= 0, elementwise with
     x broadcast against n; exactly 0 where n = 0, and evaluated only where
     n > 0.  For x >= 10 it is n log x + (x + n - 1/2) log1p(n/x) - n plus the
     difference of the Stirling series, so it keeps its relative precision
-    where the two log Gammas, of size about x log x, nearly cancel."""
+    where the two log Gammas, of size about x log x, nearly cancel.  The terms
+    of x alone, log Gamma(x) or the Stirling series at x, are evaluated once per
+    distinct x: a prior holds few distinct values."""
     n = np.asarray(n, dtype=float)
     if not np.all(np.isfinite(n)) or np.any(n < 0.0):
         raise NumericDomainError("log_gamma_diff requires a finite n >= 0")
@@ -187,9 +198,9 @@ def log_gamma_diff(x, n):
     big, small = (n > 0) & (x >= 10.0), (n > 0) & (x < 10.0)
     xb, nb = x[big], n[big]
     out[big] = (nb * np.log(xb) + (xb + nb - 0.5) * np.log1p(nb / xb) - nb
-                + (_stirling(xb + nb) - _stirling(xb)))
+                + (_stirling(xb + nb) - _once_per_value(_stirling, xb)))
     xs = x[small]
-    out[small] = log_gamma(xs + n[small]) - log_gamma(xs)
+    out[small] = log_gamma(xs + n[small]) - _once_per_value(log_gamma, xs)
     return _per_table(out)
 
 
@@ -249,6 +260,16 @@ def _row_sum(x):
     for j in range(2, x.shape[-1]):
         out += x[..., j]
     return out
+
+
+def _row_rates(t, totals):
+    """sum_s t log2(t / t(w)) for each row w of a Dirichlet table t with row totals
+    `totals`: minus t(w) times the entropy, in bits, of the row's mean conditional;
+    a term whose t / t(w) underflows to 0 is 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = t / totals[..., None]
+        terms = np.where(cond > 0, t * np.log2(cond), 0.0)
+    return _row_sum(terms)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:

@@ -7,6 +7,7 @@ import weakref
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bayesmc import (
     Alphabet,
@@ -18,7 +19,7 @@ from bayesmc import (
     core,
     count_words,
     energy_moments,
-    entropy,
+    energy_moments_of,
     even_process,
     golden_mean,
     hmu_of,
@@ -40,9 +41,7 @@ from bayesmc import (
 )
 from bayesmc.entropy import WordConditional
 from bayesmc.inference import region_mass
-from bayesmc.special import _table_sum
-
-from util import biased_chain
+from util import ENERGY_ULPS, biased_chain, energy_errors
 
 mpmath.mp.dps = 60
 
@@ -337,22 +336,6 @@ def _hexes(values):
     return [float(v).hex() for v in np.atleast_1d(values)]
 
 
-def _dense(counts, hyper):
-    """energy_moments with the polygamma terms evaluated on every entry and word,
-    and h_mu by the hmu_of(r_from(posterior)) route."""
-    post = posterior(counts, hyper)
-    (mean_pairs, var_pairs), (mean_words, var_words) = map(special._moment_terms,
-                                                           (post.table, post.word_totals))
-    scale = post.total * LN2
-    q = r_from(post)
-    hmu = hmu_of(q)
-    A = post.alphabet.size
-    return entropy.EnergyMoments(
-        beta=post.total, mean=(mean_words.sum(axis=-1) - _table_sum(mean_pairs)) / scale,
-        variance=(_table_sum(var_pairs) - var_words.sum(axis=-1)) / (scale * scale),
-        hmu=hmu, asymptotic=hmu + A**post.order * (A - 1) / (2.0 * post.total * LN2), q=q)
-
-
 def _moment_hexes(moments, fields=("beta", "mean", "variance", "hmu", "asymptotic", "q")):
     """The named fields of an EnergyMoments by hex, Q's arrays included."""
     return {f: (_hexes(moments.q.word_probs.ravel()), _hexes(moments.q.cond_probs.ravel()))
@@ -360,9 +343,9 @@ def _moment_hexes(moments, fields=("beta", "mean", "variance", "hmu", "asymptoti
 
 
 class TestObservedEntries:
-    """energy_moments runs one polygamma pass on observed entries and words
-    only, and takes every other term from the prior's, computed once per hyper
-    table on its distinct values and cached on the table."""
+    """energy_moments runs one polygamma pass on the posterior rows of the observed words
+    only, and takes the rest from the prior's share, computed once per hyper table from
+    its distinct values and cached on the table."""
 
     @pytest.mark.parametrize("prior", PRIORS)
     def test_polygammas_see_observed_entries_and_prior_once(self, prior, monkeypatch):
@@ -376,17 +359,18 @@ class TestObservedEntries:
         counts, hyper = _sparse_case(1, prior=prior)
         stack, _ = _sparse_case(2, G=4)
 
-        def observed(data):
-            return np.count_nonzero(data.table) + np.count_nonzero(data.word_totals)
+        def observed(data):  # each observed word's row and its total
+            return np.count_nonzero(data.word_totals) * (data.alphabet.size + 1)
 
-        distinct = np.unique(np.concatenate([hyper.table.ravel(), hyper.word_totals])).size
-        # the observed entries and words, the first time followed by the prior's
-        # distinct values among its entries and word totals
+        distinct = sum(np.unique(x, return_counts=True)[0].size
+                       for x in (hyper.table, hyper.word_totals))
+        # the observed words' rows and totals, the first time followed by the prior's
+        # distinct entries and word totals
         for data, first in ((counts, True), (stack, False), (counts, False)):
             sizes.clear()
             energy_moments(data, hyper)
             assert sizes == ([observed(data), distinct] if first else [observed(data)])
-        assert 0 < observed(counts) < 81 + 27
+        assert 0 < observed(counts) < 27 * 4
         assert distinct == 2 if prior == "uniform" else distinct > 2
 
     # the mean with the fields it is computed alongside, and the variance
@@ -397,12 +381,24 @@ class TestObservedEntries:
     def test_equal_to_dense_terms_memo_or_not(self, fields, G):
         for seed, prior in itertools.product(range(20), PRIORS):
             counts, hyper = _sparse_case(seed, G, prior)
-            fresh = _moment_hexes(energy_moments(counts, hyper), fields)
+            moments = energy_moments(counts, hyper)
+            fresh = _moment_hexes(moments, fields)
             assert _moment_hexes(energy_moments(counts, hyper), fields) == fresh
             again = HyperTable(hyper.order, hyper.alphabet, hyper.table)
             energy_moments(_sparse_case(seed + 100, G)[0], again)  # again's terms are cached by another call
             assert _moment_hexes(energy_moments(counts, again), fields) == fresh
-            assert _moment_hexes(_dense(counts, hyper), fields) == fresh
+            # within the oracle's bound of the terms on every entry and word, summed
+            # exactly; Q, read on first use, is r_from(posterior) bit for bit
+            for errors in energy_errors(moments, counts, hyper):
+                assert all(errors[f] <= ENERGY_ULPS for f in fields if f in errors), errors
+            if "q" in fields:
+                dense = r_from(posterior(counts, hyper))
+                assert fresh["q"] == (_hexes(dense.word_probs.ravel()),
+                                      _hexes(dense.cond_probs.ravel()))
+            if "asymptotic" in fields:
+                A = hyper.alphabet.size
+                assert fresh["asymptotic"] == _hexes(
+                    moments.hmu + A**hyper.order * (A - 1) / (2.0 * moments.beta * LN2))
 
     def test_prior_terms_once_per_table_read_only(self, monkeypatch):
         counts, hyper = _sparse_case(3)
@@ -417,20 +413,74 @@ class TestObservedEntries:
         kept = hyper._prior_terms
         energy_moments(_sparse_case(4)[0], hyper)
         assert hyper._prior_terms is kept and len(calls) == 1  # computed once per table
-        assert [[a.shape for a in pair] for pair in kept] == [[(27, 3), (27,)]] * 2
-        for a in itertools.chain(*kept):
+        entries, words, moments, rate = kept
+        assert entries.tolist() == sorted(set(hyper.table.ravel().tolist()))
+        assert words.tolist() == sorted(set(hyper.word_totals.tolist()))
+        arrays = [entries, words, *(a for m in moments for a in m[:2])]
+        assert [a.shape for a in arrays] == [entries.shape, words.shape] + [
+            entries.shape, words.shape] * 2
+        for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
+        # the prior's own sums: its terms on every entry and word, summed
+        dense = [special._moment_terms(x) for x in (hyper.table, hyper.word_totals)]
+        for m, (_, _, total) in enumerate(moments):
+            assert total == pytest.approx(dense[1][m].sum() - dense[0][m].sum(), rel=1e-13)
+        q = r_from(hyper)
+        assert rate == pytest.approx(-hmu_of(q) * hyper.total, rel=1e-13)
         again = HyperTable(hyper.order, hyper.alphabet, hyper.table)
         energy_moments(counts, again)  # an equal table computes its own
         assert len(calls) == 2 and again._prior_terms is not kept
-        assert [[a.tobytes() for a in pair] for pair in again._prior_terms] == [
-            [a.tobytes() for a in pair] for pair in kept]
+        assert [a.tobytes() for a in again._prior_terms[:2]] == [entries.tobytes(),
+                                                                  words.tobytes()]
         table = weakref.ref(hyper)
-        del hyper, kept
+        del hyper, kept, entries, words, moments
         gc.collect()
         assert table() is None
+
+
+def _oracle_case(rng, A, k, G, prior, density, empty):
+    """(counts, hyper) of order k over A symbols, a lone table for G None, else a stack of G:
+    counts up to 1e6 in a `density` share of the entries (a few whole words zero), every
+    table all zero with `empty`; the prior per entry, uniform or fake counts, alpha
+    log-uniform in [1e-3, 1e7]."""
+    alphabet = Alphabet(tuple("abcd"[:A]))
+    shape = (A**k, A) if G is None else (G, A**k, A)
+    counts = np.floor(10.0 ** rng.uniform(0, 6, size=shape))
+    counts[rng.random(shape) >= density] = 0.0
+    counts[rng.random(shape[:-1]) < 0.2] = 0.0
+    if empty:
+        counts[...] = 0.0
+    table = shape[-2:]
+    hyper = {"random": lambda: HyperTable(k, alphabet, 10.0 ** rng.uniform(-3, 7, size=table)),
+             "uniform": lambda: uniform_hyper(k, alphabet, 10.0 ** rng.uniform(-3, 7)),
+             "fake_counts": lambda: hyper_from_fake_counts(
+                 CountTable(k, alphabet, np.floor(rng.uniform(0, 3, size=table))))}[prior]()
+    return CountTable(k, alphabet, counts), hyper
+
+
+#: A batch of 1-3 _oracle_case parameter tuples (A, k, G, prior, density, empty).
+ORACLE_BATCH = st.lists(st.tuples(st.integers(2, 4), st.integers(1, 3),
+                                  st.one_of(st.none(), st.integers(1, 4)),
+                                  st.sampled_from(PRIORS),
+                                  st.sampled_from([0.02, 0.3, 1.0]), st.booleans()),
+                        min_size=1, max_size=3)
+
+
+class TestEnergyOracle:
+    """energy_moments_of against the closed forms summed in 40-digit mpmath: beta, the
+    mean, the variance and h_mu of every table within ENERGY_ULPS ulps of their
+    cancelling scales (tests/util.py's mp_energy)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ORACLE_BATCH, st.integers(0, 2**32 - 1))
+    def test_within_ulps_of_mpmath(self, params, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [_oracle_case(rng, *p) for p in params]
+        for (counts, hyper), moments in zip(pairs, energy_moments_of(pairs)):
+            for errors in energy_errors(moments, counts, hyper):
+                assert max(errors.values()) <= ENERGY_ULPS, errors
 
 
 class TestAsymptotic:

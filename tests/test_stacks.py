@@ -6,8 +6,6 @@ stacks; every value must equal the call on the lone table bit for bit, so that
 the CSV outputs do not depend on how the grid is chunked.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,6 +29,7 @@ from bayesmc import (
     log_predictive,
     lower_order_counts,
     map_order,
+    marginal,
     posterior,
     r_from,
     sample_posterior,
@@ -38,7 +37,9 @@ from bayesmc import (
 )
 from bayesmc.core import ShapeMismatchError
 from bayesmc.inference import density_grid, infer_table
-from bayesmc.special import _moment_terms, _row_sum, _table_sum
+from bayesmc.special import _row_sum, _table_sum
+
+from util import ENERGY_ULPS, energy_errors
 
 BINARY = Alphabet.binary()
 
@@ -188,17 +189,6 @@ def _dense_ratio(base, inc):
             - log_gamma_diff(_row_sum(base), _row_sum(inc)).sum(axis=-1))
 
 
-def _dense_moments(counts, hyper):
-    """The energy's mean and variance with the polygamma terms taken on every entry and
-    word."""
-    post = posterior(counts, hyper)
-    (mean_pairs, var_pairs), (mean_words, var_words) = map(_moment_terms,
-                                                           (post.table, post.word_totals))
-    scale = post.total * math.log(2.0)
-    return [(mean_words.sum(axis=-1) - _table_sum(mean_pairs)) / scale,
-            (_table_sum(var_pairs) - var_words.sum(axis=-1)) / (scale * scale)]
-
-
 def _fields_hex(m):
     return [_hexes(getattr(m, f)) for f in ("beta", "mean", "variance", "hmu", "asymptotic")] + [
         _hexes(m.q.word_probs.ravel()), _hexes(m.q.cond_probs.ravel())]
@@ -214,7 +204,8 @@ BATCH_PARAMS = st.lists(st.tuples(st.integers(2, 4), st.integers(1, 4),
 
 class TestBatchEqualsLoneCalls:
     """log_evidences and energy_moments_of take the count stacks of several orders in
-    one kernel pass; each value must equal its pair's lone call bit for bit."""
+    one kernel pass; each value must equal its pair's lone call bit for bit, and the
+    energy's lie within the mpmath oracle's bound."""
 
     @settings(max_examples=100, deadline=None)
     @given(BATCH_PARAMS, st.integers(0, 2**32 - 1), st.booleans())
@@ -249,8 +240,9 @@ class TestBatchEqualsLoneCalls:
             assert predictive == _hexes(log_evidence(new, posterior(counts, hyper)))
         for (counts, hyper), m in zip(pairs, energy_moments_of(pairs)):
             assert _fields_hex(m) == _fields_hex(energy_moments(counts, fresh(hyper)))
-            assert [_hexes(m.mean), _hexes(m.variance)] == list(
-                map(_hexes, _dense_moments(counts, hyper)))
+            # within the oracle's bound of the terms on every entry and word, summed exactly
+            for errors in energy_errors(m, counts, hyper):
+                assert max(errors.values()) <= ENERGY_ULPS, errors
 
     def test_empty_batch(self):
         # one value per pair: none for no pairs
@@ -258,10 +250,11 @@ class TestBatchEqualsLoneCalls:
 
 
 class TestPerTableFunctionsRejectStacks:
-    """kl_of and infer_table take one table: a stack raises, rather than mixing one
-    table's word column with another's rows or failing on an unrelated broadcast."""
+    """kl_of, infer_table and marginal take one table: a stack raises, rather than mixing
+    one table's word column with another's rows or failing on an unrelated broadcast or
+    conversion."""
 
-    @pytest.mark.parametrize("name", ["kl_of", "infer_table"])
+    @pytest.mark.parametrize("name", ["kl_of", "infer_table", "marginal"])
     @pytest.mark.parametrize("k, G", [(1, 2), (2, 3)])  # G = A**k, then G != A**k
     def test_stack_raises_naming_the_function(self, name, k, G):
         rng = np.random.default_rng(k)
@@ -271,10 +264,19 @@ class TestPerTableFunctionsRejectStacks:
         cond = rng.uniform(0.1, 1.0, size=q.cond_probs.shape)
         cond /= cond.sum(axis=-1, keepdims=True)  # a matching stack of conditionals
         call = {"kl_of": lambda: kl_of(q, cond),
-                "infer_table": lambda: infer_table(counts, hyper)}[name]
+                "infer_table": lambda: infer_table(counts, hyper),
+                "marginal": lambda: marginal(posterior(counts, hyper), 0, 1)}[name]
         with pytest.raises(ValueError, match=rf"^{name} takes one table, not a stack of "
                                              rf"shape \({G}, {2**k}, 2\)$"):
             call()
+
+    def test_energy_moments_reject_a_hyper_stack(self):
+        # a stack of counts takes one prior; the prior's share is cached per table
+        counts = CountTable(1, BINARY, [[3.0, 1.0], [2.0, 4.0]])
+        hyper = HyperTable(1, BINARY, np.ones((3, 2, 2)))
+        with pytest.raises(ValueError, match=r"^energy_moments takes one hyper table, not a "
+                                             r"stack of shape \(3, 2, 2\)$"):
+            energy_moments(counts, hyper)
 
 
 def _order_case(G, K, seed):

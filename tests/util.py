@@ -1,12 +1,15 @@
 """Shared independent oracles and validators for the test suite."""
 
+import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
-from bayesmc import Alphabet, LabeledHMM
+from bayesmc import Alphabet, LabeledHMM, posterior
+from bayesmc.special import _moment_terms
 
 
 def quad_evidence_binary(counts, alpha=1.0, nodes=40):
@@ -144,3 +147,60 @@ def random_tables(rng, n_tables, max_k=2, max_count=20, alphabets=(2, 3)):
         hyper = HyperTable(k, alphabet, rng.uniform(0.2, 3.0, size=shape))
         out.append((counts, hyper))
     return out
+
+
+def mp_energy(counts, hyper, dps=40):
+    """energy_moments' beta, mean, variance and h_mu summed in mpmath at `dps` digits,
+    each with its cancelling scale, one dict name -> (value, scale) per table of
+    `counts` (a lone table gives one).  The inputs are the float posterior, its entries
+    t = n + alpha and word totals t(w), and the polygamma kernel's float terms
+    f(t) = (t psi(t), t^2 psi'(t) - t) of each, as special._moment_terms gives them: the
+    series behind them is accurate to about 1e-12 relative near t = 6 (TestTrigamma),
+    which would hide every summation error, so this checks how the terms are summed.
+    beta is the exact sum of the t(w), and h_mu the exact -sum t log2(t / t(w)) / beta.
+    A scale is the sum of the absolute values of the terms that the closed form adds
+    up over every entry and word: beta itself; sum |f_0| / (beta ln 2) for the mean,
+    sum |f_1| / (beta ln 2)^2 for the variance, and (sum |t log2 t| +
+    sum |t(w) log2 t(w)|) / beta for h_mu, whose closed form is the mean's with log in
+    place of psi."""
+    post = posterior(counts, hyper)
+    shape = (-1,) + post.table.shape[-2:]
+    entries, words = (np.reshape(_moment_terms(x), (2,) + y)
+                      for x, y in ((post.table, shape), (post.word_totals, shape[:2])))
+    out = []
+    with mpmath.workdps(dps):
+        for g, (table, totals) in enumerate(zip(post.table.reshape(shape),
+                                                post.word_totals.reshape(shape[:2]))):
+            beta = mpmath.fsum(totals.tolist())
+            scale = beta * mpmath.log(2)
+            moments = [(mpmath.fsum(words[m, g].tolist())
+                        - mpmath.fsum(entries[m, g].ravel().tolist()),
+                        mpmath.fsum(np.abs(words[m, g]).tolist())
+                        + mpmath.fsum(np.abs(entries[m, g]).ravel().tolist()))
+                       for m in (0, 1)]
+            rows, totals = [[mpmath.mpf(t) for t in row] for row in table.tolist()], totals.tolist()
+            rates = [t * mpmath.log(t / total, 2) for row, total in zip(rows, totals) for t in row]
+            logs = [abs(t * mpmath.log(t, 2)) for t in [*sum(rows, []), *map(mpmath.mpf, totals)]]
+            out.append({"beta": (beta, beta),
+                        "mean": (moments[0][0] / scale, moments[0][1] / scale),
+                        "variance": (-moments[1][0] / scale**2, moments[1][1] / scale**2),
+                        "hmu": (-mpmath.fsum(rates) / beta, mpmath.fsum(logs) / beta)})
+    return out
+
+
+#: The bound on an energy statistic's error, in ulps (float eps) of its cancelling scale.
+ENERGY_ULPS = 64
+
+
+def energy_errors(moments, counts, hyper):
+    """Each statistic's error against mp_energy, in eps times its cancelling scale: one
+    dict name -> error per table."""
+    eps = np.finfo(float).eps
+    errors = []
+    for g, reference in enumerate(mp_energy(counts, hyper)):
+        error = {}
+        for name, (value, scale) in reference.items():
+            diff = abs(np.ravel(getattr(moments, name))[g] - value)
+            error[name] = float(diff / (eps * scale)) if scale else math.inf if diff else 0.0
+        errors.append(error)
+    return errors
