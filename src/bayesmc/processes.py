@@ -9,7 +9,10 @@ which supplies exact average count tables for any data size N and order k.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +64,28 @@ class LabeledHMM:
     def transition_matrix(self) -> np.ndarray:
         return self.matrices.sum(axis=0)
 
+    @functools.cached_property
+    def stationary(self) -> np.ndarray:
+        """Unique stationary state distribution pi with pi T = pi, solved once
+        and read-only.
+
+        Solved directly as a linear system with one balance equation replaced
+        by the normalization constraint.
+        """
+        T = self.transition_matrix
+        _check_irreducible(T)
+        n = self.n_states
+        a = T.T - np.eye(n)
+        a[-1, :] = 1.0
+        b = np.zeros(n)
+        b[-1] = 1.0
+        pi = np.linalg.solve(a, b)
+        if np.any(pi < -1e-12) or np.max(np.abs(pi @ T - pi)) > 1e-10:
+            raise ValueError("failed to find a valid stationary distribution")
+        pi = np.clip(pi, 0.0, None)
+        pi.flags.writeable = False
+        return pi
+
     def is_unifilar(self) -> bool:
         """True when each (state, symbol) row has at most one successor."""
         return bool(np.all((self.matrices > 0).sum(axis=2) <= 1))
@@ -104,22 +129,9 @@ def _check_irreducible(T: np.ndarray) -> None:
 
 
 def stationary(hmm: LabeledHMM) -> np.ndarray:
-    """Unique stationary state distribution pi with pi T = pi.
-
-    Solved directly as a linear system with one balance equation replaced
-    by the normalization constraint.
-    """
-    T = hmm.transition_matrix
-    _check_irreducible(T)
-    n = hmm.n_states
-    a = T.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi = np.linalg.solve(a, b)
-    if np.any(pi < -1e-12) or np.max(np.abs(pi @ T - pi)) > 1e-10:
-        raise ValueError("failed to find a valid stationary distribution")
-    return np.clip(pi, 0.0, None)
+    """Unique stationary state distribution pi with pi T = pi, read-only and
+    solved once per hmm (`LabeledHMM.stationary`)."""
+    return hmm.stationary
 
 
 def word_probability(hmm: LabeledHMM, word) -> float:
@@ -190,42 +202,80 @@ def _conditionals(k: int, alphabet: Alphabet, joint: np.ndarray) -> WordConditio
     return WordConditional(k, alphabet, wp, cond)
 
 
-#: Moves drawn per state at a time by `sample_sequence`.
-SAMPLE_BLOCK = 4096
+def _block_length(N: int) -> int:
+    """Steps per block of `sample_sequence`'s walk of N steps: about sqrt(N) / 2,
+    which balances the lockstep walk's per-step numpy calls against the pass
+    over the blocks."""
+    return max(1, math.isqrt(N // 4))
 
 
 def sample_sequence(hmm: LabeledHMM, N: int, seed) -> SymbolSequence:
     """Sample a length-N realization, starting from the stationary state
     distribution.  Deterministic given the seed.
 
-    Each state's moves, coded symbol * n_states + next state, are drawn in
-    advance in blocks of min(N, SAMPLE_BLOCK), and the walk takes the next
-    unread move of its current state, drawing that state's next block when
-    one runs out.  The moves out of a state are i.i.d. from its row and
-    independent of when the walk visits it, so the sequence has exactly the
-    chain's law.  At most N + n_states * block moves are drawn.
+    Each step draws one uniform and takes the move, coded symbol * n_states +
+    next state, at which the current state's cumulative row over moves first
+    exceeds it, as rng.choice does.  The N steps are split into blocks of
+    B = isqrt(N / 4) steps, walked together in numpy lockstep: the first from
+    the drawn start, every other one from the most probable state.  One pass
+    over the blocks then re-walks each block whose true start, the end of the
+    block before, differs from that guess, with the same uniforms, until it
+    is in the speculative walk's state: from there on the two walks take the
+    same moves.  The sample is the sequential walk over those uniforms, so it
+    has exactly the chain's law.  At most N + B - 1 uniforms are drawn, and
+    one for the start.
     """
     if N < 1:
         raise ValueError("sample length must be >= 1")
     rng = np.random.default_rng(seed)
     A, n = hmm.alphabet.size, hmm.n_states
-    # flat distribution over (symbol, next state) per current state
-    step_probs = hmm.matrices.transpose(1, 0, 2).reshape(n, A * n)
-    state = int(rng.choice(n, p=stationary(hmm)))
-    block = min(N, SAMPLE_BLOCK)
-    streams = [rng.choice(A * n, size=block, p=p).tolist() for p in step_probs]
-    read = [0] * n
-    moves = [0] * N
-    for t in range(N):
-        i = read[state]
-        if i == block:
-            streams[state] = rng.choice(A * n, size=block, p=step_probs[state]).tolist()
-            i = 0
-        move = streams[state][i]
-        read[state] = i + 1
-        moves[t] = move
-        state = move % n
-    return SymbolSequence(hmm.alphabet, np.array(moves, dtype=np.int64) // n)
+    pi = stationary(hmm)
+    start = int(rng.choice(n, p=pi))
+    # Uniforms are floored to a grid of 1 / scale, and a walk in state s looks
+    # u up as s * scale + u * scale among every state's cumulative rows, each
+    # scaled and offset by its state's s * scale: all exact floats, as
+    # n * scale <= 2**53.
+    scale = 2.0 ** (53 - (n - 1).bit_length())
+    cdf = np.cumsum(hmm.matrices.transpose(1, 0, 2).reshape(n, A * n), axis=1)
+    cdf /= cdf[:, -1:]
+    bounds = (np.ceil(cdf * scale) + scale * np.arange(n)[:, None]).ravel()
+    flat = np.arange(bounds.size)  # the moves (state, symbol, next state), flat
+    after = flat % n  # the state each move enters
+    offset = after * scale
+    block = _block_length(N)
+    blocks = -(-N // block)
+    keys = rng.random((block, blocks))  # keys[t, g]: step t of block g
+    keys *= scale
+    np.floor(keys, out=keys)
+    guess = int(np.argmax(pi))
+    lanes = np.full(blocks, guess * scale)
+    lanes[0] = start * scale
+    moves = np.empty((blocks, block), dtype=np.intp)  # in sequence order
+    for t in range(block):
+        moves[:, t] = step = bounds.searchsorted(keys[t] + lanes, side="right")
+        lanes = offset[step]
+    ends = after[moves[:, -1]].tolist()
+    bounds, after = bounds.tolist(), after.tolist()
+    state = ends[0]
+    for g in range(1, blocks):
+        walk, spec, t = state, guess, 0
+        while walk != spec and t < block:
+            stop = min(block, 2 * t + 16)  # as lists, in chunks doubling in length
+            rewalked = []
+            for spec_move, key in zip(moves[g, t:stop].tolist(), keys[t:stop, g].tolist()):
+                if walk == spec:
+                    break
+                spec = after[spec_move]
+                move = bisect.bisect_right(bounds, walk * scale + key)
+                rewalked.append(move)
+                walk = after[move]
+            moves[g, t:t + len(rewalked)] = rewalked
+            t += len(rewalked)
+        state = ends[g] if walk == spec else walk
+    del keys
+    symbols = (flat // n % A)[moves.reshape(-1)[:N]]
+    symbols.flags.writeable = False  # fresh, so SymbolSequence need not copy it
+    return SymbolSequence(hmm.alphabet, symbols)
 
 
 def load_hmm(source) -> LabeledHMM:

@@ -121,10 +121,10 @@ def _shifted_series(x, name):
         low = z < 6.0
         if not np.any(low):
             break
-        acc_psi = np.where(low, acc_psi - 1.0 / z, acc_psi)
+        acc_psi = acc_psi - low / z
         with np.errstate(over="ignore", divide="ignore"):  # see the docstring
-            acc_tri = np.where(low, acc_tri + 1.0 / (z * z), acc_tri)
-        z = np.where(low, z + 1.0, z)
+            acc_tri = acc_tri + low / (z * z)
+        z = z + low
     inv2 = 1.0 / (z * z)
     tail_psi, tail_tri = np.zeros_like(z), np.zeros_like(z)
     for c_psi, c_tri in zip(reversed(_DIGAMMA_TAIL), reversed(_TRIGAMMA_TAIL)):

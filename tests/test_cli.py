@@ -1004,8 +1004,11 @@ GOLDEN = {
 #: rounding error of the former probability-based form.  The three sample_*
 #: digests were re-pinned when sample_sequence began walking pre-drawn
 #: per-state move blocks instead of calling rng.choice once per symbol: the
-#: same seed now draws a different (equally distributed) sample.  The
-#: simulate run pins that seeded stream itself, through sequence.txt.  The
+#: same seed now draws a different (equally distributed) sample; and again,
+#: with simulate's sequence.txt, when it began walking blocks of the chain in
+#: numpy lockstep on one uniform per step and splicing them, as the per-state
+#: move streams are read in an order only a sequential walk knows.  The
+#: simulate run pins that seeded sample itself, through sequence.txt.  The
 #: fig3_json and fig7_json runs pin the JSON mirrors of a compare and an
 #: entropy sweep (fig7's holds 245 nulls from infinite KL) from before the
 #: writer formatted column blocks.  The fig7_json entropy.json digest was
@@ -1064,17 +1067,17 @@ GOLDEN_DIGESTS = {
         "entropy.csv": "ba0f72f33c4cd8507086d98d6d8236dbc4bf3842b881992c5a7afea5436c27d2",
     },
     "sample_compare": {
-        "compare.csv": "b4a816859fedad209749ea5514858e4cb6cd4094c9990a5413d9442e168442f1",
+        "compare.csv": "df73d235a56a9ea3157cabfc6c50b1f4d365992937a5064f8d963263c20b94ce",
     },
     "sample_entropy": {
-        "entropy.csv": "0f68c0469ed4696f26710501b1ceaa067c978602ccd5d982d7f60b508972d339",
+        "entropy.csv": "242017b312d68a5183281ded75a806f1a523a30788c53e96e78ee600acaea651",
     },
     "sample_infer": {
-        "infer_density.csv": "4c7a10967078512b7a0d6156fee0395fa3c7c57a0250c9ac81ec9e1be612878f",
-        "infer_summary.csv": "ec35912dba3a0471c8646cf80b72944284b534dd83060a4945feabc7be73fa3b",
+        "infer_density.csv": "bc94c6b385c41344995582ce7d77e7e7fc3e3d73d43a371082cf8cbc5da8daf6",
+        "infer_summary.csv": "3183b0f18d42096f802d66a5528af4f308294ea79b96097732b3a870c6c78d00",
     },
     "simulate": {
-        "sequence.txt": "5a67580f4a913bc93eda4421422f15183139fa37dc85b43eb5b2e0d56edb9fc2",
+        "sequence.txt": "21f1ae40549f2f01c574229f323843a6037b3afd4a1f6f34b17e2fd96872312e",
     },
 }
 

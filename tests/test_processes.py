@@ -26,7 +26,7 @@ from bayesmc import (
     word_probability,
 )
 from bayesmc.core import TableTooLargeError
-from bayesmc.processes import BUILTIN_SOURCES, SAMPLE_BLOCK, NondeterministicProcessError
+from bayesmc.processes import BUILTIN_SOURCES, NondeterministicProcessError, _block_length
 
 from util import biased_chain, even_runs_ok
 
@@ -257,6 +257,39 @@ THREE = LabeledHMM(Alphabet(("a", "b", "c")), np.array([
 ]), name="three")
 
 
+def _random_source(n, A, seed):
+    """Seeded random n-state source over A symbols: each state has two moves
+    to random (symbol, next state) pairs and the symbol-0 step along the
+    cycle s -> s + 1, which makes it irreducible, with weights in [1, 2)."""
+    rng = np.random.default_rng(seed)
+    mats = np.zeros((A, n, n))
+    for s in range(n):
+        mats[rng.integers(A, size=2), s, rng.integers(n, size=2)] = 1.0 + rng.random(2)
+        mats[0, s, (s + 1) % n] += 1.0
+    mats /= mats.sum(axis=(0, 2))[None, :, None]
+    return LabeledHMM(Alphabet(tuple("abcdefgh"[:A])), mats, name=f"random{n}")
+
+
+#: 22 of its 25 2-words and 86 of its 125 3-words are possible, and each of
+#: those has an expected count of at least 30 in the chi-square tests below.
+RANDOM16 = _random_source(16, 5, seed=16)
+
+#: 3 states on a cycle that stay (symbols a, b, c, naming the state) with
+#: probability 0.4 or step forward (d, e, f) with 0.6.  Every state's row
+#: puts its stay first, so one uniform moves all states by the same
+#: rotation: walks from different states never meet, and every wrong guess
+#: of a block's start re-walks the whole block.
+ROTATION = LabeledHMM(Alphabet(tuple("abcdef")), np.array([
+    np.diag([0.4] * 3) * (np.arange(3)[:, None] == sym) if sym < 3 else
+    0.6 * np.roll(np.eye(3), 1, axis=1) * (np.arange(3)[:, None] == sym - 3)
+    for sym in range(6)]), name="rotation")
+
+#: The deterministic cycle a -> b -> c, also never meeting.
+CYCLE = LabeledHMM(Alphabet(("a", "b", "c")), np.array([
+    np.roll(np.eye(3), 1, axis=1) * (np.arange(3)[:, None] == sym) for sym in range(3)]),
+    name="cycle")
+
+
 def word_codes(seq, L, step=1):
     """Codes of seq's length-L words starting every `step` symbols, in
     word_distribution's order."""
@@ -270,29 +303,81 @@ def assert_support(hmm, seq, L=3):
     assert np.all(p[word_codes(seq, L)] > 0)
 
 
+def assert_frequencies(hmm, codes, L):
+    """`codes` of independent length-L words follow word_distribution: cells
+    of probability 0 are empty, and a chi-square test of the others passes."""
+    p = word_distribution(hmm, L)
+    obs = np.bincount(codes, minlength=p.size)
+    assert obs[p == 0].sum() == 0
+    keep = p > 0
+    assert chisquare(obs[keep], obs.sum() * p[keep]).pvalue > 1e-4
+
+
+def sequential_walk(hmm, N, seed):
+    """The walk that sample_sequence splices from its blocks, one step at a
+    time: the start drawn by rng.choice from the stationary distribution, then
+    at each step rng.choice's search of the current state's cumulative row at
+    that step's uniform, step t of block g taking uniform [t, g] of one
+    (B, G) draw.  (The sampler floors the uniforms to a grid of 2**-49 or
+    finer for these sources, which changes a step only for a uniform that
+    close to a bound.)"""
+    rng = np.random.default_rng(seed)
+    A, n = hmm.alphabet.size, hmm.n_states
+    state = int(rng.choice(n, p=stationary(hmm)))
+    B = _block_length(N)
+    uniforms = rng.random((B, -(-N // B))).T.ravel()[:N]
+    cdf = np.cumsum(hmm.matrices.transpose(1, 0, 2).reshape(n, A * n), axis=1)
+    cdf /= cdf[:, -1:]
+    out = []
+    for u in uniforms:
+        move = int(np.searchsorted(cdf[state], u, side="right"))
+        out.append(move // n)
+        state = move % n
+    return np.array(out)
+
+
+SOURCES = [GM, EVEN, SNS, THREE, RANDOM16, ROTATION]
+
+
 class TestSamplerLaw:
-    """The move-stream sampler against the exact word distribution."""
+    """The block sampler against the exact word distribution and against the
+    sequential walk it splices."""
 
-    B = SAMPLE_BLOCK
-
-    @pytest.mark.parametrize("hmm,seed", [(GM, 11), (EVEN, 12), (SNS, 13), (THREE, 14)],
+    @pytest.mark.parametrize("hmm,seed", [(GM, 11), (EVEN, 12), (SNS, 13), (THREE, 14),
+                                          (RANDOM16, 15), (ROTATION, 16)],
                              ids=lambda v: getattr(v, "name", None))
     def test_word_frequencies_chi_square(self, hmm, seed):
-        # 200,000 symbols refill every state's 4096-move block several times.
-        # Disjoint 3-words are counted, as overlapping windows share symbols
-        # and their counts are not multinomial; cells of probability 0 must
-        # be empty and are left out.
+        # 200,000 symbols in 897 blocks of 223.  Disjoint 3-words are
+        # counted, as overlapping windows share symbols and their counts are
+        # not multinomial.
         seq = sample_sequence(hmm, 200_000, seed)
         assert_support(hmm, seq)
-        p = word_distribution(hmm, 3)
-        obs = np.bincount(word_codes(seq, 3, step=3), minlength=p.size)
-        assert obs[p == 0].sum() == 0
-        keep = p > 0
-        assert chisquare(obs[keep], obs.sum() * p[keep]).pvalue > 1e-4
+        assert_frequencies(hmm, word_codes(seq, 3, step=3), 3)
 
-    @pytest.mark.parametrize("N", [1, B - 1, B, B + 1, 3 * B + 7])
-    @pytest.mark.parametrize("hmm", [EVEN, THREE], ids=lambda h: h.name)
+    @pytest.mark.parametrize("hmm", SOURCES, ids=lambda h: h.name)
+    def test_pairs_across_block_joins_chi_square(self, hmm):
+        # the pair of symbols on each side of every join between two blocks,
+        # where walks are spliced; joins 223 symbols apart are about
+        # independent, and four samples give 3,584 pairs
+        N = 200_000
+        B = _block_length(N)
+        codes = [word_codes(sample_sequence(hmm, N, seed), 2)[B - 1::B]
+                 for seed in (21, 22, 23, 24)]
+        assert_frequencies(hmm, np.concatenate(codes), 2)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 17, 1000, 4095, 4097])
+    @pytest.mark.parametrize("hmm", SOURCES + [CYCLE], ids=lambda h: h.name)
+    def test_spliced_walk_is_the_sequential_walk(self, hmm, N):
+        # N = 17 and 4097 end in a one-step block, 4095 in a three-step one
+        np.testing.assert_array_equal(sample_sequence(hmm, N, N).data,
+                                      sequential_walk(hmm, N, N))
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 15, 16, 17, 4095, 4096, 4097, 12295])
+    @pytest.mark.parametrize("hmm", [EVEN, THREE, ROTATION, CYCLE], ids=lambda h: h.name)
     def test_lengths_around_the_block(self, hmm, N):
+        # B = 1 up to N = 15; N = 16 is 8 blocks of 2 and N = 17 adds a block
+        # of 1; 4095 is 133 blocks of 31, the last of 3 steps, 4096 is 128
+        # blocks of 32 and 4097 adds a block of 1; 12,295 ends in 30 of 55
         seq = sample_sequence(hmm, N, seed=N)
         assert len(seq.data) == N
         assert set(np.unique(seq.data)) <= set(range(hmm.alphabet.size))
@@ -301,23 +386,31 @@ class TestSamplerLaw:
         if hmm is EVEN:
             assert even_runs_ok(seq.to_string())
 
-    @pytest.mark.parametrize("N", [1, B - 1, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("N", [1, 2, 17, 4095, 4097, 10_001, 12295])
     def test_draws_bounded(self, N):
-        # at most N + n_states * min(N, B) moves, never n_states * N
-        drawn = []
+        # one start choice, which draws one uniform, and one uniform per step
+        # of ceil(N / B) blocks: at most N + B - 1, which 17, 4097 and
+        # 10,001 (201 blocks of 50) reach
+        starts, uniforms = [], []
 
         class Counting(np.random.Generator):
             def choice(self, *args, size=None, **kw):
-                drawn.append(1 if size is None else size)
+                starts.append(size)
                 return super().choice(*args, size=size, **kw)
 
+            def random(self, *args, **kw):
+                out = super().random(*args, **kw)
+                uniforms.append(np.size(out))
+                return out
+
         sample_sequence(THREE, N, Counting(np.random.PCG64(0)))
-        assert sum(drawn) - 1 <= N + THREE.n_states * min(N, self.B)
+        assert starts == [None]
+        assert sum(uniforms) <= 1 + N + _block_length(N) - 1
 
     def test_int_seed_equals_generator(self):
         for hmm in (SNS, THREE):
-            a = sample_sequence(hmm, 3 * self.B + 7, 21)
-            b = sample_sequence(hmm, 3 * self.B + 7, np.random.default_rng(21))
+            a = sample_sequence(hmm, 10_007, 21)
+            b = sample_sequence(hmm, 10_007, np.random.default_rng(21))
             np.testing.assert_array_equal(a.data, b.data)
 
 
