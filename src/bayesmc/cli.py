@@ -112,21 +112,23 @@ class _Sweep:
     cfg: argparse.Namespace  # the checked command line, as _config_from completes it
     alphabet: Alphabet
     seq: SymbolSequence | None  # file or sample mode: counts come from its prefixes
+    hmm: processes.LabeledHMM | None  # the source, whose average counts average mode takes
     hypers: dict[int, HyperTable]
-    joints: dict[int, np.ndarray]  # a source's p(word, symbol), shape (A**k, A), where read
     approxes: dict[int, entropy.WordConditional]
     truth: float | None
 
     def points(self):
         """Yield each chunk of the N grid, G contiguous points with G as large as
         CHUNK_ENTRIES allows, with (k, counts, hyper) for each order, the counts a
-        (G, A**k, A) stack over the chunk's G data sizes.  In sample and file mode one
-        top-order table runs across the whole grid, chunk boundaries included: each N
-        counts only the windows data[last - K:N] that its prefix adds to the previous one's,
-        and the chunk's top-order stack holds the table at each of its N.  Each lower order
-        k is derived once per chunk from the stack of order k + 1 and the sweep's first
-        window of length k + 1 (core.lower_order_counts).  The table lives in this
-        generator's frame, so it goes with the sweep."""
+        (G, A**k, A) stack over the chunk's G data sizes.  In average mode each order's
+        stack is processes.average_counts of the chunk, whose joint p(word, symbol) the
+        source computes once per order.  In sample and file mode one top-order table runs
+        across the whole grid, chunk boundaries included: each N counts only the windows
+        data[last - K:N] that its prefix adds to the previous one's, and the chunk's
+        top-order stack holds the table at each of its N.  Each lower order k is derived
+        once per chunk from the stack of order k + 1 and the sweep's first window of
+        length k + 1 (core.lower_order_counts).  The table lives in this generator's
+        frame, so it goes with the sweep."""
         A, K, grid = self.alphabet.size, self.cfg.k_max, self.cfg.n_grid
         size = max(1, CHUNK_ENTRIES // A ** (K + 1))
         if self.seq is not None:
@@ -134,13 +136,8 @@ class _Sweep:
             heads = {k: count_words(SymbolSequence(self.alphabet, self.seq.data[:k + 1]), k)
                      for k in self.hypers if k < K}
         for chunk in (grid[i:i + size] for i in range(0, len(grid), size)):
-            stacks = {}
-            if self.seq is None:  # the exact average counts, as processes.average_counts
-                N = np.array(chunk)[:, None, None]
-                for k in self.hypers:
-                    table = (N - k) * self.joints[k]
-                    table.flags.writeable = False  # fresh, so _frozen need not copy it
-                    stacks[k] = CountTable(k, self.alphabet, table)
+            if self.seq is None:
+                stacks = {k: processes.average_counts(self.hmm, chunk, k) for k in self.hypers}
             else:
                 tops = np.empty((len(chunk), A**K, A))
                 for g, N in enumerate(chunk):
@@ -148,7 +145,7 @@ class _Sweep:
                                        K).table
                     last, tops[g] = N, top
                 tops.flags.writeable = False  # fresh, so _frozen need not copy it
-                stacks[K] = CountTable(K, self.alphabet, tops)
+                stacks = {K: CountTable(K, self.alphabet, tops)}
                 for k in sorted(heads, reverse=True):
                     stacks[k] = lower_order_counts(stacks[k + 1], heads[k])
             yield chunk, [(k, stacks[k], hyper) for k, hyper in self.hypers.items()]
@@ -171,16 +168,14 @@ def _resolve(cfg: argparse.Namespace) -> _Sweep:
     orders = range(cfg.k_min, cfg.k_max + 1)
     hypers = (_read_fake_counts(cfg.fake_counts, orders, alphabet) if cfg.fake_counts is not None
               else {k: uniform_hyper(k, alphabet, cfg.alpha) for k in orders})
-    A, compared = alphabet.size, cfg.command == "entropy" and hmm is not None
-    joints = {k: processes.word_distribution(hmm, k + 1).reshape(A**k, A)
-              for k in orders if seq is None or compared}  # average counts' and Q's truth
-    approxes = {k: processes._conditionals(k, alphabet, joints[k]) for k in orders if compared}
+    compared = cfg.command == "entropy" and hmm is not None
+    approxes = {k: processes.markov_approximation(hmm, k) for k in orders if compared}
     truth = None
     if compared and hmm.is_unifilar():
         truth = processes.true_entropy_rate(hmm)
     elif compared and cfg.source == "sns":  # the builtin: builtins are looked up before files
         truth = processes.SNS_ENTROPY_RATE
-    return _Sweep(cfg, alphabet, seq, hypers, joints, approxes, truth)
+    return _Sweep(cfg, alphabet, seq, hmm, hypers, approxes, truth)
 
 
 #: A cell type's CSV and JSON formatters; in JSON a finite float prints its repr (as

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparison import OrderPosterior
-from .core import CountTable, HyperTable, _frozen, require_same_shape
+from .core import Alphabet, CountTable, HyperTable, ShapeMismatchError, _frozen, require_same_shape
 from .inference import posterior, posterior_mean
 from .special import _moment_terms, _per_table, _row_rates, _row_sum, _table_sum
 
@@ -36,16 +36,24 @@ _LN2 = math.log(2.0)
 @dataclass(frozen=True, eq=False)
 class WordConditional:
     """A pair (word distribution, conditional next-symbol distribution), or
-    a stack of G such pairs."""
+    a stack of G such pairs.  Shapes that do not fit the order and alphabet,
+    or each other, raise ShapeMismatchError."""
 
     order: int
-    alphabet: object
+    alphabet: Alphabet
     word_probs: np.ndarray = field(repr=False)  # (A**k,) or (G, A**k)
     cond_probs: np.ndarray = field(repr=False)  # (A**k, A) or (G, A**k, A), rows sum to 1
 
     def __post_init__(self):
-        object.__setattr__(self, "word_probs", _frozen(self.word_probs))
-        object.__setattr__(self, "cond_probs", _frozen(self.cond_probs))
+        word_probs, cond_probs = _frozen(self.word_probs), _frozen(self.cond_probs)
+        expected = (self.alphabet.size**self.order, self.alphabet.size)
+        if (cond_probs.ndim not in (2, 3) or cond_probs.shape[-2:] != expected
+                or word_probs.shape != cond_probs.shape[:-1]):
+            raise ShapeMismatchError(
+                f"word_probs shape {word_probs.shape} and cond_probs shape {cond_probs.shape}, "
+                f"expected {expected[:1]} and {expected} at order {self.order}, or a stack of them")
+        object.__setattr__(self, "word_probs", word_probs)
+        object.__setattr__(self, "cond_probs", cond_probs)
 
 
 def r_from(table: HyperTable) -> WordConditional:

@@ -39,6 +39,7 @@ class LabeledHMM:
     alphabet: Alphabet
     matrices: np.ndarray = field(repr=False)  # (A, n_states, n_states)
     name: str = ""
+    _joints: dict = field(default_factory=dict, init=False, repr=False)  # order k -> joint(k)
 
     def __post_init__(self):
         m = _frozen(self.matrices)
@@ -85,6 +86,16 @@ class LabeledHMM:
         pi = np.clip(pi, 0.0, None)
         pi.flags.writeable = False
         return pi
+
+    def joint(self, k: int) -> np.ndarray:
+        """The (A**k, A) joint p(word, symbol) of order k, from one word_distribution
+        call per order, kept on the hmm and read-only."""
+        if k not in self._joints:
+            A = self.alphabet.size
+            joint = word_distribution(self, k + 1).reshape(A**k, A)
+            joint.flags.writeable = False  # fresh, so no other view can write it
+            self._joints[k] = joint
+        return self._joints[k]
 
     def is_unifilar(self) -> bool:
         """True when each (state, symbol) row has at most one successor."""
@@ -155,16 +166,23 @@ def word_distribution(hmm: LabeledHMM, length: int) -> np.ndarray:
     return vecs.sum(axis=1)
 
 
-def average_counts(hmm: LabeledHMM, N: float, k: int) -> CountTable:
-    """Exact average count table n(word, symbol) = (N - k) p(word symbol).
+def average_counts(hmm: LabeledHMM, N, k: int) -> CountTable:
+    """Exact average count table n(word, symbol) = (N - k) p(word symbol).  A 1-D grid
+    of data sizes N gives the (G, A**k, A) stack of their tables, each the lone call's
+    bit for bit.
 
     Counts are real-valued; they are deliberately not rounded to integers.
     """
-    if not N > k:
-        raise ValueError(f"data size N={N} must exceed order k={k}")
-    A = hmm.alphabet.size
-    p = word_distribution(hmm, k + 1).reshape(A**k, A)
-    return CountTable(k, hmm.alphabet, (N - k) * p)
+    sizes = np.asarray(N, dtype=float)
+    if sizes.ndim > 1:
+        raise ValueError(f"average_counts takes a data size N or a 1-D grid of them, "
+                         f"not shape {sizes.shape}")
+    if not np.all(sizes > k):  # a NaN N included
+        short = np.ravel(N)[~(sizes.ravel() > k)]
+        raise ValueError(f"data size N={short[0]} must exceed order k={k}")
+    table = (sizes[..., None, None] - k) * hmm.joint(k)
+    table.flags.writeable = False  # fresh, so _frozen need not copy it
+    return CountTable(k, hmm.alphabet, table)
 
 
 def true_entropy_rate(hmm: LabeledHMM) -> float:
@@ -183,23 +201,19 @@ def true_entropy_rate(hmm: LabeledHMM) -> float:
 
 
 def markov_approximation(hmm: LabeledHMM, k: int) -> WordConditional:
-    """Best order-k Markov conditionals: p(s|word) = p(word s)/p(word).
+    """Best order-k Markov conditionals: p(s|word) = p(word s)/p(word), from the hmm's
+    joint of order k.
 
     Zero-probability words (word_probs == 0) get uniform conditionals.
     """
-    A = hmm.alphabet.size
-    return _conditionals(k, hmm.alphabet, word_distribution(hmm, k + 1).reshape(A**k, A))
-
-
-def _conditionals(k: int, alphabet: Alphabet, joint: np.ndarray) -> WordConditional:
-    """markov_approximation of the (A**k, A) joint p(word, symbol)."""
+    joint = hmm.joint(k)
     wp = joint.sum(axis=1)
     support = wp > 0
-    cond = np.full_like(joint, 1.0 / alphabet.size)
+    cond = np.full_like(joint, 1.0 / hmm.alphabet.size)
     cond[support] = joint[support] / wp[support, None]
     for fresh in (wp, cond):
         fresh.flags.writeable = False  # fresh, so _frozen need not copy it
-    return WordConditional(k, alphabet, wp, cond)
+    return WordConditional(k, hmm.alphabet, wp, cond)
 
 
 def _block_length(N: int) -> int:

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import bayesmc.cli
 import bayesmc.core
 import bayesmc.entropy
+import bayesmc.processes
 from bayesmc.cli import main
 
 from util import even_runs_ok
@@ -499,13 +500,30 @@ class TestChunks:
             grid = recipe["n_grid"]
             assert _chunks_of(2, recipe["k"][1], grid, 1) == [grid]
 
+    def test_average_counts_once_per_order_and_chunk(self, tmp_path, monkeypatch):
+        # average mode takes each chunk's stacks from processes.average_counts, and the
+        # source computes its joint of each order once, for the counts and Q's truth alike
+        calls = {"average_counts": [], "word_distribution": []}
+        for name, log in calls.items():
+            def counted(hmm, *args, call=getattr(bayesmc.processes, name), log=log):
+                log.append(args)
+                return call(hmm, *args)
+
+            monkeypatch.setattr(bayesmc.processes, name, counted)
+        assert run_cli(["entropy", "--source", "even", "--k-max", "12", "--n-start", "1000",
+                        "--n-stop", "5000", "--n-step", "100", "--out", str(tmp_path)]) == 0
+        chunks = _chunks_of(2, 12, tuple(range(1000, 5001, 100)), 1)
+        assert len(chunks) == 6
+        assert calls["average_counts"] == [(chunk, k) for chunk in chunks for k in range(1, 13)]
+        assert calls["word_distribution"] == [(k + 1,) for k in range(1, 13)]
+
 
 def _chunks_of(A, k_max, grid, jobs):
     """The chunks that _Sweep.points yields for a sweep with only what chunking reads (the
     alphabet, k_max and grid), no orders, and a --jobs that it ignores."""
     cfg = argparse.Namespace(k_max=k_max, n_grid=grid, jobs=jobs)
     sweep = bayesmc.cli._Sweep(cfg, bayesmc.core.Alphabet(tuple("abcd"[:A])), seq=None,
-                               hypers={}, joints={}, approxes={}, truth=None)
+                               hmm=None, hypers={}, approxes={}, truth=None)
     return [chunk for chunk, _ in sweep.points()]
 
 

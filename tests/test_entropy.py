@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import math
+import re
 import weakref
 
 import mpmath
@@ -39,6 +40,7 @@ from bayesmc import (
     uniform_hyper,
     weighted_energy,
 )
+from bayesmc.core import ShapeMismatchError
 from bayesmc.entropy import WordConditional
 from bayesmc.inference import region_mass
 from util import ENERGY_ULPS, biased_chain, energy_errors
@@ -116,6 +118,18 @@ class TestWordConditionalArrays:
             assert not arr.flags.writeable and arr.flags.c_contiguous
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    @pytest.mark.parametrize("order, word_shape, cond_shape", [
+        (1, (1,), (2, 2)),  # hmu_of read 1.469 and kl_of 0.531 bits off a broadcast
+        (3, (2,), (2, 2)),  # an order-3 label on order-1 arrays
+        (1, (2,), (3, 2)), (1, (2,), (2, 3)), (1, (2,), (2,)), (1, (2, 1), (2, 2)),
+        (1, (3, 2), (2, 2, 2)), (1, (2, 2), (2,)), (1, (2, 2), (1, 2, 2, 2)),
+        (2, (3, 2), (3, 4, 2))])
+    def test_shapes_must_fit_order_and_each_other(self, order, word_shape, cond_shape):
+        with pytest.raises(ShapeMismatchError, match=re.escape(
+                f"word_probs shape {word_shape} and cond_probs shape {cond_shape}, expected "
+                f"({2**order},) and ({2**order}, 2) at order {order}, or a stack of them")):
+            WordConditional(order, BINARY, np.full(word_shape, 0.5), np.full(cond_shape, 0.5))
 
 
 class TestHmu:

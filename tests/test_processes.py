@@ -25,6 +25,7 @@ from bayesmc import (
     word_distribution,
     word_probability,
 )
+import bayesmc.processes
 from bayesmc.core import TableTooLargeError
 from bayesmc.processes import BUILTIN_SOURCES, NondeterministicProcessError, _block_length
 
@@ -140,6 +141,55 @@ class TestAverageCounts:
     def test_requires_n_above_k(self):
         with pytest.raises(ValueError):
             average_counts(GM, 2, 2)
+
+    @pytest.mark.parametrize("hmm, k", [(GM, 1), (EVEN, 3), (SNS, 6)])
+    def test_grid_equals_lone_calls(self, hmm, k):
+        grid = [k + 1, 100, 1001, 12_345, 2**40 + 1]
+        stack = average_counts(hmm, grid, k)
+        assert stack.order == k and stack.table.shape == (len(grid), 2**k, 2)
+        lone = [average_counts(hmm, N, k).table for N in grid]
+        assert ([v.hex() for v in stack.table.ravel().tolist()]
+                == [v.hex() for t in lone for v in t.ravel().tolist()])
+        floats = average_counts(hmm, np.array(grid, dtype=float), k)
+        assert floats.table.tobytes() == stack.table.tobytes()
+
+    @pytest.mark.parametrize("N, message", [
+        ([100, 3, 200], r"data size N=3 must exceed order k=3"),
+        ([float("nan")], r"data size N=nan must exceed order k=3"),
+        (np.array([10, 20, 2]), r"data size N=2 must exceed order k=3"),
+        ([[10, 20]], r"average_counts takes a data size N or a 1-D grid of them, "
+                     r"not shape \(1, 2\)"),
+        (np.full((2, 2, 1), 100), r"average_counts takes a data size N or a 1-D grid of "
+                                  r"them, not shape \(2, 2, 1\)")])
+    def test_grid_rejects_short_or_multidimensional(self, N, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            average_counts(EVEN, N, 3)
+
+    def test_joint_kept_read_only(self):
+        hmm = even_process()
+        joint = hmm.joint(3)
+        assert hmm.joint(3) is joint and joint.shape == (8, 2)
+        assert not joint.flags.writeable
+        with pytest.raises(ValueError):
+            joint[0, 0] = 1.0
+        assert joint.tobytes() == word_distribution(hmm, 4).tobytes()
+
+    def test_joint_once_per_hmm_and_order(self, monkeypatch):
+        calls, distribution = [], bayesmc.processes.word_distribution
+
+        def counted(hmm, length):
+            calls.append(length)
+            return distribution(hmm, length)
+
+        monkeypatch.setattr(bayesmc.processes, "word_distribution", counted)
+        hmm = even_process()
+        for _ in range(3):
+            for k in (1, 2, 4):
+                average_counts(hmm, [100, 200], k)
+                markov_approximation(hmm, k)
+        assert calls == [2, 3, 5]
+        average_counts(even_process(), 100, 1)  # another hmm computes its own
+        assert calls == [2, 3, 5, 2]
 
     def test_matches_empirical_frequencies(self):
         seq = sample_sequence(GM, 200_000, seed=5)

@@ -6,19 +6,24 @@ stacks; every value must equal the call on the lone table bit for bit, so that
 the CSV outputs do not depend on how the grid is chunked.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bayesmc
 from bayesmc import (
     Alphabet,
     CountTable,
     HyperTable,
     WordConditional,
+    average_counts,
     compare_penalized,
     compare_uniform,
     energy_moments,
     energy_moments_of,
+    even_process,
     free_params,
     hmu_of,
     hyper_from_fake_counts,
@@ -31,11 +36,14 @@ from bayesmc import (
     map_order,
     marginal,
     posterior,
+    posterior_mean,
+    posterior_variance,
     r_from,
     sample_posterior,
     uniform_hyper,
 )
-from bayesmc.core import ShapeMismatchError
+from bayesmc.core import ShapeMismatchError, require_same_shape
+from bayesmc.entropy import EnergyMoments
 from bayesmc.inference import density_grid, infer_table
 from bayesmc.special import _row_sum, _table_sum
 
@@ -313,3 +321,128 @@ class TestOrderPosteriorStack:
                 assert _hexes(stacked.probability(k)) == [lone.probability(k).hex()
                                                           for lone in lones]
             assert map_order(stacked).tolist() == [map_order(lone) for lone in lones]
+
+
+def _tables_hex(part):
+    return [v.hex() for v in np.asarray(part, dtype=float).ravel().tolist()]
+
+
+def _parts(value) -> list:
+    """The per-table arrays of a result, in a fixed order: a table's entries, a
+    WordConditional's two arrays, an EnergyMoments record's fields and its Q, each
+    element of a list, or the value itself."""
+    if isinstance(value, (CountTable, HyperTable)):
+        return [value.table]
+    if isinstance(value, WordConditional):
+        return [value.word_probs, value.cond_probs]
+    if isinstance(value, EnergyMoments):
+        return [getattr(value, f) for f in ("beta", "mean", "variance", "hmu", "asymptotic")
+                ] + _parts(value.q)
+    if isinstance(value, list):
+        return [part for v in value for part in _parts(v)]
+    return [] if value is None else [value]
+
+
+#: Each public callable that takes a stack of count or hyper tables, of WordConditionals
+#: or a grid of data sizes, and gives one value per table, called as f(counts, hyper, rng)
+#: with a lone hyper table and a (G, A**k, A) count stack or one of its tables (the data
+#: sizes are the tables' totals plus k + 1).  The stack call takes a fresh generator, and
+#: the lone calls share one from the same seed.
+STACKED = {
+    "average_counts": lambda c, h, rng: average_counts(even_process(), c.total + c.order + 1,
+                                                       c.order),
+    "density_grid": lambda c, h, rng: density_grid(posterior(c, h), 8)[1],
+    # a record built by hand: only its Q reads the tables
+    "EnergyMoments": lambda c, h, rng: EnergyMoments(0.0, 0.0, 0.0, 0.0, 0.0, c, h).q,
+    "energy_moments": lambda c, h, rng: energy_moments(c, h),
+    "energy_moments_of": lambda c, h, rng: energy_moments_of([(c, h)]),
+    "hmu_of": lambda c, h, rng: hmu_of(r_from(posterior(c, h))),
+    "hyper_from_fake_counts": lambda c, h, rng: hyper_from_fake_counts(c),
+    "log_evidence": lambda c, h, rng: log_evidence(c, h),
+    "log_evidences": lambda c, h, rng: log_evidences([(c, h)]),
+    "log_predictive": lambda c, h, rng: log_predictive(
+        c, CountTable(c.order, c.alphabet, np.arange(27.0).reshape(9, 3)), h),
+    "lower_order_counts": lambda c, h, rng: lower_order_counts(
+        c, CountTable(1, c.alphabet, np.eye(3))),
+    "posterior": lambda c, h, rng: posterior(c, h),
+    "posterior_mean": lambda c, h, rng: posterior_mean(posterior(c, h)),
+    "posterior_variance": lambda c, h, rng: posterior_variance(posterior(c, h)),
+    "r_from": lambda c, h, rng: r_from(posterior(c, h)),
+    "require_same_shape": lambda c, h, rng: require_same_shape(c, h),  # None, as for a table
+    "sample_posterior": lambda c, h, rng: sample_posterior(posterior(c, h), rng),
+}
+
+#: Each public callable that takes one table: a stack raises a one-line ValueError that
+#: names the function.  Called as f(counts stack, hyper, one counts table).
+ONE_TABLE = {
+    "kl_of": lambda c, h, t: kl_of(r_from(posterior(c, h)), np.full((9, 3), 1.0 / 3.0)),
+    "marginal": lambda c, h, t: marginal(posterior(c, h), 0, 1),
+    "infer_table": lambda c, h, t: infer_table(c, h),
+    "energy_moments": lambda c, h, t: energy_moments(
+        t, HyperTable(h.order, h.alphabet, np.stack([h.table, h.table]))),
+}
+
+#: Every other public callable: it takes no count or hyper table, WordConditional or
+#: grid of data sizes (table types built from arrays, sequences, sources, special
+#: functions, order posteriors over evidences, and the command line).
+NO_TABLE = {
+    "Alphabet", "BetaParams", "ConfidenceRegion", "CountTable", "HyperTable", "LabeledHMM",
+    "OrderPosterior", "SymbolSequence", "WordConditional", "check_table_size",
+    "compare_penalized", "compare_uniform", "confidence_region", "count_words", "digamma",
+    "even_process", "free_params", "golden_mean", "inv_reg_inc_beta", "load_hmm",
+    "log_gamma", "log_gamma_diff", "main", "map_order", "markov_approximation",
+    "read_sequence", "reg_inc_beta", "region_mass", "sample_sequence", "sns", "stationary",
+    "trigamma", "true_entropy_rate", "uniform_hyper", "weighted_energy",
+    "word_distribution", "word_probability", "word_strings", "write_sequence",
+}
+
+
+def _public_callables() -> set:
+    """The public functions and classes, exceptions aside, of bayesmc and its modules."""
+    names = set()
+    for module in (bayesmc, *(importlib.import_module(f"bayesmc.{m}") for m in (
+            "cli", "comparison", "core", "entropy", "inference", "processes", "special"))):
+        for name, value in vars(module).items():
+            if (not name.startswith("_") and callable(value)
+                    and getattr(value, "__module__", "").startswith("bayesmc")
+                    and not (isinstance(value, type) and issubclass(value, BaseException))):
+                names.add(name)
+    return names
+
+
+class TestPublicSurfaceContract:
+    """Every public callable that takes tables either maps a stack to its tables' values,
+    bit for bit, or raises on one; a new callable fails until it is classified here."""
+
+    def test_every_public_callable_is_classified(self):
+        names, classified = _public_callables(), set(STACKED) | set(ONE_TABLE) | NO_TABLE
+        assert sorted(names - classified) == [], "unclassified public callables"
+        assert sorted(classified - names) == [], "classified names that are not public"
+        assert not (set(STACKED) | set(ONE_TABLE)) & NO_TABLE
+
+    @staticmethod
+    def _case():
+        rng = np.random.default_rng(33)
+        alphabet = Alphabet(tuple("abc"))
+        counts = CountTable(2, alphabet, np.floor(rng.uniform(0, 50, size=(4, 9, 3))))
+        hyper = HyperTable(2, alphabet, 10.0 ** rng.uniform(-3, 3, size=(9, 3)))
+        return counts, hyper, [CountTable(2, alphabet, t) for t in counts.table]
+
+    @pytest.mark.parametrize("name", sorted(STACKED))
+    def test_stack_gives_each_tables_value(self, name):
+        counts, hyper, tables = self._case()
+        stacked = STACKED[name](counts, hyper, np.random.default_rng(9))
+        one_by_one = np.random.default_rng(9)
+        per_table = [_parts(STACKED[name](t, hyper, one_by_one)) for t in tables]
+        parts = _parts(stacked)
+        assert all(len(p) == len(parts) for p in per_table)
+        for i, part in enumerate(parts):
+            assert np.shape(part)[0] == len(tables)
+            assert list(map(_tables_hex, part)) == [_tables_hex(p[i]) for p in per_table]
+
+    @pytest.mark.parametrize("name", sorted(ONE_TABLE))
+    def test_stack_raises_one_line_naming_the_function(self, name):
+        counts, hyper, tables = self._case()
+        with pytest.raises(ValueError, match=rf"^{name} takes one ") as raised:
+            ONE_TABLE[name](counts, hyper, tables[0])
+        assert "\n" not in str(raised.value)
