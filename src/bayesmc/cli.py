@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -76,6 +75,7 @@ def _resolve_hmm(cfg: argparse.Namespace) -> processes.LabeledHMM:
 def _read_fake_counts(path: str, orders: range, alphabet: Alphabet) -> dict[int, HyperTable]:
     """Each order's prior from a CSV with columns word,symbol,count, a word's length its order:
     unlisted entries are 0, an entry may be listed once, each hyperparameter is count + 1."""
+    import csv  # here, so that importing the CLI does not load it
     tables = {k: np.zeros((alphabet.size**k, alphabet.size)) for k in orders}
     seen = set()
     with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
@@ -183,39 +183,53 @@ def _resolve(cfg: argparse.Namespace) -> _Sweep:
 _FORMATS = {float: ("{:.12g}".format, lambda v: float.__repr__(v) if math.isfinite(v)
                     else "null" if math.isinf(v) else "NaN"),
             int: (str, str), str: (str, json.dumps), type(None): (lambda v: "", lambda v: "null")}
-#: Ends each row of a block's varying text: in no template, nor in a cell (Alphabet bars it).
+#: Ends each row of a block's varying text: in no row form, nor in a cell (Alphabet bars it).
 _ROW = "\r"
 
 
 class _Shared(tuple):
     """A float column that blocks of one (N, k) table share (the density x grid, a density
     row that equal marginals give).  Its text is made once per side and kept on it while they
-    hold it: its cells, or, where it ends a block's all-_Shared varying columns, their rows."""
+    hold it: where it ends a block's all-_Shared varying columns, their rows; where it begins
+    them, the template that makes those rows."""
 
     def __init__(self, values):
-        self.text = {}  # side -> the cells; (side, *ids and text before it) -> (columns, rows)
+        self.text = {}  # (side, *ids and text before it) -> (columns, rows); "%" -> templates
+
+
+def _rows(size: int, columns: list, mids: list) -> str:
+    """`size` rows of the columns' cells, each cell followed by its mid and each row ended
+    by _ROW, the last row's dropped: one slice assignment per column into a flat list."""
+    step = 2 * len(columns)
+    flat = [_ROW] * (size * step)  # each cell of a row, then the text after it
+    for j, (cells, mid) in enumerate(zip(columns, [*mids, _ROW])):
+        flat[2 * j::step], flat[2 * j + 1::step] = cells, [mid] * size
+    return "".join(flat)[:-1]
 
 
 def _text(block: list, side: int, form: str, sep: str) -> str:
     """A block's rows, each form.format(*its cells), joined by sep, for side 0 (the CSV) or 1
     (its JSON mirror); a column is a list, a _Shared or one value for all rows.  The varying
-    columns' cells go in by a slice assignment each, the single values by a replace of _ROW."""
+    columns' cells go in by a slice assignment each, the single values by a replace of _ROW.
+    All-_Shared varying columns (an x grid and a density row) go in by one % call on a
+    template made once per table and side: the last column as %.12g (_FORMATS[float][0])
+    in the CSV, as its cells in the mirror."""
     head, *mids, tail = form.format(*(_ROW if isinstance(c, (list, _Shared)) else
                                       _FORMATS[type(c)][side](c) for c in block)).split(_ROW)
     *before, last = varying = [c for c in block if isinstance(c, (list, _Shared))]
-    text = last.text if all(isinstance(c, _Shared) for c in varying) else {}  # else not kept
+    cells = [map(_FORMATS[type(c[0])][side], c) for c in varying]
+    if not all(isinstance(c, _Shared) for c in varying):  # then the text is not kept
+        return "".join((head, _rows(len(last), cells, mids).replace(_ROW, tail + sep + head),
+                        tail))
     key = (side, *map(id, before), *mids)
-    if key not in text:
-        step = 2 * len(varying)
-        flat = [_ROW] * (len(last) * step)  # each cell of a row, then the text after it
-        for j, (column, mid) in enumerate(zip(varying, [*mids, _ROW])):
-            cells = map(_FORMATS[type(column[0])][side], column)
-            if isinstance(column, _Shared) and column is not last:
-                cells = column.text[side] = column.text.get(side) or list(cells)
-            flat[2 * j::step], flat[2 * j + 1::step] = cells, [mid] * len(last)
-        text[key] = before, "".join(flat)[:-1]  # with the columns whose ids the key holds
-        del flat  # and the cells, before the rows are written out
-    return "".join((head, text[key][1].replace(_ROW, tail + sep + head), tail))
+    if key not in last.text:
+        templates = varying[0].text.setdefault("%", {})
+        if key not in templates:  # kept with the columns its ids name, its host aside
+            templates[key] = before[1:], _rows(len(last), [
+                *([c.replace("%", "%%") for c in column] for column in cells[:-1]),
+                [("%.12g", "%s")[side]] * len(last)], [m.replace("%", "%%") for m in mids])
+        last.text[key] = before, templates[key][1] % (last if side == 0 else tuple(cells[-1]))
+    return "".join((head, last.text[key][1].replace(_ROW, tail + sep + head), tail))
 
 
 def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> None:

@@ -11,7 +11,6 @@ of G tables of one order, such as one per data size of a sweep.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -367,6 +366,7 @@ def read_sequence(path, alphabet: Alphabet | None = None,
         if column is None:
             text = "".join(line.strip() for line in fh)
         else:
+            import csv  # here, so that importing the package does not load it
             reader = csv.DictReader(fh, restval="")  # a short row's missing cell is empty
             if reader.fieldnames is None or column not in reader.fieldnames:
                 raise ValueError(f"column {column!r} not found in {path}")

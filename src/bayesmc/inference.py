@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import CountTable, HyperTable, require_same_shape, word_strings
 from .special import (BetaParams, _per_table, _row_sum, _table_sum, inv_reg_inc_beta,
-                      log_gamma_diff, reg_inc_beta)
+                      log_gamma_diff)
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,6 @@ def confidence_region(m: BetaParams, level: float) -> ConfidenceRegion:
     lo = inv_reg_inc_beta(m, (1.0 - level) / 2.0)
     hi = inv_reg_inc_beta(m, (1.0 + level) / 2.0)
     return ConfidenceRegion(level, lo, hi)
-
-
-def region_mass(m: BetaParams, region: ConfidenceRegion) -> float:
-    return reg_inc_beta(m, region.upper) - reg_inc_beta(m, region.lower)
 
 
 def log_evidences(pairs) -> list:
@@ -126,25 +122,20 @@ def sample_posterior(post: HyperTable, seed) -> np.ndarray:
     return g / _row_sum(g)[..., None]
 
 
-def _grid(points: int) -> np.ndarray:
-    """The uniform open density grid x in (0, 1)."""
-    if points < 2:
-        raise ValueError("need at least 2 grid points")
-    return (np.arange(points) + 0.5) / points
-
-
 def infer_table(counts: CountTable, hyper: HyperTable, level: float = 0.95,
                 points: int = 512) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """Per-parameter posterior summaries and marginal densities of one table for export.
 
     Returns the summary columns word, symbol, count, alpha, mean, variance, ci_low and
-    ci_high, each a list with one value per (word, symbol) entry in code order; the grid x
-    of density_grid; the density rows of the table's distinct marginals (a, b), shape
-    (D, points); and each entry's index into those rows.  Each distinct marginal is
-    evaluated once: its log_norm, from one array call, serves its region and its density,
-    and its region is searched once.  Every value equals the lone marginal's, and every
-    density row density_grid's, bit for bit."""
-    x, post = _grid(points), posterior(counts, hyper)
+    ci_high, each a list with one value per (word, symbol) entry in code order; the uniform
+    open grid x of `points` values in (0, 1); the Beta densities on it of the table's
+    distinct marginals (a, b), shape (D, points); and each entry's index into those rows.
+    Each distinct marginal is evaluated once: its log_norm, from one array call, serves its
+    region and its density, and its region is searched once.  Every value, density rows
+    included, equals the lone marginal's bit for bit."""
+    if points < 2:
+        raise ValueError("need at least 2 grid points")
+    x, post = (np.arange(points) + 0.5) / points, posterior(counts, hyper)
     if post.table.ndim != 2:
         raise ValueError(f"infer_table takes one table, not a stack of shape {post.table.shape}")
     b = post.word_totals[:, None] - post.table  # as marginal() subtracts
@@ -164,10 +155,3 @@ def infer_table(counts: CountTable, hyper: HyperTable, level: float = 0.95,
                lows, highs]
     return columns, x, beta.pdf(x), index
 
-
-def density_grid(post: HyperTable, points: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """Every entry's exact Beta marginal density on a uniform open grid x in
-    (0, 1): x, and densities of shape (A**k, A, points), or (G, A**k, A,
-    points) for a stack."""
-    x, a = _grid(points), post.table[..., None]
-    return x, BetaParams(a, post.word_totals[..., None, None] - a).pdf(x)

@@ -32,6 +32,13 @@ class NondeterministicProcessError(ValueError):
     """Closed-form entropy rate requested for a nondeterministic process."""
 
 
+def _check_integer(value, name: str, least: int) -> None:
+    """A one-line ValueError naming the argument unless it is one integer >= least."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        shown = repr(value) if np.ndim(value) == 0 else f"an array of shape {np.shape(value)}"
+        raise ValueError(f"{name} must be one integer >= {least}, not {shown}")
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledHMM:
     """Hidden-state process with one labeled transition matrix per symbol."""
@@ -90,6 +97,7 @@ class LabeledHMM:
     def joint(self, k: int) -> np.ndarray:
         """The (A**k, A) joint p(word, symbol) of order k, from one word_distribution
         call per order, kept on the hmm and read-only."""
+        _check_integer(k, "order k", 0)
         if k not in self._joints:
             A = self.alphabet.size
             joint = word_distribution(self, k + 1).reshape(A**k, A)
@@ -157,8 +165,7 @@ def word_probability(hmm: LabeledHMM, word) -> float:
 
 def word_distribution(hmm: LabeledHMM, length: int) -> np.ndarray:
     """Probabilities of all A**length words, indexed by word code."""
-    if length < 0:
-        raise ValueError("word length must be nonnegative")
+    _check_integer(length, "word length", 0)
     check_table_size(hmm.alphabet, length - 1)  # A**length entries
     vecs = stationary(hmm)[None, :]
     for _ in range(length):
@@ -239,8 +246,7 @@ def sample_sequence(hmm: LabeledHMM, N: int, seed) -> SymbolSequence:
     has exactly the chain's law.  At most N + B - 1 uniforms are drawn, and
     one for the start.
     """
-    if N < 1:
-        raise ValueError("sample length must be >= 1")
+    _check_integer(N, "sample length N", 1)
     rng = np.random.default_rng(seed)
     A, n = hmm.alphabet.size, hmm.n_states
     pi = stationary(hmm)

@@ -273,30 +273,32 @@ def _row_rates(t, totals):
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete Beta (modified Lentz)."""
+    """Continued fraction for the incomplete Beta (modified Lentz), each step's even and odd
+    coefficient written out in turn, and m a float (exact) that no product converts."""
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300 + math.isqrt(int(max(a, b)))):
-        m2 = 2 * m
-        # one Lentz step for the even and one for the odd coefficient
-        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
-                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
-            d = 1.0 + aa * d
-            if abs(d) < tiny:
-                d = tiny
-            c = 1.0 + aa / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-        if abs(delta - 1.0) < 1e-15:
+    h = d = 1.0 / (tiny if -tiny < d < tiny else d)
+    for m in map(float, range(1, 300 + math.isqrt(int(max(a, b))))):
+        m2 = m + m
+        am2 = a + m2
+        aa = m * (b - m) * x / ((qam + m2) * am2)
+        d = 1.0 + aa * d
+        d = 1.0 / (tiny if -tiny < d < tiny else d)
+        c = 1.0 + aa / c
+        if -tiny < c < tiny:
+            c = tiny
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
+        d = 1.0 + aa * d
+        d = 1.0 / (tiny if -tiny < d < tiny else d)
+        c = 1.0 + aa / c
+        if -tiny < c < tiny:
+            c = tiny
+        delta = d * c
+        h *= delta
+        if -1e-15 < delta - 1.0 < 1e-15:
             return h
     raise NumericDomainError(f"incomplete Beta continued fraction failed for a={a}, b={b}, x={x}")
 
@@ -329,12 +331,15 @@ def reg_inc_beta(params: BetaParams, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+
+
 def _bits(x: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", x))[0]
+    return _INT64.unpack(_DOUBLE.pack(x))[0]
 
 
 def _float_of_bits(n: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", n))[0]
+    return _DOUBLE.unpack(_INT64.pack(n))[0]
 
 
 _ONE_BITS = _bits(1.0)

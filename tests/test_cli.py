@@ -137,26 +137,41 @@ class TestInfer:
             assert peak < 2 * 2**20, f"--jobs {jobs}: peak {peak} B"
 
     def test_repeated_calls_share_no_text(self, tmp_path, monkeypatch):
-        # equal density rows of a table are formatted once, and a second call in the
-        # same process formats them again: no text outlives its (N, k) table
-        formatted = []
-        csv_float, json_float = bayesmc.cli._FORMATS[float]
-        monkeypatch.setitem(bayesmc.cli._FORMATS, float, (
-            lambda v: formatted.append(v) or csv_float(v),
-            lambda v: formatted.append(v) or json_float(v)))
+        # each distinct density row of a table gets its text once per side, and a second
+        # call in the same process makes it again: no text outlives its (N, k) table
+        made = []
+
+        class Counted(dict):
+            def __setitem__(self, key, value):
+                if isinstance(key, tuple):  # a block's rows: (side, what precedes them)
+                    made.append(key[0])
+                super().__setitem__(key, value)
+
+        class Shared(bayesmc.cli._Shared):
+            def __init__(self, values):
+                self.text = Counted()
+
+        infer_table, tables = bayesmc.inference.infer_table, []
+
+        def counted_table(*args):
+            out = infer_table(*args)
+            tables.append((len(out[2]), len(out[3])))  # distinct density rows, entries
+            return out
+
+        monkeypatch.setattr(bayesmc.inference, "infer_table", counted_table)
+        monkeypatch.setattr(bayesmc.cli, "_Shared", Shared)
         counts = []
         for run in ("a", "b"):
-            formatted.clear()
+            made.clear()
+            tables.clear()
             assert run_cli(["infer", "--source", "even", "--n-start", "1000", "--k-max", "3",
                             "--density-points", "8", "--format", "json",
                             "--out", str(tmp_path / run)]) == 0
-            counts.append(len(formatted))
+            counts.append((made.count(0), made.count(1), *map(sum, zip(*tables))))
         assert _digests(tmp_path / "a") == _digests(tmp_path / "b")
-        assert counts[0] == counts[1]
-        # fewer than the float cells of both sides: six per summary row, two per density row
-        summary, density = (read_csv(tmp_path / "a" / name)
-                            for name in ("infer_summary.csv", "infer_density.csv"))
-        assert counts[0] < 2 * (6 * len(summary) + 2 * len(density))
+        (csv_rows, json_rows, distinct, entries), _ = counts
+        assert counts[1] == counts[0]
+        assert csv_rows == json_rows == distinct < entries  # equal marginals share a row
 
 
 #: A word or symbol cell: text without a carriage return, which no Alphabet symbol is, nor a
@@ -223,6 +238,26 @@ class TestBlockText:
             bayesmc.cli._write_sweep(sweep, lambda sweep, chunk, orders: blocks, columns)
             written = {p.name: p.read_bytes().decode("utf-8") for p in Path(out).iterdir()}
         assert written == _rendered_row_by_row(columns, blocks)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.floats(), min_size=1, max_size=6), st.data())
+    def test_density_template_prints_as_the_csv_formatter(self, x, data):
+        # the CSV rows of an x grid and a density row are one % call on a template made once
+        # per grid: each float as _FORMATS[float][0] prints it, and each single value before,
+        # between and after the two columns, % signs, braces and commas included, as it is
+        specials = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310])
+        rows = data.draw(st.lists(st.lists(st.floats() | specials, min_size=len(x),
+                                           max_size=len(x)), min_size=1, max_size=3))
+        head, mid, tail = (data.draw(cell_text | st.sampled_from(["%", "%%s", "{}", ","]))
+                           for _ in range(3))
+        xs, form = bayesmc.cli._Shared(x), ",".join(["{}"] * 5)
+        csv_float = bayesmc.cli._FORMATS[float][0]
+        for row in rows:
+            written = bayesmc.cli._text([head, xs, mid, bayesmc.cli._Shared(row), tail], 0,
+                                        form, "\n")
+            assert written == "\n".join(",".join([head, csv_float(u), mid, csv_float(v), tail])
+                                        for u, v in zip(x, row))
+        assert len(xs.text["%"]) == 1  # one template for the grid
 
     @given(st.floats())
     def test_json_float_as_json_dumps_prints_it(self, value):
@@ -883,16 +918,18 @@ class TestErrorHandling:
     @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
                         reason="numpy 1.x imports numpy.ma with numpy itself")
     def test_import_and_file_sweeps_leave_numpy_ma_out(self, tmp_path):
-        # numpy.ma takes a third of the CLI's own import time; a plain np.unique imports it
+        # numpy.ma takes a third of the CLI's own import time; a plain np.unique imports it.
+        # Neither the import nor a sweep of a text file loads csv either
         seq = tmp_path / "seq.txt"
         seq.write_text(_golden_sequence(3000) + "\n")
         code = ("import sys, bayesmc.cli as cli; imported = 'numpy.ma' in sys.modules; "
                 "[cli.main([c, '--input', sys.argv[1], '--n-start', '1000', '--n-step', '1000', "
                 "'--n-stop', '3000', '--k-max', '4', '--out', sys.argv[2]]) "
-                "for c in ('compare', 'entropy')]; print(imported, 'numpy.ma' in sys.modules)")
+                "for c in ('compare', 'entropy')]; print(imported, 'numpy.ma' in sys.modules, "
+                "'csv' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code, str(seq), str(tmp_path)],
                              capture_output=True, text=True, check=True)
-        assert out.stdout == "False False\n"
+        assert out.stdout == "False False False\n"  # csv is loaded only to read a CSV input
         assert len(read_csv(tmp_path / "entropy.csv")) == 3 * 4
 
     def test_entry_point_process(self, tmp_path):

@@ -42,8 +42,7 @@ from bayesmc import (
 )
 from bayesmc.core import ShapeMismatchError
 from bayesmc.entropy import WordConditional
-from bayesmc.inference import region_mass
-from util import ENERGY_ULPS, biased_chain, energy_errors
+from util import ENERGY_ULPS, biased_chain, energy_errors, region_mass
 
 mpmath.mp.dps = 60
 

@@ -29,9 +29,10 @@ from bayesmc import average_counts
 import bayesmc.inference
 import bayesmc.special
 from bayesmc.core import ShapeMismatchError, hyper_from_fake_counts
-from bayesmc.inference import density_grid, infer_table, region_mass
+from bayesmc.inference import infer_table
 
-from util import quad_evidence_binary, quad_evidence_binary_k1_tensor, random_tables
+from util import (density_grid, quad_evidence_binary, quad_evidence_binary_k1_tensor,
+                  random_tables, region_mass)
 
 BINARY = Alphabet.binary()
 FLAT1 = uniform_hyper(1, BINARY, 1.0)

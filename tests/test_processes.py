@@ -198,6 +198,32 @@ class TestAverageCounts:
         np.testing.assert_allclose(emp, avg, atol=0.01)
 
 
+class TestIntegerArguments:
+    """A length or order that is not one integer in range raises a one-line ValueError
+    naming the argument, not numpy's or Python's own TypeError or ambiguity error."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: sample_sequence(GM, np.array([5, 6]), 1),
+         r"sample length N must be one integer >= 1, not an array of shape \(2,\)"),
+        (lambda: sample_sequence(GM, 5.0, 1),
+         r"sample length N must be one integer >= 1, not 5\.0"),
+        (lambda: sample_sequence(GM, 0, 1), r"sample length N must be one integer >= 1, not 0"),
+        (lambda: markov_approximation(GM, -1), r"order k must be one integer >= 0, not -1"),
+        (lambda: average_counts(GM, 100, -1), r"order k must be one integer >= 0, not -1"),
+        (lambda: average_counts(GM, 100, 1.0), r"order k must be one integer >= 0, not 1\.0"),
+        (lambda: word_distribution(GM, 2.5), r"word length must be one integer >= 0, not 2\.5"),
+        (lambda: word_distribution(GM, -1), r"word length must be one integer >= 0, not -1")])
+    def test_one_line_error_naming_the_argument(self, call, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert sample_sequence(GM, np.int64(5), 1).data.tolist() == sample_sequence(
+            GM, 5, 1).data.tolist()
+        assert average_counts(GM, 100, np.int32(2)).table.shape == (4, 2)
+        assert markov_approximation(GM, np.int64(0)).cond_probs.shape == (1, 2)
+
+
 class TestEntropyRates:
     def test_golden_mean(self):
         assert true_entropy_rate(GM) == pytest.approx(2.0 / 3.0, abs=1e-12)

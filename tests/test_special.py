@@ -1,5 +1,7 @@
 import math
 import re
+import struct
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -23,6 +25,8 @@ from bayesmc import (
     uniform_hyper,
 )
 from bayesmc.special import MAX_SHAPE, NumericDomainError, _row_sum, _shifted_series
+
+from util import beta_cf_loop
 
 mpmath.mp.dps = 40
 
@@ -342,6 +346,43 @@ class TestInvRegIncBeta:
                         evals.append(len(calls) - before)
         assert len(evals) == 1008
         assert np.mean(evals) <= 12 and max(evals) <= 24
+
+
+def _outcome(f, *args):
+    """f(*args) as its float's hex, or the message of the NumericDomainError it raises."""
+    try:
+        return f(*args).hex()
+    except NumericDomainError as exc:
+        return str(exc)
+
+
+class TestUnrolledFraction:
+    """special._beta_cf writes its even and odd Lentz steps out and tests |v| < tiny by
+    chained comparisons: it, and so every quantile search, gives the looped fraction's
+    (tests/util.py) floats bit for bit."""
+
+    # x below (a + 1) / (a + b + 2), the side of the mean on which reg_inc_beta calls it
+    @settings(deadline=None, max_examples=300)
+    @given(_log_uniform(1e-3, MAX_SHAPE), _log_uniform(1e-3, MAX_SHAPE),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_fraction_equals_the_loop(self, a, b, u):
+        x = u * ((a + 1.0) / (a + b + 2.0))
+        assert _outcome(special._beta_cf, a, b, x) == _outcome(beta_cf_loop, a, b, x)
+
+    @settings(deadline=None, max_examples=100)
+    @given(_log_uniform(1e-3, MAX_SHAPE), _log_uniform(1e-3, MAX_SHAPE),
+           _log_uniform(1e-320, 0.5), st.booleans(), st.floats(0.0, 1.0))
+    def test_search_equals_the_loops(self, a, b, tail, upper, central):
+        params = BetaParams(a, b)
+        probs = (1.0 - tail if upper else tail, central)
+        unrolled = [_outcome(inv_reg_inc_beta, params, p) for p in probs]
+        with mock.patch.object(special, "_beta_cf", beta_cf_loop):
+            assert [_outcome(inv_reg_inc_beta, params, p) for p in probs] == unrolled
+
+    @given(st.floats(0.0, allow_nan=False))
+    def test_bit_patterns_as_struct_reads_them(self, x):
+        n = struct.unpack("<q", struct.pack("<d", x))[0]
+        assert special._bits(x) == n and special._float_of_bits(n).hex() == x.hex()
 
 
 class TestBetaParams:

@@ -8,8 +8,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
-from bayesmc import Alphabet, LabeledHMM, posterior
-from bayesmc.special import _moment_terms
+from bayesmc import Alphabet, BetaParams, LabeledHMM, posterior, reg_inc_beta
+from bayesmc.special import NumericDomainError, _moment_terms
 
 
 def quad_evidence_binary(counts, alpha=1.0, nodes=40):
@@ -204,3 +204,47 @@ def energy_errors(moments, counts, hyper):
             error[name] = float(diff / (eps * scale)) if scale else math.inf if diff else 0.0
         errors.append(error)
     return errors
+
+
+def density_grid(post, points=512):
+    """Every entry's exact Beta marginal density on the uniform open grid x in (0, 1) of
+    `points` values: x, and densities of shape (A**k, A, points), or (G, A**k, A, points)
+    for a stack, from one BetaParams over the whole table.  infer_table's reference."""
+    x, a = (np.arange(points) + 0.5) / points, post.table[..., None]
+    return x, BetaParams(a, post.word_totals[..., None, None] - a).pdf(x)
+
+
+def region_mass(m, region):
+    """The Beta mass that a ConfidenceRegion holds, by two incomplete Beta evaluations."""
+    return reg_inc_beta(m, region.upper) - reg_inc_beta(m, region.lower)
+
+
+def beta_cf_loop(a, b, x):
+    """special._beta_cf as it was written with an inner loop over the even and odd
+    coefficients and abs() tests: the reference the unrolled fraction must equal bit for
+    bit."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 300 + math.isqrt(int(max(a, b)))):
+        m2 = 2 * m
+        # one Lentz step for the even and one for the odd coefficient
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return h
+    raise NumericDomainError(f"incomplete Beta continued fraction failed for a={a}, b={b}, x={x}")
