@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -183,62 +184,51 @@ def _resolve(cfg: argparse.Namespace) -> _Sweep:
 _FORMATS = {float: ("{:.12g}".format, lambda v: float.__repr__(v) if math.isfinite(v)
                     else "null" if math.isinf(v) else "NaN"),
             int: (str, str), str: (str, json.dumps), type(None): (lambda v: "", lambda v: "null")}
-#: Ends each row of a block's varying text: in no row form, nor in a cell (Alphabet bars it).
+#: Ends each line of a density row's text: in no row form, nor in a cell (Alphabet bars it).
 _ROW = "\r"
 
 
 class _Shared(tuple):
-    """A float column that blocks of one (N, k) table share (the density x grid, a density
-    row that equal marginals give).  Its text is made once per side and kept on it while they
-    hold it: where it ends a block's all-_Shared varying columns, their rows; where it begins
-    them, the template that makes those rows."""
+    """A float column that the density blocks of one (N, k) table share: its x grid, or a
+    density row that equal marginals give.  Its text is made once per side and kept on it,
+    keyed by the side, while they hold it: the grid keeps a % template of the table's (x,
+    density) lines, each x cell (% escaped) followed by %.12g in the CSV or %s in the mirror,
+    and a row its lines, made by one % call on its grid's template.  _infer_point is the only
+    code that makes them, and it pairs each table's rows with that table's grid only."""
 
     def __init__(self, values):
-        self.text = {}  # (side, *ids and text before it) -> (columns, rows); "%" -> templates
-
-
-def _rows(size: int, columns: list, mids: list) -> str:
-    """`size` rows of the columns' cells, each cell followed by its mid and each row ended
-    by _ROW, the last row's dropped: one slice assignment per column into a flat list."""
-    step = 2 * len(columns)
-    flat = [_ROW] * (size * step)  # each cell of a row, then the text after it
-    for j, (cells, mid) in enumerate(zip(columns, [*mids, _ROW])):
-        flat[2 * j::step], flat[2 * j + 1::step] = cells, [mid] * size
-    return "".join(flat)[:-1]
+        self.text = {}  # side -> template (a grid) or lines ended by _ROW (a row)
 
 
 def _text(block: list, side: int, form: str, sep: str) -> str:
     """A block's rows, each form.format(*its cells), joined by sep, for side 0 (the CSV) or 1
-    (its JSON mirror); a column is a list, a _Shared or one value for all rows.  The varying
-    columns' cells go in by a slice assignment each, the single values by a replace of _ROW.
-    All-_Shared varying columns (an x grid and a density row) go in by one % call on a
-    template made once per table and side: the last column as %.12g (_FORMATS[float][0])
-    in the CSV, as its cells in the mirror."""
-    head, *mids, tail = form.format(*(_ROW if isinstance(c, (list, _Shared)) else
-                                      _FORMATS[type(c)][side](c) for c in block)).split(_ROW)
-    *before, last = varying = [c for c in block if isinstance(c, (list, _Shared))]
-    cells = [map(_FORMATS[type(c[0])][side], c) for c in varying]
-    if not all(isinstance(c, _Shared) for c in varying):  # then the text is not kept
-        return "".join((head, _rows(len(last), cells, mids).replace(_ROW, tail + sep + head),
-                        tail))
-    key = (side, *map(id, before), *mids)
-    if key not in last.text:
-        templates = varying[0].text.setdefault("%", {})
-        if key not in templates:  # kept with the columns its ids name, its host aside
-            templates[key] = before[1:], _rows(len(last), [
-                *([c.replace("%", "%%") for c in column] for column in cells[:-1]),
-                [("%.12g", "%s")[side]] * len(last)], [m.replace("%", "%%") for m in mids])
-        last.text[key] = before, templates[key][1] % (last if side == 0 else tuple(cells[-1]))
-    return "".join((head, last.text[key][1].replace(_ROW, tail + sep + head), tail))
+    (its JSON mirror).  A list block (infer_summary, compare, entropy) holds lists and single
+    values, at least one list; a density block single values, then its grid and a row of it,
+    whose lines the single values go around by one replace of _ROW."""
+    if not isinstance(block[-1], _Shared):
+        return sep.join(map(form.format, *(
+            map(_FORMATS[type(c[0])][side], c) if isinstance(c, list)
+            else itertools.repeat(_FORMATS[type(c)][side](c)) for c in block)))
+    *values, grid, row = block
+    head, mid, tail = form.format(*(_FORMATS[type(v)][side](v) for v in values),
+                                  _ROW, _ROW).split(_ROW)
+    if side not in row.text:
+        if side not in grid.text:
+            grid.text[side] = _ROW.join((x + mid).replace("%", "%%") + ("%.12g", "%s")[side]
+                                        for x in map(_FORMATS[float][side], grid))
+        row.text[side] = grid.text[side] % (row if side == 0 else
+                                            tuple(map(_FORMATS[float][1], row)))
+    return head + row.text[side].replace(_ROW, tail + sep + head) + tail
 
 
 def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> None:
     """Write each block that point(sweep, chunk, orders) yields for each chunk of the
     sweep, in grid order (N-major, then k), to its output CSV, and with --format json to
-    the CSV's JSON mirror, as it arrives.  A block lists its file's columns in header order,
-    each a list, a _Shared column if blocks share it, or one value for all its rows: one
-    block per (N, k) of infer_summary, per (N, k, word, symbol) of infer_density, and per N,
-    a row per order, of compare and entropy.  A mirror reads as json.dumps(rows, indent=1)
+    the CSV's JSON mirror, as it arrives.  A block lists its file's columns in header order:
+    lists and single values for all its rows in a list block, one per (N, k) of
+    infer_summary and per N, a row per order, of compare and entropy; single values, then
+    its table's x grid and density row as _Shared columns, in a density block, one per
+    (N, k, word, symbol) of infer_density.  A mirror reads as json.dumps(rows, indent=1)
     would, infinities as null."""
     out = sweep.cfg.out
     out.mkdir(parents=True, exist_ok=True)

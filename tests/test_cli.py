@@ -139,22 +139,27 @@ class TestInfer:
     def test_repeated_calls_share_no_text(self, tmp_path, monkeypatch):
         # each distinct density row of a table gets its text once per side, and a second
         # call in the same process makes it again: no text outlives its (N, k) table
-        made = []
+        made, grids = [], []
 
         class Counted(dict):
-            def __setitem__(self, key, value):
-                if isinstance(key, tuple):  # a block's rows: (side, what precedes them)
-                    made.append(key[0])
-                super().__setitem__(key, value)
+            def __init__(self, row):
+                super().__init__()
+                self.row = row
+
+            def __setitem__(self, side, value):  # a grid's template, or a row's lines
+                if self.row:
+                    made.append(side)
+                super().__setitem__(side, value)
 
         class Shared(bayesmc.cli._Shared):
-            def __init__(self, values):
-                self.text = Counted()
+            def __init__(self, values):  # the grid is the _Shared of its table's x
+                self.text = Counted(row=values != grids[-1])
 
         infer_table, tables = bayesmc.inference.infer_table, []
 
         def counted_table(*args):
             out = infer_table(*args)
+            grids.append(out[1].tolist())
             tables.append((len(out[2]), len(out[3])))  # distinct density rows, entries
             return out
 
@@ -208,17 +213,23 @@ class TestBlockText:
     @settings(deadline=None, max_examples=150)
     @given(st.data())
     def test_same_bytes_as_row_by_row(self, data):
-        # each file's blocks hold single values, lists and _Shared columns in one layout,
-        # a single value drawn from two per column; each _Shared is drawn from a pool, so
-        # that blocks reuse it beside the same or other columns, in one or both files
+        # each file's blocks are list blocks (single values and lists in one layout, at
+        # least one list) or density blocks (single values, then a grid and one of its
+        # rows), a single value drawn from two per column; a density file draws each block's
+        # grid from its own pool, and the row from that grid's, so that blocks reuse both
         rows = data.draw(st.integers(1, 5), label="rows")
-        pool = [bayesmc.cli._Shared(data.draw(st.lists(st.floats(), min_size=rows,
-                                                       max_size=rows)))
-                for _ in range(data.draw(st.integers(1, 3), label="pool"))]
-        columns, layouts = {}, {}
+        floats = st.lists(st.floats(), min_size=rows, max_size=rows)
+        columns, layouts, pools = {}, {}, {}
         for name in ("a.csv", "b.csv"):
-            kinds = data.draw(st.lists(st.sampled_from(("value", "list", "shared")), min_size=1,
-                                       max_size=6).filter(lambda k: set(k) != {"value"}))
+            if data.draw(st.booleans(), label="density"):
+                kinds = ["value"] * data.draw(st.integers(0, 4)) + ["grid", "row"]
+                pools[name] = [(bayesmc.cli._Shared(data.draw(floats)), [
+                    bayesmc.cli._Shared(data.draw(floats))
+                    for _ in range(data.draw(st.integers(1, 3)))])
+                    for _ in range(data.draw(st.integers(1, 2), label="grids"))]
+            else:
+                kinds = data.draw(st.lists(st.sampled_from(("value", "list")), min_size=1,
+                                           max_size=6).filter(lambda k: "list" in k))
             columns[name] = tuple(f"c{j}" for j in range(len(kinds)))
             cell_types = [data.draw(st.sampled_from(list(cell_values))) for _ in kinds]
             values = [data.draw(st.lists(cell_values[t], min_size=2, max_size=2))
@@ -227,9 +238,11 @@ class TestBlockText:
         blocks = []
         for _ in range(data.draw(st.integers(1, 8), label="blocks")):
             name = data.draw(st.sampled_from(sorted(columns)))
+            grid, grid_rows = data.draw(st.sampled_from(pools.get(name, [(None, None)])))
             blocks.append((name, [
-                data.draw(st.sampled_from(pool)) if kind == "shared"
-                else data.draw(st.lists(cell_values[t], min_size=rows, max_size=rows))
+                grid if kind == "grid" else data.draw(st.sampled_from(grid_rows))
+                if kind == "row" else data.draw(st.lists(cell_values[t], min_size=rows,
+                                                         max_size=rows))
                 if kind == "list" else data.draw(st.sampled_from(values))
                 for kind, t, values in layouts[name]]))
         with tempfile.TemporaryDirectory() as out:
@@ -243,21 +256,20 @@ class TestBlockText:
     @given(st.lists(st.floats(), min_size=1, max_size=6), st.data())
     def test_density_template_prints_as_the_csv_formatter(self, x, data):
         # the CSV rows of an x grid and a density row are one % call on a template made once
-        # per grid: each float as _FORMATS[float][0] prints it, and each single value before,
-        # between and after the two columns, % signs, braces and commas included, as it is
+        # per grid: each float as _FORMATS[float][0] prints it, and each single value before
+        # the two columns, % signs, braces and commas included, as it is
         specials = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310])
         rows = data.draw(st.lists(st.lists(st.floats() | specials, min_size=len(x),
                                            max_size=len(x)), min_size=1, max_size=3))
-        head, mid, tail = (data.draw(cell_text | st.sampled_from(["%", "%%s", "{}", ","]))
-                           for _ in range(3))
-        xs, form = bayesmc.cli._Shared(x), ",".join(["{}"] * 5)
+        head = [data.draw(cell_text | st.sampled_from(["%", "%%s", "{}", ","]))
+                for _ in range(2)]
+        xs, form = bayesmc.cli._Shared(x), ",".join(["{}"] * 4)
         csv_float = bayesmc.cli._FORMATS[float][0]
         for row in rows:
-            written = bayesmc.cli._text([head, xs, mid, bayesmc.cli._Shared(row), tail], 0,
-                                        form, "\n")
-            assert written == "\n".join(",".join([head, csv_float(u), mid, csv_float(v), tail])
+            written = bayesmc.cli._text([*head, xs, bayesmc.cli._Shared(row)], 0, form, "\n")
+            assert written == "\n".join(",".join([*head, csv_float(u), csv_float(v)])
                                         for u, v in zip(x, row))
-        assert len(xs.text["%"]) == 1  # one template for the grid
+        assert list(xs.text) == [0]  # one template for the grid, for the CSV side
 
     @given(st.floats())
     def test_json_float_as_json_dumps_prints_it(self, value):
