@@ -75,7 +75,8 @@ def _resolve_hmm(cfg: argparse.Namespace) -> processes.LabeledHMM:
 
 def _read_fake_counts(path: str, orders: range, alphabet: Alphabet) -> dict[int, HyperTable]:
     """Each order's prior from a CSV with columns word,symbol,count, a word's length its order:
-    unlisted entries are 0, an entry may be listed once, each hyperparameter is count + 1."""
+    unlisted entries are 0, an entry may be listed once, each hyperparameter is count + 1,
+    at most MAX_ALPHA."""
     import csv  # here, so that importing the CLI does not load it
     tables = {k: np.zeros((alphabet.size**k, alphabet.size)) for k in orders}
     seen = set()
@@ -100,6 +101,9 @@ def _read_fake_counts(path: str, orders: range, alphabet: Alphabet) -> dict[int,
             if not (isinstance(count, float) and 0.0 <= count < math.inf):
                 raise ConfigError(f"fake-count entry word={word!r} symbol={symbol!r} has "
                                   f"count {count!r}; counts must be finite and >= 0")
+            if count + 1.0 > MAX_ALPHA:  # its hyperparameter, as --alpha is bounded
+                raise ConfigError(f"fake-count entry word={word!r} symbol={symbol!r} has count "
+                                  f"{count:g}; count + 1 must be at most {MAX_ALPHA:g}")
             w = np.ravel_multi_index(list(map(alphabet.index, word)), [alphabet.size] * len(word))
             tables[len(word)][w, alphabet.index(symbol)] = count
     return {k: hyper_from_fake_counts(CountTable(k, alphabet, t)) for k, t in tables.items()}

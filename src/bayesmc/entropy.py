@@ -6,15 +6,15 @@ posterior expectation of the energy E = D[Q||P] + h_mu[Q] (conditional
 relative entropy plus entropy rate of the posterior-mean distribution Q);
 the second derivative gives its variance.  Both reduce to polygamma sums,
 which `energy_moments(counts, hyper)` takes, with h_mu[Q] and the large-beta
-expansion, at the cost of the observed words: an unobserved word's posterior
-row is the prior's, so each sum over the table is the prior's own sum, cached
-on the hyper table and taken from its distinct values, plus the observed
-words' terms less the prior's.  All returned information quantities are in
-bits.  energy_moments, r_from and hmu_of also take a (G, A**k, A) stack of
-count or posterior tables and return one value per table, each equal to its
-table's own bit for bit.  energy_moments_of takes a list of (counts, hyper)
-pairs, of any orders and stack sizes, and runs one polygamma pass over all of
-them.
+expansion, at the cost of the observed words, gathered as the evidence's are:
+an unobserved word's posterior row is the prior's, so each sum over the table
+is the prior's own sum, cached on the hyper table and taken from its distinct
+values, plus the observed words' terms less the prior's.  All returned
+information quantities are in bits.  energy_moments, r_from and hmu_of also
+take a (G, A**k, A) stack of count or posterior tables and return one value
+per table, each equal to its table's own bit for bit.  energy_moments_of takes
+a list of (counts, hyper) pairs, of any orders and stack sizes, and runs one
+polygamma pass over all of them.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparison import OrderPosterior
-from .core import Alphabet, CountTable, HyperTable, ShapeMismatchError, _frozen, require_same_shape
-from .inference import posterior, posterior_mean
+from .core import Alphabet, CountTable, HyperTable, ShapeMismatchError, _frozen
+from .inference import _observed_rows, _table_sums, posterior, posterior_mean
 from .special import _moment_terms, _per_table, _row_rates, _row_sum, _table_sum
 
 _LN2 = math.log(2.0)
@@ -121,50 +121,32 @@ class EnergyMoments:
         return r_from(posterior(self.counts, self.hyper))
 
 
-def _table_sums(per_word, flat, shape):
-    """Sums of per_word's last axis over each table's observed words: one value for a
-    lone table, one per table of a stack.  per_word holds one value per observed word,
-    at index `flat` into the flattened word totals, of `shape` (W,) or (G, W).  Each
-    table's run is reduced on its own, so that a stack's sums equal its tables' bit for
-    bit."""
-    *tables, words = shape
-    starts = np.searchsorted(flat, words * np.arange(math.prod(tables) + 1))
-    runs = starts[1:] > starts[:-1]
-    out = np.zeros(per_word.shape[:-1] + runs.shape)
-    if runs.any():
-        out[..., runs] = np.add.reduceat(per_word, starts[:-1][runs], axis=-1)
-    return out.reshape(per_word.shape[:-1] + tuple(tables))
-
-
 def energy_moments_of(pairs) -> list:
     """energy_moments of each (counts, hyper) pair, from one polygamma pass over all of
     them; each equals the pair's lone call bit for bit.  A sweep passes the count stacks
-    of all its orders at once.  The pass takes the posterior rows of the observed words,
-    where n(w) is nonzero, and their totals t(w), added up as posterior word totals are.
-    Elsewhere the posterior is the prior, whose share the hyper table caches: each sum
-    over all entries and words is the prior's own sum plus, over the observed words,
-    the posterior's terms less the prior's.  The hyper must be one table."""
+    of all its orders at once.  The pass takes the posterior rows t = n + alpha of the
+    observed words, as the evidence gathers them, and their totals t(w).  Elsewhere the
+    posterior is the prior, whose share the hyper table caches: each sum over all entries
+    and words is the prior's own sum plus, over the observed words, the posterior's
+    terms less the prior's.  The hyper must be one table."""
     cases, observed = [], []
     for counts, hyper in pairs:
-        require_same_shape(counts, hyper)
+        flat, shape, alpha, n = _observed_rows(counts, hyper)
         if hyper.table.ndim != 2:
             raise ValueError(f"energy_moments takes one hyper table, not a stack of shape "
                              f"{hyper.table.shape}")
-        flat = np.flatnonzero(counts.word_totals > 0)  # the observed words, table by table
-        words = flat % hyper.word_totals.size
-        alpha = np.take(hyper.table, words, axis=0)
-        t = np.take(counts.table.reshape(-1, hyper.alphabet.size), flat, axis=0) + alpha
+        t = n + alpha
         t_words = _row_sum(t)
-        cases.append((counts, hyper, flat, words, alpha, t, t_words))
+        cases.append((counts, hyper, flat, shape, alpha, t, t_words))
         observed += [t.ravel(), t_words]
     if not cases:
         return []
     moments = [np.split(m, np.cumsum([o.size for o in observed[:-1]]))
                for m in _moment_terms(np.concatenate(observed))]
     out = []
-    for i, (counts, hyper, flat, words, alpha, t, t_words) in enumerate(cases):
+    for i, (counts, hyper, flat, shape, alpha, t, t_words) in enumerate(cases):
         entries, totals, prior_moments, prior_rate = hyper._prior_terms
-        alpha_words = np.take(hyper.word_totals, words)
+        alpha_words = _row_sum(alpha)  # the prior's word totals there, as word_totals adds them
         at_entries, at_words = np.searchsorted(entries, alpha), np.searchsorted(totals, alpha_words)
         # per observed word, each moment's word term less its entries' terms, and
         # sum_s t log2(t / t(w)), each the posterior's less the prior's
@@ -172,8 +154,8 @@ def energy_moments_of(pairs) -> list:
                     - _row_sum(m[2 * i].reshape(t.shape) - prior_entries[at_entries])
                     for m, (prior_entries, prior_words, _) in zip(moments, prior_moments)]
         post_rates, prior_rates = _row_rates(np.stack([t, alpha]), np.stack([t_words, alpha_words]))
-        mean_sum, var_sum, rate_sum = _table_sums(np.stack([*per_word, post_rates - prior_rates]),
-                                                  flat, counts.word_totals.shape)
+        mean_sum, var_sum, rate_sum = _table_sums(
+            np.stack([*per_word, post_rates - prior_rates]), flat, shape)
         beta = counts.total + hyper.total
         scale = beta * _LN2
         mean = (prior_moments[0][2] + mean_sum) / scale

@@ -4,22 +4,23 @@ The Dirichlet prior is conjugate to the Markov-chain likelihood, so the
 posterior is a product of per-word Dirichlets whose parameters are counts
 plus hyperparameters.  All probability computations are carried out in
 natural-log space end to end; conversion to base 2 happens only at
-presentation time.  The evidence and the predictive are log-Gamma ratios:
-log_evidences takes a list of (counts, hyper) pairs, of any orders and
-stack sizes, and evaluates every pair's observed entries and words in one
-log_gamma_diff call; log_evidence is the one-pair case, and log_predictive
-the evidence of new counts under the posterior.
+presentation time.  The evidence and the predictive are log-Gamma ratios, one
+per word, and a word without counts adds exactly 0: log_evidences takes a list
+of (counts, hyper) pairs, of any orders and stack sizes, and evaluates every
+pair's observed words, gathered by _observed_rows as the energy's are, in one
+log_gamma_diff call; log_evidence is the one-pair case, and log_predictive the
+evidence of new counts under the posterior.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CountTable, HyperTable, require_same_shape, word_strings
-from .special import (BetaParams, _per_table, _row_sum, _table_sum, inv_reg_inc_beta,
-                      log_gamma_diff)
+from .special import BetaParams, _per_table, _row_sum, inv_reg_inc_beta, log_gamma_diff
 
 
 @dataclass(frozen=True)
@@ -69,31 +70,47 @@ def confidence_region(m: BetaParams, level: float) -> ConfidenceRegion:
     return ConfidenceRegion(level, lo, hi)
 
 
-def log_evidences(pairs) -> list:
-    """log_evidence of each (counts, hyper) pair, from one log_gamma_diff call over all
-    of them; a sweep passes the count stacks of all its orders at once.  That call takes
-    every pair's entries and word totals where the counts are nonzero (an entry or word
-    with no counts adds exactly 0), and its values are scattered back into zero-filled
-    tables, each summed as a lone pair's would be: each value equals the pair's lone call
+def _observed_rows(counts: CountTable, hyper: HyperTable):
+    """The words with n(w) > 0 of a pair, each side a lone table or a stack, table by table:
+    (flat, shape, alpha, n), their flat indices into the pair's word shape (W,) or (G, W),
+    and each side's (m, A) rows there, a lone table's rows serving every table."""
+    require_same_shape(counts, hyper)
+    shape = np.broadcast_shapes(counts.word_totals.shape, hyper.word_totals.shape)
+    flat = np.flatnonzero(np.broadcast_to(counts.word_totals > 0, shape))
+    alpha, n = (np.take(t.table.reshape(-1, t.alphabet.size), flat % t.word_totals.size, axis=0)
+                for t in (hyper, counts))
+    return flat, shape, alpha, n
+
+
+def _table_sums(per_word, flat, shape):
+    """Sums of per_word's last axis, one value per observed word at `flat` as _observed_rows
+    gives it, over each table's words: one value for a lone table, one per table of a
+    stack.  Each table's run is reduced on its own, so a stack's sums equal its tables'
     bit for bit."""
-    segments = []  # (where the counts are nonzero, hyper there, counts there): entries, words
-    for counts, hyper in pairs:
-        require_same_shape(counts, hyper)
-        for x, n in ((hyper.table, counts.table), (hyper.word_totals, counts.word_totals)):
-            x, n = np.broadcast_arrays(x, n)
-            seen = n != 0
-            segments.append((seen, x[seen], n[seen]))
-    if not segments:
+    *tables, words = shape
+    starts = np.searchsorted(flat, words * np.arange(math.prod(tables) + 1))
+    runs = starts[1:] > starts[:-1]
+    out = np.zeros(per_word.shape[:-1] + runs.shape)
+    if runs.any():
+        out[..., runs] = np.add.reduceat(per_word, starts[:-1][runs], axis=-1)
+    return out.reshape(per_word.shape[:-1] + tuple(tables))
+
+
+def log_evidences(pairs) -> list:
+    """log_evidence of each (counts, hyper) pair, from one log_gamma_diff call over the
+    observed words' entries and totals of all of them; a sweep passes the count stacks of
+    all its orders at once.  Each word's log ratio, its entries' terms less its total's,
+    is summed per table by _table_sums: each value equals the pair's lone call bit for
+    bit."""
+    gathered = [_observed_rows(counts, hyper) for counts, hyper in pairs]
+    if not gathered:
         return []
-    _, xs, ns = zip(*segments)
-    values = np.split(log_gamma_diff(np.concatenate(xs), np.concatenate(ns)),
-                      np.cumsum([n.size for n in ns[:-1]]))
-    terms = []
-    for (seen, _, _), v in zip(segments, values):
-        terms.append(np.zeros(seen.shape))
-        terms[-1][seen] = v
-    return [_per_table(_table_sum(entries) - words.sum(axis=-1))
-            for entries, words in zip(terms[::2], terms[1::2])]
+    # per pair, the prior's and the counts' entries then word totals
+    xs, ns = ([y for g in gathered for y in (g[i].ravel(), _row_sum(g[i]))] for i in (2, 3))
+    terms = np.split(log_gamma_diff(np.concatenate(xs), np.concatenate(ns)),
+                     np.cumsum([x.size for x in xs[:-1]]))
+    return [_per_table(_table_sums(_row_sum(entries.reshape(alpha.shape)) - words, flat, shape))
+            for (flat, shape, alpha, _), entries, words in zip(gathered, terms[::2], terms[1::2])]
 
 
 def log_evidence(counts: CountTable, hyper: HyperTable):
@@ -101,7 +118,7 @@ def log_evidence(counts: CountTable, hyper: HyperTable):
     the prior), in the closed Gamma-ratio form.  A stack of count tables
     gives one log evidence per table, in one pass over the stack.
 
-    The product runs over all A**k words; words with zero counts contribute
+    The product runs over the observed words: a word with zero counts contributes
     exactly zero, so the all-zero table gives log evidence 0.
     """
     return log_evidences([(counts, hyper)])[0]

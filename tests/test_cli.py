@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -806,12 +807,18 @@ class TestErrorHandling:
          "--alpha must be at most 1e+17, not 1.7e+308"),
         (["compare", "--source", "{dir}/list.json", "--n-start", "100"],
          "hmm description must be a JSON object, not list"),
+        # a hyperparameter count + 1 past --alpha's bound: entropy wrote energy_mean_bits
+        # below hmu_Q_bits, and infer failed on its Beta marginals
+        *([[command, "--source", "even", "--k-max", "1", "--fake-counts", "{dir}/huge.csv"],
+           "fake-count entry word='0' symbol='0' has count 1e+20; count + 1 must be at most 1e+17"]
+          for command in ("entropy", "compare", "infer")),
     ])
     def test_bad_value_rejected_before_sweep(self, argv, message, tmp_path, capsys,
                                              monkeypatch):
         (tmp_path / "nan.csv").write_text("word,symbol,count\n0,1,nan\n")
         (tmp_path / "inf.csv").write_text("word,symbol,count\n0,1,inf\n")
         (tmp_path / "empty.csv").write_text("word,symbol,count\n0,1,\n")
+        (tmp_path / "huge.csv").write_text("word,symbol,count\n0,0,1e20\n")
         (tmp_path / "nan.json").write_text(
             '{"alphabet": ["0", "1"], "matrices": {"0": [[NaN, 0.5], [0.5, 0]], '
             '"1": [[0, 0.5], [0.5, 0]]}}')
@@ -1081,7 +1088,14 @@ GOLDEN = {
 #: writer formatted column blocks.  The fig7_json entropy.json digest was
 #: re-pinned when the energy sums became the prior's own sums plus the observed
 #: words' terms less the prior's: its full-repr values moved by at most 4.3e-15
-#: relative (energy_mean_bits), and no 12-digit CSV cell moved.
+#: relative (energy_mean_bits), and no 12-digit CSV cell moved.  The compare
+#: digests (fig3, fig3_json, fig6, fig9, file_compare, sample_compare) were
+#: re-pinned when the evidence became each observed word's Gamma ratio summed
+#: over the observed words: only prob_uniform and prob_penalized cells moved,
+#: fig3 91 cells (largest move 9.7e-12 relative), fig6 96 (2.1e-11), fig9 195
+#: (2.3e-10), file_compare 10 (9.7e-12) and sample_compare 2 (7.7e-12);
+#: fig3's compare.json moved by at most 2e-15 relative in log_evidence_nats and
+#: 1.1e-12 in the probabilities.  TestCompareOracle checks those runs' rows.
 GOLDEN_DIGESTS = {
     "fake_counts_json": {
         "infer_density.csv": "f85116709d91a957d8d56e652d6bd8b32b0f9eaf40a618cab56c770eb1978501",
@@ -1097,11 +1111,11 @@ GOLDEN_DIGESTS = {
         "fig2/infer_summary.csv": "e92cf1dad96ddb99d8115e4af05d574a840f680d8396493a41c011d135868355",
     },
     "fig3": {
-        "fig3/compare.csv": "4dbe0e7939dfa76f8a72feb624474d71f2aea17c2a896d8a50d3d58c58fb86ca",
+        "fig3/compare.csv": "87b7eb68f923ef46fcbfb30ec7cec3bff420a57251075d0780c8cc23330b0f1f",
     },
     "fig3_json": {
-        "fig3/compare.csv": "4dbe0e7939dfa76f8a72feb624474d71f2aea17c2a896d8a50d3d58c58fb86ca",
-        "fig3/compare.json": "058a857ef2e0626ec9cf1d70a4c1b630f05ee814b960a270f0bc6e425222280b",
+        "fig3/compare.csv": "87b7eb68f923ef46fcbfb30ec7cec3bff420a57251075d0780c8cc23330b0f1f",
+        "fig3/compare.json": "66cc0513854f45bee01374e9f07daf739f961fd6a5894cfca16b16254a3ac80d",
     },
     "fig4": {
         "fig4/entropy.csv": "89cd0f167ce11b9bb7939e83f3c6a13b56cdbaf25f5188c148057efff384492e",
@@ -1111,7 +1125,7 @@ GOLDEN_DIGESTS = {
         "fig5/infer_summary.csv": "cde6a3e5d2f64279cda0d1c9a4a096a04eb9f0244b9a5c88d3c2b6e83b601184",
     },
     "fig6": {
-        "fig6/compare.csv": "a255687e9708d23b672121de858108655b9f97c25821dd5e23cf2a8ddf8c43b0",
+        "fig6/compare.csv": "fb1cf760d0ed89815dee77913a4a3103fac0b3da0393f5961dab4852aa9e31a5",
     },
     "fig7": {
         "fig7/entropy.csv": "7c2ff96b0d56fab62bbbeec7db277326bcf718dde99a362cd999d23acc48e60f",
@@ -1125,16 +1139,16 @@ GOLDEN_DIGESTS = {
         "fig8/infer_summary.csv": "976174b2c5cde41c359582ac5f63d5eec4fac248d3fe0a0411271e2ff049eda8",
     },
     "fig9": {
-        "fig9/compare.csv": "b382c09d9fd2528bf190b1ba273e598ede1a5553a53bd5bfc874abce6b18469a",
+        "fig9/compare.csv": "32f2576c51fd592d2a84582f990040d5f6f4c1d720bc880860a9b5c3336f062a",
     },
     "file_compare": {
-        "compare.csv": "5ee7b5fa72abc6a2125c5a30a539b2a77d3d71703c81f5afad6829cda366de75",
+        "compare.csv": "c42420db3e47c196cac0925b291a509af34f5ddf7d991bb29467f027ef0d144d",
     },
     "file_entropy": {
         "entropy.csv": "ba0f72f33c4cd8507086d98d6d8236dbc4bf3842b881992c5a7afea5436c27d2",
     },
     "sample_compare": {
-        "compare.csv": "df73d235a56a9ea3157cabfc6c50b1f4d365992937a5064f8d963263c20b94ce",
+        "compare.csv": "834330e55143e353adf4cb96277af64d2a2ffeeb0dbb855d466d6d0572ed2fb2",
     },
     "sample_entropy": {
         "entropy.csv": "242017b312d68a5183281ded75a806f1a523a30788c53e96e78ee600acaea651",
@@ -1172,3 +1186,45 @@ class TestGolden:
                                            if jobs == 1 or GOLDEN[name][0] != "simulate"])
     def test_outputs_match_recorded_digests(self, name, jobs, tmp_path):
         assert _run_golden(name, jobs, tmp_path) == GOLDEN_DIGESTS[name]
+
+
+def _perfbench_oracle():
+    """perfbench/oracle.py, loaded by path as a module of its own: it recomputes the CLI's
+    columns with scipy and its own recounts, and calls nothing in bayesmc."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCompareOracle:
+    """Every row of the compare golden runs against perfbench's oracle: the log evidence,
+    both order posteriors, their sum per N and the (N, k) grid.  A re-pin of these runs'
+    digests is judged by this test, not by how small its diff looks."""
+
+    @pytest.mark.parametrize("name", ["fig3", "fig6", "fig9", "sample_compare", "file_compare"])
+    def test_rows_match_oracle(self, name, tmp_path, monkeypatch):
+        oracle, argv = _perfbench_oracle(), GOLDEN[name]
+        if argv[0] == "reproduce":  # average mode
+            _, source, recipe = bayesmc.cli.FIGURE_RECIPES[int(argv[2])]
+            counts, n_grid = oracle.AverageCounts(source), recipe["n_grid"]
+            k_min, k_max = recipe["k"]
+        else:
+            opts = dict(zip(argv[1::2], argv[2::2]))
+            start, stop, step = (int(opts[f"--n-{key}"]) for key in ("start", "stop", "step"))
+            n_grid, k_min, k_max = range(start, stop + 1, step), 1, int(opts["--k-max"])
+            if "--input" in opts:  # three symbols, whose numbering the evidence does not see
+                monkeypatch.setattr(oracle, "ALPHABET_SIZE", 3)
+                data = ["abc".index(c) for c in _golden_sequence()]
+            else:
+                hmm = bayesmc.processes.BUILTIN_SOURCES[opts["--source"]]()
+                data = bayesmc.processes.sample_sequence(hmm, n_grid[-1], int(opts["--seed"])).data
+            counts = oracle.SequenceCounts(data)
+        _run_golden(name, 1, tmp_path)
+        checker, grid = oracle.Checker(), [(N, k) for N in n_grid for k in range(k_min, k_max + 1)]
+        path = next((tmp_path / "out").rglob("compare.csv"))
+        oracle.check_compare(checker, name, path, counts, 1.0, grid)
+        # the grid, three columns per row and the two sums per N
+        assert checker.attempted == 1 + 3 * len(grid) + 2 * len(n_grid)
+        assert checker.failed == 0, dict(checker.failures)

@@ -31,8 +31,8 @@ import bayesmc.special
 from bayesmc.core import ShapeMismatchError, hyper_from_fake_counts
 from bayesmc.inference import infer_table
 
-from util import (density_grid, quad_evidence_binary, quad_evidence_binary_k1_tensor,
-                  random_tables, region_mass)
+from util import (density_grid, per_word_evidence, quad_evidence_binary,
+                  quad_evidence_binary_k1_tensor, random_tables, region_mass)
 
 BINARY = Alphabet.binary()
 FLAT1 = uniform_hyper(1, BINARY, 1.0)
@@ -242,14 +242,23 @@ class TestEvidence:
         assert closed == pytest.approx(oracle, rel=1e-8)
 
     def test_gamma_diffs_summed_in_order(self):
-        # the entries' log Gamma differences, each table summed as one run,
-        # less the words': the evidence is bit for bit this direct sum
+        # per observed word its entries' log Gamma differences less its total's, the
+        # words then summed in code order: the evidence is bit for bit this sum
         rng = np.random.default_rng(5)
         for counts, hyper in random_tables(rng, 40, max_k=3):
-            a, n = hyper.table, counts.table
-            direct = float(np.sum(log_gamma_diff(a, n))
-                           - np.sum(log_gamma_diff(a.sum(axis=1), n.sum(axis=1))))
-            assert log_evidence(counts, hyper) == direct
+            assert log_evidence(counts, hyper) == per_word_evidence(hyper.table, counts.table)
+
+    def test_within_summation_bound_of_exact_sum(self):
+        # against the exact sum of every entry's and word's log Gamma difference: each
+        # term passes through at most A - 1 additions in its row, one subtraction and
+        # W - 1 additions over the words, so the error is at most (A + W - 1) 2**-53
+        # times the terms' absolute sum, to first order
+        rng = np.random.default_rng(7)
+        for counts, hyper in random_tables(rng, 300, max_k=3):
+            (W, A), n, a = counts.table.shape, counts.word_totals, hyper.word_totals
+            terms = [*log_gamma_diff(hyper.table, counts.table).ravel(), *-log_gamma_diff(a, n)]
+            bound = (A + W - 1) * 2.0**-53 * math.fsum(map(abs, terms))
+            assert abs(log_evidence(counts, hyper) - math.fsum(terms)) <= bound
 
     def test_word_without_counts_adds_zero(self):
         rng = np.random.default_rng(6)
@@ -258,6 +267,55 @@ class TestEvidence:
         for row in 10.0 ** rng.uniform(-300, 300, size=(50, 2)):
             hyper = HyperTable(1, BINARY, [[0.7, 1.4], row])
             assert log_evidence(counts, hyper) == ref
+
+
+class TestObservedWords:
+    """log_evidence makes one log_gamma_diff call on the observed words only: each word
+    with n(w) > 0 passes its prior and count entries and totals, table by table, and a
+    word without counts, which adds exactly 0, passes nothing."""
+
+    ABC = Alphabet(("a", "b", "c"))
+
+    def _case(self, rng, G=None):
+        """Counts of order 2 over three symbols, a lone table or a stack of G, with words
+        without counts and zero entries in observed words; alpha on both sides of 10,
+        where log_gamma_diff changes its form."""
+        n = rng.integers(0, 3, size=(9, 3) if G is None else (G, 9, 3)).astype(float)
+        n[rng.random(n.shape[:-1]) < 0.4] = 0.0
+        return CountTable(2, self.ABC, n), HyperTable(2, self.ABC, rng.uniform(0.2, 30.0, (9, 3)))
+
+    @pytest.mark.parametrize("case", ["lone", "stack", "lone prior", "lone new counts"])
+    def test_log_gamma_diff_sees_observed_words_only(self, case, monkeypatch):
+        rng = np.random.default_rng(len(case))
+        counts, hyper = self._case(rng, None if case == "lone" else 4)
+        if case == "stack":
+            hyper = posterior(self._case(rng, 4)[0], hyper)
+        elif case == "lone new counts":  # the predictive's evidence
+            counts, hyper = self._case(rng)[0], posterior(counts, hyper)
+        calls, evaluate = [], bayesmc.inference.log_gamma_diff
+
+        def recorded(x, n):
+            calls.append((x, n))
+            return evaluate(x, n)
+
+        monkeypatch.setattr(bayesmc.inference, "log_gamma_diff", recorded)
+        value = log_evidence(counts, hyper)
+        prior, n = np.broadcast_arrays(hyper.table, counts.table)
+        seen = n.sum(axis=-1) > 0
+        assert 0 < seen.sum() < seen.size and np.any(n[seen] == 0)
+        expected = [np.concatenate([side[seen].ravel(),
+                                    np.broadcast_to(totals, seen.shape)[seen]])
+                    for side, totals in ((prior, hyper.word_totals), (n, counts.word_totals))]
+        assert len(calls) == 1 and all(np.array_equal(got, want)
+                                       for got, want in zip(calls[0], expected))
+        monkeypatch.undo()
+
+        def lone(t, g):
+            return type(t)(2, self.ABC, t.table if t.table.ndim == 2 else t.table[g])
+
+        assert [float(v).hex() for v in np.atleast_1d(value)] == [
+            float(log_evidence(lone(counts, g), lone(hyper, g))).hex()
+            for g in range(seen.size // 9)]
 
 
 class TestPredictive:

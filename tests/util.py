@@ -1,5 +1,6 @@
 """Shared independent oracles and validators for the test suite."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
-from bayesmc import Alphabet, BetaParams, LabeledHMM, posterior, reg_inc_beta
+from bayesmc import Alphabet, BetaParams, LabeledHMM, log_gamma_diff, posterior, reg_inc_beta
 from bayesmc.special import NumericDomainError, _moment_terms
 
 
@@ -147,6 +148,24 @@ def random_tables(rng, n_tables, max_k=2, max_count=20, alphabets=(2, 3)):
         hyper = HyperTable(k, alphabet, rng.uniform(0.2, 3.0, size=shape))
         out.append((counts, hyper))
     return out
+
+
+def per_word_evidence(prior, counts):
+    """The log evidence of `counts` under the Dirichlet `prior`, each a (W, A) table or a
+    (G, W, A) stack, restated word by word from log_gamma_diff on every entry and word
+    total, each total added left to right over its row.  A word with counts gives its
+    entries' terms, added left to right, less its total's; a table sums those words in
+    code order as np.add.reduceat sums one run: the first, plus np.sum of the rest."""
+    def left_to_right(x):
+        return functools.reduce(np.add, np.moveaxis(x, -1, 0))
+
+    prior, counts = np.broadcast_arrays(prior, counts)
+    totals = [left_to_right(x) for x in (prior, counts)]
+    per_word = left_to_right(log_gamma_diff(prior, counts)) - log_gamma_diff(*totals)
+    W = per_word.shape[-1]
+    sums = [v[0] + v[1:].sum() if v.size else 0.0
+            for v in map(np.compress, (totals[1] > 0).reshape(-1, W), per_word.reshape(-1, W))]
+    return sums[0] if per_word.ndim == 1 else np.array(sums)
 
 
 def mp_energy(counts, hyper, dps=40):
