@@ -37,7 +37,7 @@ for k in (1, 2, 4, 6):
 print()
 
 print("Nondeterministic source: no closed-form rate, but the estimator")
-print("still converges to the reference value 0.677867:")
+print(f"still converges to the reference value {SNS_ENTROPY_RATE:.12g}:")
 source = sns()
 for k in (2, 3, 4):
     e = energy_moments(average_counts(source, 100_000, k),

@@ -192,48 +192,43 @@ _FORMATS = {float: ("{:.12g}".format, lambda v: float.__repr__(v) if math.isfini
 _ROW = "\r"
 
 
-class _Shared(tuple):
-    """A float column that the density blocks of one (N, k) table share: its x grid, or a
-    density row that equal marginals give.  Its text is made once per side and kept on it,
-    keyed by the side, while they hold it: the grid keeps a % template of the table's (x,
+def _text(block: list, side: int, form: str, sep: str):
+    """Yield a block's text for side 0 (the CSV) or 1 (its JSON mirror): its rows, each
+    form.format(*its cells), joined by sep, a row taking each list column's item and each
+    single value.  A list block (infer_summary, compare, entropy) yields one text.  A density
+    block, one per (N, k) table, ends with infer_table's x grid, distinct density rows and
+    per-entry index, and yields one text per entry: it makes one % template of the (x,
     density) lines, each x cell (% escaped) followed by %.12g in the CSV or %s in the mirror,
-    and a row its lines, made by one % call on its grid's template.  _infer_point is the only
-    code that makes them, and it pairs each table's rows with that table's grid only."""
+    and each distinct row's lines by one % call on it; an entry's cells go around its row's
+    lines by one replace of _ROW."""
+    if not isinstance(block[-1], np.ndarray):
+        yield sep.join(map(form.format, *_cells(block, side)))
+        return
+    *columns, x, rows, index = block
+    mid = form.format(*[""] * len(columns), _ROW, _ROW).split(_ROW)[1]
+    template = _ROW.join((c + mid).replace("%", "%%") + ("%.12g", "%s")[side]
+                         for c in map(_FORMATS[float][side], x.tolist()))
+    lines = [template % (tuple(row) if side == 0 else tuple(map(_FORMATS[float][1], row)))
+             for row in rows.tolist()]
+    ends = itertools.repeat(_ROW)
+    for i, entry in zip(index.tolist(), map(form.format, *_cells(columns, side), ends, ends)):
+        head, _, tail = entry.split(_ROW)
+        yield head + lines[i].replace(_ROW, tail + sep + head) + tail
 
-    def __init__(self, values):
-        self.text = {}  # side -> template (a grid) or lines ended by _ROW (a row)
 
-
-def _text(block: list, side: int, form: str, sep: str) -> str:
-    """A block's rows, each form.format(*its cells), joined by sep, for side 0 (the CSV) or 1
-    (its JSON mirror).  A list block (infer_summary, compare, entropy) holds lists and single
-    values, at least one list; a density block single values, then its grid and a row of it,
-    whose lines the single values go around by one replace of _ROW."""
-    if not isinstance(block[-1], _Shared):
-        return sep.join(map(form.format, *(
-            map(_FORMATS[type(c[0])][side], c) if isinstance(c, list)
-            else itertools.repeat(_FORMATS[type(c)][side](c)) for c in block)))
-    *values, grid, row = block
-    head, mid, tail = form.format(*(_FORMATS[type(v)][side](v) for v in values),
-                                  _ROW, _ROW).split(_ROW)
-    if side not in row.text:
-        if side not in grid.text:
-            grid.text[side] = _ROW.join((x + mid).replace("%", "%%") + ("%.12g", "%s")[side]
-                                        for x in map(_FORMATS[float][side], grid))
-        row.text[side] = grid.text[side] % (row if side == 0 else
-                                            tuple(map(_FORMATS[float][1], row)))
-    return head + row.text[side].replace(_ROW, tail + sep + head) + tail
+def _cells(columns: list, side: int):
+    """Each column's cells as side prints them: a list's items, a single value repeated."""
+    return (map(_FORMATS[type(c[0])][side], c) if isinstance(c, list)
+            else itertools.repeat(_FORMATS[type(c)][side](c)) for c in columns)
 
 
 def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> None:
     """Write each block that point(sweep, chunk, orders) yields for each chunk of the
     sweep, in grid order (N-major, then k), to its output CSV, and with --format json to
-    the CSV's JSON mirror, as it arrives.  A block lists its file's columns in header order:
-    lists and single values for all its rows in a list block, one per (N, k) of
-    infer_summary and per N, a row per order, of compare and entropy; single values, then
-    its table's x grid and density row as _Shared columns, in a density block, one per
-    (N, k, word, symbol) of infer_density.  A mirror reads as json.dumps(rows, indent=1)
-    would, infinities as null."""
+    the CSV's JSON mirror, each text as _text yields it; no text outlives its block.  A
+    block holds its file's columns in header order: one block per (N, k) of infer_summary
+    and of infer_density, and per N, a row per order, of compare and entropy.  A mirror
+    reads as json.dumps(rows, indent=1) would, infinities as null."""
     out = sweep.cfg.out
     out.mkdir(parents=True, exist_ok=True)
     layouts = {name: ((",".join(["{}"] * len(cols)), "\n"),  # per side: row, row separator
@@ -247,10 +242,11 @@ def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> N
         seps = dict.fromkeys(mirrors, "\n ")
         for chunk, orders in sweep.points():
             for name, block in point(sweep, chunk, orders):
-                csvs[name].write(_text(block, 0, *layouts[name][0]) + "\n")
+                csvs[name].writelines(text + "\n" for text in _text(block, 0, *layouts[name][0]))
                 if name in mirrors:
-                    mirrors[name].write(seps[name] + _text(block, 1, *layouts[name][1]))
-                    seps[name] = ",\n "
+                    for text in _text(block, 1, *layouts[name][1]):
+                        mirrors[name].write(seps[name] + text)
+                        seps[name] = ",\n "
         for fh in mirrors.values():
             fh.write("\n]\n")
 
@@ -262,10 +258,7 @@ def _infer_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
                 CountTable(k, sweep.alphabet, stack.table[g]), hyper, sweep.cfg.confidence,
                 sweep.cfg.density_points)
             yield "infer_summary.csv", [N, k, *columns]
-            xs, rows = _Shared(x.tolist()), [_Shared(row) for row in dens.tolist()]
-            for word, symbol, i in zip(*columns[:2], index.tolist()):
-                yield "infer_density.csv", [N, k, word, symbol, xs, rows[i]]
-            del xs, rows  # with their text, before the next table's densities are computed
+            yield "infer_density.csv", [N, k, *columns[:2], x, dens, index]
 
 
 def _compare_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
@@ -281,12 +274,13 @@ def _compare_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
 def _entropy_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
     per_order = []
     moments = entropy.energy_moments_of((counts, hyper) for _, counts, hyper in orders)
-    for (k, _, _), m in zip(orders, moments):
+    for (k, counts, hyper), m in zip(orders, moments):
         kl_bits = [None] * len(chunk)
         if k in sweep.approxes:
+            q = entropy.r_from(inference.posterior(counts, hyper))
             kl_bits = [entropy.kl_of(entropy.WordConditional(k, sweep.alphabet, w, c),
                                      sweep.approxes[k].cond_probs)
-                       for w, c in zip(m.q.word_probs, m.q.cond_probs)]
+                       for w, c in zip(q.word_probs, q.cond_probs)]
         per_order.append((k, m.beta.tolist(), m.mean.tolist(), m.variance.tolist(),
                           m.hmu.tolist(), kl_bits, m.asymptotic.tolist()))
     ks, *stats = zip(*per_order)  # each stat holds, per order, its values over the chunk

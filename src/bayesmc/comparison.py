@@ -14,6 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .core import _check_integer
 from .special import _per_table
 
 #: Two probabilities closer than this are treated as tied in map_order.
@@ -36,10 +37,8 @@ class OrderPosterior:
 
 def free_params(k: int, alphabet_size: int) -> int:
     """Number of free parameters of an order-k chain: A**k * (A - 1)."""
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    if alphabet_size < 2:
-        raise ValueError("alphabet size must be >= 2")
+    _check_integer(k, "order k", 1)
+    _check_integer(alphabet_size, "alphabet size", 2)
     return alphabet_size**k * (alphabet_size - 1)
 
 

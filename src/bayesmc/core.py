@@ -171,6 +171,13 @@ class SymbolSequence:
         return codes[self.data].tobytes().decode("utf-32-le", "surrogatepass")
 
 
+def _check_integer(value, name: str, least: int) -> None:
+    """A one-line ValueError naming the argument unless it is one integer >= least."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        shown = repr(value) if np.ndim(value) == 0 else f"an array of shape {np.shape(value)}"
+        raise ValueError(f"{name} must be one integer >= {least}, not {shown}")
+
+
 def check_table_size(alphabet: Alphabet, k: int) -> None:
     """Reject orders whose dense (A**k, A) table would exceed TABLE_CAP entries."""
     if alphabet.size ** (k + 1) > TABLE_CAP:
@@ -291,8 +298,7 @@ def count_words(seq: SymbolSequence, k: int) -> CountTable:
     The first k symbols only condition the first window and contribute no
     counts of their own, so the total count mass is exactly N - k.
     """
-    if k < 1:
-        raise ValueError("order k must be >= 1")
+    _check_integer(k, "order k", 1)
     A = seq.alphabet.size
     check_table_size(seq.alphabet, k)
     n = len(seq)
@@ -341,6 +347,7 @@ def lower_order_counts(top: CountTable, head: CountTable) -> CountTable:
 
 def uniform_hyper(k: int, alphabet: Alphabet, value: float = 1.0) -> HyperTable:
     """All hyperparameters equal to `value`; value 1 is the flat prior."""
+    _check_integer(k, "order k", 1)
     if not value > 0:
         raise ValueError("hyperparameter value must be positive")
     check_table_size(alphabet, k)

@@ -19,7 +19,6 @@ polygamma pass over all of them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .comparison import OrderPosterior
 from .core import Alphabet, CountTable, HyperTable, ShapeMismatchError, _frozen
-from .inference import _observed_rows, _table_sums, posterior, posterior_mean
+from .inference import _observed_rows, _table_sums, posterior_mean
 from .special import _moment_terms, _per_table, _row_rates, _row_sum, _table_sum
 
 _LN2 = math.log(2.0)
@@ -104,21 +103,13 @@ def kl_of(dist: WordConditional, true_cond: np.ndarray) -> float:
 @dataclass(frozen=True, eq=False)
 class EnergyMoments:
     """The entropy-rate statistics of one posterior, in bits: one float each for a lone
-    table, one value per table for a stack."""
+    table, one value per table for a stack.  Q itself is r_from(posterior(counts, hyper))."""
 
     beta: float  # the posterior's total mass beta = n + alpha_k
     mean: float  # E[D[Q||P] + h_mu[Q]], bits per symbol
     variance: float  # its posterior variance, bits^2 per symbol^2
     hmu: float  # h_mu[Q], the entropy rate of Q
     asymptotic: float  # hmu + A**k (A-1) / (2 beta ln 2)
-    counts: CountTable = field(repr=False)
-    hyper: HyperTable = field(repr=False)
-
-    @functools.cached_property
-    def q(self) -> WordConditional:
-        """Q = r_from(posterior(counts, hyper)), computed on first read: it costs a pass
-        over every entry, and a sweep reads it only to compare Q with a known source."""
-        return r_from(posterior(self.counts, self.hyper))
 
 
 def energy_moments_of(pairs) -> list:
@@ -128,7 +119,8 @@ def energy_moments_of(pairs) -> list:
     observed words, as the evidence gathers them, and their totals t(w).  Elsewhere the
     posterior is the prior, whose share the hyper table caches: each sum over all entries
     and words is the prior's own sum plus, over the observed words, the posterior's
-    terms less the prior's.  The hyper must be one table."""
+    terms less the prior's.  The hyper must be one table.  Each record holds its five
+    statistics only: a caller that reads Q takes r_from(posterior(counts, hyper)) itself."""
     cases, observed = [], []
     for counts, hyper in pairs:
         flat, shape, alpha, n = _observed_rows(counts, hyper)
@@ -163,8 +155,7 @@ def energy_moments_of(pairs) -> list:
         hmu = _per_table(-(prior_rate + rate_sum) / beta)
         A = hyper.alphabet.size
         asymptotic = hmu + A**hyper.order * (A - 1) / (2.0 * beta * _LN2)
-        out.append(EnergyMoments(beta, _per_table(mean), _per_table(variance), hmu,
-                                 asymptotic, counts, hyper))
+        out.append(EnergyMoments(beta, _per_table(mean), _per_table(variance), hmu, asymptotic))
     return out
 
 

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import tracemalloc
 import types
+import unittest.mock
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,15 @@ class TestInfer:
         data = json.loads((tmp_path / "infer_summary.json").read_text())
         assert len(data) == 4
         assert all("mean" in row for row in data)
+        # the density mirror: entries x points records, each density the CSV's cell unrounded
+        dens = json.loads((tmp_path / "infer_density.json").read_text())
+        cells = read_csv(tmp_path / "infer_density.csv")
+        assert len(dens) == len(cells) == 4 * 4
+        for record, cell in zip(dens, cells):
+            assert {c: str(v) for c, v in record.items() if c not in ("x", "density")} == {
+                c: v for c, v in cell.items() if c not in ("x", "density")}
+            assert f"{record['x']:.12g}" == cell["x"]
+            assert f"{record['density']:.12g}" == cell["density"]
 
     def test_from_sequence_file(self, tmp_path):
         seq = tmp_path / "seq.txt"
@@ -102,23 +112,28 @@ class TestInfer:
         assert alphas[("1", "0", "1")] == 4.0 and alphas[("2", "01", "1")] == 4.0
         assert list(alphas.values()).count(4.0) == 2
 
-    def test_density_blocks_hold_one_entry(self, tmp_path):
-        # a block is formatted whole, so the density file's blocks are one
-        # entry's --density-points rows each, whatever k is; a block's rows are
-        # those of its last column (ci_high, or density), a list or shared column
+    def test_density_blocks_hold_one_table(self, tmp_path):
+        # each (N, k) table yields its summary block, then one density block: N, k, the
+        # word and symbol lists, then infer_table's x grid, its distinct density rows, each
+        # used, and each entry's index into them; an entry is --density-points rows
         argv = ["infer", "--source", "even", "--n-start", "100", "--n-stop", "300",
                 "--n-step", "100", "--k-max", "3", "--density-points", "16"]
         assert run_cli(argv + ["--out", str(tmp_path)]) == 0
         sweep = bayesmc.cli._resolve(bayesmc.cli._config_from(
             bayesmc.cli._build_parser().parse_args(argv)))
-        rows = {"infer_summary.csv": [], "infer_density.csv": []}
-        for chunk, orders in sweep.points():
-            for name, block in bayesmc.cli._infer_point(sweep, chunk, orders):
-                rows[name].append(len(block[-1]))
-        assert max(rows["infer_density.csv"]) <= 16
-        for name, sizes in rows.items():
-            assert sum(sizes) == len(read_csv(tmp_path / name))
-        assert len(rows["infer_density.csv"]) == 3 * (4 + 8 + 16)  # N x entries
+        blocks = [block for chunk, orders in sweep.points()
+                  for block in bayesmc.cli._infer_point(sweep, chunk, orders)]
+        names, blocks = zip(*blocks)
+        assert names == ("infer_summary.csv", "infer_density.csv") * (3 * 3)  # N x k
+        for summary, (N, k, words, symbols, x, rows, index) in zip(blocks[::2], blocks[1::2]):
+            assert [N, k, words, symbols] == summary[:4]
+            assert len(words) == len(symbols) == len(index) == 2 ** (k + 1)
+            assert x.shape == (16,) and rows.shape == (len(set(index.tolist())), 16)
+            assert len({tuple(row) for row in rows.tolist()}) == len(rows)
+        assert sum(len(block[-1]) for block in blocks[::2]) == len(
+            read_csv(tmp_path / "infer_summary.csv"))
+        assert sum(16 * len(block[-1]) for block in blocks[1::2]) == len(
+            read_csv(tmp_path / "infer_density.csv"))
 
     def test_streams_rows_in_bounded_memory(self, tmp_path):
         # 131,072 density rows, 16,384 per N: written as they arrive, only
@@ -138,34 +153,20 @@ class TestInfer:
             assert peak < 2 * 2**20, f"--jobs {jobs}: peak {peak} B"
 
     def test_repeated_calls_share_no_text(self, tmp_path, monkeypatch):
-        # each distinct density row of a table gets its text once per side, and a second
-        # call in the same process makes it again: no text outlives its (N, k) table
-        made, grids = [], []
-
-        class Counted(dict):
-            def __init__(self, row):
-                super().__init__()
-                self.row = row
-
-            def __setitem__(self, side, value):  # a grid's template, or a row's lines
-                if self.row:
-                    made.append(side)
-                super().__setitem__(side, value)
-
-        class Shared(bayesmc.cli._Shared):
-            def __init__(self, values):  # the grid is the _Shared of its table's x
-                self.text = Counted(row=values != grids[-1])
-
-        infer_table, tables = bayesmc.inference.infer_table, []
+        # the mirror formats each table's x grid and each distinct density row once, and a
+        # second call in the same process formats them again: no text outlives its block
+        made, tables = [], []
+        json_float = bayesmc.cli._FORMATS[float][1]
+        monkeypatch.setitem(bayesmc.cli._FORMATS, float, (
+            bayesmc.cli._FORMATS[float][0], lambda v: made.append(v) or json_float(v)))
+        infer_table = bayesmc.inference.infer_table
 
         def counted_table(*args):
             out = infer_table(*args)
-            grids.append(out[1].tolist())
-            tables.append((len(out[2]), len(out[3])))  # distinct density rows, entries
+            tables.append((len(out[1]), len(out[2]), len(out[3])))  # points, rows, entries
             return out
 
         monkeypatch.setattr(bayesmc.inference, "infer_table", counted_table)
-        monkeypatch.setattr(bayesmc.cli, "_Shared", Shared)
         counts = []
         for run in ("a", "b"):
             made.clear()
@@ -173,11 +174,14 @@ class TestInfer:
             assert run_cli(["infer", "--source", "even", "--n-start", "1000", "--k-max", "3",
                             "--density-points", "8", "--format", "json",
                             "--out", str(tmp_path / run)]) == 0
-            counts.append((made.count(0), made.count(1), *map(sum, zip(*tables))))
+            # six float summary columns per entry, then the grid and each distinct row
+            assert len(made) == sum(6 * entries + points * (1 + rows)
+                                    for points, rows, entries in tables)
+            counts.append((len(made), *map(sum, zip(*tables))))
         assert _digests(tmp_path / "a") == _digests(tmp_path / "b")
-        (csv_rows, json_rows, distinct, entries), _ = counts
         assert counts[1] == counts[0]
-        assert csv_rows == json_rows == distinct < entries  # equal marginals share a row
+        _, _, distinct, entries = counts[0]
+        assert distinct < entries  # equal marginals share a row
 
 
 #: A word or symbol cell: text without a carriage return, which no Alphabet symbol is, nor a
@@ -190,6 +194,18 @@ cell_values = {float: st.floats(), int: st.integers(-10**6, 10**6), str: cell_te
                type(None): st.none()}
 
 
+def _as_list_block(block):
+    """A density block (columns, then an x grid, density rows and each entry's index) as
+    the list block of its rows: each entry's cells repeated over the grid, beside it."""
+    if not isinstance(block[-1], np.ndarray):
+        return block
+    *columns, x, rows, index = block
+    points, index = len(x), index.tolist()
+    return [[c[j] for j in range(len(index)) for _ in range(points)] if isinstance(c, list)
+            else c for c in columns] + [x.tolist() * len(index),
+                                        [v for i in index for v in rows[i].tolist()]]
+
+
 def _rendered_row_by_row(columns, blocks):
     """Each file's CSV and JSON mirror as the writer would print them one row at a time:
     a row's cells joined by commas, or formatted into the mirror's record."""
@@ -198,9 +214,10 @@ def _rendered_row_by_row(columns, blocks):
              for name, cols in columns.items()}
     records = {name: [] for name in columns}
     for name, block in blocks:
-        rows = len(next(c for c in block if isinstance(c, (list, tuple))))
+        block = _as_list_block(block)
+        rows = len(next(c for c in block if isinstance(c, list)))
         for i in range(rows):
-            cells = [[bayesmc.cli._FORMATS[type(c[0])][side](c[i]) if isinstance(c, (list, tuple))
+            cells = [[bayesmc.cli._FORMATS[type(c[0])][side](c[i]) if isinstance(c, list)
                       else bayesmc.cli._FORMATS[type(c)][side](c) for c in block]
                      for side in (0, 1)]
             csvs[name] += ",".join(cells[0]) + "\n"
@@ -215,37 +232,36 @@ class TestBlockText:
     @given(st.data())
     def test_same_bytes_as_row_by_row(self, data):
         # each file's blocks are list blocks (single values and lists in one layout, at
-        # least one list) or density blocks (single values, then a grid and one of its
-        # rows), a single value drawn from two per column; a density file draws each block's
-        # grid from its own pool, and the row from that grid's, so that blocks reuse both
-        rows = data.draw(st.integers(1, 5), label="rows")
-        floats = st.lists(st.floats(), min_size=rows, max_size=rows)
-        columns, layouts, pools = {}, {}, {}
+        # least one list) or density blocks (single values and lists of one cell per entry,
+        # then an x grid, its distinct rows and each entry's index into them), a single
+        # value drawn from two per column
+        points = data.draw(st.integers(1, 5), label="points")
+        floats = st.lists(st.floats(), min_size=points, max_size=points)
+        columns, layouts = {}, {}
         for name in ("a.csv", "b.csv"):
-            if data.draw(st.booleans(), label="density"):
-                kinds = ["value"] * data.draw(st.integers(0, 4)) + ["grid", "row"]
-                pools[name] = [(bayesmc.cli._Shared(data.draw(floats)), [
-                    bayesmc.cli._Shared(data.draw(floats))
-                    for _ in range(data.draw(st.integers(1, 3)))])
-                    for _ in range(data.draw(st.integers(1, 2), label="grids"))]
-            else:
-                kinds = data.draw(st.lists(st.sampled_from(("value", "list")), min_size=1,
-                                           max_size=6).filter(lambda k: "list" in k))
-            columns[name] = tuple(f"c{j}" for j in range(len(kinds)))
+            density = data.draw(st.booleans(), label="density")
+            kinds = data.draw(st.lists(st.sampled_from(("value", "list")), max_size=6)
+                              .filter(lambda k: density or "list" in k))
+            columns[name] = tuple(f"c{j}" for j in range(len(kinds) + 2 * density))
             cell_types = [data.draw(st.sampled_from(list(cell_values))) for _ in kinds]
             values = [data.draw(st.lists(cell_values[t], min_size=2, max_size=2))
                       for t in cell_types]
-            layouts[name] = list(zip(kinds, cell_types, values))
+            layouts[name] = (density, list(zip(kinds, cell_types, values)))
         blocks = []
         for _ in range(data.draw(st.integers(1, 8), label="blocks")):
             name = data.draw(st.sampled_from(sorted(columns)))
-            grid, grid_rows = data.draw(st.sampled_from(pools.get(name, [(None, None)])))
-            blocks.append((name, [
-                grid if kind == "grid" else data.draw(st.sampled_from(grid_rows))
-                if kind == "row" else data.draw(st.lists(cell_values[t], min_size=rows,
-                                                         max_size=rows))
-                if kind == "list" else data.draw(st.sampled_from(values))
-                for kind, t, values in layouts[name]]))
+            density, layout = layouts[name]
+            rows = data.draw(st.integers(1, 3)) if density else 0
+            length = data.draw(st.integers(1, 4)) if density else points
+            block = [data.draw(st.lists(cell_values[t], min_size=length, max_size=length))
+                     if kind == "list" else data.draw(st.sampled_from(values))
+                     for kind, t, values in layout]
+            if density:
+                block += [np.array(data.draw(floats)),
+                          np.array([data.draw(floats) for _ in range(rows)]),
+                          np.array(data.draw(st.lists(st.integers(0, rows - 1), min_size=length,
+                                                      max_size=length)))]
+            blocks.append((name, block))
         with tempfile.TemporaryDirectory() as out:
             sweep = types.SimpleNamespace(cfg=argparse.Namespace(out=Path(out), format="json"),
                                           points=lambda: [(None, None)])
@@ -256,21 +272,26 @@ class TestBlockText:
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.floats(), min_size=1, max_size=6), st.data())
     def test_density_template_prints_as_the_csv_formatter(self, x, data):
-        # the CSV rows of an x grid and a density row are one % call on a template made once
-        # per grid: each float as _FORMATS[float][0] prints it, and each single value before
-        # the two columns, % signs, braces and commas included, as it is
+        # a density block's CSV text is one text per entry, its rows' lines one % call on a
+        # template made once per block: each float as _FORMATS[float][0] prints it, and each
+        # single value before the two columns, % signs, braces and commas included, as it
+        # is; its mirror formats the grid and each distinct row once, whatever the entries
         specials = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310])
         rows = data.draw(st.lists(st.lists(st.floats() | specials, min_size=len(x),
                                            max_size=len(x)), min_size=1, max_size=3))
+        index = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=6))
         head = [data.draw(cell_text | st.sampled_from(["%", "%%s", "{}", ","]))
                 for _ in range(2)]
-        xs, form = bayesmc.cli._Shared(x), ",".join(["{}"] * 4)
-        csv_float = bayesmc.cli._FORMATS[float][0]
-        for row in rows:
-            written = bayesmc.cli._text([*head, xs, bayesmc.cli._Shared(row)], 0, form, "\n")
-            assert written == "\n".join(",".join([*head, csv_float(u), csv_float(v)])
-                                        for u, v in zip(x, row))
-        assert list(xs.text) == [0]  # one template for the grid, for the CSV side
+        block = [*head, np.array(x), np.array(rows), np.array(index)]
+        csv_float, json_float = bayesmc.cli._FORMATS[float]
+        written = list(bayesmc.cli._text(block, 0, ",".join(["{}"] * 4), "\n"))
+        assert written == ["\n".join(",".join([*head, csv_float(u), csv_float(v)])
+                                     for u, v in zip(x, rows[i])) for i in index]
+        made = []
+        with unittest.mock.patch.dict(bayesmc.cli._FORMATS, {float: (
+                csv_float, lambda v: made.append(v) or json_float(v))}):
+            assert len(list(bayesmc.cli._text(block, 1, "{}{}{}{}", ",\n "))) == len(index)
+        assert len(made) == len(x) * (1 + len(rows))
 
     @given(st.floats())
     def test_json_float_as_json_dumps_prints_it(self, value):
@@ -343,7 +364,7 @@ class TestEntropy:
         run_cli(["entropy", "--source", "sns", "--n-start", "500",
                  "--jobs", "1", "--out", str(tmp_path)])
         rows = read_csv(tmp_path / "entropy.csv")
-        assert float(rows[0]["truth_bits"]) == pytest.approx(0.677867)
+        assert rows[0]["truth_bits"] == "0.677867181055"
 
     def test_sns_truth_only_for_the_builtin(self, tmp_path):
         # a nondeterministic process read from a file has no known rate,
@@ -1096,6 +1117,10 @@ GOLDEN = {
 #: (2.3e-10), file_compare 10 (9.7e-12) and sample_compare 2 (7.7e-12);
 #: fig3's compare.json moved by at most 2e-15 relative in log_evidence_nats and
 #: 1.1e-12 in the probabilities.  TestCompareOracle checks those runs' rows.
+#: The fig10 entropy.csv digest was re-pinned when processes.SNS_ENTROPY_RATE
+#: went from the 6-digit 0.677867 to the belief bracket's 0.6778671810551529:
+#: only truth_bits cells moved, 0.677867 -> 0.677867181055.  TestCompareOracle
+#: checks every golden infer, compare and entropy run's rows.
 GOLDEN_DIGESTS = {
     "fake_counts_json": {
         "infer_density.csv": "f85116709d91a957d8d56e652d6bd8b32b0f9eaf40a618cab56c770eb1978501",
@@ -1104,7 +1129,7 @@ GOLDEN_DIGESTS = {
         "infer_summary.json": "ffed8fe9f4dd5ae7af92d513418363dcc9675786e1b39e074901a9a4438d63a8",
     },
     "fig10": {
-        "fig10/entropy.csv": "4551c4a54a6df41a89fed4f52de6a0bd3d8a7e747871ce96399720da39330564",
+        "fig10/entropy.csv": "d7df1f57dd95d20f205bb6cda3b627f86f695112f404531c29cb440e06399d7a",
     },
     "fig2": {
         "fig2/infer_density.csv": "01551f9e751c5a890b75dced8a981532121338ba609beabb46b32a96f1a11b53",
@@ -1198,33 +1223,70 @@ def _perfbench_oracle():
     return module
 
 
+def _oracle_inputs(oracle, name, monkeypatch):
+    """The oracle's counts for golden run `name`, its N grid, its orders and the source
+    whose truth entropy compares against (None for a file)."""
+    argv = GOLDEN[name]
+    if argv[0] == "reproduce":  # average mode
+        _, source, recipe = bayesmc.cli.FIGURE_RECIPES[int(argv[2])]
+        k_min, k_max = recipe["k"]
+        return oracle.AverageCounts(source), recipe["n_grid"], range(k_min, k_max + 1), source
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    start, stop, step = (int(opts[f"--n-{key}"]) for key in ("start", "stop", "step"))
+    n_grid = range(start, stop + 1, step)
+    orders = range(int(opts.get("--k-min", 1)), int(opts["--k-max"]) + 1)
+    if "--input" in opts:  # three symbols, whose numbering no checked column sees
+        monkeypatch.setattr(oracle, "ALPHABET_SIZE", 3)
+        return (oracle.SequenceCounts(["abc".index(c) for c in _golden_sequence()]), n_grid,
+                orders, None)
+    hmm = bayesmc.processes.BUILTIN_SOURCES[opts["--source"]]()
+    data = bayesmc.processes.sample_sequence(hmm, n_grid[-1], int(opts["--seed"])).data
+    return oracle.SequenceCounts(data), n_grid, orders, opts["--source"]
+
+
 class TestCompareOracle:
-    """Every row of the compare golden runs against perfbench's oracle: the log evidence,
-    both order posteriors, their sum per N and the (N, k) grid.  A re-pin of these runs'
-    digests is judged by this test, not by how small its diff looks."""
+    """Every row of the golden infer, compare and entropy runs against perfbench's oracle,
+    with the exact number of records each check makes.  A re-pin of these runs' digests
+    is judged by this test, not by how small its diff looks."""
 
     @pytest.mark.parametrize("name", ["fig3", "fig6", "fig9", "sample_compare", "file_compare"])
     def test_rows_match_oracle(self, name, tmp_path, monkeypatch):
-        oracle, argv = _perfbench_oracle(), GOLDEN[name]
-        if argv[0] == "reproduce":  # average mode
-            _, source, recipe = bayesmc.cli.FIGURE_RECIPES[int(argv[2])]
-            counts, n_grid = oracle.AverageCounts(source), recipe["n_grid"]
-            k_min, k_max = recipe["k"]
-        else:
-            opts = dict(zip(argv[1::2], argv[2::2]))
-            start, stop, step = (int(opts[f"--n-{key}"]) for key in ("start", "stop", "step"))
-            n_grid, k_min, k_max = range(start, stop + 1, step), 1, int(opts["--k-max"])
-            if "--input" in opts:  # three symbols, whose numbering the evidence does not see
-                monkeypatch.setattr(oracle, "ALPHABET_SIZE", 3)
-                data = ["abc".index(c) for c in _golden_sequence()]
-            else:
-                hmm = bayesmc.processes.BUILTIN_SOURCES[opts["--source"]]()
-                data = bayesmc.processes.sample_sequence(hmm, n_grid[-1], int(opts["--seed"])).data
-            counts = oracle.SequenceCounts(data)
+        # the log evidence, both order posteriors, their sum per N and the (N, k) grid
+        oracle = _perfbench_oracle()
+        counts, n_grid, orders, _ = _oracle_inputs(oracle, name, monkeypatch)
         _run_golden(name, 1, tmp_path)
-        checker, grid = oracle.Checker(), [(N, k) for N in n_grid for k in range(k_min, k_max + 1)]
+        checker, grid = oracle.Checker(), [(N, k) for N in n_grid for k in orders]
         path = next((tmp_path / "out").rglob("compare.csv"))
         oracle.check_compare(checker, name, path, counts, 1.0, grid)
-        # the grid, three columns per row and the two sums per N
         assert checker.attempted == 1 + 3 * len(grid) + 2 * len(n_grid)
+        assert checker.failed == 0, dict(checker.failures)
+
+    @pytest.mark.parametrize("name", ["fig4", "fig7", "fig10", "sample_entropy", "file_entropy"])
+    def test_entropy_rows_match_oracle(self, name, tmp_path, monkeypatch):
+        # the (N, k) grid, then per row beta, the energy's mean and variance, h_mu[Q], the
+        # asymptotic rate, and KL against the source's order-k approximation and its true
+        # rate (both empty for a file)
+        oracle = _perfbench_oracle()
+        counts, n_grid, orders, source = _oracle_inputs(oracle, name, monkeypatch)
+        _run_golden(name, 1, tmp_path)
+        checker, grid = oracle.Checker(), [(N, k) for N in n_grid for k in orders]
+        path = next((tmp_path / "out").rglob("entropy.csv"))
+        oracle.check_entropy(checker, name, path, counts, 1.0, source, grid)
+        assert checker.attempted == 1 + 7 * len(grid)
+        assert checker.failed == 0, dict(checker.failures)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig5", "fig8", "sample_infer"])
+    def test_infer_rows_match_oracle(self, name, tmp_path, monkeypatch):
+        # the summary's (N, k) grid and row count, each row's moments and 95% region, the
+        # density file's row count and each entry's Beta density on the 8-point grid
+        oracle = _perfbench_oracle()
+        counts, n_grid, orders, _ = _oracle_inputs(oracle, name, monkeypatch)
+        _run_golden(name, 1, tmp_path)
+        checker, grid = oracle.Checker(), [(N, k) for N in n_grid for k in orders]
+        out = next((tmp_path / "out").rglob("infer_summary.csv")).parent
+        oracle.check_summary(checker, name, out / "infer_summary.csv", counts, 1.0, 0.95, grid)
+        entries = sum(2 ** (k + 1) for _, k in grid)
+        assert checker.attempted == 1 + 2 * entries
+        oracle.check_density(checker, name, out / "infer_density.csv", counts, 1.0, 8, grid)
+        assert checker.attempted == 1 + 2 * entries + 1 + entries
         assert checker.failed == 0, dict(checker.failures)

@@ -12,9 +12,11 @@ from bayesmc import (
     Alphabet,
     LabeledHMM,
     SNS_ENTROPY_RATE,
+    SymbolSequence,
     average_counts,
     count_words,
     even_process,
+    free_params,
     golden_mean,
     load_hmm,
     markov_approximation,
@@ -22,6 +24,7 @@ from bayesmc import (
     sns,
     stationary,
     true_entropy_rate,
+    uniform_hyper,
     word_distribution,
     word_probability,
 )
@@ -29,7 +32,7 @@ import bayesmc.processes
 from bayesmc.core import TableTooLargeError
 from bayesmc.processes import BUILTIN_SOURCES, NondeterministicProcessError, _block_length
 
-from util import biased_chain, even_runs_ok
+from util import biased_chain, even_runs_ok, sns_rate_bracket
 
 GM = golden_mean()
 EVEN = even_process()
@@ -198,9 +201,23 @@ class TestAverageCounts:
         np.testing.assert_allclose(emp, avg, atol=0.01)
 
 
+#: core's integer rule where count_words and uniform_hyper take an order and free_params
+#: an order and an alphabet size: (call, message) for values that are not one integer.
+CORE_INTEGER_CASES = [
+    (lambda f=f, value=value: f(value), rf"{name} must be one integer >= {least}, not {shown}")
+    for f, name, least in (
+        (lambda k: count_words(SymbolSequence.from_string("0110", GM.alphabet), k), "order k", 1),
+        (lambda k: uniform_hyper(k, GM.alphabet), "order k", 1),
+        (lambda k: free_params(k, 2), "order k", 1),
+        (lambda size: free_params(1, size), "alphabet size", 2))
+    for value, shown in ((1.5, r"1\.5"), (2.0, r"2\.0"), (0, "0"),
+                         (np.array([1, 2]), r"an array of shape \(2,\)"))]
+
+
 class TestIntegerArguments:
-    """A length or order that is not one integer in range raises a one-line ValueError
-    naming the argument, not numpy's or Python's own TypeError or ambiguity error."""
+    """A length, order or alphabet size that is not one integer in range raises a one-line
+    ValueError naming the argument (core's one integer rule), not numpy's or Python's own
+    TypeError or ambiguity error, nor a value."""
 
     @pytest.mark.parametrize("call, message", [
         (lambda: sample_sequence(GM, np.array([5, 6]), 1),
@@ -212,7 +229,8 @@ class TestIntegerArguments:
         (lambda: average_counts(GM, 100, -1), r"order k must be one integer >= 0, not -1"),
         (lambda: average_counts(GM, 100, 1.0), r"order k must be one integer >= 0, not 1\.0"),
         (lambda: word_distribution(GM, 2.5), r"word length must be one integer >= 0, not 2\.5"),
-        (lambda: word_distribution(GM, -1), r"word length must be one integer >= 0, not -1")])
+        (lambda: word_distribution(GM, -1), r"word length must be one integer >= 0, not -1"),
+        *CORE_INTEGER_CASES])
     def test_one_line_error_naming_the_argument(self, call, message):
         with pytest.raises(ValueError, match=rf"^{message}$"):
             call()
@@ -222,6 +240,10 @@ class TestIntegerArguments:
             GM, 5, 1).data.tolist()
         assert average_counts(GM, 100, np.int32(2)).table.shape == (4, 2)
         assert markov_approximation(GM, np.int64(0)).cond_probs.shape == (1, 2)
+        seq = SymbolSequence.from_string("0110", GM.alphabet)
+        assert count_words(seq, np.int64(1)).table.tolist() == count_words(seq, 1).table.tolist()
+        assert uniform_hyper(np.int32(2), GM.alphabet).table.shape == (4, 2)
+        assert free_params(np.int64(2), np.int32(3)) == 18
 
 
 class TestEntropyRates:
@@ -255,8 +277,15 @@ class TestEntropyRates:
 
         gaps = [block_entropy(L + 1) - block_entropy(L) for L in (8, 12, 15)]
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
-        assert gaps[-1] >= SNS_ENTROPY_RATE - 1e-6
+        assert gaps[-1] >= SNS_ENTROPY_RATE - 1e-12
         assert gaps[-1] - SNS_ENTROPY_RATE < 0.002
+
+    def test_sns_constant_inside_belief_bracket(self):
+        # the bracket over exact forward beliefs closes to 1.7e-22 at L = 60: the constant
+        # is its nearest float
+        lower, upper = sns_rate_bracket(60)
+        assert upper - lower < 1e-20
+        assert lower - 1e-15 <= SNS_ENTROPY_RATE <= upper + 1e-15
 
 
 class TestMarkovApproximation:

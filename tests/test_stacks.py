@@ -93,7 +93,7 @@ class TestStackEqualsTables:
         for kernel in (*moments, log_evidence, lambda c, h: hmu_of(r_from(posterior(c, h))),
                        lambda c, h: posterior(c, h).total):
             assert _hexes(kernel(counts, hyper)) == [kernel(t, hyper).hex() for t in tables]
-        q = energy_moments(counts, hyper).q
+        q = r_from(posterior(counts, hyper))
         rows = [kl_of(WordConditional(q.order, q.alphabet, w, c), cond)
                 for w, c in zip(q.word_probs, q.cond_probs)]
         assert _hexes(rows) == [kl_of(r_from(posterior(t, hyper)), cond).hex() for t in tables]
@@ -190,8 +190,7 @@ def _batch_case(rng, A, k, G, prior):
 
 
 def _fields_hex(m):
-    return [_hexes(getattr(m, f)) for f in ("beta", "mean", "variance", "hmu", "asymptotic")] + [
-        _hexes(m.q.word_probs.ravel()), _hexes(m.q.cond_probs.ravel())]
+    return [_hexes(getattr(m, f)) for f in ("beta", "mean", "variance", "hmu", "asymptotic")]
 
 
 #: Each case of a batch: (A, k, G, prior, share), G None for a lone table; with `share`
@@ -322,15 +321,14 @@ def _tables_hex(part):
 
 def _parts(value) -> list:
     """The per-table arrays of a result, in a fixed order: a table's entries, a
-    WordConditional's two arrays, an EnergyMoments record's fields and its Q, each
-    element of a list, or the value itself."""
+    WordConditional's two arrays, an EnergyMoments record's fields, each element of a
+    list, or the value itself."""
     if isinstance(value, (CountTable, HyperTable)):
         return [value.table]
     if isinstance(value, WordConditional):
         return [value.word_probs, value.cond_probs]
     if isinstance(value, EnergyMoments):
-        return [getattr(value, f) for f in ("beta", "mean", "variance", "hmu", "asymptotic")
-                ] + _parts(value.q)
+        return [getattr(value, f) for f in ("beta", "mean", "variance", "hmu", "asymptotic")]
     if isinstance(value, list):
         return [part for v in value for part in _parts(v)]
     return [] if value is None else [value]
@@ -344,8 +342,6 @@ def _parts(value) -> list:
 STACKED = {
     "average_counts": lambda c, h, rng: average_counts(even_process(), c.total + c.order + 1,
                                                        c.order),
-    # a record built by hand: only its Q reads the tables
-    "EnergyMoments": lambda c, h, rng: EnergyMoments(0.0, 0.0, 0.0, 0.0, 0.0, c, h).q,
     "energy_moments": lambda c, h, rng: energy_moments(c, h),
     "energy_moments_of": lambda c, h, rng: energy_moments_of([(c, h)]),
     "hmu_of": lambda c, h, rng: hmu_of(r_from(posterior(c, h))),
@@ -376,10 +372,11 @@ ONE_TABLE = {
 
 #: Every other public callable: it takes no count or hyper table, WordConditional or
 #: grid of data sizes (table types built from arrays, sequences, sources, special
-#: functions, order posteriors over evidences, and the command line).
+#: functions, order posteriors over evidences, the energy statistics' record, and the
+#: command line).
 NO_TABLE = {
-    "Alphabet", "BetaParams", "ConfidenceRegion", "CountTable", "HyperTable", "LabeledHMM",
-    "OrderPosterior", "SymbolSequence", "WordConditional", "check_table_size",
+    "Alphabet", "BetaParams", "ConfidenceRegion", "CountTable", "EnergyMoments", "HyperTable",
+    "LabeledHMM", "OrderPosterior", "SymbolSequence", "WordConditional", "check_table_size",
     "compare_penalized", "compare_uniform", "confidence_region", "count_words", "digamma",
     "even_process", "free_params", "golden_mean", "inv_reg_inc_beta", "load_hmm",
     "log_gamma", "log_gamma_diff", "main", "map_order", "markov_approximation",

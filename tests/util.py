@@ -76,6 +76,12 @@ def even_word_probs(L):
     return f.sum(axis=1)
 
 
+#: The simple nondeterministic source's labeled transitions over its states A and B, in
+#: exact fractions: moves[s][i][j] is the probability of emitting s and going from i to j.
+SNS_MOVES = ([[0, 0], [Fraction(1, 2), 0]],                           # symbol 0: B -> A
+             [[Fraction(1, 2), Fraction(1, 2)], [0, Fraction(1, 2)]])  # 1: A -> A, A -> B, B -> B
+
+
 def sns_word_probs(L):
     """Stationary probabilities of all binary words of length L under the
     simple nondeterministic source, in lexicographic order, by the forward
@@ -85,12 +91,44 @@ def sns_word_probs(L):
     distribution is (1/2, 1/2).  Every probability is dyadic, so the
     floats returned are exact."""
     h = Fraction(1, 2)
-    moves = ([[0, 0], [h, 0]],   # symbol 0: B -> A
-             [[h, h], [0, h]])   # symbol 1: A -> A, A -> B, B -> B
     f = [(h, h)]
     for _ in range(L):
-        f = [tuple(v[0] * m[0][j] + v[1] * m[1][j] for j in (0, 1)) for v in f for m in moves]
+        f = [tuple(v[0] * m[0][j] + v[1] * m[1][j] for j in (0, 1)) for v in f for m in SNS_MOVES]
     return np.array([float(sum(v)) for v in f])
+
+
+def sns_rate_bracket(L, dps=40):
+    """(lower, upper) bounds on the simple nondeterministic source's entropy rate h in bits,
+    H(X_L | X^(L-1), S_0) <= h <= H(X_L | X^(L-1)) (Cover and Thomas, Thm 4.5.1), in mpmath
+    at `dps` digits.  Each is the next symbol's entropy given the forward belief over the
+    hidden states after a word of length L - 1, averaged over the words: the beliefs are
+    exact fractions, started from the stationary (1/2, 1/2) for the upper bound and from
+    each state, with weight 1/2, for the lower one, and equal beliefs are merged, their
+    probabilities added, after every symbol."""
+    def step(beliefs):
+        after = {}
+        for belief, p in beliefs.items():
+            for m in SNS_MOVES:
+                v = tuple(belief[0] * m[0][j] + belief[1] * m[1][j] for j in (0, 1))
+                if sum(v):
+                    key = tuple(x / sum(v) for x in v)
+                    after[key] = after.get(key, 0) + p * sum(v)
+        return after
+
+    def mp(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    h, one, zero = Fraction(1, 2), Fraction(1), Fraction(0)
+    bounds = []
+    for beliefs in ({(one, zero): h, (zero, one): h}, {(h, h): one}):
+        for _ in range(L - 1):
+            beliefs = step(beliefs)
+        with mpmath.workdps(dps):
+            bounds.append(-mpmath.fsum(
+                mp(p) * mp(q) * mpmath.log(mp(q), 2) for belief, p in beliefs.items()
+                for q in (belief[0] * sum(m[0]) + belief[1] * sum(m[1]) for m in SNS_MOVES)
+                if q))
+    return tuple(bounds)
 
 
 def block_entropy(p):
