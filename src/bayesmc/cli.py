@@ -3,9 +3,8 @@ sweeps, simulation, and canned figure-reproduction bundles.
 
 `infer`, `compare` and `entropy` are one sweep over the N grid and the orders,
 told apart by their _SWEEPS entry; `reproduce` is its figure's sweep.  Sweeps
-emit CSV (optionally mirrored as JSON) with 12-significant-digit formatting so
-outputs are diff-able goldens.  Exit codes: 0 success, 2 invalid
-configuration, 3 numeric-domain failure.
+emit CSV with 12-significant-digit formatting so outputs are diff-able goldens.
+Exit codes: 0 success, 2 invalid configuration, 3 numeric-domain failure.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import math
 import os
 import sys
@@ -183,72 +181,55 @@ def _resolve(cfg: argparse.Namespace) -> _Sweep:
     return _Sweep(cfg, alphabet, seq, hmm, hypers, approxes, truth)
 
 
-#: A cell type's CSV and JSON formatters; in JSON a finite float prints its repr (as
-#: json.dumps does), infinity null and NaN NaN.
-_FORMATS = {float: ("{:.12g}".format, lambda v: float.__repr__(v) if math.isfinite(v)
-                    else "null" if math.isinf(v) else "NaN"),
-            int: (str, str), str: (str, json.dumps), type(None): (lambda v: "", lambda v: "null")}
+#: A cell type's CSV formatter: a float to 12 significant digits, None as an empty cell.
+_FORMATS = {float: "{:.12g}".format, int: str, str: str, type(None): lambda v: ""}
 #: Ends each line of a density row's text: in no row form, nor in a cell (Alphabet bars it).
 _ROW = "\r"
 
 
-def _text(block: list, side: int, form: str, sep: str):
-    """Yield a block's text for side 0 (the CSV) or 1 (its JSON mirror): its rows, each
-    form.format(*its cells), joined by sep, a row taking each list column's item and each
-    single value.  A list block (infer_summary, compare, entropy) yields one text.  A density
-    block, one per (N, k) table, ends with infer_table's x grid, distinct density rows and
-    per-entry index, and yields one text per entry: it makes one % template of the (x,
-    density) lines, each x cell (% escaped) followed by %.12g in the CSV or %s in the mirror,
-    and each distinct row's lines by one % call on it; an entry's cells go around its row's
-    lines by one replace of _ROW."""
+def _text(block: list, form: str):
+    """Yield a block's CSV text: its rows, each form.format(*its cells), one per line, a
+    row taking each list column's item and each single value.  A list block (infer_summary,
+    compare, entropy) yields one text.  A density block, one per (N, k) table, ends with
+    infer_table's x grid, distinct density rows and per-entry index, and yields one text
+    per entry: it makes one % template of the (x, density) lines, each x cell (% escaped)
+    followed by %.12g, and each distinct row's lines by one % call on it; an entry's cells
+    go around its row's lines by one replace of _ROW."""
     if not isinstance(block[-1], np.ndarray):
-        yield sep.join(map(form.format, *_cells(block, side)))
+        yield "\n".join(map(form.format, *_cells(block)))
         return
     *columns, x, rows, index = block
     mid = form.format(*[""] * len(columns), _ROW, _ROW).split(_ROW)[1]
-    template = _ROW.join((c + mid).replace("%", "%%") + ("%.12g", "%s")[side]
-                         for c in map(_FORMATS[float][side], x.tolist()))
-    lines = [template % (tuple(row) if side == 0 else tuple(map(_FORMATS[float][1], row)))
-             for row in rows.tolist()]
+    template = _ROW.join((c + mid).replace("%", "%%") + "%.12g"
+                         for c in map(_FORMATS[float], x.tolist()))
+    lines = [template % tuple(row) for row in rows.tolist()]
     ends = itertools.repeat(_ROW)
-    for i, entry in zip(index.tolist(), map(form.format, *_cells(columns, side), ends, ends)):
+    for i, entry in zip(index.tolist(), map(form.format, *_cells(columns), ends, ends)):
         head, _, tail = entry.split(_ROW)
-        yield head + lines[i].replace(_ROW, tail + sep + head) + tail
+        yield head + lines[i].replace(_ROW, tail + "\n" + head) + tail
 
 
-def _cells(columns: list, side: int):
-    """Each column's cells as side prints them: a list's items, a single value repeated."""
-    return (map(_FORMATS[type(c[0])][side], c) if isinstance(c, list)
-            else itertools.repeat(_FORMATS[type(c)][side](c)) for c in columns)
+def _cells(columns: list):
+    """Each column's cells as the CSV prints them: a list's items, a single value repeated."""
+    return (map(_FORMATS[type(c[0])], c) if isinstance(c, list)
+            else itertools.repeat(_FORMATS[type(c)](c)) for c in columns)
 
 
 def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> None:
     """Write each block that point(sweep, chunk, orders) yields for each chunk of the
-    sweep, in grid order (N-major, then k), to its output CSV, and with --format json to
-    the CSV's JSON mirror, each text as _text yields it; no text outlives its block.  A
-    block holds its file's columns in header order: one block per (N, k) of infer_summary
-    and of infer_density, and per N, a row per order, of compare and entropy.  A mirror
-    reads as json.dumps(rows, indent=1) would, infinities as null."""
+    sweep, in grid order (N-major, then k), to its output CSV, each text as _text yields
+    it; no text outlives its block.  A block holds its file's columns in header order: one
+    block per (N, k) of infer_summary and of infer_density, and per N, a row per order, of
+    compare and entropy."""
     out = sweep.cfg.out
     out.mkdir(parents=True, exist_ok=True)
-    layouts = {name: ((",".join(["{}"] * len(cols)), "\n"),  # per side: row, row separator
-                      ("{{\n" + ",\n".join(f'  "{c}": {{}}' for c in cols) + "\n }}", ",\n "))
-               for name, cols in columns.items()}
+    forms = {name: ",".join(["{}"] * len(cols)) for name, cols in columns.items()}
     with contextlib.ExitStack() as stack:
-        csvs = {name: stack.enter_context(_staged(out / name, ",".join(columns[name]) + "\n"))
-                for name in columns}
-        mirrors = {name: stack.enter_context(_staged((out / name).with_suffix(".json"), "["))
-                   for name in columns if sweep.cfg.format == "json"}
-        seps = dict.fromkeys(mirrors, "\n ")
+        files = {name: stack.enter_context(_staged(out / name, ",".join(cols) + "\n"))
+                 for name, cols in columns.items()}
         for chunk, orders in sweep.points():
             for name, block in point(sweep, chunk, orders):
-                csvs[name].writelines(text + "\n" for text in _text(block, 0, *layouts[name][0]))
-                if name in mirrors:
-                    for text in _text(block, 1, *layouts[name][1]):
-                        mirrors[name].write(seps[name] + text)
-                        seps[name] = ",\n "
-        for fh in mirrors.values():
-            fh.write("\n]\n")
+                files[name].writelines(text + "\n" for text in _text(block, forms[name]))
 
 
 def _infer_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):
@@ -328,8 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # Every option's default, read also by the subcommands that do not accept it.
     parser.set_defaults(source=None, input=None, csv_column=None, mode="average", k_min=1,
                         k_max=1, n_start=1000, n_stop=None, n_step=5, alpha=None,
-                        fake_counts=None, confidence=0.95, seed=None, out=None,
-                        format="csv", jobs=1, density_points=512)
+                        fake_counts=None, confidence=0.95, seed=None, out=None, jobs=1,
+                        density_points=512)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("infer", "compare", "entropy", "simulate", "reproduce"):
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
@@ -348,7 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fake-counts")
         if name != "simulate":
             p.add_argument("--alpha", type=float)
-            p.add_argument("--format", choices=("csv", "json"))
             p.add_argument("--jobs", type=int, help="accepted and ignored: every sweep is serial")
         if name in ("infer", "reproduce"):
             p.add_argument("--confidence", type=float)

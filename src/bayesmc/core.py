@@ -179,7 +179,9 @@ def _check_integer(value, name: str, least: int) -> None:
 
 
 def check_table_size(alphabet: Alphabet, k: int) -> None:
-    """Reject orders whose dense (A**k, A) table would exceed TABLE_CAP entries."""
+    """Reject orders whose dense (A**k, A) table would exceed TABLE_CAP entries.  k may be
+    -1: word_distribution sizes its length-L table as order L - 1's."""
+    _check_integer(k, "order k", -1)
     if alphabet.size ** (k + 1) > TABLE_CAP:
         raise TableTooLargeError(
             f"order k={k} over {alphabet.size} symbols needs "
@@ -190,6 +192,7 @@ def check_table_size(alphabet: Alphabet, k: int) -> None:
 def word_strings(k: int, alphabet: Alphabet) -> list[str]:
     """Every length-k word as a string, listed in code order: a word's index
     is its base-A code, earliest symbol most significant."""
+    _check_integer(k, "order k", 0)
     words = [""]
     for _ in range(k):
         words = [w + s for w in words for s in alphabet.symbols]
@@ -208,6 +211,7 @@ class _Table:
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _check_integer(self.order, "order k", 0)
         expected = (self.alphabet.size**self.order, self.alphabet.size)
         arr = np.asarray(self.table, dtype=float)
         if arr.ndim not in (2, 3) or arr.shape[-2:] != expected:

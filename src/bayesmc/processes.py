@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -299,6 +298,7 @@ def load_hmm(source) -> LabeledHMM:
     "name": optional}.  Validation errors name the violated invariant.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        import json  # here, so that importing the package does not load it
         with open(source, "r", encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
             spec = json.load(fh)
     else:

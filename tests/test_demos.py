@@ -55,7 +55,7 @@ def test_readme_cli_line_runs(argv, tmp_path, monkeypatch):
 OPTION_VALUES = {"--source": "even", "--seed": "7", "--n-start": "100", "--n-stop": "200",
                  "--n-step": "10", "--input": "seq.txt", "--csv-column": "x",
                  "--mode": "sample", "--k-min": "1", "--k-max": "2", "--fake-counts": "f.csv",
-                 "--alpha": "2.5", "--format": "json", "--jobs": "3", "--confidence": "0.9",
+                 "--alpha": "2.5", "--jobs": "3", "--confidence": "0.9",
                  "--density-points": "8", "--figure": "4", "--out": "o"}
 
 
@@ -77,8 +77,8 @@ def readme_option_table():
 def test_readme_option_table_is_the_parser(tmp_path, capsys):
     table = readme_option_table()
     commands = {command for command, _ in table}
-    assert len(commands) == 5 and len(table) == 5 * 18
-    assert sum(table.values()) == 58  # the CLI's settable values
+    assert len(commands) == 5 and len(table) == 5 * 17
+    assert sum(table.values()) == 54  # the CLI's settable values
     parser = _build_parser()
     for (command, option), ticked in table.items():
         figure = ["--figure", "3"] if command == "reproduce" and option != "--figure" else []

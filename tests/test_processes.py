@@ -10,6 +10,8 @@ from scipy.stats import chisquare
 
 from bayesmc import (
     Alphabet,
+    CountTable,
+    HyperTable,
     LabeledHMM,
     SNS_ENTROPY_RATE,
     SymbolSequence,
@@ -27,9 +29,10 @@ from bayesmc import (
     uniform_hyper,
     word_distribution,
     word_probability,
+    word_strings,
 )
 import bayesmc.processes
-from bayesmc.core import TableTooLargeError
+from bayesmc.core import TableTooLargeError, check_table_size
 from bayesmc.processes import BUILTIN_SOURCES, NondeterministicProcessError, _block_length
 
 from util import biased_chain, even_runs_ok, sns_rate_bracket
@@ -201,16 +204,24 @@ class TestAverageCounts:
         np.testing.assert_allclose(emp, avg, atol=0.01)
 
 
-#: core's integer rule where count_words and uniform_hyper take an order and free_params
-#: an order and an alphabet size: (call, message) for values that are not one integer.
+#: core's integer rule where count_words, uniform_hyper, the table types, word_strings and
+#: check_table_size take an order and free_params an order and an alphabet size: (call,
+#: message) for values that are not one integer in range.  A table or word_strings takes
+#: order 0, as average_counts(hmm, N, 0) builds it, and check_table_size word_distribution's
+#: length - 1, -1 for the empty word.
 CORE_INTEGER_CASES = [
     (lambda f=f, value=value: f(value), rf"{name} must be one integer >= {least}, not {shown}")
     for f, name, least in (
         (lambda k: count_words(SymbolSequence.from_string("0110", GM.alphabet), k), "order k", 1),
         (lambda k: uniform_hyper(k, GM.alphabet), "order k", 1),
         (lambda k: free_params(k, 2), "order k", 1),
-        (lambda size: free_params(1, size), "alphabet size", 2))
-    for value, shown in ((1.5, r"1\.5"), (2.0, r"2\.0"), (0, "0"),
+        (lambda size: free_params(1, size), "alphabet size", 2),
+        (lambda k: CountTable(k, GM.alphabet, np.ones((4, 2))), "order k", 0),
+        (lambda k: HyperTable(k, GM.alphabet, np.ones((4, 2))), "order k", 0),
+        (lambda k: word_strings(k, GM.alphabet), "order k", 0),
+        (lambda k: check_table_size(GM.alphabet, k), "order k", -1))
+    for value, shown in ((1.5, r"1\.5"), (2.0, r"2\.0"), (2.5, r"2\.5"),
+                         (min(0, least - 1), str(min(0, least - 1))),
                          (np.array([1, 2]), r"an array of shape \(2,\)"))]
 
 
@@ -244,6 +255,11 @@ class TestIntegerArguments:
         assert count_words(seq, np.int64(1)).table.tolist() == count_words(seq, 1).table.tolist()
         assert uniform_hyper(np.int32(2), GM.alphabet).table.shape == (4, 2)
         assert free_params(np.int64(2), np.int32(3)) == 18
+        assert CountTable(np.int64(2), GM.alphabet, np.ones((4, 2))).order == 2
+        assert HyperTable(np.int32(2), GM.alphabet, np.ones((4, 2))).order == 2
+        assert average_counts(GM, 100, np.int64(0)).table.shape == (1, 2)
+        assert word_strings(np.int64(2), GM.alphabet) == ["00", "01", "10", "11"]
+        check_table_size(GM.alphabet, np.int64(-1))
 
 
 class TestEntropyRates:
