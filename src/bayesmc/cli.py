@@ -183,30 +183,25 @@ def _resolve(cfg: argparse.Namespace) -> _Sweep:
 
 #: A cell type's CSV formatter: a float to 12 significant digits, None as an empty cell.
 _FORMATS = {float: "{:.12g}".format, int: str, str: str, type(None): lambda v: ""}
-#: Ends each line of a density row's text: in no row form, nor in a cell (Alphabet bars it).
-_ROW = "\r"
 
 
-def _text(block: list, form: str):
-    """Yield a block's CSV text: its rows, each form.format(*its cells), one per line, a
+def _text(block: list):
+    """Yield a block's CSV text: its rows, one per line, each its cells joined by commas, a
     row taking each list column's item and each single value.  A list block (infer_summary,
     compare, entropy) yields one text.  A density block, one per (N, k) table, ends with
     infer_table's x grid, distinct density rows and per-entry index, and yields one text
-    per entry: it makes one % template of the (x, density) lines, each x cell (% escaped)
-    followed by %.12g, and each distinct row's lines by one % call on it; an entry's cells
-    go around its row's lines by one replace of _ROW."""
+    per entry: it makes one % template of the (x, density) lines, each x cell followed by
+    %.12g, and each distinct row's lines by one % call on it; an entry's cells begin each
+    line of its row's lines by one replace of the newline."""
     if not isinstance(block[-1], np.ndarray):
-        yield "\n".join(map(form.format, *_cells(block)))
+        yield "\n".join(map(",".join, zip(*_cells(block))))
         return
     *columns, x, rows, index = block
-    mid = form.format(*[""] * len(columns), _ROW, _ROW).split(_ROW)[1]
-    template = _ROW.join((c + mid).replace("%", "%%") + "%.12g"
-                         for c in map(_FORMATS[float], x.tolist()))
+    template = "\n".join(c + ",%.12g" for c in map(_FORMATS[float], x.tolist()))
     lines = [template % tuple(row) for row in rows.tolist()]
-    ends = itertools.repeat(_ROW)
-    for i, entry in zip(index.tolist(), map(form.format, *_cells(columns), ends, ends)):
-        head, _, tail = entry.split(_ROW)
-        yield head + lines[i].replace(_ROW, tail + "\n" + head) + tail
+    for i, cells in zip(index.tolist(), zip(*_cells(columns), itertools.repeat(""))):
+        head = ",".join(cells)  # the empty last cell ends it with the comma before x
+        yield head + lines[i].replace("\n", "\n" + head)
 
 
 def _cells(columns: list):
@@ -223,13 +218,12 @@ def _write_sweep(sweep: _Sweep, point, columns: dict[str, tuple[str, ...]]) -> N
     compare and entropy."""
     out = sweep.cfg.out
     out.mkdir(parents=True, exist_ok=True)
-    forms = {name: ",".join(["{}"] * len(cols)) for name, cols in columns.items()}
     with contextlib.ExitStack() as stack:
         files = {name: stack.enter_context(_staged(out / name, ",".join(cols) + "\n"))
                  for name, cols in columns.items()}
         for chunk, orders in sweep.points():
             for name, block in point(sweep, chunk, orders):
-                files[name].writelines(text + "\n" for text in _text(block, forms[name]))
+                files[name].writelines(text + "\n" for text in _text(block))
 
 
 def _infer_point(sweep: _Sweep, chunk: tuple[int, ...], orders: list):

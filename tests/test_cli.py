@@ -136,12 +136,20 @@ class TestInfer:
             assert peak < 2 * 2**20, f"--jobs {jobs}: peak {peak} B"
 
     def test_repeated_calls_share_no_text(self, tmp_path, monkeypatch):
-        # the writer formats each summary float and each table's x grid once, and a second
-        # call in the same process formats them again: no text outlives its block
-        made, tables = [], []
+        # the writer formats each summary float, each table's x grid and each of its
+        # distinct density rows once, and a second call in the same process formats them
+        # again: no text outlives its block
+        made, filled, tables = [], [], []
         csv_float = bayesmc.cli._FORMATS[float]
         monkeypatch.setitem(bayesmc.cli._FORMATS, float,
                             lambda v: made.append(v) or csv_float(v))
+
+        def filling(values):  # a density row fills its template as the tuple of its list
+            if isinstance(values, list):
+                filled.append(values)
+            return tuple(values)
+
+        monkeypatch.setattr(bayesmc.cli, "tuple", filling, raising=False)
         infer_table = bayesmc.inference.infer_table
 
         def counted_table(*args):
@@ -153,12 +161,14 @@ class TestInfer:
         counts = []
         for run in ("a", "b"):
             made.clear()
+            filled.clear()
             tables.clear()
             assert run_cli(["infer", "--source", "even", "--n-start", "1000", "--k-max", "3",
                             "--density-points", "8", "--out", str(tmp_path / run)]) == 0
             # six float summary columns per entry, then the table's grid: its density rows
             # go through the block's one %.12g template
             assert len(made) == sum(6 * entries + points for points, _, entries in tables)
+            assert len(filled) == sum(rows for _, rows, _ in tables)
             counts.append((len(made), *map(sum, zip(*tables))))
         assert _digests(tmp_path / "a") == _digests(tmp_path / "b")
         assert counts[1] == counts[0]
@@ -166,11 +176,10 @@ class TestInfer:
         assert distinct < entries  # equal marginals share a row
 
 
-#: A word or symbol cell: text without a carriage return, which no Alphabet symbol is, nor a
-#: lone surrogate, which no UTF-8 input holds; often braces, percent signs, backslashes,
-#: quotes and commas.
-cell_text = st.text(st.one_of(st.sampled_from('%{}\\",'), st.characters(
-    exclude_categories=("Cs",), exclude_characters="\r")), max_size=4)
+#: A word or symbol cell: text without a lone surrogate, which no UTF-8 input holds; often
+#: braces, percent signs, backslashes, quotes, commas and line ends.
+cell_text = st.text(st.one_of(st.sampled_from('%{}\\",\r\n'), st.characters(
+    exclude_categories=("Cs",))), max_size=4)
 #: One type's cell values; a list column holds one type, as the sweeps' columns do.
 cell_values = {float: st.floats(), int: st.integers(-10**6, 10**6), str: cell_text,
                type(None): st.none()}
@@ -249,7 +258,7 @@ class TestBlockText:
         # a density block's CSV text is one text per entry, its rows' lines one % call on a
         # template made once per block: each float as _FORMATS[float] prints it, and each
         # single value before the two columns, % signs, braces and commas included, as it
-        # is; the block formats its grid once, whatever its rows and entries
+        # is; the block formats its grid once and each row once, whatever its entries
         specials = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310])
         rows = data.draw(st.lists(st.lists(st.floats() | specials, min_size=len(x),
                                            max_size=len(x)), min_size=1, max_size=3))
@@ -257,13 +266,16 @@ class TestBlockText:
         head = [data.draw(cell_text | st.sampled_from(["%", "%%s", "{}", ","]))
                 for _ in range(2)]
         block = [*head, np.array(x), np.array(rows), np.array(index)]
-        csv_float, made = bayesmc.cli._FORMATS[float], []
+        csv_float, made, filled = bayesmc.cli._FORMATS[float], [], []
         with unittest.mock.patch.dict(bayesmc.cli._FORMATS,
-                                      {float: lambda v: made.append(v) or csv_float(v)}):
-            written = list(bayesmc.cli._text(block, ",".join(["{}"] * 4)))
+                                      {float: lambda v: made.append(v) or csv_float(v)}), \
+             unittest.mock.patch.object(bayesmc.cli, "tuple", create=True,
+                                        new=lambda row: filled.append(row) or tuple(row)):
+            written = list(bayesmc.cli._text(block))
         assert written == ["\n".join(",".join([*head, csv_float(u), csv_float(v)])
                                      for u, v in zip(x, rows[i])) for i in index]
         assert len(made) == len(x)
+        assert len(filled) == len(rows)  # each row's values fill the template once
 
 
 class TestCompare:
@@ -449,12 +461,14 @@ class TestChunks:
         start, step, stop = self.GRIDS[command]
         argv = [command, *data, "--n-start", start, "--n-step", step, "--n-stop", stop,
                 "--k-max", "2"]
-        # every float at full precision, but infer's densities, which take %.12g
+        # every float at full precision: the CSV's by float.__repr__, and infer's densities,
+        # which the CSV prints to 12 digits, as infer_table gives them
         monkeypatch.setitem(bayesmc.cli._FORMATS, float, float.__repr__)
+        densities = _recorded_densities(monkeypatch)
         if command == "infer":
             argv += ["--density-points", "2"]
         assert run_cli(argv + ["--jobs", "1", "--out", str(tmp_path / "whole")]) == 0
-        whole = _digests(tmp_path / "whole")
+        whole = _digests(tmp_path / "whole"), densities[:]
         top = 2**3  # entries of one top-order table
         points, sizes = bayesmc.cli._Sweep.points, []
 
@@ -468,8 +482,9 @@ class TestChunks:
         for size in (1, 2, 3):
             monkeypatch.setattr(bayesmc.cli, "CHUNK_ENTRIES", size * top)
             out = tmp_path / str(size)
+            densities.clear()
             assert run_cli(argv + ["--jobs", "1", "--out", str(out)]) == 0
-            assert _digests(out) == whole
+            assert (_digests(out), densities) == whole
         assert sizes == [{1}, {2, 1}, {3, 1}]
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
@@ -652,17 +667,22 @@ class TestByteOrderMark:
 
     @pytest.mark.parametrize("kind", sorted(FILES))
     def test_same_output_as_twin(self, kind, tmp_path, monkeypatch):
-        # every float at full precision, but infer's densities, which take %.12g
+        # every float at full precision: the CSV's by float.__repr__, and infer's densities,
+        # which the CSV prints to 12 digits, as infer_table gives them
         monkeypatch.setitem(bayesmc.cli._FORMATS, float, float.__repr__)
+        densities = _recorded_densities(monkeypatch)
         name, text, argv = self.FILES[kind]
+        runs = {}
         for twin, prefix in (("plain", ""), ("bom", "\ufeff")):
             path = tmp_path / twin / name
             path.parent.mkdir()
             path.write_text(prefix + text.replace("{seq}", _golden_sequence(1200)),
                             encoding="utf-8")
+            densities.clear()
             assert run_cli([a.replace("{path}", str(path)) for a in argv]
                            + ["--out", str(tmp_path / twin / "out")]) == 0
-        assert _digests(tmp_path / "bom" / "out") == _digests(tmp_path / "plain" / "out")
+            runs[twin] = _digests(tmp_path / twin / "out"), densities[:]
+        assert runs["bom"] == runs["plain"]
 
 
 class TestErrorHandling:
@@ -1142,6 +1162,20 @@ GOLDEN_DIGESTS = {
 def _digests(out):
     return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _recorded_densities(monkeypatch):
+    """A list to which each infer_table call of the CLI appends the bytes of its x grid,
+    density rows and entries' index."""
+    records, infer_table = [], bayesmc.inference.infer_table
+
+    def recorded(*args):
+        out = infer_table(*args)
+        records.append(tuple(a.tobytes() for a in out[1:]))
+        return out
+
+    monkeypatch.setattr(bayesmc.inference, "infer_table", recorded)
+    return records
 
 
 def _run_golden(name, jobs, tmp_path):
