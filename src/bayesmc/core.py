@@ -172,10 +172,22 @@ class SymbolSequence:
 
 
 def _check_integer(value, name: str, least: int) -> None:
-    """A one-line ValueError naming the argument unless it is one integer >= least."""
+    """A one-line ValueError naming the argument unless it is one integer >= least; it
+    shows a numpy scalar as its value."""
     if not isinstance(value, (int, np.integer)) or value < least:
-        shown = repr(value) if np.ndim(value) == 0 else f"an array of shape {np.shape(value)}"
+        shown = (f"an array of shape {np.shape(value)}" if np.ndim(value)
+                 else repr(value.item() if isinstance(value, np.generic) else value))
         raise ValueError(f"{name} must be one integer >= {least}, not {shown}")
+
+
+def _check_shape(kind: str, shape: tuple, order, alphabet: Alphabet) -> None:
+    """A one-line ShapeMismatchError unless `shape` is (A**k, A) or a (G, A**k, A) stack,
+    at one integer order k >= 0 (_check_integer): the shape rule of every table type."""
+    _check_integer(order, "order k", 0)
+    expected = (alphabet.size**order, alphabet.size)
+    if len(shape) not in (2, 3) or shape[-2:] != expected:
+        raise ShapeMismatchError(f"{kind} shape {shape}, expected {expected} "
+                                 f"or a stack (G, {expected[0]}, {expected[1]})")
 
 
 def check_table_size(alphabet: Alphabet, k: int) -> None:
@@ -211,12 +223,8 @@ class _Table:
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _check_integer(self.order, "order k", 0)
-        expected = (self.alphabet.size**self.order, self.alphabet.size)
         arr = np.asarray(self.table, dtype=float)
-        if arr.ndim not in (2, 3) or arr.shape[-2:] != expected:
-            raise ShapeMismatchError(f"{self._kind} table shape {arr.shape}, expected "
-                                     f"{expected} or a stack (G, {expected[0]}, {expected[1]})")
+        _check_shape(f"{self._kind} table", arr.shape, self.order, self.alphabet)
         if arr.size:  # a (0, A**k, A) stack has no entries to check
             # a NaN anywhere is the min's and the max's, an infinity one of them
             least, greatest = arr.min(), arr.max()
@@ -336,13 +344,15 @@ def lower_order_counts(top: CountTable, head: CountTable) -> CountTable:
     head does not depend on len(seq): a sweep that runs one top table across
     its N grid counts each head once, and with K = k + 1 a head is a single
     window.  Counts are integers held exactly in floats, so the table is
-    identical to count_words'.
+    identical to count_words'; any other head than one table of total K - k raises.
     """
     K, k, A = top.order, head.order, top.alphabet.size
     if head.alphabet != top.alphabet:
         raise ShapeMismatchError("top and head tables must share their alphabet")
     if not 1 <= k < K:
         raise ValueError(f"order k={k} must lie in 1..{K - 1}")
+    if head.table.ndim != 2 or head.total != K - k:
+        raise ValueError(f"head must be count_words(seq[:{K}], {k}), one table of total {K - k}")
     tail = top.table.reshape(top.table.shape[:-2] + (A ** (K - k), A**k, A)).sum(axis=-3)
     tail += head.table
     tail.flags.writeable = False  # fresh, so _frozen need not copy it

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparison import OrderPosterior
-from .core import Alphabet, CountTable, HyperTable, ShapeMismatchError, _frozen
+from .core import Alphabet, CountTable, HyperTable, ShapeMismatchError, _check_shape, _frozen
 from .inference import _observed_rows, _table_sums, posterior_mean
-from .special import _moment_terms, _per_table, _row_rates, _row_sum, _table_sum
+from .special import _moment_terms, _per_table, _row_rates, _row_sum
 
 _LN2 = math.log(2.0)
 
@@ -45,12 +45,10 @@ class WordConditional:
 
     def __post_init__(self):
         word_probs, cond_probs = _frozen(self.word_probs), _frozen(self.cond_probs)
-        expected = (self.alphabet.size**self.order, self.alphabet.size)
-        if (cond_probs.ndim not in (2, 3) or cond_probs.shape[-2:] != expected
-                or word_probs.shape != cond_probs.shape[:-1]):
-            raise ShapeMismatchError(
-                f"word_probs shape {word_probs.shape} and cond_probs shape {cond_probs.shape}, "
-                f"expected {expected[:1]} and {expected} at order {self.order}, or a stack of them")
+        _check_shape("cond_probs", cond_probs.shape, self.order, self.alphabet)
+        if word_probs.shape != cond_probs.shape[:-1]:
+            raise ShapeMismatchError(f"word_probs shape {word_probs.shape}, expected "
+                                     f"{cond_probs.shape[:-1]} to fit cond_probs")
         object.__setattr__(self, "word_probs", word_probs)
         object.__setattr__(self, "cond_probs", cond_probs)
 
@@ -65,19 +63,11 @@ def r_from(table: HyperTable) -> WordConditional:
     return WordConditional(table.order, table.alphabet, word_probs, cond_probs)
 
 
-def _rate_bits(weights, cond):
-    """-sum weights * cond * log2 cond over the last two axes, with 0 log 0 =
-    0: the entropy rate in bits per symbol of conditionals `cond` whose
-    contexts have the probabilities `weights` (broadcast against `cond`), one
-    value per table of a stack."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(cond > 0, cond * np.log2(np.where(cond > 0, cond, 1.0)), 0.0)
-    return _per_table(-_table_sum(weights * terms))
-
-
 def hmu_of(dist: WordConditional) -> float:
-    """Entropy rate of the distribution, in bits per symbol; 0 log 0 = 0."""
-    return _rate_bits(dist.word_probs[..., None], dist.cond_probs)
+    """Entropy rate of the distribution, in bits per symbol: -sum_w p(w) sum_s q log2 q,
+    each conditional row q a table of total 1 to special._row_rates (0 log 0 = 0)."""
+    rates = _row_rates(dist.cond_probs, np.ones(dist.word_probs.shape))
+    return _per_table(-np.sum(dist.word_probs * rates, axis=-1))
 
 
 def kl_of(dist: WordConditional, true_cond: np.ndarray) -> float:

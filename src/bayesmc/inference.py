@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CountTable, HyperTable, require_same_shape, word_strings
+from .core import CountTable, HyperTable, _check_integer, require_same_shape, word_strings
 from .special import BetaParams, _per_table, _row_sum, inv_reg_inc_beta, log_gamma_diff
 
 
@@ -150,8 +150,7 @@ def infer_table(counts: CountTable, hyper: HyperTable, level: float = 0.95,
     Each distinct marginal is evaluated once: its log_norm, from one array call, serves its
     region and its density, and its region is searched once.  Every value, density rows
     included, equals the lone marginal's bit for bit."""
-    if points < 2:
-        raise ValueError("need at least 2 grid points")
+    _check_integer(points, "points", 2)
     x, post = (np.arange(points) + 0.5) / points, posterior(counts, hyper)
     if post.table.ndim != 2:
         raise ValueError(f"infer_table takes one table, not a stack of shape {post.table.shape}")

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Alphabet, CountTable, SymbolSequence, _check_integer, _frozen, check_table_size
-from .entropy import WordConditional, _rate_bits
+from .entropy import WordConditional
+from .special import _row_rates, _row_sum
 
 #: Entropy rate of the simple nondeterministic source, bits/symbol.  Its minimal
 #: presentation is nondeterministic, so the closed form below does not apply; this is
@@ -147,12 +148,13 @@ def stationary(hmm: LabeledHMM) -> np.ndarray:
 
 
 def word_probability(hmm: LabeledHMM, word) -> float:
-    """Stationary probability of an output word (indices or symbol string)."""
-    if isinstance(word, str):
-        word = [hmm.alphabet.index(c) for c in word]
+    """Stationary probability of an output word (indices or symbol string), read as a
+    SymbolSequence: an index or symbol outside the alphabet raises InvalidSymbolError."""
+    seq = (SymbolSequence.from_string(word, hmm.alphabet) if isinstance(word, str)
+           else SymbolSequence(hmm.alphabet, word))
     v = stationary(hmm)
-    for s in word:
-        v = v @ hmm.matrices[int(s)]
+    for s in seq.data.tolist():
+        v = v @ hmm.matrices[s]
     return float(v.sum())
 
 
@@ -171,16 +173,13 @@ def average_counts(hmm: LabeledHMM, N, k: int) -> CountTable:
     of data sizes N gives the (G, A**k, A) stack of their tables, each the lone call's
     bit for bit.
 
-    Counts are real-valued; they are deliberately not rounded to integers.
+    Each N is one integer above k (core._check_integer).  Counts are real-valued; they
+    are deliberately not rounded to integers.
     """
-    sizes = np.asarray(N, dtype=float)
-    if sizes.ndim > 1:
-        raise ValueError(f"average_counts takes a data size N or a 1-D grid of them, "
-                         f"not shape {sizes.shape}")
-    if not np.all(sizes > k):  # a NaN N included
-        short = np.ravel(N)[~(sizes.ravel() > k)]
-        raise ValueError(f"data size N={short[0]} must exceed order k={k}")
-    table = (sizes[..., None, None] - k) * hmm.joint(k)
+    joint = hmm.joint(k)
+    for size in N if np.ndim(N) else (N,):
+        _check_integer(size, "data size N", k + 1)
+    table = (np.asarray(N, dtype=float)[..., None, None] - k) * joint
     table.flags.writeable = False  # fresh, so _frozen need not copy it
     return CountTable(k, hmm.alphabet, table)
 
@@ -197,7 +196,8 @@ def true_entropy_rate(hmm: LabeledHMM) -> float:
             "entropy rate has no closed form for a nondeterministic presentation; "
             "for the builtin sns source use SNS_ENTROPY_RATE"
         )
-    return _rate_bits(stationary(hmm), hmm.matrices.sum(axis=2))  # p(s|v) as (symbol, state)
+    cond = hmm.matrices.sum(axis=2).T  # p(s|v), one row per state v
+    return float(-np.sum(stationary(hmm) * _row_rates(cond, np.ones(hmm.n_states))))
 
 
 def markov_approximation(hmm: LabeledHMM, k: int) -> WordConditional:
@@ -207,7 +207,7 @@ def markov_approximation(hmm: LabeledHMM, k: int) -> WordConditional:
     Zero-probability words (word_probs == 0) get uniform conditionals.
     """
     joint = hmm.joint(k)
-    wp = joint.sum(axis=1)
+    wp = _row_sum(joint)
     support = wp > 0
     cond = np.full_like(joint, 1.0 / hmm.alphabet.size)
     cond[support] = joint[support] / wp[support, None]

@@ -206,7 +206,7 @@ def log_gamma_diff(x, n):
 
 @dataclass(frozen=True, eq=False)
 class BetaParams:
-    """Parameters of a Beta(a, b) distribution, both strictly positive.  The
+    """Parameters of a Beta(a, b) distribution, both positive and finite (not NaN).  The
     parameters may also be arrays of the same or broadcastable shapes, one
     distribution per element, for the mean, variance and densities."""
 
@@ -214,8 +214,8 @@ class BetaParams:
     b: float
 
     def __post_init__(self):
-        if not (np.all(self.a > 0) and np.all(self.b > 0)):
-            raise NumericDomainError("Beta parameters must be positive")
+        if not np.all((0 < self.a) & (self.a < math.inf) & (0 < self.b) & (self.b < math.inf)):
+            raise NumericDomainError("Beta parameters must be positive and finite")
 
     def mean(self) -> float:
         return self.a / (self.a + self.b)

@@ -214,8 +214,8 @@ def test_07_large_beta_remainder_scaling(capsys):
     chain = biased_chain()
     h1 = uniform_hyper(1, BINARY, 1.0)
     scaled = []
-    for beta in (1e3, 1e4, 1e5):
-        counts = average_counts(chain, beta - 4.0 + 1.0, 1)
+    for beta in (10**3, 10**4, 10**5):
+        counts = average_counts(chain, beta - 4 + 1, 1)
         m = energy_moments(counts, h1)
         scaled.append(abs(m.mean - m.asymptotic) * m.beta**2)
     ratios = [a / b for a, b in zip(scaled, scaled[1:])]

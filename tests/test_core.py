@@ -20,6 +20,7 @@ from bayesmc import (
     markov_approximation,
     r_from,
     read_sequence,
+    sample_sequence,
     uniform_hyper,
     word_strings,
 )
@@ -188,6 +189,20 @@ class TestLowerOrderCounts:
         other = SymbolSequence.from_string("0110", TERNARY)
         with pytest.raises(ShapeMismatchError):
             lower_order_counts(count_words(seq, 2), count_words(other, 1))
+
+    def test_head_must_be_the_first_window_table(self):
+        # the head is count_words(seq[:K], k): one table of total K - k.  The head of
+        # seq[:50] gave a 200-symbol sequence's order-1 table a total of 246, not 199
+        seq = sample_sequence(golden_mean(), 200, 3)
+        top = count_words(seq, 3)
+        assert lower_order_counts(top, count_words(SymbolSequence(BINARY, seq.data[:3]), 1)
+                                  ).total == 199
+        for head in (count_words(SymbolSequence(BINARY, seq.data[:50]), 1),
+                     CountTable(1, BINARY, np.zeros((2, 2))),
+                     CountTable(1, BINARY, np.ones((3, 2, 2)) / 2)):  # a stack, each of total 2
+            with pytest.raises(ValueError, match=r"^head must be count_words\(seq\[:3\], 1\), "
+                                                 r"one table of total 2$"):
+                lower_order_counts(top, head)
 
 
 class TestHyperTables:

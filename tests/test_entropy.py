@@ -125,9 +125,14 @@ class TestWordConditionalArrays:
         (1, (3, 2), (2, 2, 2)), (1, (2, 2), (2,)), (1, (2, 2), (1, 2, 2, 2)),
         (2, (3, 2), (3, 4, 2))])
     def test_shapes_must_fit_order_and_each_other(self, order, word_shape, cond_shape):
-        with pytest.raises(ShapeMismatchError, match=re.escape(
-                f"word_probs shape {word_shape} and cond_probs shape {cond_shape}, expected "
-                f"({2**order},) and ({2**order}, 2) at order {order}, or a stack of them")):
+        # cond_probs by the table types' shape rule, then word_probs by cond_probs'
+        expected = (2**order, 2)
+        if len(cond_shape) in (2, 3) and cond_shape[-2:] == expected:
+            message = f"word_probs shape {word_shape}, expected {cond_shape[:-1]} to fit cond_probs"
+        else:
+            message = (f"cond_probs shape {cond_shape}, expected {expected} or a stack "
+                       f"(G, {expected[0]}, 2)")
+        with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
             WordConditional(order, BINARY, np.full(word_shape, 0.5), np.full(cond_shape, 0.5))
 
 
@@ -192,7 +197,7 @@ class TestExpectedEnergy:
         for N in (50, 500, 5000):
             assert energy_moments(*data_at(N)).mean == pytest.approx(mp_energy(post_at(N)),
                                                                      abs=1e-11)
-        for N in (1e4, 1e6, 1e8):  # no cancellation: the mean stays at 1e-14
+        for N in (10**4, 10**6, 10**8):  # no cancellation: the mean stays at 1e-14
             data = data_at(N, hmm=even_process(), k=2)
             assert energy_moments(*data).mean == pytest.approx(mp_energy(posterior(*data)),
                                                                rel=1e-14, abs=0.0)
@@ -247,7 +252,7 @@ class TestEnergyVariance:
         # The pair and word sums share their leading 1/t parts, which cancel
         # in the algebra, so the relative error stays flat in N up to 1e12.
         for hmm, k in itertools.product((even_process(), sns(), golden_mean()), (1, 2, 4)):
-            for N in (700, 1e4, 1e6, 1e8, 1e10, 1e12):
+            for N in (700, 10**4, 10**6, 10**8, 10**10, 10**12):
                 data = data_at(N, hmm=hmm, k=k)
                 assert energy_moments(*data).variance == pytest.approx(
                     mp_variance(posterior(*data)), rel=1e-12, abs=0.0), (hmm.name, k, N)

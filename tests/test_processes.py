@@ -32,7 +32,9 @@ from bayesmc import (
     word_strings,
 )
 import bayesmc.processes
-from bayesmc.core import TableTooLargeError, check_table_size
+from bayesmc.core import InvalidSymbolError, TableTooLargeError, check_table_size
+from bayesmc.entropy import WordConditional
+from bayesmc.inference import infer_table
 from bayesmc.processes import BUILTIN_SOURCES, NondeterministicProcessError, _block_length
 
 from util import biased_chain, even_runs_ok, sns_rate_bracket
@@ -126,6 +128,12 @@ class TestWordProbabilities:
     def test_empty_word(self):
         assert word_probability(GM, "") == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("word", [[0, -1], [0, 5], np.array([2]), "0x"])
+    def test_symbol_outside_alphabet(self, word):
+        # read as a SymbolSequence: -1 is not the last symbol, nor 5 numpy's IndexError
+        with pytest.raises(InvalidSymbolError):
+            word_probability(GM, word)
+
     def test_table_cap(self):
         # 2**27 words: refused by the shared table cap before anything is built
         for build in (lambda: word_distribution(EVEN, 27), lambda: markov_approximation(EVEN, 26),
@@ -156,17 +164,17 @@ class TestAverageCounts:
         lone = [average_counts(hmm, N, k).table for N in grid]
         assert ([v.hex() for v in stack.table.ravel().tolist()]
                 == [v.hex() for t in lone for v in t.ravel().tolist()])
-        floats = average_counts(hmm, np.array(grid, dtype=float), k)
-        assert floats.table.tobytes() == stack.table.tobytes()
+        integers = average_counts(hmm, np.array(grid), k)
+        assert integers.table.tobytes() == stack.table.tobytes()
 
     @pytest.mark.parametrize("N, message", [
-        ([100, 3, 200], r"data size N=3 must exceed order k=3"),
-        ([float("nan")], r"data size N=nan must exceed order k=3"),
-        (np.array([10, 20, 2]), r"data size N=2 must exceed order k=3"),
-        ([[10, 20]], r"average_counts takes a data size N or a 1-D grid of them, "
-                     r"not shape \(1, 2\)"),
-        (np.full((2, 2, 1), 100), r"average_counts takes a data size N or a 1-D grid of "
-                                  r"them, not shape \(2, 2, 1\)")])
+        ([100, 3, 200], r"data size N must be one integer >= 4, not 3"),
+        ([float("nan")], r"data size N must be one integer >= 4, not nan"),
+        (np.array([10, 20, 2]), r"data size N must be one integer >= 4, not 2"),
+        ([[10, 20]], r"data size N must be one integer >= 4, not an array of shape \(2,\)"),
+        (np.full((2, 2, 1), 100),
+         r"data size N must be one integer >= 4, not an array of shape \(2, 1\)"),
+        (np.array([10.0, 20.0]), r"data size N must be one integer >= 4, not 10\.0")])
     def test_grid_rejects_short_or_multidimensional(self, N, message):
         with pytest.raises(ValueError, match=rf"^{message}$"):
             average_counts(EVEN, N, 3)
@@ -203,6 +211,9 @@ class TestAverageCounts:
         avg = average_counts(GM, 200_000, 1).table / (200_000 - 1)
         np.testing.assert_allclose(emp, avg, atol=0.01)
 
+
+#: One count table and prior for infer_table's grid-point cases.
+INFER_PAIR = (average_counts(GM, 100, 1), uniform_hyper(1, GM.alphabet))
 
 #: core's integer rule where count_words, uniform_hyper, the table types, word_strings and
 #: check_table_size take an order and free_params an order and an alphabet size: (call,
@@ -241,7 +252,14 @@ class TestIntegerArguments:
         (lambda: average_counts(GM, 100, 1.0), r"order k must be one integer >= 0, not 1\.0"),
         (lambda: word_distribution(GM, 2.5), r"word length must be one integer >= 0, not 2\.5"),
         (lambda: word_distribution(GM, -1), r"word length must be one integer >= 0, not -1"),
-        *CORE_INTEGER_CASES])
+        *CORE_INTEGER_CASES,
+        (lambda: average_counts(GM, 150.5, 1), r"data size N must be one integer >= 2, not 150\.5"),
+        (lambda: infer_table(*INFER_PAIR, 0.95, 2.5), r"points must be one integer >= 2, not 2\.5"),
+        (lambda: infer_table(*INFER_PAIR, 0.95, 3.0), r"points must be one integer >= 2, not 3\.0"),
+        (lambda: WordConditional(1.5, GM.alphabet, np.full(2, 0.5), np.full((2, 2), 0.5)),
+         r"order k must be one integer >= 0, not 1\.5"),
+        (lambda: WordConditional(-1, GM.alphabet, np.full(2, 0.5), np.full((2, 2), 0.5)),
+         r"order k must be one integer >= 0, not -1")])
     def test_one_line_error_naming_the_argument(self, call, message):
         with pytest.raises(ValueError, match=rf"^{message}$"):
             call()

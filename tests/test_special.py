@@ -238,8 +238,13 @@ class TestRegIncBeta:
     def test_domain(self):
         with pytest.raises(NumericDomainError):
             reg_inc_beta(BetaParams(1, 1), 1.5)
-        with pytest.raises(NumericDomainError):
-            BetaParams(0.0, 1.0)
+        # an infinite shape gave a mean of nan
+        for a, b in ((0.0, 1.0), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+                     (-math.inf, 1.0), (np.array([1.0, math.inf]), 2.0),
+                     (np.array([1.0, 2.0]), np.array([[3.0], [math.nan]]))):
+            with pytest.raises(NumericDomainError,
+                               match="^Beta parameters must be positive and finite$"):
+                BetaParams(a, b)
 
     # the continued fraction is slowest next to the mean, where a 300-step cap
     # failed from max(a, b) ~ 2e5

@@ -137,8 +137,10 @@ class TestLowerOrderStack:
     def test_stack_equals_tables(self, A, K, G, seed, data):
         k = data.draw(st.integers(1, K - 1), label="k")
         top, _, _ = _stack_case(A, K, G, seed, False)
-        head = CountTable(k, top.alphabet,
-                          np.random.default_rng(seed).integers(0, K - k + 1, size=(A**k, A)))
+        # a head holds the K - k windows of the first K symbols
+        windows = np.random.default_rng(seed).integers(0, A ** (k + 1), size=K - k)
+        head = CountTable(k, top.alphabet, np.bincount(windows, minlength=A ** (k + 1)
+                                                       ).reshape(A**k, A))
         derived = lower_order_counts(top, head)
         assert derived.order == k and derived.table.shape == (G, A**k, A)
         tables = [lower_order_counts(CountTable(K, top.alphabet, t), head) for t in top.table]
@@ -340,8 +342,8 @@ def _parts(value) -> list:
 #: sizes are the tables' totals plus k + 1).  The stack call takes a fresh generator, and
 #: the lone calls share one from the same seed.
 STACKED = {
-    "average_counts": lambda c, h, rng: average_counts(even_process(), c.total + c.order + 1,
-                                                       c.order),
+    "average_counts": lambda c, h, rng: average_counts(
+        even_process(), np.int64(c.total) + c.order + 1, c.order),
     "energy_moments": lambda c, h, rng: energy_moments(c, h),
     "energy_moments_of": lambda c, h, rng: energy_moments_of([(c, h)]),
     "hmu_of": lambda c, h, rng: hmu_of(r_from(posterior(c, h))),
@@ -351,7 +353,7 @@ STACKED = {
     "log_predictive": lambda c, h, rng: log_predictive(
         c, CountTable(c.order, c.alphabet, np.arange(27.0).reshape(9, 3)), h),
     "lower_order_counts": lambda c, h, rng: lower_order_counts(
-        c, CountTable(1, c.alphabet, np.eye(3))),
+        c, CountTable(1, c.alphabet, np.diag([0.0, 1.0, 0.0]))),  # one window, as K - k = 1
     "posterior": lambda c, h, rng: posterior(c, h),
     "posterior_mean": lambda c, h, rng: posterior_mean(posterior(c, h)),
     "posterior_variance": lambda c, h, rng: posterior_variance(posterior(c, h)),
