@@ -172,8 +172,7 @@ class SymbolSequence:
 
 
 def _check_integer(value, name: str, least: int) -> None:
-    """A one-line ValueError naming the argument unless it is one integer >= least; it
-    shows a numpy scalar as its value."""
+    """A one-line ValueError naming the argument unless it is one integer >= least."""
     if not isinstance(value, (int, np.integer)) or value < least:
         shown = (f"an array of shape {np.shape(value)}" if np.ndim(value)
                  else repr(value.item() if isinstance(value, np.generic) else value))

@@ -34,9 +34,9 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True, eq=False)
 class WordConditional:
-    """A pair (word distribution, conditional next-symbol distribution), or
-    a stack of G such pairs.  Shapes that do not fit the order and alphabet,
-    or each other, raise ShapeMismatchError."""
+    """A pair (word distribution, conditional next-symbol distribution), or a stack of G
+    such pairs.  cond_probs takes the table types' shape (core._check_shape), and
+    word_probs its shape less the last axis; a shape that does not fit raises."""
 
     order: int
     alphabet: Alphabet

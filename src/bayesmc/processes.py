@@ -173,8 +173,7 @@ def average_counts(hmm: LabeledHMM, N, k: int) -> CountTable:
     of data sizes N gives the (G, A**k, A) stack of their tables, each the lone call's
     bit for bit.
 
-    Each N is one integer above k (core._check_integer).  Counts are real-valued; they
-    are deliberately not rounded to integers.
+    Each N is one integer above k.  Counts are real-valued, deliberately not rounded.
     """
     joint = hmm.joint(k)
     for size in N if np.ndim(N) else (N,):

@@ -265,7 +265,8 @@ def _row_sum(x):
 def _row_rates(t, totals):
     """sum_s t log2(t / t(w)) for each row w of a Dirichlet table t with row totals
     `totals`: minus t(w) times the entropy, in bits, of the row's mean conditional;
-    a term whose t / t(w) underflows to 0 is 0 log 0 = 0."""
+    a term whose t / t(w) underflows to 0 is 0 log 0 = 0.  The one entropy-rate sum:
+    the energy's, hmu_of's and true_entropy_rate's (on conditional rows of total 1)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = t / totals[..., None]
         terms = np.where(cond > 0, t * np.log2(cond), 0.0)
