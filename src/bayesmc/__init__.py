@@ -16,7 +16,7 @@ from .core import (
     SymbolSequence,
     count_words,
     hyper_from_fake_counts,
-    lower_order_counts,
+    prefix_counts,
     read_sequence,
     uniform_hyper,
     word_strings,

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import comparison, entropy, inference, processes
 from .core import (Alphabet, CountTable, HyperTable, SymbolSequence, check_table_size,
-                   count_words, hyper_from_fake_counts, lower_order_counts, read_sequence,
-                   uniform_hyper, write_sequence)
+                   hyper_from_fake_counts, prefix_counts, read_sequence, uniform_hyper,
+                   write_sequence)
 from .special import NumericDomainError
 
 EXIT_BAD_CONFIG = 2
@@ -125,32 +125,16 @@ class _Sweep:
         CHUNK_ENTRIES allows, with (k, counts, hyper) for each order, the counts a
         (G, A**k, A) stack over the chunk's G data sizes.  In average mode each order's
         stack is processes.average_counts of the chunk, whose joint p(word, symbol) the
-        source computes once per order.  In sample and file mode one top-order table runs
-        across the whole grid, chunk boundaries included: each N counts only the windows
-        data[last - K:N] that its prefix adds to the previous one's, and the chunk's
-        top-order stack holds the table at each of its N.  Each lower order k is derived
-        once per chunk from the stack of order k + 1 and the sweep's first window of
-        length k + 1 (core.lower_order_counts).  The table lives in this generator's
-        frame, so it goes with the sweep."""
+        source computes once per order.  In sample and file mode they are one
+        core.prefix_counts call on the chunk and the previous chunk's top-order stack."""
         A, K, grid = self.alphabet.size, self.cfg.k_max, self.cfg.n_grid
-        size = max(1, CHUNK_ENTRIES // A ** (K + 1))
-        if self.seq is not None:
-            top, last = np.zeros((A**K, A)), K
-            heads = {k: count_words(SymbolSequence(self.alphabet, self.seq.data[:k + 1]), k)
-                     for k in self.hypers if k < K}
+        size, counted = max(1, CHUNK_ENTRIES // A ** (K + 1)), None
         for chunk in (grid[i:i + size] for i in range(0, len(grid), size)):
             if self.seq is None:
                 stacks = {k: processes.average_counts(self.hmm, chunk, k) for k in self.hypers}
             else:
-                tops = np.empty((len(chunk), A**K, A))
-                for g, N in enumerate(chunk):
-                    top += count_words(SymbolSequence(self.alphabet, self.seq.data[last - K:N]),
-                                       K).table
-                    last, tops[g] = N, top
-                tops.flags.writeable = False  # fresh, so _frozen need not copy it
-                stacks = {K: CountTable(K, self.alphabet, tops)}
-                for k in sorted(heads, reverse=True):
-                    stacks[k] = lower_order_counts(stacks[k + 1], heads[k])
+                stacks = prefix_counts(self.seq, chunk, range(self.cfg.k_min, K + 1), counted)
+                counted = stacks[K]
             yield chunk, [(k, stacks[k], hyper) for k, hyper in self.hypers.items()]
 
 

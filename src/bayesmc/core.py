@@ -6,7 +6,7 @@ integer code (earliest symbol most significant), so a table over all
 (word, next symbol) pairs is a dense (A**k, A) array.  Dense storage costs
 A**(k+1) entries; table-building functions refuse orders whose table would
 exceed TABLE_CAP.  A count or hyper table may also hold a (G, A**k, A) stack
-of G tables of one order, such as one per data size of a sweep.
+of G tables of one order, such as prefix_counts' one per prefix of a sequence.
 """
 
 from __future__ import annotations
@@ -123,7 +123,10 @@ class SymbolSequence:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = _frozen(self.data, np.int64)
+        raw = np.asarray(self.data)
+        if raw.size and raw.dtype.kind not in "iu":  # a cast would truncate 1.9 to 1
+            raise InvalidSymbolError(f"symbol indices must be integers, not {raw.dtype}")
+        arr = _frozen(raw, np.int64)
         if arr.ndim != 1:
             raise ValueError("sequence data must be one-dimensional")
         # both ends in one pass: read as uint64, a negative index is at least 2**63
@@ -331,31 +334,36 @@ def count_words(seq: SymbolSequence, k: int) -> CountTable:
     return CountTable(k, seq.alphabet, table)
 
 
-def lower_order_counts(top: CountTable, head: CountTable) -> CountTable:
-    """count_words(seq, k) for k = head.order, derived from top = count_words(seq, K)
-    for some K > k and head = count_words(seq[:K], k).  A (G, A**K, A) stack of
-    top tables, one per sequence sharing the first K symbols, gives the stack of
-    their order-k tables.
-
-    The last k+1 symbols of the K+1-windows are the k+1-windows that start at
-    K - k or later, so summing out the leading K - k symbols of `top` counts
-    them; the first K - k windows lie in seq[:K], and `head` counts them.  The
-    head does not depend on len(seq): a sweep that runs one top table across
-    its N grid counts each head once, and with K = k + 1 a head is a single
-    window.  Counts are integers held exactly in floats, so the table is
-    identical to count_words'; any other head than one table of total K - k raises.
-    """
-    K, k, A = top.order, head.order, top.alphabet.size
-    if head.alphabet != top.alphabet:
-        raise ShapeMismatchError("top and head tables must share their alphabet")
-    if not 1 <= k < K:
-        raise ValueError(f"order k={k} must lie in 1..{K - 1}")
-    if head.table.ndim != 2 or head.total != K - k:
-        raise ValueError(f"head must be count_words(seq[:{K}], {k}), one table of total {K - k}")
-    tail = top.table.reshape(top.table.shape[:-2] + (A ** (K - k), A**k, A)).sum(axis=-3)
-    tail += head.table
-    tail.flags.writeable = False  # fresh, so _frozen need not copy it
-    return CountTable(k, top.alphabet, tail)
+def prefix_counts(seq: SymbolSequence, grid, orders: range,
+                  counted: CountTable | None = None) -> dict[int, CountTable]:
+    """Each order k from orders[0] to K = orders[-1] to its (G, A**k, A) stack of
+    count_words(seq[:N], k) over the G sizes N of the ascending `grid`, bit for bit.
+    `counted`, the top-order stack of a call on an earlier grid, carries its last table
+    on, so each window is counted once, by count_words at order K.  Order k's windows
+    are order k + 1's without their leading symbol, and the first window of length k + 1."""
+    _check_integer(len(orders), "number of orders", 1)
+    _check_integer(orders[0], "order k", 1)
+    A, K, G = seq.alphabet.size, orders[-1], len(grid)
+    _check_integer(G, "number of data sizes", 1)
+    check_table_size(seq.alphabet, K)
+    tops = np.empty((G, A**K, A))
+    prev = np.zeros((A**K, A)) if counted is None else counted.table[-1]
+    last = K + int(prev.sum())  # prev counts seq[:last], whose total is last - K
+    for g, N in enumerate(grid):
+        _check_integer(N, "data size N", last + 1)  # ascending, past the counted prefix
+        if N > len(seq):
+            raise ValueError(f"data size N={N} exceeds the sequence's {len(seq)} symbols")
+        added = count_words(SymbolSequence(seq.alphabet, seq.data[last - K:N]), K)
+        prev = np.add(prev, added.table, out=tops[g])
+        last = N
+    tops.flags.writeable = False  # fresh, so _frozen need not copy it
+    stacks = {K: CountTable(K, seq.alphabet, tops)}
+    for k in range(K - 1, orders[0] - 1, -1):
+        lower = stacks[k + 1].table.reshape(G, A, A**k, A).sum(axis=1)
+        lower[:, np.ravel_multi_index(seq.data[:k], [A] * k), seq.data[k]] += 1.0
+        lower.flags.writeable = False  # fresh, so _frozen need not copy it
+        stacks[k] = CountTable(k, seq.alphabet, lower)
+    return stacks
 
 
 def uniform_hyper(k: int, alphabet: Alphabet, value: float = 1.0) -> HyperTable:
@@ -382,11 +390,17 @@ def read_sequence(path, alphabet: Alphabet | None = None,
     """Read a symbol sequence from a text file (no separators; each line's
     leading and trailing whitespace is dropped, so the sequence may be
     wrapped) or, when `column` is given, from that column of a CSV file."""
-    with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
-        if column is None:
-            text = "".join(line.strip() for line in fh)
-        else:
-            import csv  # here, so that importing the package does not load it
+    if column is None:
+        with open(path, "rb") as fh:  # decoded once, dropping a leading byte-order mark
+            text = fh.read().decode("utf-8-sig")
+        if "\r" in text:  # lines end at \n, \r\n or \r, as in text mode
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        text = text.strip()  # the first line's leading, the last's trailing whitespace
+        if "\n" in text:  # each line stripped; str.splitlines ends lines at more characters
+            text = "".join(map(str.strip, text.split("\n")))
+    else:
+        import csv  # here, so that importing the package does not load it
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
             reader = csv.DictReader(fh, restval="")  # a short row's missing cell is empty
             if reader.fieldnames is None or column not in reader.fieldnames:
                 raise ValueError(f"column {column!r} not found in {path}")

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from bayesmc import (
     golden_mean,
     hyper_from_fake_counts,
     log_evidence,
-    lower_order_counts,
     markov_approximation,
+    prefix_counts,
     r_from,
     read_sequence,
     sample_sequence,
@@ -159,50 +160,73 @@ class TestCountWords:
         np.testing.assert_array_equal(table.ravel(), expected)
 
 
-class TestLowerOrderCounts:
+def _hexes(table) -> list:
+    return [v.hex() for v in np.asarray(table).ravel().tolist()]
+
+
+class TestPrefixCounts:
     @settings(deadline=None)
     @given(st.data())
     def test_equals_count_words(self, data):
-        A = data.draw(st.integers(2, 4), label="A")
-        k_max = data.draw(st.integers(1, 8), label="k_max")
-        symbols = data.draw(st.lists(st.integers(0, A - 1), min_size=k_max + 1,
-                                     max_size=k_max + 200), label="symbols")
-        seq = SymbolSequence(Alphabet(tuple("abcd"[:A])), np.array(symbols))
-        top = count_words(seq, k_max)
-        head = SymbolSequence(seq.alphabet, seq.data[:k_max])
-        derived = top
-        for k in range(k_max - 1, 0, -1):
-            # from the top order, and step by step from order k + 1 with one head window
-            for above in (top, derived):
-                prefix = SymbolSequence(seq.alphabet, head.data[:above.order])
-                derived = lower_order_counts(above, count_words(prefix, k))
-                assert derived.order == k
-                np.testing.assert_array_equal(derived.table, count_words(seq, k).table)
+        # every order's stack, over a grid split into chunks that each carry the previous
+        # chunk's top-order stack on, against count_words of each prefix
+        A = data.draw(st.integers(2, 3), label="A")
+        k_min = data.draw(st.integers(1, 6), label="k_min")
+        K = data.draw(st.integers(k_min, 6), label="K")
+        symbols = data.draw(st.lists(st.integers(0, A - 1), min_size=K + 1,
+                                     max_size=K + 200), label="symbols")
+        seq = SymbolSequence(Alphabet(tuple("abc"[:A])), np.array(symbols))
+        grid = sorted(data.draw(st.sets(st.integers(K + 1, len(seq)), min_size=1, max_size=12),
+                                label="grid"))
+        cuts = data.draw(st.lists(st.booleans(), min_size=len(grid) - 1,
+                                  max_size=len(grid) - 1), label="cuts")
+        chunks = [[grid[0]]]
+        for N, cut in zip(grid[1:], cuts):
+            if cut:
+                chunks.append([])
+            chunks[-1].append(N)
+        counted = None
+        for chunk in chunks:
+            stacks = prefix_counts(seq, chunk, range(k_min, K + 1), counted)
+            assert sorted(stacks) == list(range(k_min, K + 1))
+            for k, stack in stacks.items():
+                assert stack.order == k and stack.table.shape == (len(chunk), A**k, A)
+                for N, table in zip(chunk, stack.table):
+                    prefix = SymbolSequence(seq.alphabet, seq.data[:N])
+                    assert _hexes(table) == _hexes(count_words(prefix, k).table)
+            counted = stacks[K]
 
-    def test_order_above_top(self):
-        seq = SymbolSequence.from_string("0110", BINARY)
-        with pytest.raises(ValueError):
-            lower_order_counts(count_words(seq, 1), count_words(seq, 2))
+    def test_lone_order(self):
+        seq = SymbolSequence.from_string("0110100", BINARY)
+        stacks = prefix_counts(seq, (2, 7), range(1, 2))
+        assert list(stacks) == [1]
+        assert stacks[1].table.tolist() == [[[0.0, 1.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 1.0]]]
+        # every order from the first to the last, whatever the range's step
+        assert sorted(prefix_counts(seq, (7,), range(1, 4, 2))) == [1, 2, 3]
 
-    def test_alphabets_must_match(self):
-        seq = SymbolSequence.from_string("0110", BINARY)
-        other = SymbolSequence.from_string("0110", TERNARY)
-        with pytest.raises(ShapeMismatchError):
-            lower_order_counts(count_words(seq, 2), count_words(other, 1))
+    @pytest.mark.parametrize("grid, orders, message", [
+        ((), range(1, 4), "number of data sizes must be one integer >= 1, not 0"),
+        ((10, 10), range(1, 4), "data size N must be one integer >= 11, not 10"),
+        ((10, 9), range(1, 4), "data size N must be one integer >= 11, not 9"),
+        ((3,), range(1, 4), "data size N must be one integer >= 4, not 3"),
+        ((10.0,), range(1, 4), "data size N must be one integer >= 4, not 10.0"),
+        ((10, 51), range(1, 4), "data size N=51 exceeds the sequence's 50 symbols"),
+        ((10,), range(0, 4), "order k must be one integer >= 1, not 0"),
+        ((10,), range(3, 3), "number of orders must be one integer >= 1, not 0"),
+    ])
+    def test_rejects_out_of_range(self, grid, orders, message):
+        seq = sample_sequence(golden_mean(), 50, 3)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            prefix_counts(seq, grid, orders)
 
-    def test_head_must_be_the_first_window_table(self):
-        # the head is count_words(seq[:K], k): one table of total K - k.  The head of
-        # seq[:50] gave a 200-symbol sequence's order-1 table a total of 246, not 199
-        seq = sample_sequence(golden_mean(), 200, 3)
-        top = count_words(seq, 3)
-        assert lower_order_counts(top, count_words(SymbolSequence(BINARY, seq.data[:3]), 1)
-                                  ).total == 199
-        for head in (count_words(SymbolSequence(BINARY, seq.data[:50]), 1),
-                     CountTable(1, BINARY, np.zeros((2, 2))),
-                     CountTable(1, BINARY, np.ones((3, 2, 2)) / 2)):  # a stack, each of total 2
-            with pytest.raises(ValueError, match=r"^head must be count_words\(seq\[:3\], 1\), "
-                                                 r"one table of total 2$"):
-                lower_order_counts(top, head)
+    def test_rejects_a_size_within_the_counted_prefix(self):
+        seq = sample_sequence(golden_mean(), 50, 3)
+        counted = prefix_counts(seq, (20,), range(1, 4))[3]
+        with pytest.raises(ValueError, match="^data size N must be one integer >= 21, not 20$"):
+            prefix_counts(seq, (20, 30), range(1, 4), counted)
+        carried = prefix_counts(seq, (30,), range(1, 4), counted)[3]
+        prefix = SymbolSequence(BINARY, seq.data[:30])
+        assert carried.table[0].tolist() == count_words(prefix, 3).table.tolist()
 
 
 class TestHyperTables:
@@ -454,6 +478,13 @@ class TestFromString:
             SymbolSequence(BINARY, np.array([0, 1, index], dtype=np.int64))
         assert len(SymbolSequence(BINARY, np.array([], dtype=np.int64))) == 0
 
+    @pytest.mark.parametrize("data", [[1.9, 0.2], np.array([0.0, 1.0]), [True, False]])
+    def test_non_integer_indices_rejected(self, data):
+        # a cast would read [1.9, 0.2] as [1, 0]; an empty list has no index to reject
+        with pytest.raises(InvalidSymbolError, match="^symbol indices must be integers, not "):
+            SymbolSequence(BINARY, data)
+        assert len(SymbolSequence(BINARY, [])) == 0
+
     def test_lone_surrogate_symbol(self):
         alphabet = Alphabet(("a", "\ud800"))
         seq = SymbolSequence.from_string("a\ud800a", alphabet)
@@ -482,6 +513,27 @@ class TestSequenceIO:
         assert seq.alphabet.symbols == tuple(sorted(text)) and seq.to_string() == text
         write_sequence(path, seq)
         assert read_sequence(path, alphabet=seq.alphabet).data.tolist() == seq.data.tolist()
+
+    def test_line_ends_as_in_text_mode(self, tmp_path):
+        # lines end at \n, \r\n and \r only: a form feed, or a line separator, inside a
+        # line is a symbol, and only each line's two ends are stripped
+        path = tmp_path / "seq.txt"
+        path.write_bytes("\ufeff 01 \r\n1\x0c 0\r\r\n\t1\x0c\n0\u2028 1\r".encode("utf-8"))
+        seq = read_sequence(path)
+        assert seq.to_string() == "011\x0c 010\u2028 1"
+        assert seq.alphabet.symbols == ("\x0c", " ", "0", "1", "\u2028")
+
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from(["0", "1", " ", "\t", "\n", "\r", "\x0c", "\x85",
+                                     "\u2028", "\ufeff"]), max_size=30).map("".join))
+    def test_equals_text_mode_lines(self, tmp_path_factory, text):
+        # the oracle reads the file's lines in text mode, each line stripped
+        path = tmp_path_factory.mktemp("seq") / "seq.txt"
+        path.write_bytes(("\ufeff" + text + "1").encode("utf-8"))
+        with open(path, encoding="utf-8-sig") as fh:
+            expected = "".join(line.strip() for line in fh)
+        assert read_sequence(path, alphabet=Alphabet(tuple(sorted(set(
+            expected + "01"))))).to_string() == expected
 
     def test_csv_column(self, tmp_path):
         path = tmp_path / "seq.csv"

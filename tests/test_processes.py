@@ -134,6 +134,13 @@ class TestWordProbabilities:
         with pytest.raises(InvalidSymbolError):
             word_probability(GM, word)
 
+    @pytest.mark.parametrize("word", [[0.7], [1.0, 0.0], np.array([1.9])])
+    def test_non_integer_index(self, word):
+        # not cast: [0.7] read as [0] had the probability 1/3 of the word "0"
+        with pytest.raises(InvalidSymbolError, match="^symbol indices must be integers"):
+            word_probability(GM, word)
+        assert word_probability(GM, []) == pytest.approx(1.0, abs=1e-12)
+
     def test_table_cap(self):
         # 2**27 words: refused by the shared table cap before anything is built
         for build in (lambda: word_distribution(EVEN, 27), lambda: markov_approximation(EVEN, 26),

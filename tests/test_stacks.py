@@ -17,6 +17,7 @@ from bayesmc import (
     Alphabet,
     CountTable,
     HyperTable,
+    SymbolSequence,
     WordConditional,
     average_counts,
     compare_penalized,
@@ -31,12 +32,12 @@ from bayesmc import (
     log_evidence,
     log_evidences,
     log_predictive,
-    lower_order_counts,
     map_order,
     marginal,
     posterior,
     posterior_mean,
     posterior_variance,
+    prefix_counts,
     r_from,
     sample_posterior,
     uniform_hyper,
@@ -128,24 +129,22 @@ class TestStackEqualsTables:
             assert value.shape == (1,)
 
 
-class TestLowerOrderStack:
-    """The sweep derives each lower order of a chunk from the stack above it."""
+class TestPrefixStack:
+    """The sweep counts every order of a chunk of its grid in one prefix_counts call."""
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(2, 4), st.integers(2, 4), st.integers(1, 6), st.integers(0, 2**32 - 1),
+    @given(st.integers(2, 4), st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32 - 1),
            st.data())
     def test_stack_equals_tables(self, A, K, G, seed, data):
-        k = data.draw(st.integers(1, K - 1), label="k")
-        top, _, _ = _stack_case(A, K, G, seed, False)
-        # a head holds the K - k windows of the first K symbols
-        windows = np.random.default_rng(seed).integers(0, A ** (k + 1), size=K - k)
-        head = CountTable(k, top.alphabet, np.bincount(windows, minlength=A ** (k + 1)
-                                                       ).reshape(A**k, A))
-        derived = lower_order_counts(top, head)
-        assert derived.order == k and derived.table.shape == (G, A**k, A)
-        tables = [lower_order_counts(CountTable(K, top.alphabet, t), head) for t in top.table]
-        assert _hexes(derived.table.ravel()) == _hexes(
-            np.concatenate([t.table.ravel() for t in tables]))
+        k_min = data.draw(st.integers(1, K), label="k_min")
+        rng = np.random.default_rng(seed)
+        seq = SymbolSequence(Alphabet(tuple("abcd"[:A])), rng.integers(0, A, size=K + 200))
+        grid = np.sort(rng.choice(np.arange(K + 1, len(seq) + 1), size=G, replace=False))
+        stacks = prefix_counts(seq, grid.tolist(), range(k_min, K + 1))
+        for k, stack in stacks.items():
+            assert stack.order == k and stack.table.shape == (G, A**k, A)
+            tables = [prefix_counts(seq, [N], range(k_min, K + 1))[k].table for N in grid]
+            assert _hexes(stack.table.ravel()) == _hexes(np.concatenate(tables).ravel())
 
 
 class TestStackShapes:
@@ -352,8 +351,6 @@ STACKED = {
     "log_evidences": lambda c, h, rng: log_evidences([(c, h)]),
     "log_predictive": lambda c, h, rng: log_predictive(
         c, CountTable(c.order, c.alphabet, np.arange(27.0).reshape(9, 3)), h),
-    "lower_order_counts": lambda c, h, rng: lower_order_counts(
-        c, CountTable(1, c.alphabet, np.diag([0.0, 1.0, 0.0]))),  # one window, as K - k = 1
     "posterior": lambda c, h, rng: posterior(c, h),
     "posterior_mean": lambda c, h, rng: posterior_mean(posterior(c, h)),
     "posterior_variance": lambda c, h, rng: posterior_variance(posterior(c, h)),
@@ -375,14 +372,15 @@ ONE_TABLE = {
 #: Every other public callable: it takes no count or hyper table, WordConditional or
 #: grid of data sizes (table types built from arrays, sequences, sources, special
 #: functions, order posteriors over evidences, the energy statistics' record, and the
-#: command line).
+#: command line), or it counts a sequence: count_words, and prefix_counts, whose stacks
+#: TestPrefixStack checks against its lone calls.
 NO_TABLE = {
     "Alphabet", "BetaParams", "ConfidenceRegion", "CountTable", "EnergyMoments", "HyperTable",
     "LabeledHMM", "OrderPosterior", "SymbolSequence", "WordConditional", "check_table_size",
     "compare_penalized", "compare_uniform", "confidence_region", "count_words", "digamma",
     "even_process", "free_params", "golden_mean", "inv_reg_inc_beta", "load_hmm",
     "log_gamma", "log_gamma_diff", "main", "map_order", "markov_approximation",
-    "read_sequence", "reg_inc_beta", "sample_sequence", "sns", "stationary",
+    "prefix_counts", "read_sequence", "reg_inc_beta", "sample_sequence", "sns", "stationary",
     "trigamma", "true_entropy_rate", "uniform_hyper", "weighted_energy",
     "word_distribution", "word_probability", "word_strings", "write_sequence",
 }
