@@ -133,7 +133,7 @@ class _Sweep:
             if self.seq is None:
                 stacks = {k: processes.average_counts(self.hmm, chunk, k) for k in self.hypers}
             else:
-                stacks = prefix_counts(self.seq, chunk, range(self.cfg.k_min, K + 1), counted)
+                stacks = prefix_counts(self.seq, chunk, self.cfg.k_min, K, counted)
                 counted = stacks[K]
             yield chunk, [(k, stacks[k], hyper) for k, hyper in self.hypers.items()]
 

@@ -334,20 +334,22 @@ def count_words(seq: SymbolSequence, k: int) -> CountTable:
     return CountTable(k, seq.alphabet, table)
 
 
-def prefix_counts(seq: SymbolSequence, grid, orders: range,
+def prefix_counts(seq: SymbolSequence, grid, k_min: int, K: int,
                   counted: CountTable | None = None) -> dict[int, CountTable]:
-    """Each order k from orders[0] to K = orders[-1] to its (G, A**k, A) stack of
-    count_words(seq[:N], k) over the G sizes N of the ascending `grid`, bit for bit.
-    `counted`, the top-order stack of a call on an earlier grid, carries its last table
-    on, so each window is counted once, by count_words at order K.  Order k's windows
-    are order k + 1's without their leading symbol, and the first window of length k + 1."""
-    _check_integer(len(orders), "number of orders", 1)
-    _check_integer(orders[0], "order k", 1)
-    A, K, G = seq.alphabet.size, orders[-1], len(grid)
+    """Each order k from k_min to K to its (G, A**k, A) stack of count_words(seq[:N], k)
+    over the G sizes N of the ascending `grid`, bit for bit.  `counted`, an order-K table
+    or stack of an earlier call on seq, carries its last table on, so each window is
+    counted once, by count_words at order K.  Order k's windows are order k + 1's
+    without their leading symbol, and the first window of length k + 1."""
+    _check_integer(k_min, "order k", 1)
+    _check_integer(K, "top order K", k_min)
+    A, G = seq.alphabet.size, len(grid)
     _check_integer(G, "number of data sizes", 1)
     check_table_size(seq.alphabet, K)
+    if counted is not None and (counted.order != K or counted.alphabet != seq.alphabet):
+        raise ValueError(f"counted must be an order-{K} table over the sequence's alphabet")
     tops = np.empty((G, A**K, A))
-    prev = np.zeros((A**K, A)) if counted is None else counted.table[-1]
+    prev = np.zeros((A**K, A)) if counted is None else counted.table.reshape(-1, A**K, A)[-1]
     last = K + int(prev.sum())  # prev counts seq[:last], whose total is last - K
     for g, N in enumerate(grid):
         _check_integer(N, "data size N", last + 1)  # ascending, past the counted prefix
@@ -358,7 +360,7 @@ def prefix_counts(seq: SymbolSequence, grid, orders: range,
         last = N
     tops.flags.writeable = False  # fresh, so _frozen need not copy it
     stacks = {K: CountTable(K, seq.alphabet, tops)}
-    for k in range(K - 1, orders[0] - 1, -1):
+    for k in range(K - 1, k_min - 1, -1):
         lower = stacks[k + 1].table.reshape(G, A, A**k, A).sum(axis=1)
         lower[:, np.ravel_multi_index(seq.data[:k], [A] * k), seq.data[k]] += 1.0
         lower.flags.writeable = False  # fresh, so _frozen need not copy it
@@ -393,11 +395,9 @@ def read_sequence(path, alphabet: Alphabet | None = None,
     if column is None:
         with open(path, "rb") as fh:  # decoded once, dropping a leading byte-order mark
             text = fh.read().decode("utf-8-sig")
-        if "\r" in text:  # lines end at \n, \r\n or \r, as in text mode
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        text = text.strip()  # the first line's leading, the last's trailing whitespace
-        if "\n" in text:  # each line stripped; str.splitlines ends lines at more characters
-            text = "".join(map(str.strip, text.split("\n")))
+        # lines end at \n, \r\n or \r, as in text mode (str.splitlines ends them at more);
+        # a \r\n leaves an empty line between its two ends, which strips to nothing
+        text = "".join(map(str.strip, text.replace("\r", "\n").split("\n")))
     else:
         import csv  # here, so that importing the package does not load it
         with open(path, "r", encoding="utf-8-sig") as fh:  # drops a leading byte-order mark

@@ -187,7 +187,7 @@ class TestPrefixCounts:
             chunks[-1].append(N)
         counted = None
         for chunk in chunks:
-            stacks = prefix_counts(seq, chunk, range(k_min, K + 1), counted)
+            stacks = prefix_counts(seq, chunk, k_min, K, counted)
             assert sorted(stacks) == list(range(k_min, K + 1))
             for k, stack in stacks.items():
                 assert stack.order == k and stack.table.shape == (len(chunk), A**k, A)
@@ -198,35 +198,52 @@ class TestPrefixCounts:
 
     def test_lone_order(self):
         seq = SymbolSequence.from_string("0110100", BINARY)
-        stacks = prefix_counts(seq, (2, 7), range(1, 2))
+        stacks = prefix_counts(seq, (2, 7), 1, 1)
         assert list(stacks) == [1]
         assert stacks[1].table.tolist() == [[[0.0, 1.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 1.0]]]
-        # every order from the first to the last, whatever the range's step
-        assert sorted(prefix_counts(seq, (7,), range(1, 4, 2))) == [1, 2, 3]
 
-    @pytest.mark.parametrize("grid, orders, message", [
-        ((), range(1, 4), "number of data sizes must be one integer >= 1, not 0"),
-        ((10, 10), range(1, 4), "data size N must be one integer >= 11, not 10"),
-        ((10, 9), range(1, 4), "data size N must be one integer >= 11, not 9"),
-        ((3,), range(1, 4), "data size N must be one integer >= 4, not 3"),
-        ((10.0,), range(1, 4), "data size N must be one integer >= 4, not 10.0"),
-        ((10, 51), range(1, 4), "data size N=51 exceeds the sequence's 50 symbols"),
-        ((10,), range(0, 4), "order k must be one integer >= 1, not 0"),
-        ((10,), range(3, 3), "number of orders must be one integer >= 1, not 0"),
+    @pytest.mark.parametrize("grid, k_min, K, message", [
+        ((), 1, 3, "number of data sizes must be one integer >= 1, not 0"),
+        ((10, 10), 1, 3, "data size N must be one integer >= 11, not 10"),
+        ((10, 9), 1, 3, "data size N must be one integer >= 11, not 9"),
+        ((3,), 1, 3, "data size N must be one integer >= 4, not 3"),
+        ((10.0,), 1, 3, "data size N must be one integer >= 4, not 10.0"),
+        ((10, 51), 1, 3, "data size N=51 exceeds the sequence's 50 symbols"),
+        ((10,), 0, 3, "order k must be one integer >= 1, not 0"),
+        ((10,), 3, 2, "top order K must be one integer >= 3, not 2"),
+        ((10,), 1, 3.0, "top order K must be one integer >= 1, not 3.0"),
     ])
-    def test_rejects_out_of_range(self, grid, orders, message):
+    def test_rejects_out_of_range(self, grid, k_min, K, message):
         seq = sample_sequence(golden_mean(), 50, 3)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            prefix_counts(seq, grid, orders)
+            prefix_counts(seq, grid, k_min, K)
 
     def test_rejects_a_size_within_the_counted_prefix(self):
         seq = sample_sequence(golden_mean(), 50, 3)
-        counted = prefix_counts(seq, (20,), range(1, 4))[3]
+        counted = prefix_counts(seq, (20,), 1, 3)[3]
         with pytest.raises(ValueError, match="^data size N must be one integer >= 21, not 20$"):
-            prefix_counts(seq, (20, 30), range(1, 4), counted)
-        carried = prefix_counts(seq, (30,), range(1, 4), counted)[3]
+            prefix_counts(seq, (20, 30), 1, 3, counted)
+        carried = prefix_counts(seq, (30,), 1, 3, counted)[3]
         prefix = SymbolSequence(BINARY, seq.data[:30])
         assert carried.table[0].tolist() == count_words(prefix, 3).table.tolist()
+
+    def test_carries_a_lone_table(self):
+        # a lone order-K table of a prefix carries on as a stack's last table does
+        seq = sample_sequence(golden_mean(), 50, 3)
+        counted = count_words(SymbolSequence(BINARY, seq.data[:20]), 3)
+        carried = prefix_counts(seq, (30, 50), 2, 3, counted)
+        for k in (2, 3):
+            for N, table in zip((30, 50), carried[k].table):
+                prefix = SymbolSequence(BINARY, seq.data[:N])
+                assert _hexes(table) == _hexes(count_words(prefix, k).table)
+
+    @pytest.mark.parametrize("order, letters", [(2, "01"), (3, "ab")])
+    def test_rejects_counts_of_another_order_or_alphabet(self, order, letters):
+        seq = sample_sequence(golden_mean(), 50, 3)
+        other = SymbolSequence(Alphabet(tuple(letters)), seq.data[:20])
+        with pytest.raises(ValueError, match="^counted must be an order-3 table over the "
+                                             "sequence's alphabet$"):
+            prefix_counts(seq, (30,), 1, 3, count_words(other, order))
 
 
 class TestHyperTables:

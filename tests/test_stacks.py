@@ -140,10 +140,10 @@ class TestPrefixStack:
         rng = np.random.default_rng(seed)
         seq = SymbolSequence(Alphabet(tuple("abcd"[:A])), rng.integers(0, A, size=K + 200))
         grid = np.sort(rng.choice(np.arange(K + 1, len(seq) + 1), size=G, replace=False))
-        stacks = prefix_counts(seq, grid.tolist(), range(k_min, K + 1))
+        stacks = prefix_counts(seq, grid.tolist(), k_min, K)
         for k, stack in stacks.items():
             assert stack.order == k and stack.table.shape == (G, A**k, A)
-            tables = [prefix_counts(seq, [N], range(k_min, K + 1))[k].table for N in grid]
+            tables = [prefix_counts(seq, [N], k_min, K)[k].table for N in grid]
             assert _hexes(stack.table.ravel()) == _hexes(np.concatenate(tables).ravel())
 
 
